@@ -9,13 +9,13 @@ cover interval still holds a few grid points.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .codec import Record
 from .errors import DegenerateSample
 
 
@@ -26,7 +26,7 @@ class SetKind(Enum):
 
 
 @dataclass(frozen=True)
-class BorelSetSpec:
+class BorelSetSpec(Record):
     kind: SetKind
     a: float = 0.0
     b: float = 1.0
@@ -132,29 +132,13 @@ class BorelSetSpec:
         return t
 
     def as_dict(self) -> dict:
-        if self.kind is SetKind.INTERVAL:
-            return {"kind": self.kind.value, "a": self.a, "b": self.b}
-        if self.kind is SetKind.SELF_SIMILAR_CANTOR:
-            return {"kind": self.kind.value, "m": self.m, "r": self.r}
-        return {"kind": self.kind.value, "members": [m.as_dict() for m in self.members]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
-    @staticmethod
-    def from_dict(obj: dict) -> "BorelSetSpec":
-        kind = SetKind(obj["kind"])
-        if kind is SetKind.INTERVAL:
-            return BorelSetSpec(kind, a=float(obj["a"]), b=float(obj["b"]))
-        if kind is SetKind.SELF_SIMILAR_CANTOR:
-            return BorelSetSpec(kind, m=int(obj["m"]), r=float(obj["r"]))
-        return BorelSetSpec(
-            kind, members=tuple(BorelSetSpec.from_dict(x) for x in obj["members"])
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "BorelSetSpec":
-        return BorelSetSpec.from_dict(json.loads(text))
+        """Only the fields that define this kind of set are written."""
+        keep = {
+            SetKind.INTERVAL: ("a", "b"),
+            SetKind.SELF_SIMILAR_CANTOR: ("m", "r"),
+            SetKind.FINITE_UNION: ("members",),
+        }[self.kind]
+        return {k: v for k, v in super().as_dict().items() if k == "kind" or k in keep}
 
 
 def interval(a: float = 0.0, b: float = 1.0) -> BorelSetSpec:

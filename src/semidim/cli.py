@@ -17,14 +17,14 @@ import numpy as np
 
 from . import __version__
 from .borel import BorelSetSpec, cantor, interval
-from .dimension import dimensions_from_spectrum, graph_dimension_1d
+from .dimension import dimensions_from_spectrum
 from .errors import SemidimError
 from .estimators import box_count_graph, dyadic_scales, sojourn_mc
 from .harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepCell, get_scenario, run_scenario, sweep
-from .io import fmt_float, read_path_dump, write_loglog_csv, write_path_dump, write_sidecar
+from .io import read_path_dump, write_csv, write_loglog_csv, write_path_dump, write_sidecar
 from .laws import BlockLaw
 from .paths import simulate_path
-from .spectral import ExponentSpec, decompose, validate_exponent
+from .spectral import ExponentSpec, decompose
 
 _BROWNIAN_EXPONENT = {"c": 2.0, "matrix": [[0.5]]}
 
@@ -35,8 +35,7 @@ _BROWNIAN_LAWS = [{"kind": "STABLE_SYMMETRIC", "alpha": 2.0}]
 
 
 def _load_exponent(arg: str | None) -> ExponentSpec:
-    obj = json.loads(Path(arg).read_text()) if arg else _BROWNIAN_EXPONENT
-    return validate_exponent(np.asarray(obj["matrix"], dtype=float), float(obj["c"]))
+    return ExponentSpec.from_dict(json.loads(Path(arg).read_text()) if arg else _BROWNIAN_EXPONENT)
 
 
 def _load_laws(arg: str | None) -> tuple[BlockLaw, ...]:
@@ -69,28 +68,19 @@ def cmd_decompose(args) -> int:
 
 def cmd_dim(args) -> int:
     if args.exponent:
-        spec = _load_exponent(args.exponent)
-        dec = decompose(spec)
+        dec = decompose(_load_exponent(args.exponent))
         s = _load_borel(args.borel).hausdorff_dim if (args.borel or args.s is None) else args.s
-        dims = dimensions_from_spectrum(dec.alphas, dec.block_dims, s)
-        alphas = list(dec.alphas)
-        graph, rng_res = dims["graph"], dims["range"]
+        alphas, block_dims = list(dec.alphas), dec.block_dims
     else:
         if args.alpha1 is None or args.s is None:
             raise SystemExit("dim needs either --exponent or --alpha1/--s")
         alphas = [args.alpha1] + ([args.alpha2] if args.alpha2 is not None else [])
-        if args.d1 == 1 and args.alpha2 is None:
-            graph = graph_dimension_1d(args.alpha1, args.s)
-            rng_res = None
-        else:
-            dims = dimensions_from_spectrum(
-                alphas, [args.d1, 1][: len(alphas)], args.s
-            )
-            graph, rng_res = dims["graph"], dims["range"]
+        s, block_dims = args.s, [args.d1, 1][: len(alphas)]
+    dims = dimensions_from_spectrum(alphas, block_dims, s)
     out = {
-        "graph": graph.value,
-        "range": rng_res.value if rng_res is not None else min(1.0, alphas[0] * args.s),
-        "branch": graph.branch.value,
+        "graph": dims["graph"].value,
+        "range": dims["range"].value,
+        "branch": dims["graph"].branch.value,
         "alphas": alphas,
     }
     print(json.dumps(out))
@@ -188,17 +178,8 @@ def cmd_sweep(args) -> int:
     rows = sweep(cells, args.seed, budget_seconds=cfg.get("budget_seconds"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if rows:
-        header = list(rows[0])
-        table = [[row[k] for k in header] for row in rows]
-        lines = [",".join(header)]
-        for row in table:
-            lines.append(
-                ",".join(x if isinstance(x, str) else fmt_float(x) for x in row)
-            )
-        (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-    else:
-        (out_dir / "sweep.csv").write_text("\n")
+    header = list(rows[0]) if rows else []
+    write_csv(out_dir / "sweep.csv", header, [[row[k] for k in header] for row in rows])
     write_sidecar(out_dir / "sweep.summary.json", {"rows": len(rows), "config": _config(args)})
     print(f"{len(rows)} sweep cells -> {out_dir / 'sweep.csv'}")
     return 0
@@ -209,14 +190,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"semidim {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--threads", type=int, default=1, help="worker cap (results are thread-count independent)")
+    shared = {
+        "seed": dict(type=int, default=0, help="64-bit master seed"),
+        "out": dict(default="out", help="output directory"),
+        "threads": dict(type=int, default=1, help="worker cap (results are thread-count independent)"),
+    }
+
+    def common(sp, *names):
+        for name in names:
+            sp.add_argument(f"--{name}", **shared[name])
 
     sp = sub.add_parser("decompose", help="spectral decomposition of an exponent JSON")
     sp.add_argument("--exponent", required=True, help='JSON file {"c": ..., "matrix": [[...]]}')
-    common(sp)
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("dim", help="closed-form graph/range dimensions")
@@ -226,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, help="Hausdorff dimension of the time set")
     sp.add_argument("--exponent", help="exponent JSON file (alternative to --alpha1)")
     sp.add_argument("--borel", help="time-set JSON file, inline JSON, or 'cantor'")
-    common(sp)
     sp.set_defaults(fn=cmd_dim)
 
     sp = sub.add_parser("simulate", help="simulate a path and dump it")
@@ -234,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--laws", help="JSON file with one block law per block")
     sp.add_argument("--n", type=int, default=12, help="dyadic grid depth")
     sp.add_argument("--csv", action="store_true", help="also write CSV (small n)")
-    common(sp)
+    common(sp, "seed", "out")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("estimate", help="box-count dimension of a dumped path")
@@ -243,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scales", help="comma-separated cube sides")
     sp.add_argument("--n-scales", type=int, default=11, help="finest dyadic scale 2^-k")
     sp.add_argument("--cover-level", type=int)
-    common(sp)
+    common(sp, "out")
     sp.set_defaults(fn=cmd_estimate)
 
     sp = sub.add_parser("sojourn", help="Monte Carlo sojourn-time scaling")
@@ -253,17 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--ensemble", type=int, default=300)
     sp.add_argument("--n", type=int, default=14)
-    common(sp)
+    common(sp, "seed", "out")
     sp.set_defaults(fn=cmd_sojourn)
 
     sp = sub.add_parser("verify", help="run a verification scenario")
     sp.add_argument("--scenario", required=True, help="builtin name or scenario JSON file")
-    common(sp)
+    common(sp, "seed", "out", "threads")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("sweep", help="parameter sweep: theory vs estimate table")
     sp.add_argument("--config", help="JSON sweep config")
-    common(sp)
+    common(sp, "seed", "out")
     sp.set_defaults(fn=cmd_sweep)
     return p
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .codec import Record
 from .errors import InvalidInputs
 
 
@@ -27,7 +28,7 @@ class Formula(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class DimensionResult:
+class DimensionResult(Record):
     value: float
     branch: Branch
     formula: Formula
@@ -35,14 +36,6 @@ class DimensionResult:
     # such inputs are outside the multi-block theory and the FAST branch must
     # then be unreachable.
     alpha2_defaulted: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "branch": self.branch.value,
-            "formula": self.formula.value,
-            "alpha2_defaulted": self.alpha2_defaulted,
-        }
 
 
 def _check_common(alpha1: float, s: float) -> None:

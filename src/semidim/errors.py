@@ -73,5 +73,9 @@ class DegenerateSample(SemidimError):
     pass
 
 
+class NonMonotoneCounts(SemidimError):
+    pass
+
+
 class BudgetExceeded(SemidimError):
     pass

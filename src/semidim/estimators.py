@@ -21,10 +21,12 @@ from enum import Enum
 import numpy as np
 
 from .borel import BorelSetSpec, SetKind
+from .codec import Record
 from .errors import (
     DegenerateSample,
     EmptyRestriction,
     EnsembleTooSmall,
+    NonMonotoneCounts,
     RadiiOutOfRange,
     ResolutionTooCoarse,
     ScheduleMismatch,
@@ -72,19 +74,11 @@ def _nested_ratios(sides: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
-class BoxCountEstimate:
+class BoxCountEstimate(Record):
     sides: np.ndarray
     counts: np.ndarray
     fit: ScalingFit
     estimate: float
-
-    def as_dict(self) -> dict:
-        return {
-            "sides": self.sides.tolist(),
-            "counts": self.counts.tolist(),
-            "fit": self.fit.as_dict(),
-            "estimate": self.estimate,
-        }
 
 
 def box_count_points(points: np.ndarray, sides) -> BoxCountEstimate:
@@ -96,7 +90,7 @@ def box_count_points(points: np.ndarray, sides) -> BoxCountEstimate:
         )
     counts = np.array([count_occupied_cubes(points, b) for b in sides])
     if _nested_ratios(sides) and np.any(np.diff(counts) < 0):
-        raise AssertionError("occupied-cube counts must be nonincreasing in the side")
+        raise NonMonotoneCounts("occupied-cube counts must be nonincreasing in the side")
     fit = fit_loglog(sides, counts, drop_low=BOX_FIT_DROP, drop_high=BOX_FIT_DROP)
     return BoxCountEstimate(
         sides=sides, counts=counts, fit=fit, estimate=float(-fit.slope)
@@ -139,22 +133,13 @@ class Schedule(Enum):
 
 
 @dataclass(frozen=True)
-class CoveringCount:
+class CoveringCount(Record):
     schedule: Schedule
     kappa: float
     intervals: tuple[tuple[float, float], ...]
     sides: np.ndarray
     counts: np.ndarray
     weighted_sum: float
-
-    def as_dict(self) -> dict:
-        return {
-            "schedule": self.schedule.value,
-            "kappa": self.kappa,
-            "sides": self.sides.tolist(),
-            "counts": self.counts.tolist(),
-            "weighted_sum": self.weighted_sum,
-        }
 
 
 def dyadic_intervals(level: int) -> list[tuple[float, float]]:
@@ -238,7 +223,7 @@ def classify_sojourn_case(alphas, block_dims) -> tuple[str, float, float]:
 
 
 @dataclass(frozen=True)
-class SojournEstimate:
+class SojournEstimate(Record):
     """Monte Carlo means of the sojourn time T(a, s) over a radii grid."""
 
     target: str  # "graph" or "range"
@@ -249,18 +234,6 @@ class SojournEstimate:
     fit: ScalingFit
     case: str
     theory_exponent: float
-
-    def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "radii": self.radii.tolist(),
-            "horizon": self.horizon,
-            "means": self.means.tolist(),
-            "stderrs": self.stderrs.tolist(),
-            "fit": self.fit.as_dict(),
-            "case": self.case,
-            "theory_exponent": self.theory_exponent,
-        }
 
 
 def sojourn_mc(
@@ -330,7 +303,7 @@ def sojourn_mc(
 
 
 @dataclass(frozen=True)
-class EnergyEstimate:
+class EnergyEstimate(Record):
     """Ratio-test capacity estimate from empirical Riesz energies.
 
     Energies are truncated to near pairs (d <= r_cut): the far-pair part of
@@ -350,17 +323,6 @@ class EnergyEstimate:
     estimate: float
     sizes: tuple[int, int]
     r_cut: tuple[float, float]
-
-    def as_dict(self) -> dict:
-        return {
-            "gammas": self.gammas.tolist(),
-            "log_energy_small": self.log_energy_small.tolist(),
-            "log_energy_large": self.log_energy_large.tolist(),
-            "stable": self.stable.tolist(),
-            "estimate": self.estimate,
-            "sizes": list(self.sizes),
-            "r_cut": list(self.r_cut),
-        }
 
 
 def _near_pair_energies(
@@ -382,12 +344,6 @@ def _near_pair_energies(
         for g, gamma in enumerate(gammas):
             sums[g] += np.sum(vals ** (-gamma / 2.0))
     return sums / n**2
-
-
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    iu = np.triu_indices(points.shape[0], k=1)
-    return np.sqrt(d2[iu])
 
 
 def _energy_candidates(

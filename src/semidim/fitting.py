@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Record
 from .errors import DegenerateGrid
 
 
 @dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(Record):
     """Least-squares fit of log(statistic) against log(scale).
 
     ``slope`` is the fitted power-law exponent, ``residual`` the RMS of the
@@ -23,15 +24,6 @@ class ScalingFit:
     residual: float
     scale_range: tuple[float, float]
     n_points: int
-
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "scale_range": list(self.scale_range),
-            "n_points": self.n_points,
-        }
 
 
 def fit_loglog(scales, values, drop_low: int = 0, drop_high: int = 0) -> ScalingFit:

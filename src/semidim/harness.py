@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .borel import BorelSetSpec, cantor, interval
+from .codec import Record
 from .dimension import dimensions_from_spectrum
 from .errors import BudgetExceeded, InvalidInputs
 from .estimators import (
@@ -63,7 +64,7 @@ def verdict(
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A verification scenario; ``expected`` values are revalidated on load."""
 
     name: str
@@ -122,60 +123,9 @@ class Scenario:
                 )
         return theory
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "matrix": [list(row) for row in self.matrix],
-            "c": self.c,
-            "laws": [l.as_dict() for l in self.laws],
-            "borel": self.borel.as_dict(),
-            "n": self.n,
-            "n_seeds": self.n_seeds,
-            "box_sides": list(self.box_sides),
-            "box_tol": self.box_tol,
-            "sojourn_n": self.sojourn_n,
-            "sojourn_ensemble": self.sojourn_ensemble,
-            "sojourn_radii": list(self.sojourn_radii),
-            "sojourn_tol": self.sojourn_tol,
-            "energy_gammas": list(self.energy_gammas),
-            "energy_subsample": self.energy_subsample,
-            "energy_ratio": self.energy_ratio,
-            "cover_level": self.cover_level,
-            "expected": self.expected,
-            "notes": self.notes,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "Scenario":
-        return Scenario(
-            name=obj["name"],
-            matrix=tuple(tuple(float(x) for x in row) for row in obj["matrix"]),
-            c=float(obj["c"]),
-            laws=tuple(BlockLaw.from_dict(l) for l in obj["laws"]),
-            borel=BorelSetSpec.from_dict(obj["borel"]),
-            n=int(obj["n"]),
-            n_seeds=int(obj["n_seeds"]),
-            box_sides=tuple(float(x) for x in obj["box_sides"]),
-            box_tol=float(obj["box_tol"]),
-            sojourn_n=int(obj["sojourn_n"]),
-            sojourn_ensemble=int(obj["sojourn_ensemble"]),
-            sojourn_radii=tuple(float(x) for x in obj["sojourn_radii"]),
-            sojourn_tol=float(obj["sojourn_tol"]),
-            energy_gammas=tuple(float(x) for x in obj["energy_gammas"]),
-            energy_subsample=int(obj["energy_subsample"]),
-            energy_ratio=int(obj.get("energy_ratio", 16)),
-            cover_level=obj.get("cover_level"),
-            expected=obj.get("expected", {}),
-            notes=obj.get("notes", ""),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Scenario":
-        return Scenario.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     scenario: str
     master_seed: int
     theory: dict
@@ -183,17 +133,6 @@ class VerificationReport:
     verdict: str
     runtime_seconds: float
     notes: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "master_seed": self.master_seed,
-            "theory": self.theory,
-            "stages": self.stages,
-            "verdict": self.verdict,
-            "runtime_seconds": self.runtime_seconds,
-            "notes": self.notes,
-        }
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)

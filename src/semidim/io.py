@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .laws import BlockLaw
 from .paths import LevyPath
-from .spectral import validate_exponent
+from .spectral import ExponentSpec
 
 
 def fmt_float(x: float) -> str:
@@ -38,7 +38,7 @@ def write_path_dump(out_prefix: Path, path: LevyPath, config: dict | None = None
     bin_path = out_prefix.with_suffix(".bin")
     data.tofile(bin_path)
     sidecar = {
-        "exponent": {"c": path.spec.c, "matrix": path.spec.matrix.tolist()},
+        "exponent": path.spec.as_dict(),
         "laws": [l.as_dict() for l in path.laws],
         "seed": path.seed,
         "n": path.n,
@@ -63,24 +63,21 @@ def read_path_dump(out_prefix: Path) -> LevyPath:
     meta = json.loads(out_prefix.with_suffix(".json").read_text())
     rows, cols = meta["rows"], meta["columns"]
     data = np.fromfile(out_prefix.with_suffix(".bin"), dtype="<f8").reshape(rows, cols)
-    spec = validate_exponent(
-        np.asarray(meta["exponent"]["matrix"], dtype=float), meta["exponent"]["c"]
-    )
-    laws = tuple(BlockLaw.from_dict(l) for l in meta["laws"])
     return LevyPath(
         times=data[:, 0].copy(),
         values=data[:, 1:].copy(),
         seed=int(meta["seed"]),
         n=int(meta["n"]),
-        spec=spec,
-        laws=laws,
+        spec=ExponentSpec.from_dict(meta["exponent"]),
+        laws=tuple(BlockLaw.from_dict(l) for l in meta["laws"]),
     )
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Rows of numbers at 17 significant digits; string cells are written as they are."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt_float(x) for x in row))
+        lines.append(",".join(x if isinstance(x, str) else fmt_float(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from .codec import Record
 from .errors import AlphaOutOfRange, TruncationTooCoarse
 
 DEFAULT_K_MIN = -25
@@ -174,7 +175,7 @@ class LawKind(Enum):
 
 
 @dataclass(frozen=True)
-class BlockLaw:
+class BlockLaw(Record):
     """Increment law for one spectral block."""
 
     kind: LawKind
@@ -208,18 +209,8 @@ class BlockLaw:
         )
 
     def as_dict(self) -> dict:
-        out = {"kind": self.kind.value, "alpha": self.alpha, "scale": self.scale}
-        if self.kind is LawKind.SEMISTABLE_DISCRETE:
-            out["c"] = self.c
-            out["k_min"] = self.k_min
+        """Only the semistable law writes its scaling constant and truncation."""
+        out = super().as_dict()
+        if self.kind is not LawKind.SEMISTABLE_DISCRETE:
+            del out["c"], out["k_min"]
         return out
-
-    @staticmethod
-    def from_dict(obj: dict) -> "BlockLaw":
-        return BlockLaw(
-            kind=LawKind(obj["kind"]),
-            alpha=float(obj["alpha"]),
-            scale=float(obj.get("scale", 1.0)),
-            c=float(obj["c"]) if "c" in obj else None,
-            k_min=int(obj.get("k_min", DEFAULT_K_MIN)),
-        )

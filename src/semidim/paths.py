@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
+from .codec import Record
 from .errors import BlockLawMismatch, EnsembleTooSmall
 from .laws import BlockLaw, LawKind
 from .seeds import derive_rng
@@ -135,16 +136,22 @@ def _covariance_unit(g: np.ndarray) -> np.ndarray:
     return c1
 
 
+def _gaussian_covariance(block: SpectralBlock, law: BlockLaw, t: np.ndarray) -> np.ndarray:
+    """C(t) = 2 scale^2 int_0^t s^G s^{G^T} ds = t * t^G C1 t^{G^T} for each
+    t > 0, G = E_j - I/2; shape (len(t), d, d)."""
+    g = block.matrix - 0.5 * np.eye(block.d)
+    c1 = _covariance_unit(g) * 2.0 * law.scale**2
+    m_t = _nilpotent_power_series(g, np.log(t))
+    return t[:, None, None] * np.einsum("kij,jl,kml->kim", m_t, c1, m_t)
+
+
 def _gaussian_operator_block(
     block: SpectralBlock, law: BlockLaw, times: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Cumulative block path with covariance 2 scale^2 int_0^t s^G s^{G^T} ds."""
-    g = block.matrix - 0.5 * np.eye(block.d)
-    c1 = _covariance_unit(g) * 2.0 * law.scale**2
+    """Cumulative block path with covariance C(t); increments are differences
+    of consecutive C."""
     t_pos = times[1:]
-    m_t = _nilpotent_power_series(g, np.log(t_pos))
-    # C(t) = t * t^G C1 t^{G^T}; increments are differences of consecutive C.
-    c_t = t_pos[:, None, None] * np.einsum("kij,jl,kml->kim", m_t, c1, m_t)
+    c_t = _gaussian_covariance(block, law, t_pos)
     c_inc = np.diff(np.concatenate([np.zeros((1, block.d, block.d)), c_t]), axis=0)
     c_inc = 0.5 * (c_inc + np.transpose(c_inc, (0, 2, 1)))
     c_inc += 1e-14 * np.trace(c_inc, axis1=1, axis2=2)[:, None, None] * np.eye(block.d)
@@ -221,10 +228,7 @@ def sample_marginal(
     for j, (block, law, strategy) in enumerate(zip(dec.blocks, laws, strategies)):
         rng = derive_rng(seed, f"{name}/block/{j}")
         if strategy == "gaussian_operator":
-            g = block.matrix - 0.5 * np.eye(block.d)
-            c1 = _covariance_unit(g) * 2.0 * law.scale**2
-            m_t = _nilpotent_power_series(g, np.log(np.array([t])))[0]
-            c_t = t * (m_t @ c1 @ m_t.T)
+            c_t = _gaussian_covariance(block, law, np.array([t]))[0]
             chol = np.linalg.cholesky(c_t + 1e-14 * np.trace(c_t) * np.eye(block.d))
             samples = rng.standard_normal((size, block.d)) @ chol.T
         else:
@@ -260,7 +264,7 @@ def empirical_fullness(
 
 
 @dataclass(frozen=True)
-class KSReport:
+class KSReport(Record):
     """Per-coordinate two-sample KS comparison of X(ct) against c^E X(t)."""
 
     statistics: tuple[float, ...]
@@ -269,16 +273,6 @@ class KSReport:
     t: float
     c: float
     ensemble: int
-
-    def as_dict(self) -> dict:
-        return {
-            "statistics": list(self.statistics),
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "t": self.t,
-            "c": self.c,
-            "ensemble": self.ensemble,
-        }
 
 
 def semiselfsimilarity_test(

@@ -13,13 +13,13 @@ satisfies B^{-1} E B = blockdiag(E_1, ..., E_p).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
+from .codec import Record
 from .errors import (
     DegenerateGrid,
     EigenvalueRealPartTooSmall,
@@ -37,25 +37,38 @@ MAX_BASIS_COND = 1e12
 
 
 @dataclass(frozen=True)
-class ExponentSpec:
-    """A validated exponent matrix with scaling constant c > 1."""
+class ExponentSpec(Record):
+    """A validated exponent matrix with scaling constant c > 1.
 
-    matrix: np.ndarray
+    Valid iff the matrix is square, c > 1 and every eigenvalue of the matrix
+    has real part >= 1/2 (equivalently every spectral index alpha_j <= 2).
+    """
+
     c: float
-    d: int
-    eigenvalues: np.ndarray
+    matrix: np.ndarray
+    d: int = field(init=False)
+    eigenvalues: np.ndarray = field(init=False)
 
-    def to_json(self) -> str:
-        return json.dumps({"c": self.c, "matrix": self.matrix.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "ExponentSpec":
-        obj = json.loads(text)
-        return validate_exponent(np.asarray(obj["matrix"], dtype=float), float(obj["c"]))
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise NotSquare(f"exponent matrix must be square, got shape {m.shape}")
+        if not math.isfinite(self.c) or self.c <= 1.0:
+            raise ScalingConstantOutOfRange(f"scaling constant must be > 1, got {self.c}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("exponent matrix contains non-finite entries")
+        eigenvalues = np.linalg.eigvals(m)
+        worst = int(np.argmin(eigenvalues.real))
+        if eigenvalues.real[worst] < 0.5 - EIGENVALUE_TOL:
+            raise EigenvalueRealPartTooSmall(complex(eigenvalues[worst]))
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "d", int(m.shape[0]))
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
 
 @dataclass(frozen=True)
-class SpectralBlock:
+class SpectralBlock(Record):
     a: float
     alpha: float
     d: int
@@ -64,11 +77,14 @@ class SpectralBlock:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(Record):
     p: int
     blocks: tuple[SpectralBlock, ...]
     change_of_basis: np.ndarray
-    change_of_basis_inv: np.ndarray = field(repr=False)
+    change_of_basis_inv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "change_of_basis_inv", _freeze(np.linalg.inv(self.change_of_basis)))
 
     @property
     def alphas(self) -> tuple[float, ...]:
@@ -90,24 +106,6 @@ class SpectralDecomposition:
         sl = self.block_slices()[j]
         return self.change_of_basis[:, sl] @ self.change_of_basis_inv[sl, :]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "blocks": [
-                    {
-                        "a": b.a,
-                        "alpha": b.alpha,
-                        "d": b.d,
-                        "basis": b.basis.tolist(),
-                        "matrix": b.matrix.tolist(),
-                    }
-                    for b in self.blocks
-                ],
-                "change_of_basis": self.change_of_basis.tolist(),
-            }
-        )
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
@@ -116,28 +114,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def validate_exponent(m, c: float) -> ExponentSpec:
-    """Check that (m, c) is an admissible exponent.
-
-    Valid iff m is square, c > 1 and every eigenvalue of m has real part
-    >= 1/2 (equivalently every spectral index alpha_j <= 2).
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquare(f"exponent matrix must be square, got shape {m.shape}")
-    if not math.isfinite(c) or c <= 1.0:
-        raise ScalingConstantOutOfRange(f"scaling constant must be > 1, got {c}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("exponent matrix contains non-finite entries")
-    eigenvalues = np.linalg.eigvals(m)
-    worst = int(np.argmin(eigenvalues.real))
-    if eigenvalues.real[worst] < 0.5 - EIGENVALUE_TOL:
-        raise EigenvalueRealPartTooSmall(complex(eigenvalues[worst]))
-    return ExponentSpec(
-        matrix=_freeze(m),
-        c=float(c),
-        d=int(m.shape[0]),
-        eigenvalues=eigenvalues,
-    )
+    """Check that (m, c) is an admissible exponent; see :class:`ExponentSpec`."""
+    return ExponentSpec(c=c, matrix=m)
 
 
 def _cluster_real_parts(eigenvalues: np.ndarray, tol: float) -> list[tuple[float, int]]:
@@ -207,8 +185,7 @@ def decompose(spec: ExponentSpec, cluster_tol: float = CLUSTER_TOL) -> SpectralD
     cond = np.linalg.cond(basis)
     if cond > MAX_BASIS_COND:
         raise IllConditionedBasis(f"change of basis condition number {cond:.3e}")
-    basis_inv = np.linalg.inv(basis)
-    block_form = basis_inv @ spec.matrix @ basis
+    block_form = np.linalg.inv(basis) @ spec.matrix @ basis
 
     blocks = []
     start = 0
@@ -228,7 +205,6 @@ def decompose(spec: ExponentSpec, cluster_tol: float = CLUSTER_TOL) -> SpectralD
         p=p,
         blocks=tuple(blocks),
         change_of_basis=_freeze(basis),
-        change_of_basis_inv=_freeze(basis_inv),
     )
 
 
@@ -264,7 +240,7 @@ def scaling_operator_series(e, s: float, terms: int = 60) -> np.ndarray:
     return out
 
 
-def norm_growth_fit(block, a_j: float, grid) -> ScalingFit:
+def norm_growth_fit(block, grid) -> ScalingFit:
     """Fit the growth exponent of ||t^{E_j}|| (spectral norm) as t -> 0.
 
     The slope is fitted over the smallest-t quarter of the log-spaced grid,

@@ -139,9 +139,9 @@ class TestCriterion3NormGrowth:
         ]
         worst = 0.0
         for block, a in suite:
-            fit = sd.norm_growth_fit(block, a, grid)
+            fit = sd.norm_growth_fit(block, grid)
             worst = max(worst, abs(fit.slope - a))
-        jordan = sd.norm_growth_fit(np.array([[0.5, 1.0], [0.0, 0.5]]), 0.5, grid)
+        jordan = sd.norm_growth_fit(np.array([[0.5, 1.0], [0.0, 0.5]]), grid)
         elapsed = time.perf_counter() - started
         ok = worst <= 0.02 and 0.4 <= jordan.slope <= 0.52 and elapsed < 5.0
         _line(

@@ -7,6 +7,7 @@ from semidim.errors import (
     DegenerateSample,
     EmptyRestriction,
     EnsembleTooSmall,
+    NonMonotoneCounts,
     RadiiOutOfRange,
     ResolutionTooCoarse,
     ScheduleMismatch,
@@ -41,6 +42,13 @@ class TestBoxCounting:
         est = sd.box_count_graph(p, interval(0, 1), sd.dyadic_scales(2, 11))
         assert np.all(np.diff(est.counts) >= 0)  # sides sorted descending
         assert 0.0 <= est.estimate <= p.d + 1
+
+    def test_non_monotone_counts_raise(self, monkeypatch):
+        # a count that falls as the nested cubes shrink breaks an invariant
+        counts = iter(range(10, 0, -1))
+        monkeypatch.setattr(sd.estimators, "count_occupied_cubes", lambda points, side: next(counts))
+        with pytest.raises(NonMonotoneCounts):
+            sd.box_count_points(np.zeros((4, 2)), sd.dyadic_scales(1, 10))
 
     def test_restriction(self):
         p = sd.simulate_path(BROWNIAN, BM_LAWS, 16, seed=2)

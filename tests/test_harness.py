@@ -65,6 +65,20 @@ class TestScenario:
         again = Scenario.from_json(json.dumps(sc.as_dict()))
         assert again == sc
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n": None},
+            {"n": 16.5},
+            {"cover_levle": 8},
+            {"laws": [{"kind": "STABLE_SYMMETRIC", "alpha": "2"}]},
+        ],
+    )
+    def test_malformed_json_rejected(self, change):
+        obj = mini_scenario().as_dict() | change
+        with pytest.raises(InvalidInputs):
+            Scenario.from_json(json.dumps(obj))
+
     def test_builtin_cover_all_sojourn_cases(self):
         cases = {sc.theory()["sojourn_case"] for sc in builtin_scenarios().values()}
         assert {"i", "ii", "iii", "iv"} <= cases

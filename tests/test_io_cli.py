@@ -36,6 +36,13 @@ class TestIO:
         assert [float(s) for s in lines] == values
         assert fmt_float(0.1) == "0.10000000000000001"
 
+    def test_csv_string_cells_pass_through(self, tmp_path):
+        out = tmp_path / "x.csv"
+        write_csv(out, ["branch", "n"], [["SLOW", 16]])
+        assert out.read_text() == "branch,n\nSLOW,16\n"
+        write_csv(out, [], [])
+        assert out.read_text() == "\n"
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
@@ -69,6 +76,10 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out["graph"] == pytest.approx(1.5)
         assert out["branch"] == "FAST"
+        # one-dimensional: a single index and d1 = 1
+        assert run_cli("dim", "--alpha1", "1.5", "--s", "0.5") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"graph": 0.75, "range": 0.75, "branch": "SLOW", "alphas": [1.5]}
 
     def test_simulate_deterministic_sha(self, tmp_path, capsys):
         for sub in ("a", "b"):
@@ -137,3 +148,23 @@ class TestCLI:
 
     def test_unknown_scenario_exit_code(self, capsys):
         assert run_cli("verify", "--scenario", "nope") == 2
+
+    def test_malformed_scenario_exit_code(self, tmp_path, capsys):
+        from test_harness import mini_scenario
+
+        sc_file = tmp_path / "bad.json"
+        sc_file.write_text(json.dumps(mini_scenario().as_dict() | {"n": None}))
+        assert run_cli("verify", "--scenario", str(sc_file), "--out", str(tmp_path)) == 2
+        assert "InvalidInputs" in capsys.readouterr().err
+
+    def test_malformed_exponent_exit_code(self, tmp_path, capsys):
+        exp = tmp_path / "bad.json"
+        exp.write_text(json.dumps({"c": None, "matrix": [[0.5]]}))
+        assert run_cli("decompose", "--exponent", str(exp)) == 2
+        assert "InvalidInputs" in capsys.readouterr().err
+
+    def test_options_only_where_read(self):
+        with pytest.raises(SystemExit):
+            run_cli("decompose", "--exponent", "e.json", "--seed", "1")
+        with pytest.raises(SystemExit):
+            run_cli("estimate", "--path", "p", "--threads", "2")

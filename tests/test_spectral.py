@@ -168,19 +168,19 @@ class TestNormGrowthFit:
     GRID = np.geomspace(1e-6, 1.0, 40)
 
     def test_scalar_block_exact(self):
-        fit = sd.norm_growth_fit(np.array([[0.5]]), 0.5, self.GRID)
+        fit = sd.norm_growth_fit(np.array([[0.5]]), self.GRID)
         assert abs(fit.slope - 0.5) < 1e-9
 
     def test_rotation_block(self):
-        fit = sd.norm_growth_fit(ROTATION, 0.75, self.GRID)
+        fit = sd.norm_growth_fit(ROTATION, self.GRID)
         assert abs(fit.slope - 0.75) < 0.02
 
     def test_jordan_block_logarithmic_bias(self):
-        fit = sd.norm_growth_fit(JORDAN_HALF, 0.5, self.GRID)
+        fit = sd.norm_growth_fit(JORDAN_HALF, self.GRID)
         assert 0.4 <= fit.slope <= 0.52
 
     def test_degenerate_grid(self):
         with pytest.raises(DegenerateGrid):
-            sd.norm_growth_fit(ROTATION, 0.75, np.array([0.5, 0.5]))
+            sd.norm_growth_fit(ROTATION, np.array([0.5, 0.5]))
         with pytest.raises(DegenerateGrid):
-            sd.norm_growth_fit(ROTATION, 0.75, np.geomspace(0.01, 1.0, 40))  # < 4 decades
+            sd.norm_growth_fit(ROTATION, np.geomspace(0.01, 1.0, 40))  # < 4 decades
