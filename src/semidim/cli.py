@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .borel import BorelSetSpec, cantor, interval
+from .codec import Record
 from .dimension import dimensions_from_spectrum
 from .errors import SemidimError
 from .estimators import box_count_graph, dyadic_scales, sojourn_mc
@@ -157,25 +159,27 @@ def cmd_verify(args) -> int:
     return {PASS: 0, FAIL: 1, INCONCLUSIVE: 3}[report.verdict]
 
 
+@dataclass(frozen=True)
+class SweepConfig(Record):
+    """The ``sweep --config`` JSON; a time set is a spec, a ``--borel`` string or null."""
+
+    alphas: tuple[float, ...] = (1.2, 1.5, 1.8, 2.0)
+    time_sets: tuple[str | BorelSetSpec | None, ...] = (None,)
+    n: int = 16
+    n_seeds: int = 8
+    cover_level: int | None = None
+    budget_seconds: float | None = None
+
+
 def cmd_sweep(args) -> int:
-    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-    alphas = cfg.get("alphas", [1.2, 1.5, 1.8, 2.0])
-    sets = [
-        _load_borel(json.dumps(b)) if isinstance(b, dict) else _load_borel(b)
-        for b in cfg.get("time_sets", [None])
-    ]
+    cfg = SweepConfig.from_json(Path(args.config).read_text()) if args.config else SweepConfig()
+    sets = [b if isinstance(b, BorelSetSpec) else _load_borel(b) for b in cfg.time_sets]
     cells = [
-        SweepCell(
-            alpha=a,
-            borel=b,
-            n=cfg.get("n", 16),
-            n_seeds=cfg.get("n_seeds", 8),
-            cover_level=cfg.get("cover_level"),
-        )
-        for a in alphas
+        SweepCell(alpha=a, borel=b, n=cfg.n, n_seeds=cfg.n_seeds, cover_level=cfg.cover_level)
+        for a in cfg.alphas
         for b in sets
     ]
-    rows = sweep(cells, args.seed, budget_seconds=cfg.get("budget_seconds"))
+    rows = sweep(cells, args.seed, budget_seconds=cfg.budget_seconds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = list(rows[0]) if rows else []

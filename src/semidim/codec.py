@@ -88,8 +88,13 @@ def _decode(tp, value, where: str):
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
-        (tp,) = [a for a in args if a is not type(None)]
-        return _decode(tp, value, where)
+        *first, last = [a for a in args if a is not type(None)]
+        for tp in first:  # alternatives are tried in declaration order
+            try:
+                return _decode(tp, value, where)
+            except InvalidInputs:
+                pass
+        return _decode(last, value, where)
     if origin is tuple:
         _expect(value, list, where)
         item_types = [args[0]] * len(value) if args[-1] is Ellipsis else args

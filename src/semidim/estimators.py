@@ -4,6 +4,11 @@ Box counting works on axis-aligned cube grids anchored at the origin.  Side
 lengths should form a nested geometric family (each side an integer multiple
 of the next) so occupied counts are provably monotone; the helpers
 :func:`dyadic_scales` and :func:`geometric_scales` produce such grids.
+:func:`count_occupied_cubes` counts a whole ladder at once: on a ladder of
+powers of two it quantises the points once and coarsens the occupied cells
+up the ladder (dividing by a power of two is exact, so the counts match a
+per-side count bit for bit); other ladders, such as base 3 or sqrt 3, whose
+sides are inexact in floating point, are quantised side by side.
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .borel import BorelSetSpec, SetKind
 from .codec import Record
@@ -38,6 +44,7 @@ from .spectral import ExponentSpec, SpectralDecomposition, decompose
 
 BOX_FIT_DROP = 2  # scales dropped at each end of the fit window
 MIN_FIT_SCALES = 6
+_ENERGY_BLOCK = 256  # rows per near-pair block; bounds the pairs held at once
 
 
 def dyadic_scales(k_min: int, k_max: int) -> np.ndarray:
@@ -50,21 +57,61 @@ def geometric_scales(base: float, k_min: int, k_max: int) -> np.ndarray:
     return float(base) ** (-np.arange(k_min, k_max + 1, dtype=float))
 
 
-def count_occupied_cubes(points: np.ndarray, side: float) -> int:
-    """Number of side-`side` cubes (anchored at 0) containing a point."""
-    cells = np.floor(points / side).astype(np.int64)
+def _unique_cells(cells: np.ndarray) -> np.ndarray:
+    """The distinct rows of an integer cell array, in lexicographic order.
+
+    Consecutive repeats are dropped first (a time-ordered path often stays in
+    one cell); the rest are packed into one int64 key per row when the key
+    range fits below 2^62, else left to ``np.unique(axis=0)``.
+    """
+    if cells.shape[0] > 1:
+        keep = np.empty(cells.shape[0], dtype=bool)
+        keep[0] = True
+        np.any(cells[1:] != cells[:-1], axis=1, out=keep[1:])
+        cells = cells[keep]
     mins = cells.min(axis=0)
-    cells -= mins
-    ranges = cells.max(axis=0).astype(object) + 1
-    total = 1
-    for r in ranges:
-        total *= int(r)
-    if total < 2**62:
-        key = cells[:, 0].astype(np.int64)
-        for i in range(1, cells.shape[1]):
-            key = key * int(ranges[i]) + cells[:, i]
-        return int(np.unique(key).size)
-    return int(np.unique(cells, axis=0).shape[0])
+    ranges = [int(r) for r in cells.max(axis=0) - mins + 1]
+    if math.prod(ranges) >= 2**62:
+        return np.unique(cells, axis=0)
+    key = cells[:, 0] - mins[0]
+    for i in range(1, cells.shape[1]):
+        key = key * ranges[i] + (cells[:, i] - mins[i])
+    key = np.unique(key)
+    columns = []
+    for r in ranges[:0:-1]:
+        key, column = np.divmod(key, r)
+        columns.append(column)
+    columns.append(key)
+    return np.column_stack(columns[::-1]) + mins
+
+
+def count_occupied_cubes(points: np.ndarray, sides) -> np.ndarray:
+    """Occupied side-b cubes (grid anchored at 0), one count per side b in ``sides``.
+
+    When every side is a power of two the points are quantised once, at the
+    finest side, and the occupied set is coarsened up the ladder by integer
+    floor division.  Dividing by a power of two is exact in floating point,
+    so floor(floor(p / b) / 2^m) equals floor(p / (2^m b)) bit for bit, and
+    after the first level the work scales with the occupied cubes, not the
+    points.  Other ladders (base 3, sqrt 3) are quantised side by side:
+    b = 3^-k is inexact, so a coarsened cell could differ from floor(p / b)
+    at a cell edge.
+    """
+    sides = np.atleast_1d(np.asarray(sides, dtype=float))
+    counts = np.zeros(sides.size, dtype=np.int64)
+    if points.shape[0] == 0:
+        return counts
+    if np.all(np.frexp(sides)[0] == 0.5):
+        order = np.argsort(sides)
+        cells = _unique_cells(np.floor(points / sides[order[0]]).astype(np.int64))
+        counts[order[0]] = cells.shape[0]
+        for finer, k in zip(order[:-1], order[1:]):
+            cells = _unique_cells(cells // int(sides[k] / sides[finer]))
+            counts[k] = cells.shape[0]
+        return counts
+    for k, b in enumerate(sides):
+        counts[k] = _unique_cells(np.floor(points / b).astype(np.int64)).shape[0]
+    return counts
 
 
 def _nested_ratios(sides: np.ndarray) -> bool:
@@ -88,7 +135,7 @@ def box_count_points(points: np.ndarray, sides) -> BoxCountEstimate:
         raise ValueError(
             f"need >= {MIN_FIT_SCALES + 2 * BOX_FIT_DROP} scales for a windowed fit"
         )
-    counts = np.array([count_occupied_cubes(points, b) for b in sides])
+    counts = count_occupied_cubes(points, sides)
     if _nested_ratios(sides) and np.any(np.diff(counts) < 0):
         raise NonMonotoneCounts("occupied-cube counts must be nonincreasing in the side")
     fit = fit_loglog(sides, counts, drop_low=BOX_FIT_DROP, drop_high=BOX_FIT_DROP)
@@ -182,7 +229,7 @@ def covering_count(
         a = int(np.searchsorted(times, lo, side="left"))
         b = int(np.searchsorted(times, hi, side="right"))
         sides[i] = side
-        counts[i] = count_occupied_cubes(graph[a:b], side) if b > a else 0
+        counts[i] = count_occupied_cubes(graph[a:b], side)[0]
     weighted = float(np.sum(counts * sides**kappa))
     return CoveringCount(
         schedule=schedule,
@@ -328,22 +375,37 @@ class EnergyEstimate(Record):
 def _near_pair_energies(
     points: np.ndarray, gammas: np.ndarray, r_cut: float
 ) -> np.ndarray:
-    """(1/n^2) sum over 0 < ||P_i - P_j|| <= r_cut of ||.||^-gamma, chunked."""
+    """(1/n^2) sum over ordered pairs i != j with ||P_i - P_j|| <= r_cut of ||.||^-gamma.
+
+    Column 0 is time.  With the points sorted by time, the partners j > i of
+    a block of rows lie at t <= t_last + r_cut; a KD-tree over that window
+    finds the near pairs, so the cost follows the near pairs rather than
+    n^2, and the block length bounds the memory they take.  The radius test
+    is the exact squared-distance one, d^2 <= r_cut^2.
+    """
     n = points.shape[0]
-    sums = np.zeros(gammas.size)
+    points = points[np.argsort(points[:, 0], kind="stable")]
+    times = points[:, 0]
     r2 = r_cut * r_cut
-    chunk = max(1, 2**21 // n)
-    for start in range(0, n, chunk):
-        block = points[start : start + chunk]
-        d2 = np.sum((block[:, None, :] - points[None, :, :]) ** 2, axis=2)
-        near = (d2 > 0.0) & (d2 <= r2)
-        zeros = int(np.count_nonzero(d2 == 0.0))
-        if zeros > block.shape[0]:
+    reach = r_cut * (1.0 + 1e-9)  # candidates only; the d^2 test decides
+    sums = np.zeros(gammas.size)
+    for start in range(0, n, _ENERGY_BLOCK):
+        stop = min(start + _ENERGY_BLOCK, n)
+        end = int(np.searchsorted(times, times[stop - 1] + reach, side="right"))
+        block = cKDTree(points[start:stop])
+        window = cKDTree(points[start:end])
+        pairs = block.sparse_distance_matrix(window, reach, output_type="ndarray")
+        i = pairs["i"] + start
+        j = pairs["j"] + start
+        keep = j > i
+        i, j = i[keep], j[keep]
+        d2 = np.sum((points[i] - points[j]) ** 2, axis=1)
+        if np.any(d2 == 0.0):
             raise DegenerateSample("duplicate points in the energy subsample")
-        vals = d2[near]
+        log_d = 0.5 * np.log(d2[d2 <= r2])
         for g, gamma in enumerate(gammas):
-            sums[g] += np.sum(vals ** (-gamma / 2.0))
-    return sums / n**2
+            sums[g] += np.sum(np.exp(-gamma * log_d))
+    return 2.0 * sums / n**2
 
 
 def _energy_candidates(

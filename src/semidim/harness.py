@@ -162,6 +162,8 @@ def _combine(verdicts) -> str:
 
 def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> VerificationReport:
     """Execute a scenario end to end; deterministic given the master seed."""
+    if threads < 1:
+        raise InvalidInputs(f"threads must be >= 1, got {threads}")
     started = time.perf_counter()
     theory = sc.validate_expected()
     spec = sc.exponent()

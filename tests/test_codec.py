@@ -6,6 +6,7 @@ import pytest
 
 import semidim as sd
 from semidim.borel import BorelSetSpec, cantor, interval, union
+from semidim.cli import SweepConfig
 from semidim.errors import InvalidInputs
 from semidim.estimators import Schedule
 from semidim.fitting import ScalingFit
@@ -39,6 +40,7 @@ def records():
         sd.EnergyEstimate(RADII, RADII, RADII, np.array([True, True, False]), 1.1, (1000, 4000), (0.1, 0.05)),
         KSReport((0.01, 0.02), 0.03, True, 0.25, 2.0, 10000),
         VerificationReport("x", 5, {"graph_dim": 1.5}, {"box": {"verdict": "PASS"}}, "PASS", 1.0),
+        SweepConfig(time_sets=("cantor", interval(0.0, 0.5), None), cover_level=3),
         *sd.builtin_scenarios().values(),
     ]
 

@@ -12,7 +12,14 @@ from semidim.errors import (
     ResolutionTooCoarse,
     ScheduleMismatch,
 )
-from semidim.estimators import Schedule, classify_sojourn_case, covering_count, dyadic_intervals
+from semidim.estimators import (
+    Schedule,
+    _near_pair_energies,
+    classify_sojourn_case,
+    count_occupied_cubes,
+    covering_count,
+    dyadic_intervals,
+)
 from semidim.laws import BlockLaw, LawKind
 from semidim.paths import LevyPath
 
@@ -45,8 +52,9 @@ class TestBoxCounting:
 
     def test_non_monotone_counts_raise(self, monkeypatch):
         # a count that falls as the nested cubes shrink breaks an invariant
-        counts = iter(range(10, 0, -1))
-        monkeypatch.setattr(sd.estimators, "count_occupied_cubes", lambda points, side: next(counts))
+        monkeypatch.setattr(
+            sd.estimators, "count_occupied_cubes", lambda points, sides: np.arange(sides.size, 0, -1)
+        )
         with pytest.raises(NonMonotoneCounts):
             sd.box_count_points(np.zeros((4, 2)), sd.dyadic_scales(1, 10))
 
@@ -88,6 +96,88 @@ class TestBoxCounting:
             e_coarse = sd.box_count_graph(coarse, interval(0, 1), scales).estimate
             e_fine = sd.box_count_graph(fine, interval(0, 1), scales).estimate
             assert e_fine >= e_coarse - 0.05
+
+
+def reference_cube_counts(points, sides):
+    """One np.unique over floor(points / b) per side b."""
+    return np.array([np.unique(np.floor(points / b), axis=0).shape[0] for b in sides])
+
+
+def walk_cloud(rng, n, dim):
+    """A time-ordered walk straddling the origin, plus a scatter of far points."""
+    walk = np.cumsum(rng.normal(scale=0.01, size=(n, dim)), axis=0) - 0.3
+    return np.concatenate([walk, rng.uniform(-3.0, 3.0, size=(n // 10, dim))])
+
+
+class TestCubeKernel:
+    LADDERS = {
+        "dyadic": sd.dyadic_scales(0, 10),
+        "base3": sd.geometric_scales(3.0, 0, 6),
+        "sqrt3": 3.0 ** (-np.arange(0, 12) / 2.0),
+    }
+
+    @pytest.mark.parametrize("ladder", sorted(LADDERS))
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_per_side_unique(self, ladder, dim):
+        rng = np.random.default_rng(10 * dim + len(ladder))
+        points = walk_cloud(rng, 4000, dim)
+        sides = rng.permutation(self.LADDERS[ladder])  # counts follow the given order
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+
+    def test_wide_key_range(self):
+        # cell indices spanning ~2^31 per column overflow a packed int64 key
+        rng = np.random.default_rng(11)
+        points = walk_cloud(rng, 2000, 3) * 1e6
+        sides = sd.dyadic_scales(0, 10)
+        span = np.floor(points.max(axis=0) / sides[-1]) - np.floor(points.min(axis=0) / sides[-1])
+        assert np.prod(span + 1) > 2.0**62
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+
+    def test_empty_and_single_side(self):
+        assert count_occupied_cubes(np.zeros((0, 2)), [0.5, 0.25]).tolist() == [0, 0]
+        points = np.array([[0.1, -0.1], [0.2, -0.2], [0.9, 0.9]])
+        assert count_occupied_cubes(points, [0.5]).tolist() == [2]
+
+
+def dense_near_pair_energies(points, gammas, r_cut):
+    """The O(n^2) sum over ordered pairs i != j at distance <= r_cut, row by row."""
+    sums = np.zeros(gammas.size)
+    for i, p in enumerate(points):
+        d2 = np.sum((points - p) ** 2, axis=1)
+        d2[i] = np.inf
+        near = d2[d2 <= r_cut**2]
+        sums += [np.sum(near ** (-g / 2.0)) for g in gammas]
+    return sums / points.shape[0] ** 2
+
+
+class TestNearPairEnergies:
+    GAMMAS = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+
+    def brownian_graph(self, seed, n=12):
+        return sd.simulate_path(BROWNIAN, BM_LAWS, n, seed=seed).graph_points()
+
+    def test_matches_dense_out_of_time_order(self):
+        points = self.brownian_graph(12)
+        points = points[np.random.default_rng(12).permutation(points.shape[0])]
+        r_cut = 0.05
+        got = _near_pair_energies(points, self.GAMMAS, r_cut)
+        want = dense_near_pair_energies(points, self.GAMMAS, r_cut)
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_pairs_at_the_cut_off_count(self):
+        # a lattice line: many pairs sit exactly at distance r_cut
+        points = np.column_stack([np.arange(3000) / 2.0**12, np.zeros(3000)])
+        r_cut = 16 / 2.0**12
+        got = _near_pair_energies(points, self.GAMMAS, r_cut)
+        want = dense_near_pair_energies(points, self.GAMMAS, r_cut)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_duplicate_point_raises(self):
+        points = self.brownian_graph(13, n=11)
+        points = np.concatenate([points, points[1500:1501]])
+        with pytest.raises(DegenerateSample):
+            _near_pair_energies(points, self.GAMMAS, 0.05)
 
 
 class TestCoveringCount:

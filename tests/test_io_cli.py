@@ -146,6 +146,30 @@ class TestCLI:
         assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path)) == 0
         assert (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"alphas": [2.0], "n": None}, {"alphas": ["2"]}, {"alphas": [2.0], "n_seed": 2}],
+    )
+    def test_malformed_sweep_config_exit_code(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert "InvalidInputs" in capsys.readouterr().err
+
+    def test_sweep_time_set_forms(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        spec = {"kind": "INTERVAL", "a": 0.0, "b": 0.5}
+        cfg.write_text(json.dumps({"alphas": [2], "time_sets": [spec, "cantor", None], "n": 12, "n_seeds": 1}))
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == [1.0, np.log(2) / np.log(3), 1.0]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        code = run_cli("verify", "--scenario", "brownian-interval", "--threads", threads, "--out", str(tmp_path))
+        assert code == 2
+        assert "InvalidInputs" in capsys.readouterr().err
+
     def test_unknown_scenario_exit_code(self, capsys):
         assert run_cli("verify", "--scenario", "nope") == 2
 
