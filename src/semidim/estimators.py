@@ -325,7 +325,7 @@ def sojourn_mc(
         keep = path.times < horizon
         x2 = np.sum(path.values[keep] ** 2, axis=1)
         for target, norms in (("graph", x2 + path.times[keep] ** 2), ("range", x2)):
-            t_a = dt * np.searchsorted(np.sort(norms), r2, side="right")
+            t_a = dt * np.array([np.count_nonzero(norms <= a2) for a2 in r2])
             sums[target] += t_a
             sqsums[target] += t_a**2
     out = []

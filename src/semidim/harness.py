@@ -184,15 +184,29 @@ def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> Verificati
         r = box_count_graph(
             path, sc.borel, sc.box_sides, cover_level=sc.cover_level, target="range"
         )
-        return g.estimate, r.estimate
+        # Path 0 also feeds the energy stage, estimated here so that no path
+        # outlives its own box counts.
+        energy = None
+        if i == 0:
+            energy = energy_dimension(
+                path,
+                sc.borel,
+                np.asarray(sc.energy_gammas),
+                sc.energy_subsample,
+                master_seed,
+                ratio=sc.energy_ratio,
+                cover_level=sc.cover_level,
+            )
+        return g.estimate, r.estimate, energy
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one_box, range(sc.n_seeds)))
     else:
         results = [one_box(i) for i in range(sc.n_seeds)]
-    graph_ests = np.array([g for g, _ in results])
-    range_ests = np.array([r for _, r in results])
+    graph_ests = np.array([g for g, _, _ in results])
+    range_ests = np.array([r for _, r, _ in results])
+    energy = results[0][2]
 
     stages: dict = {}
     box_med = float(np.median(graph_ests))
@@ -245,19 +259,6 @@ def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> Verificati
         ),
     }
 
-    energy_path = simulate_path(
-        spec, sc.laws, sc.n, master_seed,
-        name=f"scenario/{sc.name}/path/0", decomposition=dec,
-    )
-    energy = energy_dimension(
-        energy_path,
-        sc.borel,
-        np.asarray(sc.energy_gammas),
-        sc.energy_subsample,
-        master_seed,
-        ratio=sc.energy_ratio,
-        cover_level=sc.cover_level,
-    )
     coherent = bool(energy.estimate <= box_med + 0.1)
     lower_ok = bool(energy.estimate >= theory["graph_dim"] - 0.25)
     stages["energy"] = {

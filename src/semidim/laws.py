@@ -119,9 +119,14 @@ def sample_semistable_increment(
 ):
     """Increments of the discrete semistable law over a time step dt.
 
-    Per atom k the jump count is Poisson(dt * c^-k) and the signed sum
-    collapses to c^(k/alpha) * (2*Binomial(n_k, 1/2) - n_k), so the cost is
-    one Poisson and one binomial draw per atom regardless of jump counts.
+    By Poisson thinning, the net signed jump count of atom k is the
+    difference N+ - N- of two independent Poisson(dt * c^-k / 2) counts, so
+    each atom costs two Poisson draws of n variates with one scalar
+    intensity, accumulated as c^(k/alpha) * (N+ - N-) into one float
+    vector; memory is O(n).  Atoms are walked from the largest down, so two
+    truncation depths k_min share the draws of their common atoms.  Atoms
+    with intensity below 1e-3 draw one global Poisson count instead, whose
+    jumps land on uniformly chosen samples with random signs.
 
     TruncationTooCoarse fires when the compensation Gaussian would rival the
     increment's own scale dt^(1/alpha), i.e. when k_min is too shallow for
@@ -141,27 +146,17 @@ def sample_semistable_increment(
     n = 1 if size is None else int(np.prod(size))
     ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
     heights = np.power(float(c), ks.astype(float) / alpha)
-    # Atoms firing often get a per-sample Poisson matrix; rare atoms are far
-    # cheaper as one global Poisson count scattered over random samples.
-    common = lam >= 1e-3
-    h_common = heights[common]
-    lam_common = lam[common]
     out = np.zeros(n)
-    chunk = max(1, 2**22 // max(1, h_common.size))
-    for i in range(0, n, chunk):
-        m = min(chunk, n - i)
-        if h_common.size:
-            counts = rng.poisson(lam_common, size=(m, h_common.size))
-            net = np.zeros_like(counts)
-            nz = counts.nonzero()
-            net[nz] = 2 * rng.binomial(counts[nz], 0.5) - counts[nz]
-            out[i : i + m] = net @ h_common
-        for k_idx in np.flatnonzero(~common):
-            total = rng.poisson(m * lam[k_idx])
+    for h, lam_k in zip(heights[::-1], lam[::-1]):
+        if lam_k >= 1e-3:
+            net = rng.poisson(0.5 * lam_k, n) - rng.poisson(0.5 * lam_k, n)
+            out += h * net
+        else:
+            total = rng.poisson(n * lam_k)
             if total:
-                where = rng.integers(i, i + m, size=total)
+                where = rng.integers(0, n, size=total)
                 signs = 2 * rng.integers(0, 2, size=total) - 1
-                np.add.at(out, where, signs * heights[k_idx])
+                np.add.at(out, where, signs * h)
     out += sigma * rng.standard_normal(n)
     if size is None:
         return float(out[0])

@@ -22,13 +22,14 @@ Block dispatch:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
 
 from .codec import Record
-from .errors import BlockLawMismatch, EnsembleTooSmall
+from .errors import BlockLawMismatch, BudgetExceeded, EnsembleTooSmall
 from .laws import BlockLaw, LawKind
 from .seeds import derive_rng
 from .spectral import ExponentSpec, SpectralBlock, SpectralDecomposition, decompose, scaling_operator
@@ -176,9 +177,19 @@ def simulate_path(
     One BlockLaw per spectral block, ordered by ascending a_j.  Fully
     deterministic given (spec, laws, n, seed, name); block streams are
     derived independently so the output does not depend on evaluation order.
+    Raises BudgetExceeded, before allocating, when the grid alone would not
+    fit in physical memory.
     """
     if n < 0:
         raise ValueError("grid depth must be nonnegative")
+    # times and values, plus one block's increments and cumulative path
+    needed = 8 * (2**n + 1) * (1 + 3 * spec.d)
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > available:
+        raise BudgetExceeded(
+            f"a grid of depth n={n} in d={spec.d} needs {needed / 2**30:.3g} GiB, "
+            f"more than the {available / 2**30:.3g} GiB of physical memory"
+        )
     dec = decomposition if decomposition is not None else decompose(spec)
     laws = tuple(laws)
     if len(laws) != dec.p:

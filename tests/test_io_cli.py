@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ class TestCLI:
             for sub in ("a", "b")
         ]
         assert digests[0] == digests[1]
+
+    def test_simulate_huge_grid_preflight(self, tmp_path, capsys):
+        # 2^40 grid points need terabytes: refused with exit 2 before any
+        # array is allocated (numpy reports its buffers to tracemalloc)
+        tracemalloc.start()
+        try:
+            code = run_cli("simulate", "--n", "40", "--seed", "1", "--out", str(tmp_path / "o"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "BudgetExceeded" in capsys.readouterr().err
+        assert peak < 2**20
+        assert not (tmp_path / "o").exists()
 
     def test_estimate_pipeline(self, tmp_path, capsys):
         assert run_cli("simulate", "--n", "16", "--seed", "2", "--out", str(tmp_path)) == 0

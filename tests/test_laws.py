@@ -12,6 +12,35 @@ from semidim import (
     sample_stable_increment,
 )
 from semidim.errors import AlphaOutOfRange, TruncationTooCoarse
+from semidim.laws import DEFAULT_K_MIN, compensation_std, semistable_atom_range
+
+
+def reference_semistable_increment(alpha, c, dt, rng, k_min, n):
+    """The former Poisson-plus-binomial kernel: per atom k a Poisson(dt*c^-k)
+    jump count, split into signs by a Binomial(count, 1/2) draw."""
+    ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
+    heights = np.power(float(c), ks.astype(float) / alpha)
+    common = lam >= 1e-3
+    h_common = heights[common]
+    lam_common = lam[common]
+    out = np.zeros(n)
+    chunk = max(1, 2**22 // max(1, h_common.size))
+    for i in range(0, n, chunk):
+        m = min(chunk, n - i)
+        if h_common.size:
+            counts = rng.poisson(lam_common, size=(m, h_common.size))
+            net = np.zeros_like(counts)
+            nz = counts.nonzero()
+            net[nz] = 2 * rng.binomial(counts[nz], 0.5) - counts[nz]
+            out[i : i + m] = net @ h_common
+        for k_idx in np.flatnonzero(~common):
+            total = rng.poisson(m * lam[k_idx])
+            if total:
+                where = rng.integers(i, i + m, size=total)
+                signs = 2 * rng.integers(0, 2, size=total) - 1
+                np.add.at(out, where, signs * heights[k_idx])
+    out += compensation_std(alpha, c, dt, k_min) * rng.standard_normal(n)
+    return out
 
 
 class TestStableSampler:
@@ -98,13 +127,41 @@ class TestSemistableSampler:
         assert ks < 0.02
 
     def test_truncation_depth_stability(self):
-        # deepening k_min from -20 to -30 moves the 99% quantile by < 0.5%
-        rng = derive_rng(4, "test/semi/kmin")
-        u = sample_semistable_increment(1.0, 2.0, 1.0, rng, k_min=-20, size=10**5)
-        v = sample_semistable_increment(1.0, 2.0, 1.0, rng, k_min=-30, size=10**5)
+        # deepening k_min from -20 to -30 moves the 99% quantile by < 0.5%;
+        # both depths draw from the same stream, so the atoms they share get
+        # identical draws and only the truncation differs
+        u = sample_semistable_increment(
+            1.0, 2.0, 1.0, derive_rng(4, "test/semi/kmin"), k_min=-20, size=10**5
+        )
+        v = sample_semistable_increment(
+            1.0, 2.0, 1.0, derive_rng(4, "test/semi/kmin"), k_min=-30, size=10**5
+        )
         q20 = np.quantile(np.abs(u), 0.99)
         q30 = np.quantile(np.abs(v), 0.99)
         assert abs(q20 - q30) / q30 < 0.005
+
+    @pytest.mark.parametrize("dt", [2.0**-14, 1.0])
+    def test_matches_reference_kernel(self, dt):
+        # two-sample KS of the two-Poisson kernel against the former
+        # Poisson-plus-binomial one, which samples the same law
+        n = 2 * 10**5
+        a = sample_semistable_increment(1.0, 2.0, dt, derive_rng(4, "test/semi/new"), size=n)
+        b = reference_semistable_increment(
+            1.0, 2.0, dt, derive_rng(4, "test/semi/reference"), k_min=DEFAULT_K_MIN, n=n
+        )
+        ks = scipy.stats.ks_2samp(a, b).statistic
+        assert ks < 1.36 * np.sqrt(2.0 / n) * 2.0
+
+    def test_rare_atoms_symmetric(self):
+        # at dt = 2^-14 the atoms of height >= 1/16 fire below intensity 1e-3
+        # and take the sparse branch; about 390 of them land in 2*10^5
+        # samples, too few for the KS test, so check their signs directly
+        x = sample_semistable_increment(
+            1.0, 2.0, 2.0**-14, derive_rng(4, "test/semi/rare"), size=2 * 10**5
+        )
+        tail = x[np.abs(x) > 0.05]
+        assert tail.size > 200
+        assert abs(np.count_nonzero(tail > 0) - tail.size / 2) < 2.0 * np.sqrt(tail.size)
 
     def test_rejects_zero_dt(self):
         rng = derive_rng(4, "x")
