@@ -8,10 +8,9 @@ from .borel import BorelSetSpec, SetKind, cantor, interval, union
 from .dimension import (
     Branch,
     DimensionResult,
-    Formula,
+    classify_sojourn_case,
     dimensions_from_spectrum,
     graph_dimension,
-    graph_dimension_1d,
     range_dimension,
 )
 from .errors import SemidimError
@@ -23,7 +22,6 @@ from .estimators import (
     SojournEstimate,
     box_count_graph,
     box_count_points,
-    classify_sojourn_case,
     count_occupied_cubes,
     covering_count,
     dyadic_intervals,
@@ -65,6 +63,5 @@ from .spectral import (
     decompose,
     norm_growth_fit,
     scaling_operator,
-    scaling_operator_series,
     validate_exponent,
 )

@@ -18,6 +18,9 @@ import numpy as np
 from .codec import Record
 from .errors import DegenerateSample
 
+# Grid points each piece of an automatic prefractal cover must hold.
+COVER_MIN_POINTS = 2
+
 
 class SetKind(Enum):
     INTERVAL = "INTERVAL"
@@ -58,16 +61,14 @@ class BorelSetSpec(Record):
 
     def _piece_offsets(self) -> np.ndarray:
         # Left endpoints of the m first-level pieces, evenly spread so that
-        # the first starts at 0 and the last ends at 1.
-        if self.m == 1:
-            return np.array([0.0])
+        # the first starts at 0 and the last ends at 1 (m >= 2).
         return np.arange(self.m) * (1.0 - self.r) / (self.m - 1)
 
-    def cover_level(self, grid_step: float, min_points: int = 2) -> int:
-        """Deepest prefractal level whose pieces hold >= min_points grid points."""
+    def cover_level(self, grid_step: float) -> int:
+        """Deepest prefractal level whose pieces hold >= COVER_MIN_POINTS grid points."""
         if self.kind is not SetKind.SELF_SIMILAR_CANTOR:
             return 0
-        level = int(math.floor(math.log(grid_step * min_points) / math.log(self.r)))
+        level = int(math.floor(math.log(grid_step * COVER_MIN_POINTS) / math.log(self.r)))
         return max(1, level)
 
     def mask(self, times: np.ndarray, level: int | None = None) -> np.ndarray:
@@ -88,11 +89,11 @@ class BorelSetSpec(Record):
             step = _grid_step(t)
             level = self.cover_level(step)
         offsets = self._piece_offsets()
-        pitch = offsets[1] - offsets[0] if self.m > 1 else 1.0
+        pitch = offsets[1] - offsets[0]
         x = t.copy()
         alive = (x >= -1e-12) & (x <= 1.0 + 1e-12)
         for _ in range(level):
-            idx = np.clip(np.floor(x / pitch).astype(int), 0, self.m - 1) if self.m > 1 else np.zeros(x.shape, int)
+            idx = np.clip(np.floor(x / pitch).astype(int), 0, self.m - 1)
             rel = x - offsets[idx]
             inside = (rel >= -1e-12) & (rel <= self.r + 1e-12)
             alive &= inside

@@ -2,8 +2,9 @@
 
 Subcommands: decompose, dim, simulate, estimate, sojourn, verify, sweep.
 Exit codes: 0 success / PASS, 1 FAIL, 2 validation or input error,
-3 INCONCLUSIVE (verify and sojourn).  All randomness flows from --seed
-through named derivation paths; every artifact gets a JSON sidecar.
+3 INCONCLUSIVE (verify), 4 internal error (any other exception).  All
+randomness flows from --seed through named derivation paths; every
+artifact gets a JSON sidecar.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,13 +22,13 @@ from . import __version__
 from .borel import BorelSetSpec, cantor, interval
 from .codec import Record
 from .dimension import dimensions_from_spectrum
-from .errors import SemidimError
+from .errors import InvalidInputs, SemidimError
 from .estimators import box_count_graph, dyadic_scales, sojourn_mc
 from .harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepCell, get_scenario, run_scenario, sweep
 from .io import read_path_dump, write_csv, write_loglog_csv, write_path_dump, write_sidecar
 from .laws import BlockLaw
 from .paths import simulate_path
-from .spectral import ExponentSpec, decompose
+from .spectral import ExponentSpec
 
 _BROWNIAN_EXPONENT = {"c": 2.0, "matrix": [[0.5]]}
 
@@ -63,19 +65,18 @@ def _scenario_from_arg(arg: str) -> Scenario:
 
 def cmd_decompose(args) -> int:
     spec = _load_exponent(args.exponent)
-    dec = decompose(spec)
-    print(dec.to_json())
+    print(spec.decomposition.to_json())
     return 0
 
 
 def cmd_dim(args) -> int:
     if args.exponent:
-        dec = decompose(_load_exponent(args.exponent))
+        dec = _load_exponent(args.exponent).decomposition
         s = _load_borel(args.borel).hausdorff_dim if (args.borel or args.s is None) else args.s
         alphas, block_dims = list(dec.alphas), dec.block_dims
     else:
         if args.alpha1 is None or args.s is None:
-            raise SystemExit("dim needs either --exponent or --alpha1/--s")
+            raise InvalidInputs("dim needs either --exponent or --alpha1/--s")
         alphas = [args.alpha1] + ([args.alpha2] if args.alpha2 is not None else [])
         s, block_dims = args.s, [args.d1, 1][: len(alphas)]
     dims = dimensions_from_spectrum(alphas, block_dims, s)
@@ -169,6 +170,13 @@ class SweepConfig(Record):
     n_seeds: int = 8
     cover_level: int | None = None
     budget_seconds: float | None = None
+
+    def __post_init__(self):
+        bad = [a for a in self.alphas if not 0.0 < a <= 2.0]
+        if bad:
+            raise InvalidInputs(f"sweep alphas must lie in (0, 2], got {bad}")
+        if self.n_seeds < 1:
+            raise InvalidInputs(f"sweep n_seeds must be >= 1, got {self.n_seeds}")
 
 
 def cmd_sweep(args) -> int:
@@ -266,6 +274,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a crash is not a scientific FAIL (exit 1): report it as internal
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

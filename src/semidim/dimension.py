@@ -1,10 +1,13 @@
-"""Closed-form Hausdorff dimensions of the graph and range over a time set.
+"""Closed-form Hausdorff dimensions of the graph and range over a time set,
+and the sojourn-time cases.
 
-Inputs are the leading spectral indices alpha_1 > alpha_2 (alpha_2 absent
-when there is a single spectral block), the leading block dimension d_1, and
-the dimension s of the time set.  Each formula has a SLOW branch, active when
-alpha_1 * s <= d_1 (the time set is too thin for the process to matter), and
-a FAST branch otherwise.
+Inputs are the leading spectral indices alpha_1 > alpha_2, the leading block
+dimension d_1, and the dimension s of the time set.  A missing second index
+(a single spectral block) counts as alpha_2 = 0; the graph lives in R^{d+1},
+whose time coordinate carries an index of 1, so the same formulas give the
+one-dimensional results: graph 1 + s - 1/alpha, range min(1, alpha*s).  Each
+formula has a SLOW branch, active when alpha_1 * s <= d_1 (the time set is
+too thin for the process to matter), and a FAST branch otherwise.
 """
 
 from __future__ import annotations
@@ -21,117 +24,89 @@ class Branch(Enum):
     FAST = "FAST"
 
 
-class Formula(Enum):
-    GRAPH_MULTI = "GRAPH_MULTI"
-    GRAPH_1D = "GRAPH_1D"
-    RANGE = "RANGE"
-
-
 @dataclass(frozen=True, slots=True)
 class DimensionResult(Record):
     value: float
     branch: Branch
-    formula: Formula
-    # Set when alpha_2 was defaulted to alpha_1 for a single-block exponent;
-    # such inputs are outside the multi-block theory and the FAST branch must
-    # then be unreachable.
-    alpha2_defaulted: bool = False
 
 
-def _check_common(alpha1: float, s: float) -> None:
+# A missing second spectral index (a single block) counts as alpha_2 = 0.
+NO_SECOND_INDEX = 0.0
+
+
+def _check(alpha1: float, alpha2, d1: int, s: float) -> float:
+    """Validate the inputs and return alpha_2, 0 for a single block."""
     if not 0.0 < alpha1 <= 2.0:
         raise InvalidInputs(f"alpha1 must be in (0, 2], got {alpha1}")
     if not 0.0 <= s <= 1.0:
         raise InvalidInputs(f"time-set dimension must be in [0, 1], got {s}")
-
-
-def _resolve_alpha2(alpha1: float, alpha2) -> tuple[float, bool]:
+    if d1 < 1:
+        raise InvalidInputs(f"d1 must be a positive integer, got {d1}")
     if alpha2 is None:
-        return alpha1, True
+        return NO_SECOND_INDEX
     if not 0.0 < alpha2 <= alpha1:
         raise InvalidInputs(
             f"alpha2 must satisfy 0 < alpha2 <= alpha1, got alpha2={alpha2}, alpha1={alpha1}"
         )
-    return float(alpha2), False
+    return float(alpha2)
 
 
 def graph_dimension(alpha1: float, alpha2, d1: int, s: float) -> DimensionResult:
-    """Graph dimension over a time set of dimension s, for d >= 2.
+    """Graph dimension over a time set of dimension s.
 
     SLOW branch (alpha1*s <= d1): s * max(alpha1, 1).
     FAST branch: 1 + max(alpha2, 1) * (s - 1/alpha1).
 
-    ``alpha2=None`` encodes a single spectral block; the FAST branch is then
-    unreachable for any valid spectral data (p = 1 and d >= 2 force d1 >= 2)
-    and triggers InvalidInputs if hit.
+    ``alpha2=None`` encodes a single spectral block.
     """
-    _check_common(alpha1, s)
-    if d1 < 1:
-        raise InvalidInputs(f"d1 must be a positive integer, got {d1}")
-    a2, defaulted = _resolve_alpha2(alpha1, alpha2)
+    a2 = _check(alpha1, alpha2, d1, s)
     if alpha1 * s <= d1:
-        return DimensionResult(s * max(alpha1, 1.0), Branch.SLOW, Formula.GRAPH_MULTI, defaulted)
-    if defaulted:
-        raise InvalidInputs(
-            "alpha1*s > d1 requires a second spectral index; single-block "
-            "exponents with d >= 2 cannot reach this branch"
-        )
-    value = 1.0 + max(a2, 1.0) * (s - 1.0 / alpha1)
-    return DimensionResult(value, Branch.FAST, Formula.GRAPH_MULTI, defaulted)
-
-
-def graph_dimension_1d(alpha: float, s: float) -> DimensionResult:
-    """Graph dimension for a one-dimensional semistable process.
-
-    SLOW branch (alpha*s <= 1): s * max(alpha, 1); FAST: 1 + s - 1/alpha.
-    """
-    _check_common(alpha, s)
-    if alpha * s <= 1.0:
-        return DimensionResult(s * max(alpha, 1.0), Branch.SLOW, Formula.GRAPH_1D)
-    return DimensionResult(1.0 + s - 1.0 / alpha, Branch.FAST, Formula.GRAPH_1D)
+        return DimensionResult(s * max(alpha1, 1.0), Branch.SLOW)
+    return DimensionResult(1.0 + max(a2, 1.0) * (s - 1.0 / alpha1), Branch.FAST)
 
 
 def range_dimension(alpha1: float, alpha2, d1: int, s: float) -> DimensionResult:
-    """Range dimension over a time set of dimension s, for d >= 2.
+    """Range dimension over a time set of dimension s.
 
     SLOW branch (alpha1*s <= d1): alpha1 * s; FAST: 1 + alpha2 * (s - 1/alpha1).
     """
-    _check_common(alpha1, s)
-    if d1 < 1:
-        raise InvalidInputs(f"d1 must be a positive integer, got {d1}")
-    a2, defaulted = _resolve_alpha2(alpha1, alpha2)
+    a2 = _check(alpha1, alpha2, d1, s)
     if alpha1 * s <= d1:
-        return DimensionResult(alpha1 * s, Branch.SLOW, Formula.RANGE, defaulted)
-    if defaulted:
-        raise InvalidInputs(
-            "alpha1*s > d1 requires a second spectral index; single-block "
-            "exponents with d >= 2 cannot reach this branch"
-        )
-    value = 1.0 + a2 * (s - 1.0 / alpha1)
-    return DimensionResult(value, Branch.FAST, Formula.RANGE, defaulted)
+        return DimensionResult(alpha1 * s, Branch.SLOW)
+    return DimensionResult(1.0 + a2 * (s - 1.0 / alpha1), Branch.FAST)
+
+
+def _leading(alphas, block_dims) -> tuple[float, float | None, int]:
+    return alphas[0], alphas[1] if len(alphas) > 1 else None, block_dims[0]
 
 
 def dimensions_from_spectrum(alphas, block_dims, s: float) -> dict:
-    """Graph and range dimensions straight from decomposition output.
+    """Graph and range dimensions straight from decomposition output."""
+    alpha1, alpha2, d1 = _leading(alphas, block_dims)
+    return {
+        "graph": graph_dimension(alpha1, alpha2, d1, s),
+        "range": range_dimension(alpha1, alpha2, d1, s),
+    }
 
-    Dispatches to the one-dimensional formula when the state space is R^1.
-    The range of a one-dimensional process over B has dimension
-    min(1, alpha * s), reported here for completeness.
+
+def classify_sojourn_case(alphas, block_dims) -> tuple[str, float, float]:
+    """Sojourn case label and scaling exponents (graph, range).
+
+    Graph exponents by case: (i) alpha_1 <= d_1, alpha_1 >= 1 -> alpha_1;
+    (ii) alpha_1 <= d_1, alpha_1 < 1 -> 1; (iii) alpha_1 > d_1 = 1,
+    alpha_2 >= 1 -> 1 + alpha_2 (1 - 1/alpha_1); (iv) alpha_1 > d_1 = 1,
+    alpha_2 < 1 -> 2 - 1/alpha_1.  The range exponent is alpha_1 when
+    alpha_1 <= d_1 and 1 + alpha_2 (1 - 1/alpha_1) otherwise.  With
+    alpha_2 = 0, a single-block process in R^1 with alpha > 1 is case (iv)
+    with range exponent 1.
     """
-    alphas = list(alphas)
-    dims = list(block_dims)
-    d = sum(dims)
-    alpha1 = alphas[0]
-    if d == 1:
-        graph = graph_dimension_1d(alpha1, s)
-        rng_val = min(1.0, alpha1 * s)
-        rng = DimensionResult(
-            rng_val,
-            Branch.SLOW if alpha1 * s <= 1.0 else Branch.FAST,
-            Formula.RANGE,
-        )
-    else:
-        alpha2 = alphas[1] if len(alphas) > 1 else None
-        graph = graph_dimension(alpha1, alpha2, dims[0], s)
-        rng = range_dimension(alpha1, alpha2, dims[0], s)
-    return {"graph": graph, "range": rng}
+    a1, alpha2, d1 = _leading(alphas, block_dims)
+    if a1 <= d1:
+        if a1 >= 1.0:
+            return "i", a1, a1
+        return "ii", 1.0, a1
+    a2 = NO_SECOND_INDEX if alpha2 is None else alpha2
+    range_exp = 1.0 + a2 * (1.0 - 1.0 / a1)
+    if a2 >= 1.0:
+        return "iii", range_exp, range_exp
+    return "iv", 2.0 - 1.0 / a1, range_exp

@@ -28,6 +28,7 @@ from scipy.spatial import cKDTree
 
 from .borel import BorelSetSpec, SetKind
 from .codec import Record
+from .dimension import classify_sojourn_case
 from .errors import (
     DegenerateSample,
     EmptyRestriction,
@@ -40,11 +41,18 @@ from .errors import (
 from .fitting import ScalingFit, fit_loglog
 from .paths import LevyPath, simulate_path
 from .seeds import derive_rng
-from .spectral import ExponentSpec, SpectralDecomposition, decompose
+from .spectral import ExponentSpec
 
 BOX_FIT_DROP = 2  # scales dropped at each end of the fit window
 MIN_FIT_SCALES = 6
 _ENERGY_BLOCK = 256  # rows per near-pair block; bounds the pairs held at once
+# Largest growth of the truncated log-energy, from the small to the large
+# subsample, at which the energy still counts as finite.
+ENERGY_THRESHOLD = 0.1
+# Truncation radius: this multiple of this quantile of the consecutive-point
+# distances of a selection.
+RADIUS_FACTOR = 16.0
+RADIUS_QUANTILE = 0.5
 
 
 def dyadic_scales(k_min: int, k_max: int) -> np.ndarray:
@@ -165,8 +173,6 @@ def box_count_graph(
     if not np.any(mask):
         raise EmptyRestriction("no grid point falls inside the time set")
     pts = path.graph_points()[mask] if target == "graph" else path.values[mask]
-    if pts.ndim == 1:
-        pts = pts[:, None]
     return box_count_points(pts, sides)
 
 
@@ -241,34 +247,6 @@ def covering_count(
     )
 
 
-def classify_sojourn_case(alphas, block_dims) -> tuple[str, float, float]:
-    """Sojourn case label and scaling exponents (graph, range).
-
-    Graph exponents by case: (i) alpha_1 <= d_1, alpha_1 >= 1 -> alpha_1;
-    (ii) alpha_1 <= d_1, alpha_1 < 1 -> 1; (iii) alpha_1 > d_1 = 1,
-    alpha_2 >= 1 -> 1 + alpha_2 (1 - 1/alpha_1); (iv) alpha_1 > d_1 = 1,
-    alpha_2 < 1 -> 2 - 1/alpha_1.  A single-block process in R^1 with
-    alpha > 1 scales like case (iv).  The range exponent is alpha_1 when
-    alpha_1 <= d_1 and 1 + alpha_2 (1 - 1/alpha_1) otherwise.
-    """
-    alphas = list(alphas)
-    dims = list(block_dims)
-    a1, d1 = alphas[0], dims[0]
-    if a1 <= d1:
-        if a1 >= 1.0:
-            return "i", a1, a1
-        return "ii", 1.0, a1
-    if len(alphas) < 2:
-        if sum(dims) == 1:
-            return "iv", 2.0 - 1.0 / a1, 1.0
-        raise ScheduleMismatch("alpha_1 > d_1 needs a second spectral index")
-    a2 = alphas[1]
-    range_exp = 1.0 + a2 * (1.0 - 1.0 / a1)
-    if a2 >= 1.0:
-        return "iii", 1.0 + a2 * (1.0 - 1.0 / a1), range_exp
-    return "iv", 2.0 - 1.0 / a1, range_exp
-
-
 @dataclass(frozen=True)
 class SojournEstimate(Record):
     """Monte Carlo means of the sojourn time T(a, s) over a radii grid."""
@@ -292,7 +270,6 @@ def sojourn_mc(
     seed: int,
     n: int,
     name: str = "sojourn",
-    decomposition: SpectralDecomposition | None = None,
 ) -> tuple[SojournEstimate, SojournEstimate]:
     """Sojourn-time scaling of the graph Z and the range X.
 
@@ -311,7 +288,7 @@ def sojourn_mc(
         )
     if not 0.0 < horizon <= 1.0:
         raise ValueError("horizon must lie in (0, 1]")
-    dec = decomposition if decomposition is not None else decompose(spec)
+    dec = spec.decomposition
     case, exp_graph, exp_range = classify_sojourn_case(dec.alphas, dec.block_dims)
 
     dt = 2.0 ** (-n)
@@ -320,7 +297,7 @@ def sojourn_mc(
     sqsums = {"graph": np.zeros(radii.size), "range": np.zeros(radii.size)}
     for i in range(ensemble):
         path = simulate_path(
-            spec, laws, n, seed, name=f"{name}/path/{i}", decomposition=dec
+            spec, laws, n, seed, name=f"{name}/path/{i}"
         )
         keep = path.times < horizon
         x2 = np.sum(path.values[keep] ** 2, axis=1)
@@ -447,9 +424,6 @@ def energy_dimension(
     seed: int,
     ratio: int = 8,
     cover_level: int | None = None,
-    threshold: float = 0.1,
-    quantile: float = 0.5,
-    radius_factor: float = 16.0,
 ) -> EnergyEstimate:
     """Capacity (Frostman) lower-bound estimate of the graph dimension on B.
 
@@ -490,7 +464,7 @@ def energy_dimension(
         steps = np.linalg.norm(np.diff(graph[selection], axis=0), axis=1)
         if np.any(steps == 0.0):
             raise DegenerateSample("duplicate points in the energy subsample")
-        return radius_factor * float(np.quantile(steps, quantile))
+        return RADIUS_FACTOR * float(np.quantile(steps, RADIUS_QUANTILE))
 
     r_small = _radius(chosen[0::n_blocks])
     r_large = _radius(chosen)
@@ -504,12 +478,12 @@ def energy_dimension(
     e_small = np.median(block_energies, axis=0)
     e_large = _near_pair_energies(graph[chosen], gammas, r_large)
     if np.any(e_small <= 0.0) or np.any(e_large <= 0.0):
-        raise DegenerateSample("no pairs below the truncation radius; raise quantile")
+        raise DegenerateSample("no pairs below the truncation radius")
     log_small = np.log(e_small)
     log_large = np.log(e_large)
     # One-sided: refining the resolution can only certify divergence through
     # GROWTH; a shrinking energy is evidence of finiteness, not instability.
-    stable = (log_large - log_small) < threshold
+    stable = (log_large - log_small) < ENERGY_THRESHOLD
     estimate = 0.0
     for g in range(gammas.size):
         if not stable[g]:

@@ -28,11 +28,10 @@ import numpy as np
 
 from .borel import BorelSetSpec, cantor, interval
 from .codec import Record
-from .dimension import dimensions_from_spectrum
+from .dimension import classify_sojourn_case, dimensions_from_spectrum
 from .errors import BudgetExceeded, InvalidInputs
 from .estimators import (
     box_count_graph,
-    classify_sojourn_case,
     energy_dimension,
     geometric_scales,
     dyadic_scales,
@@ -40,7 +39,7 @@ from .estimators import (
 )
 from .laws import BlockLaw, LawKind
 from .paths import empirical_fullness, simulate_path
-from .spectral import decompose, validate_exponent
+from .spectral import ExponentSpec, validate_exponent
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
 _SEVERITY = {PASS: 0, INCONCLUSIVE: 1, FAIL: 2}
@@ -87,12 +86,18 @@ class Scenario(Record):
     expected: dict = field(default_factory=dict)
     notes: str = ""
 
+    def __post_init__(self):
+        if self.n_seeds < 1:
+            raise InvalidInputs(f"scenario {self.name}: n_seeds must be >= 1, got {self.n_seeds}")
+
     def exponent(self):
         return validate_exponent(np.asarray(self.matrix, dtype=float), self.c)
 
     def theory(self) -> dict:
-        spec = self.exponent()
-        dec = decompose(spec)
+        return self._theory(self.exponent())
+
+    def _theory(self, spec: ExponentSpec) -> dict:
+        dec = spec.decomposition
         dims = dimensions_from_spectrum(dec.alphas, dec.block_dims, self.borel.hausdorff_dim)
         case, exp_graph, exp_range = classify_sojourn_case(dec.alphas, dec.block_dims)
         return {
@@ -108,7 +113,10 @@ class Scenario(Record):
         }
 
     def validate_expected(self) -> dict:
-        theory = self.theory()
+        return self._validated(self.theory())
+
+    def _validated(self, theory: dict) -> dict:
+        """``theory`` itself, once every stored expected value matches it."""
         for key, stored in self.expected.items():
             fresh = theory[key]
             if isinstance(stored, str):
@@ -153,11 +161,7 @@ class VerificationReport(Record):
 
 
 def _combine(verdicts) -> str:
-    worst = PASS
-    for v in verdicts:
-        if _SEVERITY[v] > _SEVERITY[worst]:
-            worst = v
-    return worst
+    return max(verdicts, key=_SEVERITY.__getitem__, default=PASS)
 
 
 def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> VerificationReport:
@@ -165,11 +169,10 @@ def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> Verificati
     if threads < 1:
         raise InvalidInputs(f"threads must be >= 1, got {threads}")
     started = time.perf_counter()
-    theory = sc.validate_expected()
     spec = sc.exponent()
-    dec = decompose(spec)
+    theory = sc._validated(sc._theory(spec))
     full, ratio = empirical_fullness(
-        spec, sc.laws, seed=master_seed, tol=1e-3
+        spec, sc.laws, seed=master_seed
     )
     theory = dict(theory)
     theory["empirically_full"] = full
@@ -178,7 +181,7 @@ def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> Verificati
     def one_box(i: int):
         path = simulate_path(
             spec, sc.laws, sc.n, master_seed,
-            name=f"scenario/{sc.name}/path/{i}", decomposition=dec,
+            name=f"scenario/{sc.name}/path/{i}",
         )
         g = box_count_graph(path, sc.borel, sc.box_sides, cover_level=sc.cover_level)
         r = box_count_graph(
@@ -241,7 +244,6 @@ def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> Verificati
         master_seed,
         sc.sojourn_n,
         name=f"scenario/{sc.name}/sojourn",
-        decomposition=dec,
     )
     slope_err = _sojourn_slope_stderr(graph_soj)
     stages["sojourn"] = {
@@ -522,7 +524,7 @@ def sweep(cells, master_seed: int, budget_seconds: float | None = None) -> list[
     for cell in cells:
         started = time.perf_counter()
         spec = validate_exponent(np.array([[1.0 / cell.alpha]]), 2.0)
-        dec = decompose(spec)
+        dec = spec.decomposition
         s = cell.borel.hausdorff_dim
         theory = dimensions_from_spectrum(dec.alphas, dec.block_dims, s)["graph"]
         ests = []
@@ -533,7 +535,6 @@ def sweep(cells, master_seed: int, budget_seconds: float | None = None) -> list[
                 cell.n,
                 master_seed,
                 name=f"sweep/alpha={cell.alpha:.6g}/s={s:.6g}/path/{i}",
-                decomposition=dec,
             )
             ests.append(
                 box_count_graph(

@@ -189,10 +189,6 @@ class BlockLaw(Record):
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    @property
-    def dim(self) -> int:
-        return 2 if self.kind is LawKind.STABLE_ISOTROPIC_2D else 1
-
     def sample_increments(self, dt: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """n iid increments over time step dt; shape (n,) or (n, 2)."""
         if self.kind is LawKind.STABLE_SYMMETRIC:

@@ -32,10 +32,18 @@ from .codec import Record
 from .errors import BlockLawMismatch, BudgetExceeded, EnsembleTooSmall
 from .laws import BlockLaw, LawKind
 from .seeds import derive_rng
-from .spectral import ExponentSpec, SpectralBlock, SpectralDecomposition, decompose, scaling_operator
+from .spectral import ExponentSpec, SpectralBlock, scaling_operator
 
 ALPHA_MATCH_TOL = 1e-9
-_ROTATION_FORM_TOL = 1e-9
+# Entry tolerance of the rotation-form test and imaginary-part tolerance of
+# the real-spectrum test on a block matrix.
+_BLOCK_FORM_TOL = 1e-9
+# Ensemble size and smallest singular-value ratio of the fullness check.
+FULLNESS_ENSEMBLE = 500
+FULLNESS_TOL = 1e-3
+# Slack on the 5% two-sample KS critical value, absorbing small-jump
+# truncation bias in the semi-selfsimilarity test.
+KS_THRESHOLD_SLACK = 1.5
 
 
 @dataclass(frozen=True)
@@ -62,15 +70,15 @@ class LevyPath:
         return np.column_stack([self.times, self.values])
 
 
-def _is_rotation_form(m: np.ndarray, tol: float = _ROTATION_FORM_TOL) -> bool:
+def _is_rotation_form(m: np.ndarray) -> bool:
     if m.shape != (2, 2):
         return False
-    return abs(m[0, 0] - m[1, 1]) <= tol and abs(m[0, 1] + m[1, 0]) <= tol
+    return abs(m[0, 0] - m[1, 1]) <= _BLOCK_FORM_TOL and abs(m[0, 1] + m[1, 0]) <= _BLOCK_FORM_TOL
 
 
-def _has_real_spectrum(block: SpectralBlock, tol: float = 1e-9) -> bool:
+def _has_real_spectrum(block: SpectralBlock) -> bool:
     eig = np.linalg.eigvals(block.matrix)
-    return bool(np.max(np.abs(eig.imag)) <= tol)
+    return bool(np.max(np.abs(eig.imag)) <= _BLOCK_FORM_TOL)
 
 
 def _check_law(block: SpectralBlock, law: BlockLaw, spec_c: float) -> str:
@@ -103,6 +111,15 @@ def _check_law(block: SpectralBlock, law: BlockLaw, spec_c: float) -> str:
         f"at alpha={law.alpha}; multi-dimensional non-rotation blocks are "
         "supported only as Gaussian (alpha=2) with real spectrum"
     )
+
+
+def _block_strategies(spec: ExponentSpec, laws) -> tuple[tuple[BlockLaw, ...], list]:
+    """The laws as a tuple and, per spectral block, (block, law, strategy)."""
+    dec = spec.decomposition
+    laws = tuple(laws)
+    if len(laws) != dec.p:
+        raise BlockLawMismatch(f"need {dec.p} block laws, got {len(laws)}")
+    return laws, [(b, l, _check_law(b, l, spec.c)) for b, l in zip(dec.blocks, laws)]
 
 
 def _nilpotent_power_series(g: np.ndarray, log_t: np.ndarray) -> np.ndarray:
@@ -170,7 +187,6 @@ def simulate_path(
     n: int,
     seed: int,
     name: str = "path",
-    decomposition: SpectralDecomposition | None = None,
 ) -> LevyPath:
     """Simulate a path on the dyadic grid of depth n over [0, 1].
 
@@ -190,17 +206,13 @@ def simulate_path(
             f"a grid of depth n={n} in d={spec.d} needs {needed / 2**30:.3g} GiB, "
             f"more than the {available / 2**30:.3g} GiB of physical memory"
         )
-    dec = decomposition if decomposition is not None else decompose(spec)
-    laws = tuple(laws)
-    if len(laws) != dec.p:
-        raise BlockLawMismatch(f"need {dec.p} block laws, got {len(laws)}")
-    strategies = [_check_law(b, l, spec.c) for b, l in zip(dec.blocks, laws)]
+    laws, blocks = _block_strategies(spec, laws)
 
     n_steps = 2**n
     dt = 2.0 ** (-n)
     times = np.arange(n_steps + 1, dtype=float) * dt
     values = np.zeros((n_steps + 1, spec.d))
-    for j, (block, law, strategy) in enumerate(zip(dec.blocks, laws, strategies)):
+    for j, (block, law, strategy) in enumerate(blocks):
         rng = derive_rng(seed, f"{name}/block/{j}")
         if strategy == "gaussian_operator":
             block_path = _gaussian_operator_block(block, law, times, rng)
@@ -221,7 +233,6 @@ def sample_marginal(
     size: int,
     seed: int,
     name: str = "marginal",
-    decomposition: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """iid samples of X(t), shape (size, d).
 
@@ -230,13 +241,9 @@ def sample_marginal(
     """
     if t <= 0:
         raise ValueError("time must be positive")
-    dec = decomposition if decomposition is not None else decompose(spec)
-    laws = tuple(laws)
-    if len(laws) != dec.p:
-        raise BlockLawMismatch(f"need {dec.p} block laws, got {len(laws)}")
-    strategies = [_check_law(b, l, spec.c) for b, l in zip(dec.blocks, laws)]
+    _, blocks = _block_strategies(spec, laws)
     out = np.zeros((size, spec.d))
-    for j, (block, law, strategy) in enumerate(zip(dec.blocks, laws, strategies)):
+    for j, (block, law, strategy) in enumerate(blocks):
         rng = derive_rng(seed, f"{name}/block/{j}")
         if strategy == "gaussian_operator":
             c_t = _gaussian_covariance(block, law, np.array([t]))[0]
@@ -253,25 +260,23 @@ def sample_marginal(
 def empirical_fullness(
     spec: ExponentSpec,
     laws,
-    ensemble: int = 500,
     seed: int = 0,
-    tol: float = 1e-3,
 ) -> tuple[bool, float]:
     """Empirical fullness check: is the law of X(1) hyperplane-degenerate?
 
     Projects an ensemble of X(1) onto the unit sphere (heavy tails make raw
     covariances useless) and reports the smallest-to-largest singular value
-    ratio of the direction cloud.  A ratio below ``tol`` flags the law as
-    concentrating near a hyperplane, i.e. not full.
+    ratio of the direction cloud.  A ratio below ``FULLNESS_TOL`` flags the
+    law as concentrating near a hyperplane, i.e. not full.
     """
-    samples = sample_marginal(spec, laws, 1.0, ensemble, seed, name="fullness")
+    samples = sample_marginal(spec, laws, 1.0, FULLNESS_ENSEMBLE, seed, name="fullness")
     norms = np.linalg.norm(samples, axis=1)
     directions = samples[norms > 0] / norms[norms > 0, None]
     if directions.shape[0] < spec.d + 1:
         return False, 0.0
     sv = np.linalg.svd(directions, compute_uv=False)
     ratio = float(sv[-1] / sv[0])
-    return ratio > tol, ratio
+    return ratio > FULLNESS_TOL, ratio
 
 
 @dataclass(frozen=True)
@@ -293,14 +298,13 @@ def semiselfsimilarity_test(
     ensemble: int,
     seed: int,
     perturb_a1: float = 0.0,
-    threshold_slack: float = 1.5,
 ) -> KSReport:
     """Check the discrete scaling X(ct) =d c^E X(t) marginally at time t.
 
     Compares an ensemble of X(ct) with c^E applied to an independent
     ensemble of X(t), coordinate by coordinate.  The acceptance threshold is
     1.36 sqrt(2/n) (the 5% two-sample critical value) times
-    ``threshold_slack``, the slack absorbing small-jump truncation bias.
+    ``KS_THRESHOLD_SLACK``.
     ``perturb_a1`` shifts the leading diagonal block's real part, providing
     the negative control: a wrong operator must push the statistic over the
     threshold.
@@ -310,18 +314,17 @@ def semiselfsimilarity_test(
     c = spec.c
     if not (0.0 < t and c * t <= 1.0):
         raise ValueError("need 0 < t and c*t <= 1 (inside the horizon)")
-    dec = decompose(spec)
-    x_t = sample_marginal(spec, laws, t, ensemble, seed, name="ks/base", decomposition=dec)
-    x_ct = sample_marginal(spec, laws, c * t, ensemble, seed, name="ks/scaled", decomposition=dec)
+    x_t = sample_marginal(spec, laws, t, ensemble, seed, name="ks/base")
+    x_ct = sample_marginal(spec, laws, c * t, ensemble, seed, name="ks/scaled")
     operator = spec.matrix
     if perturb_a1:
-        operator = operator + perturb_a1 * dec.projector(0)
+        operator = operator + perturb_a1 * spec.decomposition.projector(0)
     mapped = x_t @ scaling_operator(operator, c).T
     stats = tuple(
         float(scipy.stats.ks_2samp(x_ct[:, i], mapped[:, i]).statistic)
         for i in range(spec.d)
     )
-    threshold = 1.36 * math.sqrt(2.0 / ensemble) * threshold_slack
+    threshold = 1.36 * math.sqrt(2.0 / ensemble) * KS_THRESHOLD_SLACK
     return KSReport(
         statistics=stats,
         threshold=threshold,

@@ -14,12 +14,9 @@ import hashlib
 import numpy as np
 
 
-def seed_sequence(master_seed: int, name: str = "") -> np.random.SeedSequence:
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
-    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
-    return np.random.SeedSequence([int(master_seed) & 0xFFFFFFFFFFFFFFFF, *words])
-
-
 def derive_rng(master_seed: int, name: str = "") -> np.random.Generator:
     """Generator for the stream addressed by ``name`` under ``master_seed``."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, name)))
+    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
+    seq = np.random.SeedSequence([int(master_seed) & 0xFFFFFFFFFFFFFFFF, *words])
+    return np.random.Generator(np.random.PCG64(seq))

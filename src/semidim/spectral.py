@@ -13,6 +13,7 @@ satisfies B^{-1} E B = blockdiag(E_1, ..., E_p).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,6 +67,11 @@ class ExponentSpec(Record):
         object.__setattr__(self, "d", int(m.shape[0]))
         object.__setattr__(self, "eigenvalues", eigenvalues)
 
+    @functools.cached_property
+    def decomposition(self) -> "SpectralDecomposition":
+        """The spectral decomposition, computed on first use and then kept."""
+        return decompose(self)
+
 
 @dataclass(frozen=True)
 class SpectralBlock(Record):
@@ -94,16 +100,9 @@ class SpectralDecomposition(Record):
     def block_dims(self) -> tuple[int, ...]:
         return tuple(b.d for b in self.blocks)
 
-    def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(slice(start, start + b.d))
-            start += b.d
-        return out
-
     def projector(self, j: int) -> np.ndarray:
         """Oblique projector onto V_j along the other invariant subspaces."""
-        sl = self.block_slices()[j]
+        sl = slice(sum(self.block_dims[:j]), sum(self.block_dims[: j + 1]))
         return self.change_of_basis[:, sl] @ self.change_of_basis_inv[sl, :]
 
 
@@ -118,22 +117,22 @@ def validate_exponent(m, c: float) -> ExponentSpec:
     return ExponentSpec(c=c, matrix=m)
 
 
-def _cluster_real_parts(eigenvalues: np.ndarray, tol: float) -> list[tuple[float, int]]:
+def _cluster_real_parts(eigenvalues: np.ndarray) -> list[tuple[float, int]]:
     """Group eigenvalue real parts into (a_j, multiplicity) ascending in a_j."""
     parts = np.sort(eigenvalues.real)
     clusters: list[list[float]] = [[parts[0]]]
     for x in parts[1:]:
-        if x - clusters[-1][-1] <= tol:
+        if x - clusters[-1][-1] <= CLUSTER_TOL:
             clusters[-1].append(x)
         else:
             clusters.append([x])
     return [(float(np.mean(cl)), len(cl)) for cl in clusters]
 
 
-def decompose(spec: ExponentSpec, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
+def decompose(spec: ExponentSpec) -> SpectralDecomposition:
     """Spectral decomposition of a valid exponent, blocks ascending in a_j."""
     d = spec.d
-    clusters = _cluster_real_parts(spec.eigenvalues, cluster_tol)
+    clusters = _cluster_real_parts(spec.eigenvalues)
     p = len(clusters)
 
     # Stage 1: orthogonal reduction to quasi-triangular form with the
@@ -209,9 +208,7 @@ def decompose(spec: ExponentSpec, cluster_tol: float = CLUSTER_TOL) -> SpectralD
 
 
 def _as_matrix(e) -> np.ndarray:
-    if isinstance(e, ExponentSpec):
-        return e.matrix
-    if isinstance(e, SpectralBlock):
+    if isinstance(e, (ExponentSpec, SpectralBlock)):
         return e.matrix
     return np.asarray(e, dtype=float)
 
@@ -224,20 +221,6 @@ def scaling_operator(e, s: float) -> np.ndarray:
     if s == 1.0:
         return np.eye(m.shape[0])
     return scipy.linalg.expm(math.log(s) * m)
-
-
-def scaling_operator_series(e, s: float, terms: int = 60) -> np.ndarray:
-    """Literal power series for s^E; test oracle for small ||log(s) E||."""
-    m = _as_matrix(e)
-    if not (s > 0 and math.isfinite(s)):
-        raise ValueError(f"scale must be a positive finite real, got {s}")
-    x = math.log(s) * m
-    out = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
-    for n in range(1, terms + 1):
-        term = term @ x / n
-        out = out + term
-    return out
 
 
 def norm_growth_fit(block, grid) -> ScalingFit:

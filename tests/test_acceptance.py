@@ -44,9 +44,9 @@ class TestCriterion1Formulas:
             (sd.graph_dimension(2.0, 1.0, 1, 1.0).value, 1.5),
             (sd.graph_dimension(0.8, 0.5, 2, 1.0).value, 1.0),
             (sd.graph_dimension(1.3, 0.7, 1, 0.0).value, 0.0),
-            (sd.graph_dimension_1d(2.0, 1.0).value, 1.5),
-            (sd.graph_dimension_1d(0.5, 1.0).value, 1.0),
-            (sd.graph_dimension_1d(2.0, cantor_s).value, 1.0 + cantor_s - 0.5),
+            (sd.graph_dimension(2.0, None, 1, 1.0).value, 1.5),
+            (sd.graph_dimension(0.5, None, 1, 1.0).value, 1.0),
+            (sd.graph_dimension(2.0, None, 1, cantor_s).value, 1.0 + cantor_s - 0.5),
             (sd.range_dimension(2.0, 0.5, 1, 1.0).value, 1.25),
             (sd.range_dimension(1.5, 0.8, 1, 0.5).value, 0.75),
             (sd.range_dimension(1.1, 0.6, 1, 0.0).value, 0.0),

@@ -5,12 +5,12 @@ import pytest
 
 from semidim import (
     Branch,
+    classify_sojourn_case,
     dimensions_from_spectrum,
     graph_dimension,
-    graph_dimension_1d,
     range_dimension,
 )
-from semidim.errors import InvalidInputs
+from semidim.errors import InvalidInputs, ScheduleMismatch
 
 
 def cantor_dim(m: int, ratio: float) -> float:
@@ -39,12 +39,13 @@ class TestGraphDimension:
             assert graph_dimension(1.5, 1.1, 1, s).value > 0.0
 
     def test_single_block_default(self):
-        # p = 1, d >= 2: alpha_2 defaults to alpha_1 and FAST is unreachable
+        # p = 1: alpha_2 counts as 0; with d >= 2 FAST is unreachable, and
+        # with d = 1 FAST is the one-dimensional 1 + s - 1/alpha
         res = graph_dimension(1.5, None, 2, 1.0)
         assert res.branch is Branch.SLOW
-        assert res.alpha2_defaulted
-        with pytest.raises(InvalidInputs):
-            graph_dimension(2.0, None, 1, 1.0)
+        res = graph_dimension(2.0, None, 1, 1.0)
+        assert res.value == 1.5
+        assert res.branch is Branch.FAST
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputs):
@@ -58,18 +59,19 @@ class TestGraphDimension:
 
 
 class TestGraphDimension1d:
+    # a one-dimensional process: a single index and d_1 = 1
     def test_brownian_interval(self):
-        res = graph_dimension_1d(2.0, 1.0)
+        res = graph_dimension(2.0, None, 1, 1.0)
         assert res.value == pytest.approx(1.5, abs=1e-15)
 
     def test_slow_branch(self):
-        res = graph_dimension_1d(0.5, 1.0)
+        res = graph_dimension(0.5, None, 1, 1.0)
         assert res.value == pytest.approx(1.0, abs=1e-15)
         assert res.branch is Branch.SLOW
 
     def test_brownian_over_cantor(self):
         s = cantor_dim(2, 1.0 / 3.0)
-        res = graph_dimension_1d(2.0, s)
+        res = graph_dimension(2.0, None, 1, s)
         assert res.value == pytest.approx(1.0 + s - 0.5, abs=1e-15)
         assert res.value == pytest.approx(1.13093, abs=1e-5)
 
@@ -146,3 +148,50 @@ class TestFromSpectrum:
         out = dimensions_from_spectrum([2.0, 0.5], [1, 1], 1.0)
         assert out["graph"].value == pytest.approx(1.5)
         assert out["range"].value == pytest.approx(1.25)
+
+
+# Oracles: the literal one-dimensional formulas and the one-block sojourn
+# branch that the two-index formulas replace (alpha_2 = 0 for one block).
+def graph_1d_oracle(alpha, s):
+    if alpha * s <= 1.0:
+        return s * max(alpha, 1.0), Branch.SLOW
+    return 1.0 + s - 1.0 / alpha, Branch.FAST
+
+
+def range_1d_oracle(alpha, s):
+    return min(1.0, alpha * s), Branch.SLOW if alpha * s <= 1.0 else Branch.FAST
+
+
+def sojourn_one_block_oracle(alpha, d):
+    if alpha <= d:
+        return ("i", alpha, alpha) if alpha >= 1.0 else ("ii", 1.0, alpha)
+    if d == 1:
+        return "iv", 2.0 - 1.0 / alpha, 1.0
+    raise ScheduleMismatch("alpha_1 > d_1 needs a second spectral index")
+
+
+class TestOneBlockOracle:
+    ALPHAS = np.concatenate([np.linspace(0.01, 2.0, 400), [0.5, 1.0, 1.5, 2.0]])
+    SS = np.concatenate([np.linspace(0.0, 1.0, 301), [math.log(2) / math.log(3)]])
+
+    @pytest.mark.parametrize("d1", [1, 2, 3])
+    def test_graph_and_range(self, d1):
+        for alpha in self.ALPHAS:
+            for s in self.SS:
+                out = dimensions_from_spectrum([alpha], [d1], s)
+                g, r = out["graph"], out["range"]
+                if d1 == 1:
+                    g_want, g_branch = graph_1d_oracle(alpha, s)
+                    r_want, r_branch = range_1d_oracle(alpha, s)
+                else:
+                    # one block in d >= 2: alpha * s <= 2 <= d_1 keeps SLOW
+                    g_want, g_branch = s * max(alpha, 1.0), Branch.SLOW
+                    r_want, r_branch = alpha * s, Branch.SLOW
+                assert g.branch is g_branch and r.branch is r_branch
+                assert abs(g.value - g_want) <= 2.3e-16
+                assert r.value == r_want
+
+    @pytest.mark.parametrize("d1", [1, 2, 3])
+    def test_sojourn(self, d1):
+        for alpha in self.ALPHAS:
+            assert classify_sojourn_case([alpha], [d1]) == sojourn_one_block_oracle(alpha, d1)

@@ -100,6 +100,11 @@ class TestScenario:
         with pytest.raises(KeyError):
             get_scenario("no-such-scenario")
 
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_n_seeds_below_one_rejected(self, n_seeds):
+        with pytest.raises(InvalidInputs):
+            mini_scenario(n_seeds=n_seeds)
+
 
 class TestRunScenario:
     def test_mini_run_deterministic(self):
@@ -120,6 +125,20 @@ class TestRunScenario:
         rep1 = run_scenario(sc, 5, threads=1)
         rep2 = run_scenario(sc, 5, threads=3)
         assert rep1.stages["box_graph"]["per_seed"] == rep2.stages["box_graph"]["per_seed"]
+
+    def test_one_decomposition_per_run(self, monkeypatch):
+        from semidim import spectral
+
+        calls = []
+        original = spectral.decompose
+
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(spectral, "decompose", counted)
+        run_scenario(mini_scenario(n_seeds=2), 5)
+        assert len(calls) == 1
 
     def test_report_text(self):
         sc = mini_scenario()

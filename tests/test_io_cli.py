@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import semidim as sd
+from semidim import cli
 from semidim.cli import main
 from semidim.io import fmt_float, read_path_dump, write_csv, write_path_dump
 from semidim.laws import BlockLaw, LawKind
@@ -169,6 +170,38 @@ class TestCLI:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert "InvalidInputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config", [{"alphas": [0.0]}, {"alphas": [2.5]}, {"alphas": [-1.0]}, {"n_seeds": 0}]
+    )
+    def test_sweep_config_out_of_range(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert "InvalidInputs" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_verify_zero_seeds_exit_code(self, tmp_path, capsys):
+        from test_harness import mini_scenario
+
+        sc_file = tmp_path / "zero.json"
+        sc_file.write_text(json.dumps(mini_scenario().as_dict() | {"n_seeds": 0}))
+        assert run_cli("verify", "--scenario", str(sc_file), "--out", str(tmp_path)) == 2
+        assert "InvalidInputs" in capsys.readouterr().err
+
+    def test_internal_error_exit_code(self, monkeypatch, capsys):
+        def broken(args):
+            raise TypeError("unexpected")
+
+        monkeypatch.setattr(cli, "cmd_dim", broken)
+        assert run_cli("dim", "--alpha1", "2", "--s", "1") == 4
+        err = capsys.readouterr().err
+        assert "TypeError: unexpected" in err
+        assert "Traceback" in err
+
+    def test_dim_without_inputs_exit_code(self, capsys):
+        assert run_cli("dim", "--alpha1", "2") == 2
         assert "InvalidInputs" in capsys.readouterr().err
 
     def test_sweep_time_set_forms(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,11 +8,23 @@ import semidim as sd
 from semidim.errors import (
     DegenerateGrid,
     EigenvalueRealPartTooSmall,
+    IllConditionedBasis,
     NotSquare,
     ScalingConstantOutOfRange,
 )
 
 ROTATION = np.array([[0.75, -1.0], [1.0, 0.75]])
+
+
+def scaling_operator_series(m, s: float, terms: int = 60) -> np.ndarray:
+    """Literal power series for s^E; oracle for small ||log(s) E||."""
+    x = math.log(s) * np.asarray(m, dtype=float)
+    out = np.eye(x.shape[0])
+    term = np.eye(x.shape[0])
+    for n in range(1, terms + 1):
+        term = term @ x / n
+        out = out + term
+    return out
 JORDAN_HALF = np.array([[0.5, 1.0], [0.0, 0.5]])
 
 
@@ -122,6 +136,16 @@ class TestDecompose:
                 assert np.max(np.abs(leak)) < 1e-10 * max(1.0, np.max(np.abs(e)))
 
 
+    def test_decomposition_lazy_and_kept(self):
+        # close real parts joined by a large coupling: the basis is too
+        # ill-conditioned, which only the decomposition itself reports
+        spec = sd.validate_exponent(np.array([[0.6, 1e6], [0.0, 0.6 + 1e-7]]), 2.0)
+        with pytest.raises(IllConditionedBasis):
+            spec.decomposition
+        spec = sd.validate_exponent(np.diag([0.5, 1.0]), 2.0)
+        assert spec.decomposition is spec.decomposition
+
+
 class TestScalingOperator:
     def test_identity_at_one(self):
         spec = sd.validate_exponent(np.diag([0.5, 1.0]), 2.0)
@@ -147,7 +171,7 @@ class TestScalingOperator:
     def test_series_oracle(self):
         for s in (0.5, 1.3, 2.0):
             got = sd.scaling_operator(ROTATION, s)
-            ref = sd.scaling_operator_series(ROTATION, s)
+            ref = scaling_operator_series(ROTATION, s)
             assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_semigroup(self):
