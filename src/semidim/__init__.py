@@ -4,7 +4,7 @@ path simulation, and Monte Carlo dimension / sojourn / capacity estimators."""
 
 __version__ = "0.1.0"
 
-from .borel import BorelSetSpec, SetKind, cantor, interval, union
+from .borel import BorelSetSpec, SetKind, cantor, interval, time_set, union
 from .dimension import (
     Branch,
     DimensionResult,
@@ -33,6 +33,7 @@ from .estimators import (
 from .fitting import ScalingFit, fit_loglog
 from .harness import (
     Scenario,
+    SweepConfig,
     VerificationReport,
     builtin_scenarios,
     get_scenario,

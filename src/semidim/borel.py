@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -59,11 +60,6 @@ class BorelSetSpec(Record):
             return math.log(self.m) / math.log(1.0 / self.r)
         return max(member.hausdorff_dim for member in self.members)
 
-    def _piece_offsets(self) -> np.ndarray:
-        # Left endpoints of the m first-level pieces, evenly spread so that
-        # the first starts at 0 and the last ends at 1 (m >= 2).
-        return np.arange(self.m) * (1.0 - self.r) / (self.m - 1)
-
     def cover_level(self, grid_step: float) -> int:
         """Deepest prefractal level whose pieces hold >= COVER_MIN_POINTS grid points."""
         if self.kind is not SetKind.SELF_SIMILAR_CANTOR:
@@ -88,7 +84,9 @@ class BorelSetSpec(Record):
         if level is None:
             step = _grid_step(t)
             level = self.cover_level(step)
-        offsets = self._piece_offsets()
+        # Left endpoints of the m first-level pieces, evenly spread so that
+        # the first starts at 0 and the last ends at 1 (m >= 2).
+        offsets = np.arange(self.m) * (1.0 - self.r) / (self.m - 1)
         pitch = offsets[1] - offsets[0]
         x = t.copy()
         alive = (x >= -1e-12) & (x <= 1.0 + 1e-12)
@@ -99,38 +97,6 @@ class BorelSetSpec(Record):
             alive &= inside
             x = np.where(inside, rel / self.r, 0.0)
         return alive
-
-    def sample_times(
-        self, rng: np.random.Generator, n: int, level: int = 20
-    ) -> np.ndarray:
-        """Draw n times from the natural measure on B.
-
-        Uniform on intervals; the balanced-branch measure (equal mass per
-        piece at every level) on Cantor sets; on unions, mass goes to the
-        member(s) of maximal dimension, split evenly among ties.
-        """
-        if self.kind is SetKind.INTERVAL:
-            if self.b <= self.a:
-                return np.full(n, self.a)
-            return rng.uniform(self.a, self.b, size=n)
-        if self.kind is SetKind.FINITE_UNION:
-            top = self.hausdorff_dim
-            carriers = [mb for mb in self.members if mb.hausdorff_dim >= top - 1e-12]
-            picks = rng.integers(0, len(carriers), size=n)
-            out = np.empty(n)
-            for i, member in enumerate(carriers):
-                sel = picks == i
-                if np.any(sel):
-                    out[sel] = member.sample_times(rng, int(sel.sum()), level)
-            return out
-        offsets = self._piece_offsets()
-        branches = rng.integers(0, self.m, size=(n, level))
-        t = rng.uniform(0.0, 1.0, size=n) * self.r**level
-        scale = 1.0
-        for ell in range(level):
-            t += offsets[branches[:, ell]] * scale
-            scale *= self.r
-        return t
 
     def as_dict(self) -> dict:
         """Only the fields that define this kind of set are written."""
@@ -152,6 +118,18 @@ def cantor(m: int = 2, r: float = 1.0 / 3.0) -> BorelSetSpec:
 
 def union(*members: BorelSetSpec) -> BorelSetSpec:
     return BorelSetSpec(SetKind.FINITE_UNION, members=tuple(members))
+
+
+def time_set(arg: str | BorelSetSpec | None) -> BorelSetSpec:
+    """A time set from a spec, None ([0, 1]), "cantor" (the middle-thirds
+    set), a JSON file or inline JSON."""
+    if arg is None:
+        return interval(0.0, 1.0)
+    if isinstance(arg, BorelSetSpec):
+        return arg
+    if arg == "cantor":
+        return cantor(2, 1.0 / 3.0)
+    return BorelSetSpec.from_json(Path(arg).read_text() if Path(arg).exists() else arg)
 
 
 def _grid_step(times: np.ndarray) -> float:

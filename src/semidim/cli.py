@@ -13,18 +13,16 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .borel import BorelSetSpec, cantor, interval
-from .codec import Record
+from .borel import time_set
 from .dimension import dimensions_from_spectrum
 from .errors import InvalidInputs, SemidimError
 from .estimators import box_count_graph, dyadic_scales, sojourn_mc
-from .harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepCell, get_scenario, run_scenario, sweep
+from .harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, get_scenario, run_scenario, sweep
 from .io import read_path_dump, write_csv, write_loglog_csv, write_path_dump, write_sidecar
 from .laws import BlockLaw
 from .paths import simulate_path
@@ -47,16 +45,6 @@ def _load_laws(arg: str | None) -> tuple[BlockLaw, ...]:
     return tuple(BlockLaw.from_dict(o) for o in objs)
 
 
-def _load_borel(arg: str | None) -> BorelSetSpec:
-    if arg is None:
-        return interval(0.0, 1.0)
-    if arg == "cantor":
-        return cantor(2, 1.0 / 3.0)
-    if Path(arg).exists():
-        return BorelSetSpec.from_json(Path(arg).read_text())
-    return BorelSetSpec.from_dict(json.loads(arg))
-
-
 def _scenario_from_arg(arg: str) -> Scenario:
     if Path(arg).exists():
         return Scenario.from_json(Path(arg).read_text())
@@ -72,7 +60,7 @@ def cmd_decompose(args) -> int:
 def cmd_dim(args) -> int:
     if args.exponent:
         dec = _load_exponent(args.exponent).decomposition
-        s = _load_borel(args.borel).hausdorff_dim if (args.borel or args.s is None) else args.s
+        s = time_set(args.borel).hausdorff_dim if (args.borel or args.s is None) else args.s
         alphas, block_dims = list(dec.alphas), dec.block_dims
     else:
         if args.alpha1 is None or args.s is None:
@@ -104,7 +92,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     path = read_path_dump(Path(args.path))
-    borel = _load_borel(args.borel)
+    borel = time_set(args.borel)
     sides = (
         np.asarray([float(x) for x in args.scales.split(",")])
         if args.scales
@@ -160,34 +148,9 @@ def cmd_verify(args) -> int:
     return {PASS: 0, FAIL: 1, INCONCLUSIVE: 3}[report.verdict]
 
 
-@dataclass(frozen=True)
-class SweepConfig(Record):
-    """The ``sweep --config`` JSON; a time set is a spec, a ``--borel`` string or null."""
-
-    alphas: tuple[float, ...] = (1.2, 1.5, 1.8, 2.0)
-    time_sets: tuple[str | BorelSetSpec | None, ...] = (None,)
-    n: int = 16
-    n_seeds: int = 8
-    cover_level: int | None = None
-    budget_seconds: float | None = None
-
-    def __post_init__(self):
-        bad = [a for a in self.alphas if not 0.0 < a <= 2.0]
-        if bad:
-            raise InvalidInputs(f"sweep alphas must lie in (0, 2], got {bad}")
-        if self.n_seeds < 1:
-            raise InvalidInputs(f"sweep n_seeds must be >= 1, got {self.n_seeds}")
-
-
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(Path(args.config).read_text()) if args.config else SweepConfig()
-    sets = [b if isinstance(b, BorelSetSpec) else _load_borel(b) for b in cfg.time_sets]
-    cells = [
-        SweepCell(alpha=a, borel=b, n=cfg.n, n_seeds=cfg.n_seeds, cover_level=cfg.cover_level)
-        for a in cfg.alphas
-        for b in sets
-    ]
-    rows = sweep(cells, args.seed, budget_seconds=cfg.budget_seconds)
+    rows = sweep(cfg, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = list(rows[0]) if rows else []

@@ -109,6 +109,11 @@ def count_occupied_cubes(points: np.ndarray, sides) -> np.ndarray:
     counts = np.zeros(sides.size, dtype=np.int64)
     if points.shape[0] == 0:
         return counts
+    # Cell indices are int64; beyond 2^62 cubes (or at inf/NaN) the cast
+    # would return garbage cells instead of failing.
+    reach = 2.0**62 * sides.min()
+    if not (points.min() > -reach and points.max() < reach):
+        raise DegenerateSample(f"points beyond 2^62 cubes of side {sides.min():g} from the origin")
     if np.all(np.frexp(sides)[0] == 0.5):
         order = np.argsort(sides)
         cells = _unique_cells(np.floor(points / sides[order[0]]).astype(np.int64))
@@ -136,13 +141,25 @@ class BoxCountEstimate(Record):
     estimate: float
 
 
-def box_count_points(points: np.ndarray, sides) -> BoxCountEstimate:
-    """Box-count dimension estimate of a point cloud in R^D."""
-    sides = np.sort(np.asarray(sides, dtype=float))[::-1]
+def check_box_sides(sides, n: int | None = None) -> None:
+    """Reject a side ladder too short for the windowed fit or, on a grid of
+    depth n, one whose smallest cube the grid does not resolve: 2^-n must be
+    <= min(side)/4, compared in log2 so that no depth overflows."""
+    sides = np.asarray(sides, dtype=float)
     if sides.size < MIN_FIT_SCALES + 2 * BOX_FIT_DROP:
         raise ValueError(
             f"need >= {MIN_FIT_SCALES + 2 * BOX_FIT_DROP} scales for a windowed fit"
         )
+    if n is not None and n < 2.0 - math.log2(sides.min()):
+        raise ResolutionTooCoarse(
+            f"grid depth n={n} too coarse for smallest side {sides.min():g} (2^-n > side/4)"
+        )
+
+
+def box_count_points(points: np.ndarray, sides) -> BoxCountEstimate:
+    """Box-count dimension estimate of a point cloud in R^D."""
+    check_box_sides(sides)
+    sides = np.sort(np.asarray(sides, dtype=float))[::-1]
     counts = count_occupied_cubes(points, sides)
     if _nested_ratios(sides) and np.any(np.diff(counts) < 0):
         raise NonMonotoneCounts("occupied-cube counts must be nonincreasing in the side")
@@ -164,11 +181,7 @@ def box_count_graph(
     ``target`` selects the graph Z(t) = (t, X(t)) or the bare range X(t).
     The path grid must resolve the smallest cube: 2^-n <= min(side)/4.
     """
-    sides = np.asarray(sides, dtype=float)
-    if path.grid_step > sides.min() / 4.0:
-        raise ResolutionTooCoarse(
-            f"grid step {path.grid_step:g} too coarse for smallest side {sides.min():g}"
-        )
+    check_box_sides(sides, path.n)
     mask = borel.mask(path.times, cover_level)
     if not np.any(mask):
         raise EmptyRestriction("no grid point falls inside the time set")
@@ -261,6 +274,19 @@ class SojournEstimate(Record):
     theory_exponent: float
 
 
+def check_sojourn(ensemble: int, radii, n: int) -> None:
+    """Reject an ensemble below 200 paths, or radii outside [2^(-n/2), 0.5]
+    on a grid of depth n."""
+    radii = np.asarray(radii, dtype=float)
+    if ensemble < 200:
+        raise EnsembleTooSmall(f"sojourn Monte Carlo needs >= 200 paths, got {ensemble}")
+    lo, hi = 2.0 ** (-n / 2.0), 0.5
+    if radii.min() < lo - 1e-12 or radii.max() > hi + 1e-12:
+        raise RadiiOutOfRange(
+            f"radii must lie in [2^(-n/2), 0.5] = [{lo:.4g}, {hi:.4g}]"
+        )
+
+
 def sojourn_mc(
     spec: ExponentSpec,
     laws,
@@ -279,13 +305,7 @@ def sojourn_mc(
     the theoretical exponents of the matching case.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    if ensemble < 200:
-        raise EnsembleTooSmall(f"sojourn Monte Carlo needs >= 200 paths, got {ensemble}")
-    lo, hi = 2.0 ** (-n / 2.0), 0.5
-    if radii[0] < lo - 1e-12 or radii[-1] > hi + 1e-12:
-        raise RadiiOutOfRange(
-            f"radii must lie in [2^(-n/2), 0.5] = [{lo:.4g}, {hi:.4g}]"
-        )
+    check_sojourn(ensemble, radii, n)
     if not 0.0 < horizon <= 1.0:
         raise ValueError("horizon must lie in (0, 1]")
     dec = spec.decomposition
@@ -416,6 +436,11 @@ def _energy_candidates(
     return idx[first]
 
 
+def check_energy_subsample(subsample: int) -> None:
+    if subsample < 10**3:
+        raise DegenerateSample("energy estimate needs a subsample of >= 1e3 points")
+
+
 def energy_dimension(
     path: LevyPath,
     borel: BorelSetSpec,
@@ -434,8 +459,7 @@ def energy_dimension(
     two resolutions.
     """
     gammas = np.sort(np.asarray(gammas, dtype=float))
-    if subsample < 10**3:
-        raise DegenerateSample("energy estimate needs a subsample of >= 1e3 points")
+    check_energy_subsample(subsample)
     candidates = _energy_candidates(path, borel, cover_level, ratio * subsample)
     n_blocks = min(ratio, candidates.size // subsample)
     if n_blocks < 2:

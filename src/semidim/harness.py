@@ -20,21 +20,25 @@ fixture.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel import BorelSetSpec, cantor, interval
+from .borel import BorelSetSpec, cantor, interval, time_set
 from .codec import Record
 from .dimension import classify_sojourn_case, dimensions_from_spectrum
 from .errors import BudgetExceeded, InvalidInputs
 from .estimators import (
     box_count_graph,
+    check_box_sides,
+    check_energy_subsample,
+    check_sojourn,
+    dyadic_scales,
     energy_dimension,
     geometric_scales,
-    dyadic_scales,
     sojourn_mc,
 )
 from .laws import BlockLaw, LawKind
@@ -87,17 +91,20 @@ class Scenario(Record):
     notes: str = ""
 
     def __post_init__(self):
-        if self.n_seeds < 1:
-            raise InvalidInputs(f"scenario {self.name}: n_seeds must be >= 1, got {self.n_seeds}")
+        # one box estimate has no spread, so its stderr of 0 would make any
+        # miss beyond 2*tol a confident FAIL
+        if self.n_seeds < 2:
+            raise InvalidInputs(f"scenario {self.name}: n_seeds must be >= 2, got {self.n_seeds}")
+        check_box_sides(self.box_sides, self.n)
+        check_sojourn(self.sojourn_ensemble, self.sojourn_radii, self.sojourn_n)
+        check_energy_subsample(self.energy_subsample)
 
-    def exponent(self):
+    @functools.cached_property
+    def spec(self) -> ExponentSpec:
         return validate_exponent(np.asarray(self.matrix, dtype=float), self.c)
 
     def theory(self) -> dict:
-        return self._theory(self.exponent())
-
-    def _theory(self, spec: ExponentSpec) -> dict:
-        dec = spec.decomposition
+        dec = self.spec.decomposition
         dims = dimensions_from_spectrum(dec.alphas, dec.block_dims, self.borel.hausdorff_dim)
         case, exp_graph, exp_range = classify_sojourn_case(dec.alphas, dec.block_dims)
         return {
@@ -113,10 +120,8 @@ class Scenario(Record):
         }
 
     def validate_expected(self) -> dict:
-        return self._validated(self.theory())
-
-    def _validated(self, theory: dict) -> dict:
-        """``theory`` itself, once every stored expected value matches it."""
+        """The theory, once every stored expected value matches it."""
+        theory = self.theory()
         for key, stored in self.expected.items():
             fresh = theory[key]
             if isinstance(stored, str):
@@ -160,8 +165,88 @@ class VerificationReport(Record):
         return "\n".join(lines)
 
 
-def _combine(verdicts) -> str:
-    return max(verdicts, key=_SEVERITY.__getitem__, default=PASS)
+def _over_paths(spec, laws, n, seed, prefix, count, measure, threads=1) -> list:
+    """``measure(i, path)`` for the paths ``prefix/path/0 .. count-1``, in order;
+    each path has its own named stream, so ``threads`` cannot change a result."""
+
+    def one(i: int):
+        return measure(i, simulate_path(spec, laws, n, seed, name=f"{prefix}/path/{i}"))
+
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, range(count)))
+    return [one(i) for i in range(count)]
+
+
+def _median_stage(ests, theory: float, tol: float, **extra) -> dict:
+    """A stage judged on the median over seeds, with its Monte Carlo stderr."""
+    ests = np.asarray(ests)
+    med = float(np.median(ests))
+    stderr = float(np.std(ests) / np.sqrt(ests.size))
+    return {
+        "estimate": med,
+        "theory": theory,
+        "tol": tol,
+        "stderr": stderr,
+        "per_seed": ests.tolist(),
+        "verdict": verdict(med, theory, tol, stderr),
+        **extra,
+    }
+
+
+def _box_stages(sc: Scenario, theory: dict, seed: int, threads: int):
+    """The box_graph and box_range stages, and the energy estimate of path 0."""
+
+    def measure(i: int, path):
+        g = box_count_graph(path, sc.borel, sc.box_sides, cover_level=sc.cover_level)
+        r = box_count_graph(path, sc.borel, sc.box_sides, cover_level=sc.cover_level, target="range")
+        # Path 0 also feeds the energy stage, estimated here so that no path
+        # outlives its own box counts.
+        energy = None
+        if i == 0:
+            energy = energy_dimension(
+                path, sc.borel, sc.energy_gammas, sc.energy_subsample, seed,
+                ratio=sc.energy_ratio, cover_level=sc.cover_level,
+            )
+        return g.estimate, r.estimate, energy
+
+    runs = _over_paths(sc.spec, sc.laws, sc.n, seed, f"scenario/{sc.name}", sc.n_seeds, measure, threads)
+    graph, range_, energy = zip(*runs)
+    stages = {
+        "box_graph": _median_stage(graph, theory["graph_dim"], sc.box_tol, spread=float(np.std(graph))),
+        # informational; the graph is the certified object
+        "box_range": _median_stage(range_, theory["range_dim"], sc.box_tol, gating=False),
+    }
+    return stages, energy[0]
+
+
+def _sojourn_stage(sc: Scenario, seed: int) -> dict:
+    graph_soj, _ = sojourn_mc(
+        sc.spec, sc.laws, sc.sojourn_radii, 1.0, sc.sojourn_ensemble, seed, sc.sojourn_n,
+        name=f"scenario/{sc.name}/sojourn",
+    )
+    slope, theory = graph_soj.fit.slope, graph_soj.theory_exponent
+    slope_err = _sojourn_slope_stderr(graph_soj)
+    return {
+        "estimate": slope,
+        "theory": theory,
+        "tol": sc.sojourn_tol,
+        "stderr": slope_err,
+        "case": graph_soj.case,
+        "verdict": verdict(slope, theory, sc.sojourn_tol, slope_err, overshoot_inconclusive=True),
+    }
+
+
+def _energy_stage(energy, box_estimate: float, graph_dim: float) -> dict:
+    coherent = bool(energy.estimate <= box_estimate + 0.1)
+    lower_ok = bool(energy.estimate >= graph_dim - 0.25)
+    return {
+        "estimate": energy.estimate,
+        "theory": graph_dim,
+        "coherent_with_box": coherent,
+        "lower_bound_ok": lower_ok,
+        "verdict": PASS if (coherent and lower_ok) else FAIL,
+    }
 
 
 def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> VerificationReport:
@@ -169,111 +254,15 @@ def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> Verificati
     if threads < 1:
         raise InvalidInputs(f"threads must be >= 1, got {threads}")
     started = time.perf_counter()
-    spec = sc.exponent()
-    theory = sc._validated(sc._theory(spec))
-    full, ratio = empirical_fullness(
-        spec, sc.laws, seed=master_seed
+    theory = sc.validate_expected()
+    theory["empirically_full"], theory["fullness_ratio"] = empirical_fullness(
+        sc.spec, sc.laws, seed=master_seed
     )
-    theory = dict(theory)
-    theory["empirically_full"] = full
-    theory["fullness_ratio"] = ratio
-
-    def one_box(i: int):
-        path = simulate_path(
-            spec, sc.laws, sc.n, master_seed,
-            name=f"scenario/{sc.name}/path/{i}",
-        )
-        g = box_count_graph(path, sc.borel, sc.box_sides, cover_level=sc.cover_level)
-        r = box_count_graph(
-            path, sc.borel, sc.box_sides, cover_level=sc.cover_level, target="range"
-        )
-        # Path 0 also feeds the energy stage, estimated here so that no path
-        # outlives its own box counts.
-        energy = None
-        if i == 0:
-            energy = energy_dimension(
-                path,
-                sc.borel,
-                np.asarray(sc.energy_gammas),
-                sc.energy_subsample,
-                master_seed,
-                ratio=sc.energy_ratio,
-                cover_level=sc.cover_level,
-            )
-        return g.estimate, r.estimate, energy
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_box, range(sc.n_seeds)))
-    else:
-        results = [one_box(i) for i in range(sc.n_seeds)]
-    graph_ests = np.array([g for g, _, _ in results])
-    range_ests = np.array([r for _, r, _ in results])
-    energy = results[0][2]
-
-    stages: dict = {}
-    box_med = float(np.median(graph_ests))
-    box_stderr = float(np.std(graph_ests) / np.sqrt(sc.n_seeds))
-    stages["box_graph"] = {
-        "estimate": box_med,
-        "theory": theory["graph_dim"],
-        "tol": sc.box_tol,
-        "stderr": box_stderr,
-        "spread": float(np.std(graph_ests)),
-        "per_seed": graph_ests.tolist(),
-        "verdict": verdict(box_med, theory["graph_dim"], sc.box_tol, box_stderr),
-    }
-    range_med = float(np.median(range_ests))
-    range_stderr = float(np.std(range_ests) / np.sqrt(sc.n_seeds))
-    stages["box_range"] = {
-        "estimate": range_med,
-        "theory": theory["range_dim"],
-        "tol": sc.box_tol,
-        "stderr": range_stderr,
-        "per_seed": range_ests.tolist(),
-        "verdict": verdict(range_med, theory["range_dim"], sc.box_tol, range_stderr),
-        "gating": False,  # informational; the graph is the certified object
-    }
-
-    graph_soj, _ = sojourn_mc(
-        spec,
-        sc.laws,
-        np.asarray(sc.sojourn_radii),
-        1.0,
-        sc.sojourn_ensemble,
-        master_seed,
-        sc.sojourn_n,
-        name=f"scenario/{sc.name}/sojourn",
-    )
-    slope_err = _sojourn_slope_stderr(graph_soj)
-    stages["sojourn"] = {
-        "estimate": graph_soj.fit.slope,
-        "theory": graph_soj.theory_exponent,
-        "tol": sc.sojourn_tol,
-        "stderr": slope_err,
-        "case": graph_soj.case,
-        "verdict": verdict(
-            graph_soj.fit.slope,
-            graph_soj.theory_exponent,
-            sc.sojourn_tol,
-            slope_err,
-            overshoot_inconclusive=True,
-        ),
-    }
-
-    coherent = bool(energy.estimate <= box_med + 0.1)
-    lower_ok = bool(energy.estimate >= theory["graph_dim"] - 0.25)
-    stages["energy"] = {
-        "estimate": energy.estimate,
-        "theory": theory["graph_dim"],
-        "coherent_with_box": coherent,
-        "lower_bound_ok": lower_ok,
-        "verdict": PASS if (coherent and lower_ok) else FAIL,
-    }
-
-    overall = _combine(
-        info["verdict"] for info in stages.values() if info.get("gating", True)
-    )
+    stages, energy = _box_stages(sc, theory, master_seed, threads)
+    stages["sojourn"] = _sojourn_stage(sc, master_seed)
+    stages["energy"] = _energy_stage(energy, stages["box_graph"]["estimate"], theory["graph_dim"])
+    gating = [info["verdict"] for info in stages.values() if info.get("gating", True)]
+    overall = max(gating, key=_SEVERITY.__getitem__)
     return VerificationReport(
         scenario=sc.name,
         master_seed=master_seed,
@@ -504,58 +493,65 @@ def get_scenario(name: str) -> Scenario:
 # --------------------------------------------------------------------------
 
 
+SWEEP_SIDES = dyadic_scales(1, 10)
+
+
 @dataclass(frozen=True)
-class SweepCell:
-    alpha: float
-    borel: BorelSetSpec
+class SweepConfig(Record):
+    """A sweep over alpha x time set; a time set is a spec, a ``time_set`` string or null."""
+
+    alphas: tuple[float, ...] = (1.2, 1.5, 1.8, 2.0)
+    time_sets: tuple[str | BorelSetSpec | None, ...] = (None,)
     n: int = 16
     n_seeds: int = 8
-    box_sides: tuple[float, ...] = tuple(dyadic_scales(1, 10))
     cover_level: int | None = None
+    budget_seconds: float | None = None
+
+    def __post_init__(self):
+        bad = [a for a in self.alphas if not 0.0 < a <= 2.0]
+        if bad:
+            raise InvalidInputs(f"sweep alphas must lie in (0, 2], got {bad}")
+        if self.n_seeds < 1:
+            raise InvalidInputs(f"sweep n_seeds must be >= 1, got {self.n_seeds}")
+        check_box_sides(SWEEP_SIDES, self.n)
 
 
-def sweep(cells, master_seed: int, budget_seconds: float | None = None) -> list[dict]:
-    """Theory vs box estimate over a list of one-dimensional sweep cells.
+def sweep(cfg: SweepConfig, master_seed: int) -> list[dict]:
+    """Theory vs median box estimate of the graph of a one-dimensional
+    alpha-stable process, one row per (alpha, time set) of ``cfg``.
 
-    Returns one row per cell; raises BudgetExceeded when a cell overruns the
-    optional wall-clock budget.
+    Raises BudgetExceeded when a cell overruns ``cfg.budget_seconds``.
     """
+    sets = [time_set(b) for b in cfg.time_sets]
     rows = []
-    for cell in cells:
-        started = time.perf_counter()
-        spec = validate_exponent(np.array([[1.0 / cell.alpha]]), 2.0)
-        dec = spec.decomposition
-        s = cell.borel.hausdorff_dim
-        theory = dimensions_from_spectrum(dec.alphas, dec.block_dims, s)["graph"]
-        ests = []
-        for i in range(cell.n_seeds):
-            path = simulate_path(
-                spec,
-                (_stable(cell.alpha),),
-                cell.n,
-                master_seed,
-                name=f"sweep/alpha={cell.alpha:.6g}/s={s:.6g}/path/{i}",
+    for alpha in cfg.alphas:
+        for borel in sets:
+            started = time.perf_counter()
+            spec = validate_exponent(np.array([[1.0 / alpha]]), 2.0)
+            dec = spec.decomposition
+            s = borel.hausdorff_dim
+            theory = dimensions_from_spectrum(dec.alphas, dec.block_dims, s)["graph"]
+
+            def measure(i: int, path) -> float:
+                est = box_count_graph(path, borel, SWEEP_SIDES, cover_level=cfg.cover_level)
+                budget = cfg.budget_seconds
+                if budget is not None and time.perf_counter() - started > budget:
+                    raise BudgetExceeded(f"sweep cell alpha={alpha}, s={s} exceeded {budget}s")
+                return est.estimate
+
+            prefix = f"sweep/alpha={alpha:.6g}/s={s:.6g}"
+            ests = _over_paths(spec, (_stable(alpha),), cfg.n, master_seed, prefix, cfg.n_seeds, measure)
+            est = float(np.median(ests))
+            rows.append(
+                {
+                    "alpha": alpha,
+                    "time_set_dim": s,
+                    "theory": theory.value,
+                    "branch": theory.branch.value,
+                    "estimate": est,
+                    "error": est - theory.value,
+                    "n": cfg.n,
+                    "n_seeds": cfg.n_seeds,
+                }
             )
-            ests.append(
-                box_count_graph(
-                    path, cell.borel, cell.box_sides, cover_level=cell.cover_level
-                ).estimate
-            )
-            if budget_seconds is not None and time.perf_counter() - started > budget_seconds:
-                raise BudgetExceeded(
-                    f"sweep cell alpha={cell.alpha}, s={s} exceeded {budget_seconds}s"
-                )
-        est = float(np.median(ests))
-        rows.append(
-            {
-                "alpha": cell.alpha,
-                "time_set_dim": s,
-                "theory": theory.value,
-                "branch": theory.branch.value,
-                "estimate": est,
-                "error": est - theory.value,
-                "n": cell.n,
-                "n_seeds": cell.n_seeds,
-            }
-        )
     return rows

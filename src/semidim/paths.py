@@ -29,7 +29,7 @@ import numpy as np
 import scipy.stats
 
 from .codec import Record
-from .errors import BlockLawMismatch, BudgetExceeded, EnsembleTooSmall
+from .errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EnsembleTooSmall
 from .laws import BlockLaw, LawKind
 from .seeds import derive_rng
 from .spectral import ExponentSpec, SpectralBlock, scaling_operator
@@ -212,17 +212,22 @@ def simulate_path(
     dt = 2.0 ** (-n)
     times = np.arange(n_steps + 1, dtype=float) * dt
     values = np.zeros((n_steps + 1, spec.d))
-    for j, (block, law, strategy) in enumerate(blocks):
-        rng = derive_rng(seed, f"{name}/block/{j}")
-        if strategy == "gaussian_operator":
-            block_path = _gaussian_operator_block(block, law, times, rng)
-        else:
-            inc = law.sample_increments(dt, n_steps, rng)
-            if inc.ndim == 1:
-                inc = inc[:, None]
-            block_path = np.zeros((n_steps + 1, block.d))
-            np.cumsum(inc, axis=0, out=block_path[1:])
-        values += block_path @ block.basis.T
+    # Near alpha = 0 the increments can overflow float64; such a path is
+    # rejected as a whole below instead of warning sample by sample.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j, (block, law, strategy) in enumerate(blocks):
+            rng = derive_rng(seed, f"{name}/block/{j}")
+            if strategy == "gaussian_operator":
+                block_path = _gaussian_operator_block(block, law, times, rng)
+            else:
+                inc = law.sample_increments(dt, n_steps, rng)
+                if inc.ndim == 1:
+                    inc = inc[:, None]
+                block_path = np.zeros((n_steps + 1, block.d))
+                np.cumsum(inc, axis=0, out=block_path[1:])
+            values += block_path @ block.basis.T
+    if not np.isfinite(values).all():
+        raise DegenerateSample(f"path {name!r} leaves the float64 range")
     return LevyPath(times=times, values=values, seed=seed, n=n, spec=spec, laws=laws)
 
 

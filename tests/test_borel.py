@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semidim import BorelSetSpec, cantor, derive_rng, interval, union
+from semidim import BorelSetSpec, cantor, interval, time_set, union
 
 
 class TestDimensions:
@@ -59,27 +59,16 @@ class TestMask:
         assert u.mask(t).sum() == 20
 
 
-class TestNaturalMeasure:
-    def test_interval_uniform(self):
-        rng = derive_rng(1, "borel/unif")
-        x = interval(0.25, 0.75).sample_times(rng, 20000)
-        assert np.all((x >= 0.25) & (x <= 0.75))
-        assert abs(x.mean() - 0.5) < 0.005
-
-    def test_cantor_balanced_branches(self):
-        rng = derive_rng(1, "borel/cantor")
-        x = cantor(2, 1 / 3).sample_times(rng, 20000, level=12)
-        # all samples live in the level-4 cover
-        assert cantor(2, 1 / 3).mask(x, level=4).all()
-        # balanced measure: half the mass in the left branch
-        assert abs((x < 0.5).mean() - 0.5) < 0.02
-
-    def test_union_samples_max_dim_member(self):
-        rng = derive_rng(1, "borel/union")
-        u = union(cantor(2, 1 / 3), interval(0.5, 0.6))
-        x = u.sample_times(rng, 2000)
-        # interval has dimension 1 > cantor: all mass goes there
-        assert np.all((x >= 0.5) & (x <= 0.6))
+class TestTimeSet:
+    def test_every_form(self, tmp_path):
+        spec = interval(0.0, 0.5)
+        path = tmp_path / "b.json"
+        path.write_text(spec.to_json())
+        assert time_set(None) == interval(0.0, 1.0)
+        assert time_set("cantor") == cantor(2, 1 / 3)
+        assert time_set(spec) is spec
+        assert time_set(str(path)) == spec
+        assert time_set(spec.to_json()) == spec
 
 
 class TestSerialization:

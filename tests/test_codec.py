@@ -6,11 +6,10 @@ import pytest
 
 import semidim as sd
 from semidim.borel import BorelSetSpec, cantor, interval, union
-from semidim.cli import SweepConfig
 from semidim.errors import InvalidInputs
 from semidim.estimators import Schedule
 from semidim.fitting import ScalingFit
-from semidim.harness import Scenario, VerificationReport
+from semidim.harness import Scenario, SweepConfig, VerificationReport
 from semidim.laws import BlockLaw, LawKind
 from semidim.paths import KSReport
 

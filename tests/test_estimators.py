@@ -133,6 +133,13 @@ class TestCubeKernel:
         assert np.prod(span + 1) > 2.0**62
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
+    @pytest.mark.parametrize("far", [2.0**62, -(2.0**62), np.inf, np.nan])
+    def test_points_beyond_int64_cells_raise(self, far):
+        # the side-2^-10 cell of 2^62 would not fit int64; the cast gives garbage
+        points = np.array([[0.0, 0.5], [1.0, far * 2.0**-10]])
+        with pytest.raises(DegenerateSample):
+            count_occupied_cubes(points, sd.dyadic_scales(1, 10))
+
     def test_empty_and_single_side(self):
         assert count_occupied_cubes(np.zeros((0, 2)), [0.5, 0.25]).tolist() == [0, 0]
         points = np.array([[0.1, -0.1], [0.2, -0.2], [0.9, 0.9]])

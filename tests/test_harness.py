@@ -5,9 +5,12 @@ import pytest
 
 from semidim import builtin_scenarios, get_scenario, run_scenario, sweep
 from semidim.borel import cantor, interval
-from semidim.errors import InvalidInputs
-from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepCell, verdict
+from semidim.errors import BudgetExceeded, InvalidInputs
+from semidim.estimators import box_count_graph, dyadic_scales
+from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, verdict
 from semidim.laws import BlockLaw, LawKind
+from semidim.paths import simulate_path
+from semidim.spectral import validate_exponent
 
 
 def mini_scenario(**overrides) -> Scenario:
@@ -100,7 +103,7 @@ class TestScenario:
         with pytest.raises(KeyError):
             get_scenario("no-such-scenario")
 
-    @pytest.mark.parametrize("n_seeds", [0, -1])
+    @pytest.mark.parametrize("n_seeds", [0, -1, 1])
     def test_n_seeds_below_one_rejected(self, n_seeds):
         with pytest.raises(InvalidInputs):
             mini_scenario(n_seeds=n_seeds)
@@ -140,6 +143,15 @@ class TestRunScenario:
         run_scenario(mini_scenario(n_seeds=2), 5)
         assert len(calls) == 1
 
+    def test_per_seed_follows_the_seed_names(self):
+        sc = mini_scenario(n_seeds=2)
+        report = run_scenario(sc, 5)
+        spec = validate_exponent(np.array([[0.5]]), 2.0)
+        paths = [simulate_path(spec, sc.laws, 14, 5, name=f"scenario/mini/path/{i}") for i in range(2)]
+        for stage, target in (("box_graph", "graph"), ("box_range", "range")):
+            ests = [box_count_graph(p, interval(), sc.box_sides, target=target).estimate for p in paths]
+            assert report.stages[stage]["per_seed"] == ests
+
     def test_report_text(self):
         sc = mini_scenario()
         rep = run_scenario(sc, 5)
@@ -149,18 +161,39 @@ class TestRunScenario:
 
 class TestSweep:
     def test_empty(self):
-        assert sweep([], 1) == []
+        assert sweep(SweepConfig(alphas=()), 1) == []
 
     def test_rows(self):
-        cells = [SweepCell(alpha=2.0, borel=interval(0, 1), n=14, n_seeds=3)]
-        rows = sweep(cells, 1)
+        rows = sweep(SweepConfig(alphas=(2.0,), n=14, n_seeds=3), 1)
         assert len(rows) == 1
         assert rows[0]["theory"] == pytest.approx(1.5)
         assert abs(rows[0]["estimate"] - 1.5) < 0.2
 
     def test_budget_cap(self):
-        from semidim.errors import BudgetExceeded
-
-        cells = [SweepCell(alpha=2.0, borel=interval(0, 1), n=14, n_seeds=3)]
         with pytest.raises(BudgetExceeded):
-            sweep(cells, 1, budget_seconds=0.0)
+            sweep(SweepConfig(alphas=(2.0,), n=14, n_seeds=3, budget_seconds=0.0), 1)
+
+    def test_rows_follow_the_seed_names(self):
+        cfg = SweepConfig(alphas=(1.2345678, 2.0), time_sets=(None, "cantor"), n=12, n_seeds=2)
+        expected = []
+        for alpha in cfg.alphas:
+            spec = validate_exponent(np.array([[1.0 / alpha]]), 2.0)
+            laws = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=alpha),)
+            for borel in (interval(0.0, 1.0), cantor(2, 1 / 3)):
+                s = borel.hausdorff_dim
+                ests = [
+                    box_count_graph(
+                        simulate_path(spec, laws, 12, 9, name=f"sweep/alpha={alpha:.6g}/s={s:.6g}/path/{i}"),
+                        borel,
+                        dyadic_scales(1, 10),
+                    ).estimate
+                    for i in range(2)
+                ]
+                expected.append((alpha, s, float(np.median(ests))))
+        rows = sweep(cfg, 9)
+        assert [(r["alpha"], r["time_set_dim"], r["estimate"]) for r in rows] == expected
+
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_n_seeds_below_one_rejected(self, n_seeds):
+        with pytest.raises(InvalidInputs):
+            SweepConfig(alphas=(2.0,), n_seeds=n_seeds)

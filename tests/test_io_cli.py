@@ -1,9 +1,13 @@
 import hashlib
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semidim as sd
 from semidim import cli
@@ -190,6 +194,36 @@ class TestCLI:
         assert run_cli("verify", "--scenario", str(sc_file), "--out", str(tmp_path)) == 2
         assert "InvalidInputs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"sojourn_ensemble": 100}, "EnsembleTooSmall"),
+            ({"sojourn_radii": [1e-4, 0.25]}, "RadiiOutOfRange"),
+            ({"energy_subsample": 999}, "DegenerateSample"),
+            ({"box_sides": [2.0**-k for k in range(1, 10)]}, "ValueError"),
+            ({"n": 11}, "ResolutionTooCoarse"),
+            ({"n": -2000}, "ResolutionTooCoarse"),
+        ],
+    )
+    def test_bad_scenario_rejected_before_any_path(self, tmp_path, capsys, monkeypatch, change, error):
+        from semidim import estimators, harness, paths
+        from test_harness import mini_scenario
+
+        calls = []
+        original = paths.simulate_path
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("name"))
+            return original(*args, **kwargs)
+
+        for module in (paths, harness, estimators):
+            monkeypatch.setattr(module, "simulate_path", counted)
+        sc_file = tmp_path / "bad.json"
+        sc_file.write_text(json.dumps(mini_scenario().as_dict() | change))
+        assert run_cli("verify", "--scenario", str(sc_file), "--out", str(tmp_path)) == 2
+        assert error in capsys.readouterr().err
+        assert calls == []
+
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         def broken(args):
             raise TypeError("unexpected")
@@ -240,3 +274,48 @@ class TestCLI:
             run_cli("decompose", "--exponent", "e.json", "--seed", "1")
         with pytest.raises(SystemExit):
             run_cli("estimate", "--path", "p", "--threads", "2")
+
+
+def mostly(valid, hostile):
+    """``valid`` three draws in four, ``hostile`` in the fourth, so that many
+    configs get as far as simulating and counting paths."""
+    return st.one_of(valid, valid, valid, hostile)
+
+
+FUZZ_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e-300, 5e-324]), st.floats()
+)
+UNIT = mostly(st.floats(0.0, 1.0), FUZZ_FLOATS)
+FUZZ_BOREL = st.fixed_dictionaries(
+    {"kind": mostly(st.sampled_from(["INTERVAL", "SELF_SIMILAR_CANTOR", "FINITE_UNION"]), st.text(max_size=4))},
+    optional={
+        "a": UNIT,
+        "b": UNIT,
+        "m": st.integers(-1, 5),
+        "r": UNIT,
+        "members": st.lists(st.fixed_dictionaries({"kind": st.just("INTERVAL"), "a": UNIT}), max_size=2),
+    },
+)
+FUZZ_SWEEP = st.fixed_dictionaries(
+    {
+        "alphas": st.lists(mostly(st.floats(0.0, 2.0, exclude_min=True), FUZZ_FLOATS), max_size=3),
+        "time_sets": st.lists(
+            mostly(st.one_of(st.none(), st.just("cantor"), FUZZ_BOREL), st.text(max_size=6)), max_size=3
+        ),
+        "n": mostly(st.just(12), st.integers(-1, 12)),
+        "n_seeds": mostly(st.integers(1, 2), st.integers(-1, 2)),
+    },
+    optional={
+        "cover_level": st.one_of(st.none(), st.integers(-2, 14)),
+        "budget_seconds": st.one_of(st.none(), st.floats(0.0, 1.0)),
+    },
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config=FUZZ_SWEEP)
+def test_sweep_config_exits_0_or_2(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg), "--out", tmp]) in (0, 2)

@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 import semidim as sd
-from semidim.errors import BlockLawMismatch, EnsembleTooSmall
+from semidim.errors import BlockLawMismatch, DegenerateSample, EnsembleTooSmall
 from semidim.laws import BlockLaw, LawKind
 from semidim.paths import sample_marginal
 
@@ -25,6 +25,13 @@ class TestSimulatePath:
         p = sd.simulate_path(BROWNIAN, BM_LAWS, 0, seed=1)
         assert p.values.shape == (2, 1)
         assert p.values[0, 0] == 0.0
+
+    def test_float64_overflow_raises(self):
+        # near alpha = 0 the stable increments leave the float64 range
+        alpha = 0.0126
+        spec = sd.validate_exponent(np.array([[1.0 / alpha]]), 2.0)
+        with pytest.raises(DegenerateSample):
+            sd.simulate_path(spec, (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=alpha),), 12, seed=0)
 
     def test_determinism(self):
         a = sd.simulate_path(BROWNIAN, BM_LAWS, 12, seed=42)
