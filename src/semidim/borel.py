@@ -3,8 +3,12 @@
 Three families: intervals, self-similar Cantor sets (m pieces of ratio r,
 m*r <= 1, pieces spread evenly so the set spans [0, 1]), and finite unions.
 A Cantor set is handled through its level-L prefractal cover of m^L
-intervals of length r^L; L is chosen from the sampling grid so that every
+intervals of length r^L; L is chosen from the grid depth n so that every
 cover interval still holds a few grid points.
+
+Every path lies on the same grid t_k = k 2^-n, so the restriction of a path
+to B depends only on (B, n, L): :meth:`BorelSetSpec.mask` computes it once
+per grid, and the estimators take the mask.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .codec import Record
-from .errors import DegenerateSample
+from .errors import InvalidInputs, ResolutionTooCoarse
+from .paths import grid_times
 
 # Grid points each piece of an automatic prefractal cover must hold.
 COVER_MIN_POINTS = 2
@@ -60,42 +65,43 @@ class BorelSetSpec(Record):
             return math.log(self.m) / math.log(1.0 / self.r)
         return max(member.hausdorff_dim for member in self.members)
 
-    def cover_level(self, grid_step: float) -> int:
-        """Deepest prefractal level whose pieces hold >= COVER_MIN_POINTS grid points."""
+    def cover_level(self, n: int) -> int:
+        """Deepest prefractal level whose pieces hold >= COVER_MIN_POINTS
+        points of the grid of depth n."""
         if self.kind is not SetKind.SELF_SIMILAR_CANTOR:
             return 0
-        level = int(math.floor(math.log(grid_step * COVER_MIN_POINTS) / math.log(self.r)))
+        level = int(math.floor(math.log(2.0**-n * COVER_MIN_POINTS) / math.log(self.r)))
         return max(1, level)
 
-    def mask(self, times: np.ndarray, level: int | None = None) -> np.ndarray:
-        """Boolean mask of grid times lying in B (prefractal cover for Cantor).
+    def mask(self, n: int, level: int | None = None) -> np.ndarray:
+        """Boolean mask of the grid times k 2^-n, k = 0 .. 2^n, lying in B
+        (the level-``level`` prefractal cover for a Cantor set).
 
         ``level`` overrides the automatic cover depth; it is ignored for
         intervals and passed through to Cantor members of a union.
         """
-        t = np.asarray(times, dtype=float)
-        if self.kind is SetKind.INTERVAL:
-            return (t >= self.a) & (t <= self.b)
         if self.kind is SetKind.FINITE_UNION:
-            out = np.zeros(t.shape, dtype=bool)
+            out = np.zeros(2**n + 1, dtype=bool)
             for member in self.members:
-                out |= member.mask(t, level)
+                out |= member.mask(n, level)
             return out
+        x = grid_times(n)
+        if self.kind is SetKind.INTERVAL:
+            return (x >= self.a) & (x <= self.b)
         if level is None:
-            step = _grid_step(t)
-            level = self.cover_level(step)
+            level = self.cover_level(n)
         # Left endpoints of the m first-level pieces, evenly spread so that
         # the first starts at 0 and the last ends at 1 (m >= 2).
         offsets = np.arange(self.m) * (1.0 - self.r) / (self.m - 1)
         pitch = offsets[1] - offsets[0]
-        x = t.copy()
-        alive = (x >= -1e-12) & (x <= 1.0 + 1e-12)
+        alive = np.ones(x.shape, dtype=bool)
+        # x, a fresh grid, is rescaled in place to its position in its piece
         for _ in range(level):
-            idx = np.clip(np.floor(x / pitch).astype(int), 0, self.m - 1)
-            rel = x - offsets[idx]
-            inside = (rel >= -1e-12) & (rel <= self.r + 1e-12)
+            x -= offsets[np.clip(np.floor(x / pitch).astype(int), 0, self.m - 1)]
+            inside = (x >= -1e-12) & (x <= self.r + 1e-12)
             alive &= inside
-            x = np.where(inside, rel / self.r, 0.0)
+            x /= self.r
+            x[~inside] = 0.0
         return alive
 
     def as_dict(self) -> dict:
@@ -132,7 +138,19 @@ def time_set(arg: str | BorelSetSpec | None) -> BorelSetSpec:
     return BorelSetSpec.from_json(Path(arg).read_text() if Path(arg).exists() else arg)
 
 
-def _grid_step(times: np.ndarray) -> float:
-    if times.size < 2:
-        raise DegenerateSample("need at least two grid times")
-    return float(np.min(np.diff(np.sort(times))))
+def check_cover_level(borel: BorelSetSpec, level: int | None, n: int) -> None:
+    """Reject a cover level below 1, or one whose pieces r^level are shorter,
+    for some Cantor member of B, than the step 2^-n of the grid of depth n.
+    Compared in log2; as r <= 1/2, a level above n is rejected before the
+    product is formed, so that no level overflows."""
+    if level is None:
+        return
+    if level < 1:
+        raise InvalidInputs(f"cover level must be >= 1, got {level}")
+    for member in borel.members:
+        check_cover_level(member, level, n)
+    cantor = borel.kind is SetKind.SELF_SIMILAR_CANTOR
+    if cantor and (level > n or level * math.log2(borel.r) < -n):
+        raise ResolutionTooCoarse(
+            f"cover level {level} has pieces shorter than the grid step 2^-{n}"
+        )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .borel import time_set
+from .borel import check_cover_level, time_set
 from .dimension import dimensions_from_spectrum
 from .errors import InvalidInputs, SemidimError
 from .estimators import box_count_graph, dyadic_scales, sojourn_mc
@@ -98,7 +98,8 @@ def cmd_estimate(args) -> int:
         if args.scales
         else dyadic_scales(2, max(11, args.n_scales))
     )
-    est = box_count_graph(path, borel, sides, cover_level=args.cover_level)
+    check_cover_level(borel, args.cover_level, path.n)
+    est = box_count_graph(path, borel.mask(path.n, args.cover_level), sides)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_loglog_csv(out_dir / "boxcount.csv", est.sides, est.counts)

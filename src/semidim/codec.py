@@ -118,6 +118,9 @@ def _decode(tp, value, where: str):
             raise InvalidInputs(f"{where}: expected numbers, got {value!r}")
         return array
     if tp is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidInputs(f"{where}: {value} is beyond the float64 range") from None
     _expect(value, tp, where)
     return value

@@ -9,6 +9,9 @@ powers of two it quantises the points once and coarsens the occupied cells
 up the ladder (dividing by a power of two is exact, so the counts match a
 per-side count bit for bit); other ladders, such as base 3 or sqrt 3, whose
 sides are inexact in floating point, are quantised side by side.
+:func:`box_count_graph` knows nothing of time sets: it takes the mask of B
+on the path's grid, which the caller computes once per grid with
+:meth:`BorelSetSpec.mask` and shares between paths and targets.
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -171,21 +174,23 @@ def box_count_points(points: np.ndarray, sides) -> BoxCountEstimate:
 
 def box_count_graph(
     path: LevyPath,
-    borel: BorelSetSpec,
+    mask: np.ndarray,
     sides,
-    cover_level: int | None = None,
     target: str = "graph",
 ) -> BoxCountEstimate:
-    """Box-count estimate of dim of the graph (or range) restricted to B.
+    """Box-count estimate of dim of the graph (or range) restricted to a time set.
 
-    ``target`` selects the graph Z(t) = (t, X(t)) or the bare range X(t).
-    The path grid must resolve the smallest cube: 2^-n <= min(side)/4.
+    ``mask`` marks the grid points of the path that lie in the set, as
+    :meth:`BorelSetSpec.mask` returns it for the path's depth.  ``target``
+    selects the graph Z(t) = (t, X(t)) or the bare range X(t).  The path grid
+    must resolve the smallest cube: 2^-n <= min(side)/4.
     """
     check_box_sides(sides, path.n)
-    mask = borel.mask(path.times, cover_level)
     if not np.any(mask):
         raise EmptyRestriction("no grid point falls inside the time set")
-    pts = path.graph_points()[mask] if target == "graph" else path.values[mask]
+    pts = path.values[mask]
+    if target == "graph":
+        pts = np.column_stack([path.times[mask], pts])
     return box_count_points(pts, sides)
 
 
@@ -280,11 +285,10 @@ def check_sojourn(ensemble: int, radii, n: int) -> None:
     radii = np.asarray(radii, dtype=float)
     if ensemble < 200:
         raise EnsembleTooSmall(f"sojourn Monte Carlo needs >= 200 paths, got {ensemble}")
-    lo, hi = 2.0 ** (-n / 2.0), 0.5
-    if radii.min() < lo - 1e-12 or radii.max() > hi + 1e-12:
-        raise RadiiOutOfRange(
-            f"radii must lie in [2^(-n/2), 0.5] = [{lo:.4g}, {hi:.4g}]"
-        )
+    # 2^(-n/2) <= min(radius), compared in log2 so that no depth overflows
+    lo = radii.min()
+    if not lo > 0.0 or n < -2.0 * math.log2(lo) - 1e-9 or radii.max() > 0.5 + 1e-12:
+        raise RadiiOutOfRange(f"radii must lie in [2^(-n/2), 0.5] with n={n}")
 
 
 def sojourn_mc(
@@ -417,7 +421,7 @@ def _energy_candidates(
     instead of probing the interval-like remnant below the cover resolution.
     """
     if borel.kind is not SetKind.SELF_SIMILAR_CANTOR:
-        idx = np.flatnonzero(borel.mask(path.times, cover_level))
+        idx = np.flatnonzero(borel.mask(path.n, cover_level))
         if idx.size == 0:
             raise EmptyRestriction("no grid point falls inside the time set")
         return idx
@@ -428,7 +432,7 @@ def _energy_candidates(
             f"grid too coarse to thin {n_needed} samples to level-{level} pieces; "
             "raise the grid depth or lower subsample * ratio"
         )
-    idx = np.flatnonzero(borel.mask(path.times, level))
+    idx = np.flatnonzero(borel.mask(path.n, level))
     if idx.size == 0:
         raise EmptyRestriction("no grid point falls inside the time set")
     cell = np.floor(path.times[idx] / piece).astype(np.int64)

@@ -23,11 +23,11 @@ import concurrent.futures
 import functools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .borel import BorelSetSpec, cantor, interval, time_set
+from .borel import BorelSetSpec, cantor, check_cover_level, interval, time_set
 from .codec import Record
 from .dimension import classify_sojourn_case, dimensions_from_spectrum
 from .errors import BudgetExceeded, InvalidInputs
@@ -42,7 +42,7 @@ from .estimators import (
     sojourn_mc,
 )
 from .laws import BlockLaw, LawKind
-from .paths import empirical_fullness, simulate_path
+from .paths import check_grid, empirical_fullness, simulate_path
 from .spectral import ExponentSpec, validate_exponent
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
@@ -96,7 +96,11 @@ class Scenario(Record):
         if self.n_seeds < 2:
             raise InvalidInputs(f"scenario {self.name}: n_seeds must be >= 2, got {self.n_seeds}")
         check_box_sides(self.box_sides, self.n)
+        # checked here, as the time-set mask is built before any path
+        check_grid(self.n, len(self.matrix))
+        check_cover_level(self.borel, self.cover_level, self.n)
         check_sojourn(self.sojourn_ensemble, self.sojourn_radii, self.sojourn_n)
+        check_grid(self.sojourn_n, len(self.matrix))
         check_energy_subsample(self.energy_subsample)
 
     @functools.cached_property
@@ -196,10 +200,11 @@ def _median_stage(ests, theory: float, tol: float, **extra) -> dict:
 
 def _box_stages(sc: Scenario, theory: dict, seed: int, threads: int):
     """The box_graph and box_range stages, and the energy estimate of path 0."""
+    mask = sc.borel.mask(sc.n, sc.cover_level)
 
     def measure(i: int, path):
-        g = box_count_graph(path, sc.borel, sc.box_sides, cover_level=sc.cover_level)
-        r = box_count_graph(path, sc.borel, sc.box_sides, cover_level=sc.cover_level, target="range")
+        g = box_count_graph(path, mask, sc.box_sides)
+        r = box_count_graph(path, mask, sc.box_sides, target="range")
         # Path 0 also feeds the energy stage, estimated here so that no path
         # outlives its own box counts.
         energy = None
@@ -301,83 +306,55 @@ def _rotation_matrix(a: float, b: float = 1.0):
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
+    # The values most builtins share; each builtin states only how it differs.
+    base = Scenario(
+        name="brownian-interval",
+        matrix=((0.5,),),
+        c=2.0,
+        laws=(_stable(2.0),),
+        borel=interval(0.0, 1.0),
+        n=20,
+        n_seeds=20,
+        box_sides=tuple(dyadic_scales(2, 11)),
+        box_tol=0.12,
+        sojourn_n=16,
+        sojourn_ensemble=300,
+        sojourn_radii=tuple(geometric_scales(2.0, 3, 8)),
+        sojourn_tol=0.15,
+        energy_gammas=tuple(np.round(np.arange(0.8, 2.05, 0.05), 10)),
+        energy_subsample=1000,
+        expected={"graph_dim": 1.5, "sojourn_case": "iv", "sojourn_exponent": 1.5},
+    )
+    cantor_set = dict(borel=cantor(2, 1.0 / 3.0), energy_subsample=1024, energy_ratio=4)
+    isotropic = dict(sojourn_ensemble=400, sojourn_radii=tuple(geometric_scales(2.0, 2, 7)))
+    vary = functools.partial(replace, base)
     scenarios = [
-        Scenario(
-            name="brownian-interval",
-            matrix=((0.5,),),
-            c=2.0,
-            laws=(_stable(2.0),),
-            borel=interval(0.0, 1.0),
-            n=20,
-            n_seeds=20,
-            box_sides=tuple(dyadic_scales(2, 12)),
-            box_tol=0.08,
-            sojourn_n=16,
-            sojourn_ensemble=300,
-            sojourn_radii=tuple(geometric_scales(2.0, 3, 8)),
-            sojourn_tol=0.15,
-            energy_gammas=tuple(np.round(np.arange(0.8, 2.05, 0.05), 10)),
-            energy_subsample=1000,
-            expected={"graph_dim": 1.5, "sojourn_case": "iv", "sojourn_exponent": 1.5},
-        ),
-        Scenario(
+        vary(box_sides=tuple(dyadic_scales(2, 12)), box_tol=0.08),
+        vary(
             name="brownian-cantor",
-            matrix=((0.5,),),
-            c=2.0,
-            laws=(_stable(2.0),),
-            borel=cantor(2, 1.0 / 3.0),
-            n=20,
-            n_seeds=20,
+            **cantor_set,
             box_sides=tuple(3.0 ** (-np.arange(1, 13) / 2.0)),
-            box_tol=0.12,
-            sojourn_n=16,
-            sojourn_ensemble=300,
-            sojourn_radii=tuple(geometric_scales(2.0, 3, 8)),
-            sojourn_tol=0.15,
             energy_gammas=tuple(np.round(np.arange(0.5, 1.85, 0.05), 10)),
-            energy_subsample=1024,
-            energy_ratio=4,
             cover_level=8,
             expected={"graph_dim": 1.0 + np.log(2) / np.log(3) - 0.5},
         ),
-        Scenario(
+        vary(
             name="cauchy-cantor",
             matrix=((1.0,),),
-            c=2.0,
             laws=(_stable(1.0),),
-            borel=cantor(2, 1.0 / 3.0),
-            n=20,
-            n_seeds=20,
+            **cantor_set,
             box_sides=tuple(3.0 ** (-np.arange(0, 12) / 2.0)),
-            box_tol=0.12,
-            sojourn_n=16,
-            sojourn_ensemble=300,
-            sojourn_radii=tuple(geometric_scales(2.0, 3, 8)),
-            sojourn_tol=0.15,
             energy_gammas=tuple(np.round(np.arange(0.3, 1.35, 0.05), 10)),
-            energy_subsample=1024,
-            energy_ratio=4,
             cover_level=9,
             expected={"graph_dim": np.log(2) / np.log(3), "graph_branch": "SLOW"},
             notes="SLOW branch: the graph dimension equals dim B, so box counts "
             "mostly probe the time set and discriminate the law weakly",
         ),
-        Scenario(
+        vary(
             name="diag-2-05-interval",
             matrix=((0.5, 0.0), (0.0, 2.0)),
-            c=2.0,
             laws=(_stable(2.0), _stable(0.5)),
-            borel=interval(0.0, 1.0),
             n=18,
-            n_seeds=20,
-            box_sides=tuple(dyadic_scales(2, 11)),
-            box_tol=0.12,
-            sojourn_n=16,
-            sojourn_ensemble=300,
-            sojourn_radii=tuple(geometric_scales(2.0, 3, 8)),
-            sojourn_tol=0.15,
-            energy_gammas=tuple(np.round(np.arange(0.8, 2.05, 0.05), 10)),
-            energy_subsample=1000,
             expected={
                 "graph_dim": 1.5,
                 "range_dim": 1.25,
@@ -386,22 +363,11 @@ def builtin_scenarios() -> dict[str, Scenario]:
                 "sojourn_exponent": 1.5,
             },
         ),
-        Scenario(
+        vary(
             name="diag-2-1-interval",
             matrix=((0.5, 0.0), (0.0, 1.0)),
-            c=2.0,
             laws=(_stable(2.0), _stable(1.0)),
-            borel=interval(0.0, 1.0),
             n=18,
-            n_seeds=20,
-            box_sides=tuple(dyadic_scales(2, 11)),
-            box_tol=0.12,
-            sojourn_n=16,
-            sojourn_ensemble=300,
-            sojourn_radii=tuple(geometric_scales(2.0, 3, 8)),
-            sojourn_tol=0.15,
-            energy_gammas=tuple(np.round(np.arange(0.8, 2.05, 0.05), 10)),
-            energy_subsample=1000,
             expected={
                 "graph_dim": 1.5,
                 "range_dim": 1.5,
@@ -409,22 +375,14 @@ def builtin_scenarios() -> dict[str, Scenario]:
                 "sojourn_exponent": 1.5,
             },
         ),
-        Scenario(
+        vary(
             name="isotropic-12-interval",
             matrix=_rotation_matrix(1.0 / 1.2),
-            c=2.0,
             laws=(_isotropic(1.2),),
-            borel=interval(0.0, 1.0),
             n=19,
-            n_seeds=20,
             box_sides=tuple(dyadic_scales(3, 12)),
-            box_tol=0.12,
-            sojourn_n=16,
-            sojourn_ensemble=400,
-            sojourn_radii=tuple(geometric_scales(2.0, 2, 7)),
-            sojourn_tol=0.15,
+            **isotropic,
             energy_gammas=tuple(np.round(np.arange(0.6, 1.85, 0.05), 10)),
-            energy_subsample=1000,
             expected={
                 "graph_dim": 1.2,
                 "graph_branch": "SLOW",
@@ -434,22 +392,15 @@ def builtin_scenarios() -> dict[str, Scenario]:
             notes="box-count and sojourn asymptotics set in slowly for "
             "jump-driven 2-d ranges; estimates sit a few hundredths low",
         ),
-        Scenario(
+        vary(
             name="isotropic-08-interval",
             matrix=_rotation_matrix(1.25),
-            c=2.0,
             laws=(_isotropic(0.8),),
-            borel=interval(0.0, 1.0),
             n=18,
-            n_seeds=20,
             box_sides=tuple(dyadic_scales(5, 14)),
-            box_tol=0.12,
-            sojourn_n=16,
-            sojourn_ensemble=400,
-            sojourn_radii=tuple(geometric_scales(2.0, 2, 7)),
+            **isotropic,
             sojourn_tol=0.1,
             energy_gammas=tuple(np.round(np.arange(0.5, 1.55, 0.05), 10)),
-            energy_subsample=1000,
             expected={
                 "graph_dim": 1.0,
                 "graph_branch": "SLOW",
@@ -459,22 +410,15 @@ def builtin_scenarios() -> dict[str, Scenario]:
             notes="SLOW branch with alpha_1 < 1: the time coordinate dominates "
             "and box counting is insensitive to the process law",
         ),
-        Scenario(
+        vary(
             name="stpetersburg-interval",
             matrix=((1.0,),),
-            c=2.0,
             laws=(BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0),),
-            borel=interval(0.0, 1.0),
             n=16,
-            n_seeds=20,
-            box_sides=tuple(dyadic_scales(2, 11)),
-            box_tol=0.12,
             sojourn_n=14,
             sojourn_ensemble=200,
             sojourn_radii=tuple(geometric_scales(2.0, 2, 6)),
-            sojourn_tol=0.15,
             energy_gammas=tuple(np.round(np.arange(0.5, 1.55, 0.05), 10)),
-            energy_subsample=1000,
             expected={"graph_dim": 1.0, "graph_branch": "SLOW"},
         ),
     ]
@@ -514,6 +458,9 @@ class SweepConfig(Record):
         if self.n_seeds < 1:
             raise InvalidInputs(f"sweep n_seeds must be >= 1, got {self.n_seeds}")
         check_box_sides(SWEEP_SIDES, self.n)
+        check_grid(self.n, 1)
+        for b in self.time_sets:
+            check_cover_level(time_set(b), self.cover_level, self.n)
 
 
 def sweep(cfg: SweepConfig, master_seed: int) -> list[dict]:
@@ -531,9 +478,10 @@ def sweep(cfg: SweepConfig, master_seed: int) -> list[dict]:
             dec = spec.decomposition
             s = borel.hausdorff_dim
             theory = dimensions_from_spectrum(dec.alphas, dec.block_dims, s)["graph"]
+            mask = borel.mask(cfg.n, cfg.cover_level)
 
             def measure(i: int, path) -> float:
-                est = box_count_graph(path, borel, SWEEP_SIDES, cover_level=cfg.cover_level)
+                est = box_count_graph(path, mask, SWEEP_SIDES)
                 budget = cfg.budget_seconds
                 if budget is not None and time.perf_counter() - started > budget:
                     raise BudgetExceeded(f"sweep cell alpha={alpha}, s={s} exceeded {budget}s")

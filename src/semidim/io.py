@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .errors import InvalidInputs
 from .laws import BlockLaw
-from .paths import LevyPath
+from .paths import LevyPath, grid_times
 from .spectral import ExponentSpec
 
 
@@ -59,15 +60,24 @@ def write_path_dump(out_prefix: Path, path: LevyPath, config: dict | None = None
 
 
 def read_path_dump(out_prefix: Path) -> LevyPath:
+    """A dumped path; its rows must be the grid k 2^-n, k = 0 .. 2^n, of the
+    sidecar's depth n, since time-set masks and the resolution check rely on it."""
     out_prefix = Path(out_prefix)
     meta = json.loads(out_prefix.with_suffix(".json").read_text())
-    rows, cols = meta["rows"], meta["columns"]
+    rows, cols, n = (meta[key] for key in ("rows", "columns", "n"))
+    if not all(type(v) is int for v in (rows, cols, n)):
+        raise InvalidInputs("path dump sidecar: rows, columns and n must be integers")
+    # rows - 1 must be the power of two 2^n, tested without forming 2^n
+    if rows < 2 or (rows - 1) & (rows - 2) or (rows - 1).bit_length() != n + 1:
+        raise InvalidInputs(f"path dump has {rows} rows, not the 2^n + 1 of depth n={n}")
     data = np.fromfile(out_prefix.with_suffix(".bin"), dtype="<f8").reshape(rows, cols)
+    if not np.array_equal(data[:, 0], grid_times(n)):
+        raise InvalidInputs(f"path dump times are not the grid k 2^-{n}")
     return LevyPath(
         times=data[:, 0].copy(),
         values=data[:, 1:].copy(),
         seed=int(meta["seed"]),
-        n=int(meta["n"]),
+        n=n,
         spec=ExponentSpec.from_dict(meta["exponent"]),
         laws=tuple(BlockLaw.from_dict(l) for l in meta["laws"]),
     )

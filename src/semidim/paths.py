@@ -181,6 +181,26 @@ def _gaussian_operator_block(
     return path
 
 
+def grid_times(n: int) -> np.ndarray:
+    """The dyadic grid k 2^-n, k = 0 .. 2^n, that every path of depth n lies on."""
+    return np.arange(2**n + 1, dtype=float) * 2.0 ** (-n)
+
+
+def check_grid(n: int, d: int) -> None:
+    """Reject, before anything is allocated, a negative depth or a grid of
+    depth n in d dimensions that would not fit in physical memory: times and
+    values, plus one block's increments and cumulative path."""
+    if n < 0:
+        raise ValueError("grid depth must be nonnegative")
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # 2^n is formed only once it is below the memory size
+    if n >= available.bit_length() or 8 * (2**n + 1) * (1 + 3 * d) > available:
+        raise BudgetExceeded(
+            f"a grid of depth n={n} in d={d} needs more than the "
+            f"{available / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def simulate_path(
     spec: ExponentSpec,
     laws,
@@ -196,21 +216,12 @@ def simulate_path(
     Raises BudgetExceeded, before allocating, when the grid alone would not
     fit in physical memory.
     """
-    if n < 0:
-        raise ValueError("grid depth must be nonnegative")
-    # times and values, plus one block's increments and cumulative path
-    needed = 8 * (2**n + 1) * (1 + 3 * spec.d)
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > available:
-        raise BudgetExceeded(
-            f"a grid of depth n={n} in d={spec.d} needs {needed / 2**30:.3g} GiB, "
-            f"more than the {available / 2**30:.3g} GiB of physical memory"
-        )
+    check_grid(n, spec.d)
     laws, blocks = _block_strategies(spec, laws)
 
     n_steps = 2**n
     dt = 2.0 ** (-n)
-    times = np.arange(n_steps + 1, dtype=float) * dt
+    times = grid_times(n)
     values = np.zeros((n_steps + 1, spec.d))
     # Near alpha = 0 the increments can overflow float64; such a path is
     # rejected as a whole below instead of warning sample by sample.
@@ -248,17 +259,21 @@ def sample_marginal(
         raise ValueError("time must be positive")
     _, blocks = _block_strategies(spec, laws)
     out = np.zeros((size, spec.d))
-    for j, (block, law, strategy) in enumerate(blocks):
-        rng = derive_rng(seed, f"{name}/block/{j}")
-        if strategy == "gaussian_operator":
-            c_t = _gaussian_covariance(block, law, np.array([t]))[0]
-            chol = np.linalg.cholesky(c_t + 1e-14 * np.trace(c_t) * np.eye(block.d))
-            samples = rng.standard_normal((size, block.d)) @ chol.T
-        else:
-            samples = law.sample_increments(t, size, rng)
-            if samples.ndim == 1:
-                samples = samples[:, None]
-        out += samples @ block.basis.T
+    # as in simulate_path: an overflowing sample rejects the whole draw
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j, (block, law, strategy) in enumerate(blocks):
+            rng = derive_rng(seed, f"{name}/block/{j}")
+            if strategy == "gaussian_operator":
+                c_t = _gaussian_covariance(block, law, np.array([t]))[0]
+                chol = np.linalg.cholesky(c_t + 1e-14 * np.trace(c_t) * np.eye(block.d))
+                samples = rng.standard_normal((size, block.d)) @ chol.T
+            else:
+                samples = law.sample_increments(t, size, rng)
+                if samples.ndim == 1:
+                    samples = samples[:, None]
+            out += samples @ block.basis.T
+    if not np.isfinite(out).all():
+        raise DegenerateSample(f"marginal {name!r} leaves the float64 range")
     return out
 
 

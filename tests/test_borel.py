@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from semidim import BorelSetSpec, cantor, interval, time_set, union
+from semidim import BorelSetSpec, cantor, interval, simulate_path, time_set, union, validate_exponent
+from semidim.borel import check_cover_level
+from semidim.errors import InvalidInputs, ResolutionTooCoarse
+from semidim.laws import BlockLaw, LawKind
+from semidim.paths import grid_times
+
+BM_LAWS = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),)
 
 
 class TestDimensions:
@@ -35,28 +41,69 @@ class TestDimensions:
 
 class TestMask:
     def test_interval_mask(self):
-        t = np.linspace(0.0, 1.0, 11)
-        mask = interval(0.25, 0.75).mask(t)
-        assert mask.sum() == 5  # 0.3, 0.4, 0.5, 0.6, 0.7
+        mask = interval(0.25, 0.75).mask(3)
+        assert mask.sum() == 5  # 0.25, 0.375, 0.5, 0.625, 0.75
 
     def test_middle_thirds_level_one(self):
-        t = np.array([0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0])
-        mask = cantor(2, 1 / 3).mask(t, level=1)
+        mask = cantor(2, 1 / 3).mask(2, level=1)
         # level-1 pieces are [0, 1/3] and [2/3, 1]
-        assert mask.tolist() == [True, True, False, False, False, True, True]
+        assert mask.tolist() == [True, True, False, True, True]
 
     def test_cover_point_counts(self):
         n = 16
-        t = np.arange(2**n + 1) / 2**n
         for level in (3, 5, 7):
-            got = cantor(2, 1 / 3).mask(t, level=level).sum()
+            got = cantor(2, 1 / 3).mask(n, level=level).sum()
             want = 2**level * (3.0**-level) * 2**n  # pieces x points per piece
             assert abs(got - want) / want < 0.05
 
     def test_union_mask(self):
-        t = np.linspace(0.0, 1.0, 101)
-        u = union(interval(0.0, 0.095), interval(0.905, 1.0))
-        assert u.mask(t).sum() == 20
+        u = union(interval(0.0, 0.3), interval(0.7, 1.0))
+        assert u.mask(5).sum() == 20
+
+    @pytest.mark.parametrize(
+        "spec, n, level", [(cantor(), 16, 8), (cantor(), 20, None), (cantor(3, 0.2), 14, 5), (cantor(2, 0.5), 12, 10)]
+    )
+    def test_matches_the_copying_reference(self, spec, n, level):
+        # the mask rescales its grid in place; the reference copies per level
+        t = np.arange(2**n + 1) / 2**n
+        offsets = np.arange(spec.m) * (1.0 - spec.r) / (spec.m - 1)
+        x, alive = t.copy(), np.ones(t.size, dtype=bool)
+        for _ in range(spec.cover_level(n) if level is None else level):
+            rel = x - offsets[np.clip(np.floor(x / offsets[1]).astype(int), 0, spec.m - 1)]
+            inside = (rel >= -1e-12) & (rel <= spec.r + 1e-12)
+            alive &= inside
+            x = np.where(inside, rel / spec.r, 0.0)
+        assert np.array_equal(spec.mask(n, level), alive)
+
+    def test_mask_lies_on_the_path_grid(self):
+        path = simulate_path(validate_exponent(np.array([[0.5]]), 2.0), BM_LAWS, 10, seed=1)
+        assert np.array_equal(grid_times(10), path.times)
+        assert cantor().mask(10).shape == path.times.shape
+
+    def test_automatic_cover_level(self):
+        # pieces of 3^-L hold >= 2 points of step 2^-n: L = floor((n - 1) log 2 / log 3)
+        assert [cantor().cover_level(n) for n in (1, 4, 12, 20)] == [1, 1, 6, 11]
+        assert interval().cover_level(20) == 0
+
+
+class TestCoverLevelGuard:
+    def test_accepted(self):
+        check_cover_level(cantor(), None, 2)
+        check_cover_level(cantor(), 12, 20)  # 3^-12 >= 2^-20
+        check_cover_level(union(interval(0.0, 0.1), cantor(3, 0.2)), 8, 20)
+        check_cover_level(interval(), 10**9, 2)  # no Cantor member to resolve
+
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_below_one(self, level):
+        with pytest.raises(InvalidInputs):
+            check_cover_level(interval(), level, 20)
+
+    @pytest.mark.parametrize(
+        "borel, level", [(cantor(), 13), (cantor(), 10**9), (union(interval(), cantor(3, 0.2)), 9)]
+    )
+    def test_finer_than_the_grid(self, borel, level):
+        with pytest.raises(ResolutionTooCoarse):
+            check_cover_level(borel, level, 20)
 
 
 class TestTimeSet:

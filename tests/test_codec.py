@@ -33,7 +33,7 @@ def records():
         SPEC,
         DEC.blocks[0],
         DEC,
-        sd.box_count_graph(PATH, interval(), sd.dyadic_scales(1, 10)),
+        sd.box_count_graph(PATH, interval().mask(PATH.n), sd.dyadic_scales(1, 10)),
         sd.covering_count(PATH, sd.dyadic_intervals(3), Schedule.A1, 1.5, [2.0]),
         sd.SojournEstimate("graph", RADII, 1.0, RADII**1.5, RADII / 10, FIT, "iv", 1.5),
         sd.EnergyEstimate(RADII, RADII, RADII, np.array([True, True, False]), 1.1, (1000, 4000), (0.1, 0.05)),

@@ -41,12 +41,12 @@ def line_path(n: int = 16) -> LevyPath:
 
 class TestBoxCounting:
     def test_line_graph(self):
-        est = sd.box_count_graph(line_path(), interval(0, 1), sd.dyadic_scales(2, 12))
+        est = sd.box_count_graph(line_path(), interval(0, 1).mask(16), sd.dyadic_scales(2, 12))
         assert abs(est.estimate - 1.0) < 0.02
 
     def test_counts_monotone(self):
         p = sd.simulate_path(BROWNIAN, BM_LAWS, 16, seed=1)
-        est = sd.box_count_graph(p, interval(0, 1), sd.dyadic_scales(2, 11))
+        est = sd.box_count_graph(p, interval(0, 1).mask(p.n), sd.dyadic_scales(2, 11))
         assert np.all(np.diff(est.counts) >= 0)  # sides sorted descending
         assert 0.0 <= est.estimate <= p.d + 1
 
@@ -60,31 +60,31 @@ class TestBoxCounting:
 
     def test_restriction(self):
         p = sd.simulate_path(BROWNIAN, BM_LAWS, 16, seed=2)
-        full = sd.box_count_graph(p, interval(0, 1), sd.dyadic_scales(2, 11))
-        half = sd.box_count_graph(p, interval(0, 0.5), sd.dyadic_scales(2, 11))
+        full = sd.box_count_graph(p, interval(0, 1).mask(p.n), sd.dyadic_scales(2, 11))
+        half = sd.box_count_graph(p, interval(0, 0.5).mask(p.n), sd.dyadic_scales(2, 11))
         assert np.all(half.counts <= full.counts)
 
     def test_resolution_too_coarse(self):
         p = sd.simulate_path(BROWNIAN, BM_LAWS, 8, seed=1)
         with pytest.raises(ResolutionTooCoarse):
-            sd.box_count_graph(p, interval(0, 1), sd.dyadic_scales(2, 11))
+            sd.box_count_graph(p, interval(0, 1).mask(p.n), sd.dyadic_scales(2, 11))
 
     def test_empty_restriction(self):
         p = sd.simulate_path(BROWNIAN, BM_LAWS, 16, seed=1)
         gap = interval(0.5 + 2.0**-18, 0.5 + 2.0**-17)  # between grid points
         with pytest.raises(EmptyRestriction):
-            sd.box_count_graph(p, gap, sd.dyadic_scales(2, 11))
+            sd.box_count_graph(p, gap.mask(p.n), sd.dyadic_scales(2, 11))
 
     def test_needs_enough_scales(self):
         with pytest.raises(ValueError):
-            sd.box_count_graph(line_path(), interval(0, 1), sd.dyadic_scales(2, 8))
+            sd.box_count_graph(line_path(), interval(0, 1).mask(16), sd.dyadic_scales(2, 8))
 
     def test_projection_bound(self):
         # Lipschitz projections: graph estimate >= range estimate - 0.05
         for seed in (3, 4, 5):
             p = sd.simulate_path(BROWNIAN, BM_LAWS, 16, seed=seed)
-            g = sd.box_count_graph(p, interval(0, 1), sd.dyadic_scales(2, 11)).estimate
-            r = sd.box_count_graph(p, interval(0, 1), sd.dyadic_scales(2, 11), target="range").estimate
+            g = sd.box_count_graph(p, interval(0, 1).mask(p.n), sd.dyadic_scales(2, 11)).estimate
+            r = sd.box_count_graph(p, interval(0, 1).mask(p.n), sd.dyadic_scales(2, 11), target="range").estimate
             assert g >= r - 0.05
 
     def test_refinement_stability(self):
@@ -93,8 +93,8 @@ class TestBoxCounting:
         for seed in (6, 7):
             coarse = sd.simulate_path(BROWNIAN, BM_LAWS, 14, seed=seed)
             fine = sd.simulate_path(BROWNIAN, BM_LAWS, 16, seed=seed)
-            e_coarse = sd.box_count_graph(coarse, interval(0, 1), scales).estimate
-            e_fine = sd.box_count_graph(fine, interval(0, 1), scales).estimate
+            e_coarse = sd.box_count_graph(coarse, interval(0, 1).mask(coarse.n), scales).estimate
+            e_fine = sd.box_count_graph(fine, interval(0, 1).mask(fine.n), scales).estimate
             assert e_fine >= e_coarse - 0.05
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semidim import builtin_scenarios, get_scenario, run_scenario, sweep
-from semidim.borel import cantor, interval
+from semidim.borel import BorelSetSpec, cantor, interval
 from semidim.errors import BudgetExceeded, InvalidInputs
 from semidim.estimators import box_count_graph, dyadic_scales
 from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, verdict
@@ -143,13 +143,30 @@ class TestRunScenario:
         run_scenario(mini_scenario(n_seeds=2), 5)
         assert len(calls) == 1
 
+    def test_one_mask_per_grid(self, monkeypatch):
+        # brownian-cantor on a 2^18 grid: one mask for the box stage, shared by
+        # every path and target, and one at the energy stage's thinning level
+        obj = builtin_scenarios()["brownian-cantor"].as_dict()
+        obj.update(n=18, n_seeds=3, sojourn_n=10, sojourn_radii=[2.0**-k for k in range(2, 6)], energy_ratio=2)
+        sc = Scenario.from_dict(obj | {"sojourn_ensemble": 200})
+        calls = []
+        original = BorelSetSpec.mask
+
+        def counted(self, n, level=None):
+            calls.append((n, level))
+            return original(self, n, level)
+
+        monkeypatch.setattr(BorelSetSpec, "mask", counted)
+        run_scenario(sc, 5, threads=2)
+        assert calls == [(18, 8), (18, 11)]
+
     def test_per_seed_follows_the_seed_names(self):
         sc = mini_scenario(n_seeds=2)
         report = run_scenario(sc, 5)
         spec = validate_exponent(np.array([[0.5]]), 2.0)
         paths = [simulate_path(spec, sc.laws, 14, 5, name=f"scenario/mini/path/{i}") for i in range(2)]
         for stage, target in (("box_graph", "graph"), ("box_range", "range")):
-            ests = [box_count_graph(p, interval(), sc.box_sides, target=target).estimate for p in paths]
+            ests = [box_count_graph(p, interval().mask(p.n), sc.box_sides, target=target).estimate for p in paths]
             assert report.stages[stage]["per_seed"] == ests
 
     def test_report_text(self):
@@ -184,7 +201,7 @@ class TestSweep:
                 ests = [
                     box_count_graph(
                         simulate_path(spec, laws, 12, 9, name=f"sweep/alpha={alpha:.6g}/s={s:.6g}/path/{i}"),
-                        borel,
+                        borel.mask(12),
                         dyadic_scales(1, 10),
                     ).estimate
                     for i in range(2)

@@ -17,6 +17,7 @@ from semidim.laws import BlockLaw, LawKind
 
 BROWNIAN = sd.validate_exponent(np.array([[0.5]]), 2.0)
 BM_LAWS = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),)
+CANTOR = {"kind": "SELF_SIMILAR_CANTOR", "m": 2, "r": 1.0 / 3.0}
 
 
 class TestIO:
@@ -129,6 +130,33 @@ class TestCLI:
         csv_lines = (tmp_path / "est" / "boxcount.csv").read_text().splitlines()
         assert csv_lines[0].startswith("scale,statistic")
 
+    def test_estimate_rejects_an_off_grid_dump(self, tmp_path, capsys):
+        assert run_cli("simulate", "--n", "12", "--seed", "2", "--out", str(tmp_path)) == 0
+        prefix = tmp_path / "path-n12-seed2"
+        sidecar = prefix.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        estimate = ("estimate", "--path", str(prefix), "--borel", "cantor", "--out", str(tmp_path / "est"))
+        for edit in ({"n": 14}, {"rows": str(meta["rows"])}):
+            sidecar.write_text(json.dumps(meta | edit))
+            assert run_cli(*estimate) == 2
+        sidecar.write_text(json.dumps(meta))
+        data = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8").reshape(-1, 2)
+        data[1, 0] = 0.5 * data[1, 0]
+        data.tofile(prefix.with_suffix(".bin"))
+        assert run_cli(*estimate) == 2
+        assert capsys.readouterr().err.count("InvalidInputs") == 3
+
+    @pytest.mark.parametrize("level, error", [("-1", "InvalidInputs"), ("1000000000", "ResolutionTooCoarse")])
+    def test_estimate_cover_level_exit_code(self, tmp_path, capsys, level, error):
+        assert run_cli("simulate", "--n", "12", "--seed", "2", "--out", str(tmp_path)) == 0
+        code = run_cli(
+            "estimate", "--path", str(tmp_path / "path-n12-seed2"), "--borel", "cantor",
+            "--cover-level", level, "--out", str(tmp_path / "est"),
+        )
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
     def test_sojourn(self, tmp_path, capsys):
         code = run_cli(
             "sojourn",
@@ -203,6 +231,10 @@ class TestCLI:
             ({"box_sides": [2.0**-k for k in range(1, 10)]}, "ValueError"),
             ({"n": 11}, "ResolutionTooCoarse"),
             ({"n": -2000}, "ResolutionTooCoarse"),
+            ({"borel": CANTOR, "cover_level": -1}, "InvalidInputs"),
+            ({"borel": CANTOR, "cover_level": 10**9}, "ResolutionTooCoarse"),
+            ({"sojourn_n": -3000}, "RadiiOutOfRange"),
+            ({"n": 40}, "BudgetExceeded"),
         ],
     )
     def test_bad_scenario_rejected_before_any_path(self, tmp_path, capsys, monkeypatch, change, error):
@@ -223,6 +255,11 @@ class TestCLI:
         assert run_cli("verify", "--scenario", str(sc_file), "--out", str(tmp_path)) == 2
         assert error in capsys.readouterr().err
         assert calls == []
+
+    def test_sojourn_depth_beyond_float_range_exit_code(self, tmp_path, capsys):
+        # 2^(n/2) overflows float64 at n = -3000
+        assert run_cli("sojourn", "--n", "-3000", "--out", str(tmp_path)) == 2
+        assert "RadiiOutOfRange" in capsys.readouterr().err
 
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         def broken(args):
@@ -319,3 +356,31 @@ def test_sweep_config_exits_0_or_2(config):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(cfg), "--out", tmp]) in (0, 2)
+
+
+HOSTILE_INT = st.one_of(st.integers(), st.sampled_from([-(10**400), 10**400, 2**63, -1, 0]))
+FUZZ_SCENARIO = st.fixed_dictionaries(
+    {},
+    optional={
+        "n": mostly(st.integers(10, 20), HOSTILE_INT),
+        "n_seeds": HOSTILE_INT,
+        "box_sides": st.lists(st.one_of(FUZZ_FLOATS, HOSTILE_INT), max_size=14),
+        "cover_level": st.one_of(st.none(), HOSTILE_INT),
+        "sojourn_n": mostly(st.integers(8, 16), HOSTILE_INT),
+        "sojourn_ensemble": HOSTILE_INT,
+        "sojourn_radii": st.lists(st.one_of(FUZZ_FLOATS, HOSTILE_INT), max_size=8),
+        "energy_subsample": HOSTILE_INT,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(sd.builtin_scenarios())), changes=FUZZ_SCENARIO)
+def test_scenario_load_raises_only_input_errors(name, changes):
+    """Loading a builtin's JSON with hostile estimator inputs returns a
+    scenario or raises an input error, which the CLI maps to exit 2."""
+    text = json.dumps(sd.builtin_scenarios()[name].as_dict() | changes)
+    try:
+        sd.Scenario.from_json(text)
+    except (sd.SemidimError, ValueError):
+        pass

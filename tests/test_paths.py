@@ -33,6 +33,14 @@ class TestSimulatePath:
         with pytest.raises(DegenerateSample):
             sd.simulate_path(spec, (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=alpha),), 12, seed=0)
 
+    def test_marginal_float64_overflow_raises(self):
+        # the fullness draw of X(1) overflows at seed 19; its direction
+        # cloud would otherwise be judged on inf samples
+        alpha = 0.0126
+        spec = sd.validate_exponent(np.array([[1.0 / alpha]]), 2.0)
+        with pytest.raises(DegenerateSample):
+            sd.empirical_fullness(spec, (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=alpha),), seed=19)
+
     def test_determinism(self):
         a = sd.simulate_path(BROWNIAN, BM_LAWS, 12, seed=42)
         b = sd.simulate_path(BROWNIAN, BM_LAWS, 12, seed=42)
