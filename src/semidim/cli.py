@@ -211,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--laws", help="JSON file with block laws")
     sp.add_argument("--radii", help="comma-separated radii")
     sp.add_argument("--horizon", type=float, default=1.0)
-    sp.add_argument("--ensemble", type=int, default=300)
-    sp.add_argument("--n", type=int, default=14)
+    sp.add_argument("--ensemble", type=int, default=300, help="draws of X(t) per time stratum (>= 200)")
+    sp.add_argument("--n", type=int, default=14, help="time strata: (0, 2^-n horizon], then 8 per octave")
     common(sp, "seed", "out")
     sp.set_defaults(fn=cmd_sojourn)
 

@@ -1,4 +1,4 @@
-"""Dimension and sojourn estimators operating on sampled paths.
+"""Dimension estimators on sampled paths, and sojourn times on marginal draws.
 
 Box counting works on axis-aligned cube grids anchored at the origin.  Side
 lengths should form a nested geometric family (each side an integer multiple
@@ -36,13 +36,14 @@ from .errors import (
     DegenerateSample,
     EmptyRestriction,
     EnsembleTooSmall,
+    InvalidInputs,
     NonMonotoneCounts,
     RadiiOutOfRange,
     ResolutionTooCoarse,
     ScheduleMismatch,
 )
 from .fitting import ScalingFit, fit_loglog
-from .paths import LevyPath, simulate_path
+from .paths import LevyPath, check_memory, sample_marginal
 from .seeds import derive_rng
 from .spectral import ExponentSpec
 
@@ -56,6 +57,7 @@ ENERGY_THRESHOLD = 0.1
 # distances of a selection.
 RADIUS_FACTOR = 16.0
 RADIUS_QUANTILE = 0.5
+SOJOURN_BATCHES = 10  # independent replicates of the sojourn integral
 
 
 def dyadic_scales(k_min: int, k_max: int) -> np.ndarray:
@@ -279,16 +281,23 @@ class SojournEstimate(Record):
     theory_exponent: float
 
 
-def check_sojourn(ensemble: int, radii, n: int) -> None:
-    """Reject an ensemble below 200 paths, or radii outside [2^(-n/2), 0.5]
-    on a grid of depth n."""
+def check_sojourn(ensemble: int, radii, n: int, d: int) -> None:
+    """Reject an ensemble below 200 draws, fewer than 2 distinct radii, radii
+    outside [2^(-n/2), 0.5] at stratification depth n, or draws (8n + 1
+    strata of ``ensemble`` points in R^d) beyond physical memory."""
     radii = np.asarray(radii, dtype=float)
     if ensemble < 200:
-        raise EnsembleTooSmall(f"sojourn Monte Carlo needs >= 200 paths, got {ensemble}")
+        raise EnsembleTooSmall(f"sojourn Monte Carlo needs >= 200 draws per time, got {ensemble}")
+    if np.unique(radii).size < 2:
+        raise RadiiOutOfRange("the sojourn fit needs >= 2 distinct radii")
     # 2^(-n/2) <= min(radius), compared in log2 so that no depth overflows
     lo = radii.min()
     if not lo > 0.0 or n < -2.0 * math.log2(lo) - 1e-9 or radii.max() > 0.5 + 1e-12:
         raise RadiiOutOfRange(f"radii must lie in [2^(-n/2), 0.5] with n={n}")
+    check_memory(
+        (8 * n + 1) * ensemble * d,
+        f"sojourn draws of {ensemble} points in d={d} at depth n={n}",
+    )
 
 
 def sojourn_mc(
@@ -303,37 +312,35 @@ def sojourn_mc(
 ) -> tuple[SojournEstimate, SojournEstimate]:
     """Sojourn-time scaling of the graph Z and the range X.
 
-    T(a, s) is discretized as grid_step * #{t_k < s : ||.|| <= a}; the
-    Riemann-sum error is O(grid step), dominated by Monte Carlo noise.
-    Returns (graph estimate, range estimate) with fitted log-log slopes and
-    the theoretical exponents of the matching case.
+    E T(a, s) = int_0^s P(||Z(t)|| <= a) dt needs only the marginals X(t).
+    It is stratified over (0, s 2^-n], then 8 strata per octave up to s:
+    each of ``SOJOURN_BATCHES`` batches draws one uniform time per stratum
+    (the bottom one takes its midpoint, as the laws need t > 0) and its share
+    of ``ensemble`` draws of X(t), which every radius and both targets read.
+    The batches' spread is the stderr.  Returns (graph, range) estimates.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    check_sojourn(ensemble, radii, n)
+    check_sojourn(ensemble, radii, n, spec.d)
     if not 0.0 < horizon <= 1.0:
         raise ValueError("horizon must lie in (0, 1]")
     dec = spec.decomposition
     case, exp_graph, exp_range = classify_sojourn_case(dec.alphas, dec.block_dims)
 
-    dt = 2.0 ** (-n)
-    r2 = radii**2
-    sums = {"graph": np.zeros(radii.size), "range": np.zeros(radii.size)}
-    sqsums = {"graph": np.zeros(radii.size), "range": np.zeros(radii.size)}
-    for i in range(ensemble):
-        path = simulate_path(
-            spec, laws, n, seed, name=f"{name}/path/{i}"
-        )
-        keep = path.times < horizon
-        x2 = np.sum(path.values[keep] ** 2, axis=1)
-        for target, norms in (("graph", x2 + path.times[keep] ** 2), ("range", x2)):
-            t_a = dt * np.array([np.count_nonzero(norms <= a2) for a2 in r2])
-            sums[target] += t_a
-            sqsums[target] += t_a**2
+    edges = np.concatenate([[0.0], horizon * 2.0 ** (np.arange(-8 * n, 1) / 8.0)])
+    widths = np.diff(edges)
+    times = edges[:-1] + widths * derive_rng(seed, f"{name}/times").random((SOJOURN_BATCHES, widths.size))
+    times[:, 0] = 0.5 * widths[0]
+    sizes = ensemble // SOJOURN_BATCHES + (np.arange(SOJOURN_BATCHES) < ensemble % SOJOURN_BATCHES)
+    hits = {target: np.zeros((SOJOURN_BATCHES, radii.size)) for target in ("graph", "range")}
+    for (b, k), t in np.ndenumerate(times):
+        x = sample_marginal(spec, laws, t, sizes[b], seed, name=f"{name}/time/{k}/batch/{b}")
+        x2 = np.sum(x**2, axis=1)
+        for target, norms in (("graph", x2 + t * t), ("range", x2)):
+            hits[target][b] += widths[k] * np.count_nonzero(norms[:, None] <= radii**2, axis=0)
     out = []
     for target, theory in (("graph", exp_graph), ("range", exp_range)):
-        means = sums[target] / ensemble
-        var = np.maximum(sqsums[target] / ensemble - means**2, 0.0)
-        stderrs = np.sqrt(var / ensemble)
+        means = hits[target].sum(axis=0) / ensemble
+        stderrs = np.std(hits[target] / sizes[:, None], axis=0, ddof=1) / math.sqrt(SOJOURN_BATCHES)
         fit = fit_loglog(radii, means)
         out.append(
             SojournEstimate(
@@ -440,9 +447,22 @@ def _energy_candidates(
     return idx[first]
 
 
-def check_energy_subsample(subsample: int) -> None:
+def check_energy(gammas, subsample: int, ratio: int, n: int) -> None:
+    """Reject energy inputs before any path: gammas that are empty, not
+    finite or not > 0, a ratio below 2, a subsample below 1000, or one whose
+    two blocks (2 * subsample points) exceed the 2^n + 1 points of the grid."""
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.size == 0 or not np.all(np.isfinite(gammas)) or np.any(gammas <= 0.0):
+        raise InvalidInputs(f"energy gammas must be finite and > 0, at least one, got {gammas.tolist()}")
+    if ratio < 2:
+        raise InvalidInputs(f"energy ratio must be >= 2, got {ratio}")
     if subsample < 10**3:
         raise DegenerateSample("energy estimate needs a subsample of >= 1e3 points")
+    # 2 subsample - 1 <= 2^n exactly when (2 subsample - 2) has at most n bits
+    if int(2 * subsample - 2).bit_length() > n:
+        raise DegenerateSample(
+            f"a grid of depth n={n} holds fewer than 2 * {subsample} points for the energy blocks"
+        )
 
 
 def energy_dimension(
@@ -462,8 +482,8 @@ def energy_dimension(
     the largest gamma at which the energy is stable from below between the
     two resolutions.
     """
+    check_energy(gammas, subsample, ratio, path.n)
     gammas = np.sort(np.asarray(gammas, dtype=float))
-    check_energy_subsample(subsample)
     candidates = _energy_candidates(path, borel, cover_level, ratio * subsample)
     n_blocks = min(ratio, candidates.size // subsample)
     if n_blocks < 2:

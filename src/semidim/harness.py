@@ -34,7 +34,7 @@ from .errors import BudgetExceeded, InvalidInputs
 from .estimators import (
     box_count_graph,
     check_box_sides,
-    check_energy_subsample,
+    check_energy,
     check_sojourn,
     dyadic_scales,
     energy_dimension,
@@ -99,9 +99,8 @@ class Scenario(Record):
         # checked here, as the time-set mask is built before any path
         check_grid(self.n, len(self.matrix))
         check_cover_level(self.borel, self.cover_level, self.n)
-        check_sojourn(self.sojourn_ensemble, self.sojourn_radii, self.sojourn_n)
-        check_grid(self.sojourn_n, len(self.matrix))
-        check_energy_subsample(self.energy_subsample)
+        check_sojourn(self.sojourn_ensemble, self.sojourn_radii, self.sojourn_n, len(self.matrix))
+        check_energy(self.energy_gammas, self.energy_subsample, self.energy_ratio, self.n)
 
     @functools.cached_property
     def spec(self) -> ExponentSpec:

@@ -186,19 +186,24 @@ def grid_times(n: int) -> np.ndarray:
     return np.arange(2**n + 1, dtype=float) * 2.0 ** (-n)
 
 
+def check_memory(floats: int, what: str) -> None:
+    """Reject, before anything is allocated, ``floats`` float64 values that
+    would not fit in physical memory; ``what`` names them in the error."""
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * floats > available:
+        raise BudgetExceeded(
+            f"{what} needs more than the {available / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def check_grid(n: int, d: int) -> None:
-    """Reject, before anything is allocated, a negative depth or a grid of
-    depth n in d dimensions that would not fit in physical memory: times and
-    values, plus one block's increments and cumulative path."""
+    """Reject a negative depth or a grid of depth n in d dimensions that would
+    not fit in physical memory: times and values, plus one block's
+    increments and cumulative path."""
     if n < 0:
         raise ValueError("grid depth must be nonnegative")
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    # 2^n is formed only once it is below the memory size
-    if n >= available.bit_length() or 8 * (2**n + 1) * (1 + 3 * d) > available:
-        raise BudgetExceeded(
-            f"a grid of depth n={n} in d={d} needs more than the "
-            f"{available / 2**30:.3g} GiB of physical memory"
-        )
+    # beyond 2^64 points no memory suffices, so 2^n is never formed for a huge n
+    check_memory((2 ** min(n, 64) + 1) * (1 + 3 * d), f"a grid of depth n={n} in d={d}")
 
 
 def simulate_path(

@@ -220,7 +220,44 @@ class TestSojournClassification:
         assert classify_sojourn_case([1.0], [1])[0:2] == ("i", 1.0)
 
 
+def reference_sojourn_paths(spec, laws, radii, horizon, ensemble, seed, n, name="sojourn"):
+    """Sojourn means and stderrs per target over whole paths, radii ascending:
+    per path, the grid step times the grid points t_k < s within radius a.
+    The Riemann sum counts t = 0 as a whole step, a bias of up to 2^-n."""
+    dt = 2.0 ** (-n)
+    r2 = np.sort(np.asarray(radii, dtype=float)) ** 2
+    t_a = {"graph": [], "range": []}
+    for i in range(ensemble):
+        path = sd.simulate_path(spec, laws, n, seed, name=f"{name}/path/{i}")
+        keep = path.times < horizon
+        x2 = np.sum(path.values[keep] ** 2, axis=1)
+        for target, norms in (("graph", x2 + path.times[keep] ** 2), ("range", x2)):
+            t_a[target].append(dt * np.array([np.count_nonzero(norms <= a2) for a2 in r2]))
+    return {target: (np.mean(v, axis=0), np.std(v, axis=0) / np.sqrt(ensemble)) for target, v in t_a.items()}
+
+
 class TestSojournMC:
+    SEMISTABLE = sd.validate_exponent(np.array([[1.0]]), 2.0)
+    SEMISTABLE_LAWS = (BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0),)
+
+    @pytest.mark.parametrize(
+        "spec, laws, n, radii",
+        [
+            # T(a) ~ a^2 for Brownian motion: a^2 >= 2^-8 keeps the oracle's
+            # 2^-14 Riemann bias well below its stderr
+            (BROWNIAN, BM_LAWS, 14, sd.geometric_scales(2.0, 2, 4)),
+            # T(a) ~ a for alpha = 1
+            (SEMISTABLE, SEMISTABLE_LAWS, 12, sd.geometric_scales(2.0, 2, 5)),
+        ],
+        ids=["brownian", "semistable"],
+    )
+    def test_matches_path_oracle(self, spec, laws, n, radii):
+        estimates = sd.sojourn_mc(spec, laws, radii, 1.0, 300, 1, n)
+        oracle = reference_sojourn_paths(spec, laws, radii, 1.0, 300, 1, n)
+        for est in estimates:
+            mean, stderr = oracle[est.target]
+            assert np.all(np.abs(est.means - mean) <= 4.0 * np.hypot(est.stderrs, stderr)), est.target
+
     def test_monotone_and_bounded(self):
         radii = sd.geometric_scales(2.0, 2, 6)
         graph_est, range_est = sd.sojourn_mc(BROWNIAN, BM_LAWS, radii, 1.0, 200, 1, 12)

@@ -7,7 +7,7 @@ from semidim import builtin_scenarios, get_scenario, run_scenario, sweep
 from semidim.borel import BorelSetSpec, cantor, interval
 from semidim.errors import BudgetExceeded, InvalidInputs
 from semidim.estimators import box_count_graph, dyadic_scales
-from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, verdict
+from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, _sojourn_stage, verdict
 from semidim.laws import BlockLaw, LawKind
 from semidim.paths import simulate_path
 from semidim.spectral import validate_exponent
@@ -160,6 +160,23 @@ class TestRunScenario:
         run_scenario(sc, 5, threads=2)
         assert calls == [(18, 8), (18, 11)]
 
+    def test_paths_only_for_the_box_stage(self, monkeypatch):
+        from semidim import estimators, harness, paths
+
+        assert not hasattr(estimators, "simulate_path")
+        calls = []
+        original = paths.simulate_path
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("name"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(paths, "simulate_path", counted)
+        monkeypatch.setattr(harness, "simulate_path", counted)
+        sc = mini_scenario()
+        run_scenario(sc, 5)
+        assert calls == [f"scenario/mini/path/{i}" for i in range(sc.n_seeds)]
+
     def test_per_seed_follows_the_seed_names(self):
         sc = mini_scenario(n_seeds=2)
         report = run_scenario(sc, 5)
@@ -174,6 +191,13 @@ class TestRunScenario:
         rep = run_scenario(sc, 5)
         text = rep.to_text()
         assert "mini" in text and "box_graph" in text
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_sojourn_stage_passes_at_seeds_1_to_32(name):
+    sc = builtin_scenarios()[name]
+    verdicts = {seed: _sojourn_stage(sc, seed)["verdict"] for seed in range(1, 33)}
+    assert {seed: v for seed, v in verdicts.items() if v != PASS} == {}
 
 
 class TestSweep:

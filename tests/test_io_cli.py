@@ -235,6 +235,16 @@ class TestCLI:
             ({"borel": CANTOR, "cover_level": 10**9}, "ResolutionTooCoarse"),
             ({"sojourn_n": -3000}, "RadiiOutOfRange"),
             ({"n": 40}, "BudgetExceeded"),
+            ({"sojourn_radii": [0.25]}, "RadiiOutOfRange"),
+            ({"sojourn_radii": [0.25, 0.25]}, "RadiiOutOfRange"),
+            ({"sojourn_ensemble": 10**15}, "BudgetExceeded"),
+            ({"energy_gammas": []}, "InvalidInputs"),
+            ({"energy_gammas": [float("nan")]}, "InvalidInputs"),
+            ({"energy_gammas": [-5.0]}, "InvalidInputs"),
+            ({"energy_ratio": 1}, "InvalidInputs"),
+            ({"energy_ratio": 0}, "InvalidInputs"),
+            ({"energy_ratio": -3}, "InvalidInputs"),
+            ({"energy_subsample": 10**7}, "DegenerateSample"),
         ],
     )
     def test_bad_scenario_rejected_before_any_path(self, tmp_path, capsys, monkeypatch, change, error):
@@ -242,14 +252,22 @@ class TestCLI:
         from test_harness import mini_scenario
 
         calls = []
-        original = paths.simulate_path
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("name"))
-            return original(*args, **kwargs)
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls.append(kwargs.get("name"))
+                return original(*args, **kwargs)
 
-        for module in (paths, harness, estimators):
-            monkeypatch.setattr(module, "simulate_path", counted)
+            return wrapper
+
+        # no path is simulated and no marginal drawn
+        for module, fn in [
+            (paths, "simulate_path"),
+            (harness, "simulate_path"),
+            (paths, "sample_marginal"),
+            (estimators, "sample_marginal"),
+        ]:
+            monkeypatch.setattr(module, fn, counted(getattr(module, fn)))
         sc_file = tmp_path / "bad.json"
         sc_file.write_text(json.dumps(mini_scenario().as_dict() | change))
         assert run_cli("verify", "--scenario", str(sc_file), "--out", str(tmp_path)) == 2
@@ -260,6 +278,11 @@ class TestCLI:
         # 2^(n/2) overflows float64 at n = -3000
         assert run_cli("sojourn", "--n", "-3000", "--out", str(tmp_path)) == 2
         assert "RadiiOutOfRange" in capsys.readouterr().err
+
+    def test_sojourn_ensemble_beyond_memory_exit_code(self, tmp_path, capsys):
+        assert run_cli("sojourn", "--ensemble", "1000000000000000", "--out", str(tmp_path)) == 2
+        assert "BudgetExceeded" in capsys.readouterr().err
+        assert not tmp_path.joinpath("sojourn_graph.csv").exists()
 
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         def broken(args):
@@ -370,6 +393,8 @@ FUZZ_SCENARIO = st.fixed_dictionaries(
         "sojourn_ensemble": HOSTILE_INT,
         "sojourn_radii": st.lists(st.one_of(FUZZ_FLOATS, HOSTILE_INT), max_size=8),
         "energy_subsample": HOSTILE_INT,
+        "energy_gammas": st.lists(FUZZ_FLOATS, max_size=6),
+        "energy_ratio": HOSTILE_INT,
     },
 )
 
