@@ -21,7 +21,6 @@ from .estimators import (
     Schedule,
     SojournEstimate,
     box_count_graph,
-    box_count_points,
     count_occupied_cubes,
     covering_count,
     dyadic_intervals,

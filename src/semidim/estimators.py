@@ -9,9 +9,9 @@ powers of two it quantises the points once and coarsens the occupied cells
 up the ladder (dividing by a power of two is exact, so the counts match a
 per-side count bit for bit); other ladders, such as base 3 or sqrt 3, whose
 sides are inexact in floating point, are quantised side by side.
-:func:`box_count_graph` knows nothing of time sets: it takes the mask of B
-on the path's grid, which the caller computes once per grid with
-:meth:`BorelSetSpec.mask` and shares between paths and targets.
+:func:`box_count_graph` walks that ladder once per path for the graph and
+the range, whose cubes are the graph's projected; it takes the mask of B on
+the path's grid, which the caller computes once with :meth:`BorelSetSpec.mask`.
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -98,8 +98,8 @@ def _unique_cells(cells: np.ndarray) -> np.ndarray:
     return np.column_stack(columns[::-1]) + mins
 
 
-def count_occupied_cubes(points: np.ndarray, sides) -> np.ndarray:
-    """Occupied side-b cubes (grid anchored at 0), one count per side b in ``sides``.
+def _ladder_cells(points: np.ndarray, sides: np.ndarray):
+    """Yield (k, the distinct side-``sides[k]`` cells of ``points``) for every side.
 
     When every side is a power of two the points are quantised once, at the
     finest side, and the occupied set is coarsened up the ladder by integer
@@ -110,10 +110,6 @@ def count_occupied_cubes(points: np.ndarray, sides) -> np.ndarray:
     b = 3^-k is inexact, so a coarsened cell could differ from floor(p / b)
     at a cell edge.
     """
-    sides = np.atleast_1d(np.asarray(sides, dtype=float))
-    counts = np.zeros(sides.size, dtype=np.int64)
-    if points.shape[0] == 0:
-        return counts
     # Cell indices are int64; beyond 2^62 cubes (or at inf/NaN) the cast
     # would return garbage cells instead of failing.
     reach = 2.0**62 * sides.min()
@@ -122,13 +118,23 @@ def count_occupied_cubes(points: np.ndarray, sides) -> np.ndarray:
     if np.all(np.frexp(sides)[0] == 0.5):
         order = np.argsort(sides)
         cells = _unique_cells(np.floor(points / sides[order[0]]).astype(np.int64))
-        counts[order[0]] = cells.shape[0]
+        yield order[0], cells
         for finer, k in zip(order[:-1], order[1:]):
             cells = _unique_cells(cells // int(sides[k] / sides[finer]))
-            counts[k] = cells.shape[0]
-        return counts
+            yield k, cells
+        return
     for k, b in enumerate(sides):
-        counts[k] = _unique_cells(np.floor(points / b).astype(np.int64)).shape[0]
+        yield k, _unique_cells(np.floor(points / b).astype(np.int64))
+
+
+def count_occupied_cubes(points: np.ndarray, sides) -> np.ndarray:
+    """Occupied side-b cubes (grid anchored at 0), one count per side b in ``sides``."""
+    sides = np.atleast_1d(np.asarray(sides, dtype=float))
+    counts = np.zeros(sides.size, dtype=np.int64)
+    if points.shape[0] == 0:
+        return counts
+    for k, cells in _ladder_cells(points, sides):
+        counts[k] = cells.shape[0]
     return counts
 
 
@@ -144,6 +150,7 @@ class BoxCountEstimate(Record):
     counts: np.ndarray
     fit: ScalingFit
     estimate: float
+    range: BoxCountEstimate | None = None  # the range's estimate, carried by the graph's
 
 
 def check_box_sides(sides, n: int | None = None) -> None:
@@ -161,39 +168,30 @@ def check_box_sides(sides, n: int | None = None) -> None:
         )
 
 
-def box_count_points(points: np.ndarray, sides) -> BoxCountEstimate:
-    """Box-count dimension estimate of a point cloud in R^D."""
-    check_box_sides(sides)
-    sides = np.sort(np.asarray(sides, dtype=float))[::-1]
-    counts = count_occupied_cubes(points, sides)
+def _fit_counts(sides: np.ndarray, counts: np.ndarray, range_=None) -> BoxCountEstimate:
+    """The windowed log-log fit of counts on descending sides."""
     if _nested_ratios(sides) and np.any(np.diff(counts) < 0):
         raise NonMonotoneCounts("occupied-cube counts must be nonincreasing in the side")
     fit = fit_loglog(sides, counts, drop_low=BOX_FIT_DROP, drop_high=BOX_FIT_DROP)
-    return BoxCountEstimate(
-        sides=sides, counts=counts, fit=fit, estimate=float(-fit.slope)
-    )
+    return BoxCountEstimate(sides=sides, counts=counts, fit=fit, estimate=float(-fit.slope), range=range_)
 
 
-def box_count_graph(
-    path: LevyPath,
-    mask: np.ndarray,
-    sides,
-    target: str = "graph",
-) -> BoxCountEstimate:
-    """Box-count estimate of dim of the graph (or range) restricted to a time set.
+def box_count_graph(path: LevyPath, mask: np.ndarray, sides) -> BoxCountEstimate:
+    """Box-count estimate of dim of the graph, carrying the range's, on a time set.
 
-    ``mask`` marks the grid points of the path that lie in the set, as
-    :meth:`BorelSetSpec.mask` returns it for the path's depth.  ``target``
-    selects the graph Z(t) = (t, X(t)) or the bare range X(t).  The path grid
-    must resolve the smallest cube: 2^-n <= min(side)/4.
+    ``mask`` marks the grid points of the path in the set, as
+    :meth:`BorelSetSpec.mask` returns it for the path's depth.  The cubes of
+    the range X(t) are those of the graph (t, X(t)) projected, so one ladder
+    walk counts both.  The grid must resolve the smallest cube: 2^-n <= min(side)/4.
     """
     check_box_sides(sides, path.n)
     if not np.any(mask):
         raise EmptyRestriction("no grid point falls inside the time set")
-    pts = path.values[mask]
-    if target == "graph":
-        pts = np.column_stack([path.times[mask], pts])
-    return box_count_points(pts, sides)
+    sides = np.sort(np.asarray(sides, dtype=float))[::-1]
+    graph, range_ = np.zeros((2, sides.size), dtype=np.int64)
+    for k, cells in _ladder_cells(np.column_stack([path.times[mask], path.values[mask]]), sides):
+        graph[k], range_[k] = cells.shape[0], _unique_cells(cells[:, 1:]).shape[0]
+    return _fit_counts(sides, graph, _fit_counts(sides, range_))
 
 
 class Schedule(Enum):
@@ -502,29 +500,31 @@ def energy_dimension(
     slack = candidates.size - 1 - stride * (n_large - 1)
     offset = int(rng.integers(0, slack + 1)) if slack > 0 else 0
     chosen = candidates[offset + stride * np.arange(n_large)]
-    graph = path.graph_points()
+    # the graph points (t, X(t)) of the large selection; block b is every
+    # n_blocks-th of them from b
+    graph = np.column_stack([path.times[chosen], path.values[chosen]])
 
     # Truncation radii scale with each selection's own resolution: a fixed
     # multiple of the median consecutive-point distance.  Using the same
     # multiple at both resolutions makes the lattice-discreteness corrections
     # of the truncated sums cancel between the two sizes.
-    def _radius(selection: np.ndarray) -> float:
-        steps = np.linalg.norm(np.diff(graph[selection], axis=0), axis=1)
+    def _radius(points: np.ndarray) -> float:
+        steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
         if np.any(steps == 0.0):
             raise DegenerateSample("duplicate points in the energy subsample")
         return RADIUS_FACTOR * float(np.quantile(steps, RADIUS_QUANTILE))
 
-    r_small = _radius(chosen[0::n_blocks])
-    r_large = _radius(chosen)
+    r_small = _radius(graph[0::n_blocks])
+    r_large = _radius(graph)
 
     block_energies = np.array(
         [
-            _near_pair_energies(graph[chosen[b::n_blocks]], gammas, r_small)
+            _near_pair_energies(graph[b::n_blocks], gammas, r_small)
             for b in range(n_blocks)
         ]
     )
     e_small = np.median(block_energies, axis=0)
-    e_large = _near_pair_energies(graph[chosen], gammas, r_large)
+    e_large = _near_pair_energies(graph, gammas, r_large)
     if np.any(e_small <= 0.0) or np.any(e_large <= 0.0):
         raise DegenerateSample("no pairs below the truncation radius")
     log_small = np.log(e_small)

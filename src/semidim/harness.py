@@ -41,7 +41,7 @@ from .estimators import (
     geometric_scales,
     sojourn_mc,
 )
-from .laws import BlockLaw, LawKind
+from .laws import BlockLaw, LawKind, check_truncation
 from .paths import check_grid, empirical_fullness, simulate_path
 from .spectral import ExponentSpec, validate_exponent
 
@@ -101,6 +101,12 @@ class Scenario(Record):
         check_cover_level(self.borel, self.cover_level, self.n)
         check_sojourn(self.sojourn_ensemble, self.sojourn_radii, self.sojourn_n, len(self.matrix))
         check_energy(self.energy_gammas, self.energy_subsample, self.energy_ratio, self.n)
+        # A semistable law's truncation must hold at the smallest step a run
+        # takes: the grid's, or the bottom sojourn stratum's midpoint.
+        dt = min(2.0**-self.n, 2.0 ** -(self.sojourn_n + 1))
+        for law in self.laws:
+            if law.kind is LawKind.SEMISTABLE_DISCRETE:
+                check_truncation(law.alpha, law.c, dt, law.k_min)
 
     @functools.cached_property
     def spec(self) -> ExponentSpec:
@@ -203,7 +209,6 @@ def _box_stages(sc: Scenario, theory: dict, seed: int, threads: int):
 
     def measure(i: int, path):
         g = box_count_graph(path, mask, sc.box_sides)
-        r = box_count_graph(path, mask, sc.box_sides, target="range")
         # Path 0 also feeds the energy stage, estimated here so that no path
         # outlives its own box counts.
         energy = None
@@ -212,7 +217,7 @@ def _box_stages(sc: Scenario, theory: dict, seed: int, threads: int):
                 path, sc.borel, sc.energy_gammas, sc.energy_subsample, seed,
                 ratio=sc.energy_ratio, cover_level=sc.cover_level,
             )
-        return g.estimate, r.estimate, energy
+        return g.estimate, g.range.estimate, energy
 
     runs = _over_paths(sc.spec, sc.laws, sc.n, seed, f"scenario/{sc.name}", sc.n_seeds, measure, threads)
     graph, range_, energy = zip(*runs)

@@ -26,11 +26,14 @@ from enum import Enum
 import numpy as np
 
 from .codec import Record
-from .errors import AlphaOutOfRange, TruncationTooCoarse
+from .errors import AlphaOutOfRange, BudgetExceeded, TruncationTooCoarse
 
 DEFAULT_K_MIN = -25
 # Neglected-tail probability budget used to pick the largest simulated atom.
 _ATOM_TAIL_BUDGET = 1e-12
+# Most atoms one draw walks, two Poisson draws each: a deeper truncation, or
+# a c nearer 1, is rejected before the atom arrays are built.
+_MAX_ATOMS = 10**5
 
 
 def _check_alpha(alpha: float, upper_inclusive: bool = True) -> None:
@@ -94,6 +97,10 @@ def semistable_atom_range(alpha: float, c: float, dt: float, k_min: int, n_sampl
     """Atom indices [k_min, k_max] and their Poisson intensities for one dt."""
     k_max = math.ceil(math.log(max(1, n_samples) * dt / _ATOM_TAIL_BUDGET) / math.log(c))
     k_max = max(k_max, k_min + 1)
+    if k_max - k_min >= _MAX_ATOMS:
+        raise BudgetExceeded(
+            f"atoms k = {k_min} .. {k_max} number more than {_MAX_ATOMS}; raise k_min or c"
+        )
     ks = np.arange(k_min, k_max + 1)
     lam = dt * np.power(float(c), -ks.astype(float))
     return ks, lam
@@ -103,10 +110,30 @@ def compensation_std(alpha: float, c: float, dt: float, k_min: int) -> float:
     """Std of the Gaussian replacing jumps below the truncation level.
 
     The truncated second moment sum_{k < k_min} c^{-k} (c^{k/alpha})^2 is a
-    geometric series with ratio q = c^(2/alpha - 1) > 1.
+    geometric series with ratio q = c^(2/alpha - 1) > 1.  Where q is beyond
+    float64 (alpha near 0) the same sum is taken in log space.
     """
+    log_q = (2.0 / alpha - 1.0) * math.log(c)
+    if log_q > 700.0:
+        return math.exp(0.5 * (math.log(dt) + (k_min - 1) * log_q - math.log(-math.expm1(-log_q))))
     q = c ** (2.0 / alpha - 1.0)
     return math.sqrt(dt * q**k_min / (q - 1.0))
+
+
+def check_truncation(alpha: float, c: float, dt: float, k_min: int) -> None:
+    """Raise TruncationTooCoarse when the compensation std at time step dt
+    exceeds half the increment scale dt^(1/alpha), i.e. when k_min is too
+    shallow for dt.  The test is solved for k_min in log space, so that no
+    alpha, c, dt or k_min overflows."""
+    log_q = (2.0 / alpha - 1.0) * math.log(c)
+    log_dt = math.log(dt) if dt > 0.0 else -math.inf
+    # log sigma^2 = log dt + k_min log q - log(q - 1) > 2 log(1/2) + (2/alpha) log dt
+    limit = ((2.0 / alpha - 1.0) * log_dt + log_q + math.log(-math.expm1(-log_q)) - math.log(4.0)) / log_q
+    if k_min > limit + 1e-9:  # a tie (sigma exactly at the bound) passes, as k_min is an int
+        raise TruncationTooCoarse(
+            f"k_min={k_min} is too shallow at time step {dt:.3e}: the compensation "
+            f"std exceeds half the increment scale; lower k_min to at most {limit:.6g}"
+        )
 
 
 def sample_semistable_increment(
@@ -130,21 +157,18 @@ def sample_semistable_increment(
 
     TruncationTooCoarse fires when the compensation Gaussian would rival the
     increment's own scale dt^(1/alpha), i.e. when k_min is too shallow for
-    this dt.
+    this dt (:func:`check_truncation`), and BudgetExceeded when the walk
+    would take more than ``_MAX_ATOMS`` atoms.
     """
     _check_alpha(alpha, upper_inclusive=False)
     if c <= 1.0:
         raise ValueError(f"semistable scaling constant must be > 1, got {c}")
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
-    sigma = compensation_std(alpha, c, dt, k_min)
-    if sigma > 0.5 * dt ** (1.0 / alpha):
-        raise TruncationTooCoarse(
-            f"compensated std {sigma:.3e} exceeds half the increment scale "
-            f"{dt ** (1.0 / alpha):.3e}; lower k_min below {k_min}"
-        )
+    check_truncation(alpha, c, dt, k_min)
     n = 1 if size is None else int(np.prod(size))
     ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
+    sigma = compensation_std(alpha, c, dt, k_min)
     heights = np.power(float(c), ks.astype(float) / alpha)
     out = np.zeros(n)
     for h, lam_k in zip(heights[::-1], lam[::-1]):

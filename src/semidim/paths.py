@@ -332,10 +332,12 @@ def semiselfsimilarity_test(
     ``KS_THRESHOLD_SLACK``.
     ``perturb_a1`` shifts the leading diagonal block's real part, providing
     the negative control: a wrong operator must push the statistic over the
-    threshold.
+    threshold.  Raises BudgetExceeded, before sampling, when the two
+    ensembles would not fit in physical memory.
     """
     if ensemble < 10**4:
         raise EnsembleTooSmall(f"semi-selfsimilarity test needs >= 1e4 samples, got {ensemble}")
+    check_memory(2 * ensemble * spec.d, f"two ensembles of {ensemble} points in d={spec.d}")
     c = spec.c
     if not (0.0 < t and c * t <= 1.0):
         raise ValueError("need 0 < t and c*t <= 1 (inside the horizon)")

@@ -51,12 +51,14 @@ class TestBoxCounting:
         assert 0.0 <= est.estimate <= p.d + 1
 
     def test_non_monotone_counts_raise(self, monkeypatch):
-        # a count that falls as the nested cubes shrink breaks an invariant
-        monkeypatch.setattr(
-            sd.estimators, "count_occupied_cubes", lambda points, sides: np.arange(sides.size, 0, -1)
-        )
+        # a graph count that falls as the nested cubes shrink breaks an invariant
+        def shrinking(points, sides):
+            for k in range(sides.size):
+                yield k, np.zeros((sides.size - k, 2), dtype=np.int64)
+
+        monkeypatch.setattr(sd.estimators, "_ladder_cells", shrinking)
         with pytest.raises(NonMonotoneCounts):
-            sd.box_count_points(np.zeros((4, 2)), sd.dyadic_scales(1, 10))
+            sd.box_count_graph(line_path(), interval(0, 1).mask(16), sd.dyadic_scales(1, 10))
 
     def test_restriction(self):
         p = sd.simulate_path(BROWNIAN, BM_LAWS, 16, seed=2)
@@ -83,9 +85,30 @@ class TestBoxCounting:
         # Lipschitz projections: graph estimate >= range estimate - 0.05
         for seed in (3, 4, 5):
             p = sd.simulate_path(BROWNIAN, BM_LAWS, 16, seed=seed)
-            g = sd.box_count_graph(p, interval(0, 1).mask(p.n), sd.dyadic_scales(2, 11)).estimate
-            r = sd.box_count_graph(p, interval(0, 1).mask(p.n), sd.dyadic_scales(2, 11), target="range").estimate
-            assert g >= r - 0.05
+            est = sd.box_count_graph(p, interval(0, 1).mask(p.n), sd.dyadic_scales(2, 11))
+            assert est.estimate >= est.range.estimate - 0.05
+
+    @pytest.mark.parametrize("ladder", ["dyadic", "base3", "sqrt3"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("time_set", ["interval", "cantor"])
+    def test_range_counts_are_the_range_cloud_counts(self, ladder, d, time_set):
+        # the projected graph cells count what quantising X alone counts
+        sides = {
+            "dyadic": sd.dyadic_scales(1, 10),
+            "base3": sd.geometric_scales(3.0, -2, 7),
+            "sqrt3": 3.0 ** (-np.arange(0, 12) / 2.0),
+        }[ladder]
+        spec, laws = BROWNIAN, BM_LAWS
+        if d == 2:
+            spec = sd.validate_exponent(np.array([[0.5, 0.0], [0.0, 1.0]]), 2.0)
+            laws = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0), BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.0))
+        p = sd.simulate_path(spec, laws, 14, seed=8)
+        mask = (interval(0.1, 0.9) if time_set == "interval" else cantor(2, 1 / 3)).mask(p.n)
+        est = sd.box_count_graph(p, mask, sides)
+        order = np.argsort(sides)[::-1]
+        assert np.array_equal(est.range.counts, count_occupied_cubes(p.values[mask], sides[order]))
+        assert np.array_equal(est.counts, count_occupied_cubes(p.graph_points()[mask], sides[order]))
+        assert est.range.range is None
 
     def test_refinement_stability(self):
         # refining n -> n+2 never drops the estimate by more than 0.05

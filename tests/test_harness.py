@@ -5,7 +5,7 @@ import pytest
 
 from semidim import builtin_scenarios, get_scenario, run_scenario, sweep
 from semidim.borel import BorelSetSpec, cantor, interval
-from semidim.errors import BudgetExceeded, InvalidInputs
+from semidim.errors import BudgetExceeded, InvalidInputs, TruncationTooCoarse
 from semidim.estimators import box_count_graph, dyadic_scales
 from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, _sojourn_stage, verdict
 from semidim.laws import BlockLaw, LawKind
@@ -103,6 +103,14 @@ class TestScenario:
         with pytest.raises(KeyError):
             get_scenario("no-such-scenario")
 
+    @pytest.mark.parametrize("change", [{"sojourn_n": 24}, {"n": 24}])
+    def test_semistable_truncation_checked_at_load(self, change):
+        # k_min = -25 holds down to steps of 2^-23, not at 2^-24 or 2^-25
+        obj = get_scenario("stpetersburg-interval").as_dict()
+        Scenario.from_dict(obj | {"sojourn_n": 22, "n": 23})
+        with pytest.raises(TruncationTooCoarse):
+            Scenario.from_dict(obj | change)
+
     @pytest.mark.parametrize("n_seeds", [0, -1, 1])
     def test_n_seeds_below_one_rejected(self, n_seeds):
         with pytest.raises(InvalidInputs):
@@ -182,9 +190,9 @@ class TestRunScenario:
         report = run_scenario(sc, 5)
         spec = validate_exponent(np.array([[0.5]]), 2.0)
         paths = [simulate_path(spec, sc.laws, 14, 5, name=f"scenario/mini/path/{i}") for i in range(2)]
-        for stage, target in (("box_graph", "graph"), ("box_range", "range")):
-            ests = [box_count_graph(p, interval().mask(p.n), sc.box_sides, target=target).estimate for p in paths]
-            assert report.stages[stage]["per_seed"] == ests
+        ests = [box_count_graph(p, interval().mask(p.n), sc.box_sides) for p in paths]
+        assert report.stages["box_graph"]["per_seed"] == [e.estimate for e in ests]
+        assert report.stages["box_range"]["per_seed"] == [e.range.estimate for e in ests]
 
     def test_report_text(self):
         sc = mini_scenario()

@@ -284,6 +284,15 @@ class TestCLI:
         assert "BudgetExceeded" in capsys.readouterr().err
         assert not tmp_path.joinpath("sojourn_graph.csv").exists()
 
+    def test_semistable_truncation_beyond_float_range_exit_code(self, tmp_path, capsys):
+        # q^k_min overflows float64 at k_min = 10^6; the guard works in log space
+        exp, laws = tmp_path / "exponent.json", tmp_path / "laws.json"
+        exp.write_text(json.dumps({"c": 2.0, "matrix": [[1.0]]}))
+        laws.write_text(json.dumps([{"kind": "SEMISTABLE_DISCRETE", "alpha": 1.0, "c": 2.0, "k_min": 1000000}]))
+        argv = ("simulate", "--exponent", str(exp), "--laws", str(laws), "--n", "4", "--out", str(tmp_path))
+        assert run_cli(*argv) == 2
+        assert "TruncationTooCoarse" in capsys.readouterr().err
+
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         def broken(args):
             raise TypeError("unexpected")
@@ -379,6 +388,75 @@ def test_sweep_config_exits_0_or_2(config):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(cfg), "--out", tmp]) in (0, 2)
+
+
+EXTREME_FLOATS = st.one_of(
+    FUZZ_FLOATS, st.sampled_from([1e300, -1e300, 2.0, 2.0 + 2**-51, 1e-12, 0.0, -1.0])
+)
+NEAR_ONE = st.sampled_from([1.0 + 2**-52, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.0, 1.0 - 2**-53])
+EXTREME_INTS = st.one_of(
+    st.integers(-(10**13), 10**7), st.sampled_from([-(10**400), 10**400, 2**63, -(2**63), 10**6])
+)
+FUZZ_MATRIX = st.one_of(
+    st.lists(st.lists(EXTREME_FLOATS, max_size=3), max_size=3),  # ragged or empty
+    st.lists(EXTREME_FLOATS, max_size=3),  # one-dimensional
+    st.lists(st.lists(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=2), min_size=1, max_size=2)),  # 3-d
+    st.just("[[0.5]]"),  # a string
+)
+
+
+@st.composite
+def exponent_and_laws(draw):
+    """An exponent and its block laws with extreme alpha, scale, c and k_min,
+    coherent otherwise (so that many get as far as simulating a path), and in
+    one draw of four with one more hostile change to the JSON."""
+    alpha = draw(mostly(st.floats(0.05, 2.0), EXTREME_FLOATS))
+    c = draw(mostly(st.floats(1.01, 8.0), st.one_of(NEAR_ONE, EXTREME_FLOATS, EXTREME_INTS)))
+    kind = draw(st.sampled_from(["STABLE_SYMMETRIC", "STABLE_ISOTROPIC_2D", "SEMISTABLE_DISCRETE"]))
+    law = {
+        "kind": kind,
+        "alpha": alpha,
+        "scale": draw(mostly(st.floats(0.1, 10.0), EXTREME_FLOATS)),
+        "c": c,
+        "k_min": draw(mostly(st.integers(-40, -10), EXTREME_INTS)),
+    }
+    a = 1.0 / alpha if alpha else 0.0
+    if kind == "STABLE_ISOTROPIC_2D":
+        matrix, laws = [[a, -1.0], [1.0, a]], [law]
+    elif draw(st.booleans()):
+        matrix, laws = [[a, 0.0], [0.0, 0.5]], [{"kind": "STABLE_SYMMETRIC", "alpha": 2.0}, law]
+    else:
+        matrix, laws = [[a]], [law]
+    exponent = {"c": c, "matrix": matrix}
+    change = draw(mostly(st.none(), st.integers(0, 5)))
+    if change == 0:
+        exponent["matrix"] = draw(FUZZ_MATRIX)
+    elif change == 1:
+        del exponent[draw(st.sampled_from(["c", "matrix"]))]
+    elif change == 2:
+        exponent = [c]
+    elif change == 3:
+        law["kind"] = draw(st.text(max_size=4))
+    elif change == 4:
+        law["unknown"] = 1
+    elif change == 5:
+        laws = draw(st.sampled_from([[], laws + laws, law, [None]]))
+    return exponent, laws
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inputs=exponent_and_laws(), n=mostly(st.integers(0, 8), st.integers(-2, 8)))
+def test_exponent_and_laws_exit_0_or_2(inputs, n):
+    """Hostile exponent and block-law JSON: ``simulate`` and ``decompose``
+    exit 0 or 2 and never raise."""
+    exponent, laws = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        exponent_file, laws_file = Path(tmp) / "exponent.json", Path(tmp) / "laws.json"
+        exponent_file.write_text(json.dumps(exponent))
+        laws_file.write_text(json.dumps(laws))
+        argv = ["simulate", "--exponent", str(exponent_file), "--laws", str(laws_file), "--n", str(n), "--out", tmp]
+        assert main(argv) in (0, 2)
+        assert main(["decompose", "--exponent", str(exponent_file)]) in (0, 2)
 
 
 HOSTILE_INT = st.one_of(st.integers(), st.sampled_from([-(10**400), 10**400, 2**63, -1, 0]))

@@ -11,8 +11,10 @@ from semidim import (
     sample_semistable_increment,
     sample_stable_increment,
 )
-from semidim.errors import AlphaOutOfRange, TruncationTooCoarse
-from semidim.laws import DEFAULT_K_MIN, compensation_std, semistable_atom_range
+from semidim.errors import AlphaOutOfRange, BudgetExceeded, DegenerateSample, TruncationTooCoarse
+from semidim.laws import DEFAULT_K_MIN, check_truncation, compensation_std, semistable_atom_range
+from semidim.paths import simulate_path
+from semidim.spectral import validate_exponent
 
 
 def reference_semistable_increment(alpha, c, dt, rng, k_min, n):
@@ -172,6 +174,38 @@ class TestSemistableSampler:
         rng = derive_rng(4, "x")
         with pytest.raises(TruncationTooCoarse):
             sample_semistable_increment(1.0, 2.0, 2.0**-10, rng, k_min=-5, size=4)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("c", [1.5, 2.0, 10.0])
+    def test_truncation_guard_matches_the_direct_test(self, alpha, c):
+        # sigma > dt^(1/alpha) / 2, tested in log space, decides as the direct
+        # comparison does wherever that one is computable
+        for k_min in range(-60, 5):
+            for e in range(0, 40, 3):
+                dt = 2.0**-e
+                direct = compensation_std(alpha, c, dt, k_min) > 0.5 * dt ** (1.0 / alpha)
+                try:
+                    check_truncation(alpha, c, dt, k_min)
+                    guarded = False
+                except TruncationTooCoarse:
+                    guarded = True
+                assert guarded == direct, (k_min, e)
+
+    @pytest.mark.parametrize(
+        "alpha, c, k_min, error",
+        [
+            (1.0, 2.0, 10**6, TruncationTooCoarse),  # q^k_min beyond float64
+            (1.0, 2.0, -(10**400), BudgetExceeded),  # k_min beyond float64
+            (1.0, 2.0, -(10**12), BudgetExceeded),  # 10^12 atoms
+            (1.0, 1.0 + 2**-40, -(10**14), BudgetExceeded),  # c near 1: deep enough, then 10^14 atoms
+            (1e-300, 2.0, -25, DegenerateSample),  # c^(k/alpha) beyond float64
+        ],
+    )
+    def test_extreme_laws_raise_input_errors(self, alpha, c, k_min, error):
+        law = BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=alpha, c=c, k_min=k_min)
+        spec = validate_exponent(np.array([[1.0 / alpha]]), c)
+        with pytest.raises(error):
+            simulate_path(spec, (law,), 4, seed=0)
 
     def test_alpha_strictly_below_two(self):
         rng = derive_rng(4, "x")

@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 import semidim as sd
-from semidim.errors import BlockLawMismatch, DegenerateSample, EnsembleTooSmall
+from semidim.errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EnsembleTooSmall
 from semidim.laws import BlockLaw, LawKind
 from semidim.paths import sample_marginal
 
@@ -161,3 +161,7 @@ class TestSemiselfsimilarity:
     def test_ensemble_too_small(self):
         with pytest.raises(EnsembleTooSmall):
             sd.semiselfsimilarity_test(BROWNIAN, BM_LAWS, t=0.25, ensemble=100, seed=0)
+
+    def test_ensemble_beyond_memory_rejected_before_sampling(self):
+        with pytest.raises(BudgetExceeded):
+            sd.semiselfsimilarity_test(BROWNIAN, BM_LAWS, t=0.25, ensemble=10**15, seed=0)
