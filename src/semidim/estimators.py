@@ -4,14 +4,19 @@ Box counting works on axis-aligned cube grids anchored at the origin.  Side
 lengths should form a nested geometric family (each side an integer multiple
 of the next) so occupied counts are provably monotone; the helpers
 :func:`dyadic_scales` and :func:`geometric_scales` produce such grids.
-:func:`count_occupied_cubes` counts a whole ladder at once: on a ladder of
-powers of two it quantises the points once and coarsens the occupied cells
-up the ladder (dividing by a power of two is exact, so the counts match a
-per-side count bit for bit); other ladders, such as base 3 or sqrt 3, whose
-sides are inexact in floating point, are quantised side by side.
-:func:`box_count_graph` walks that ladder once per path for the graph and
-the range, whose cubes are the graph's projected; it takes the mask of B on
-the path's grid, which the caller computes once with :meth:`BorelSetSpec.mask`.
+:func:`count_occupied_cubes` counts a whole ladder at once.  On a ladder of
+powers of two it quantises each column once, at the finest side, builds one
+Z-order (Morton) key per row and sorts the keys once; each coarser side is a
+right shift of the sorted keys and a count of the adjacent keys that differ
+(dividing by a power of two is exact, so the counts match a per-side count
+bit for bit).  A column whose high part would widen the key past 63 bits is
+replaced by its rank among the column's distinct high parts; only when even
+that does not fit, and on other ladders (base 3, sqrt 3, whose sides are
+inexact in floating point), are the points quantised side by side.
+:func:`box_count_graph` quantises the masked time and space columns of a
+path once and sorts one key for the graph and one for the range; it takes
+the mask of B on the path's grid, which the caller computes once with
+:meth:`BorelSetSpec.mask`.
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -98,44 +103,124 @@ def _unique_cells(cells: np.ndarray) -> np.ndarray:
     return np.column_stack(columns[::-1]) + mins
 
 
-def _ladder_cells(points: np.ndarray, sides: np.ndarray):
-    """Yield (k, the distinct side-``sides[k]`` cells of ``points``) for every side.
+def _high_parts(cells: list, m: int):
+    """Each column's cells above the low ``m`` bits, as offsets from their
+    minimum or, while the columns do not fit in a 63-bit key beside the
+    ``len(cells) * m`` interleaved bits, as ranks among the column's distinct
+    values, widest column first.  Returns (high parts, radices), or None
+    when even the ranks do not fit."""
+    room = 63 - len(cells) * m
+    if room < 0:
+        return None
+    highs = [c >> m for c in cells]
+    mins = [int(h.min()) for h in highs]
+    radices = [int(h.max()) - lo + 1 for h, lo in zip(highs, mins)]
+    highs = [h - lo for h, lo in zip(highs, mins)]
+    offsets = set(range(len(cells)))
+    while math.prod(radices) > 2**room:
+        if not offsets:
+            return None
+        j = max(offsets, key=lambda i: radices[i])
+        offsets.remove(j)
+        values, highs[j] = np.unique(highs[j], return_inverse=True)
+        radices[j] = values.size
+    return highs, radices
 
-    When every side is a power of two the points are quantised once, at the
-    finest side, and the occupied set is coarsened up the ladder by integer
-    floor division.  Dividing by a power of two is exact in floating point,
-    so floor(floor(p / b) / 2^m) equals floor(p / (2^m b)) bit for bit, and
-    after the first level the work scales with the occupied cubes, not the
-    points.  Other ladders (base 3, sqrt 3) are quantised side by side:
-    b = 3^-k is inexact, so a coarsened cell could differ from floor(p / b)
-    at a cell edge.
+
+def _zorder_keys(cells: list, highs: list, radices: list, m: int, cols) -> np.ndarray:
+    """One int64 key per row of the columns ``cols``: bit i of the j-th
+    column's low ``m`` bits at bit i * D + j (D columns), the columns' high
+    parts above them in mixed radix.  ``key >> (D * s)`` then identifies the
+    row's cells coarsened s octaves, floor(cell / 2^s) in every column."""
+    dim = len(cols)
+    key = highs[cols[0]].astype(np.int64)
+    for j in cols[1:]:
+        key = key * radices[j] + highs[j]
+    if m == 0:
+        return key
+    key <<= dim * m
+    # spread w low bits at a time by table: bit i of a chunk goes to bit i * D
+    w = min(m, 12)
+    chunk = np.arange(2**w, dtype=np.int64)
+    spread = np.zeros(2**w, dtype=np.int64)
+    for i in range(w):
+        spread |= ((chunk >> i) & 1) << (i * dim)
+    for pos, j in enumerate(cols):
+        low = cells[j] & ((1 << m) - 1)
+        for b in range(0, m, w):
+            key |= spread[(low >> b) & (2**w - 1)] << (b * dim + pos)
+    return key
+
+
+def _zorder_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray | None:
+    """:func:`_cube_counts` on a ladder of powers of two, or None when the
+    keys do not fit in 63 bits.
+
+    Each column is quantised once, at the finest side; multiplying by a
+    power of two is exact in floating point, so floor(floor(p / b) / 2^s)
+    equals floor(p / (2^s b)) bit for bit.  The keys of a target are sorted
+    once; a right shift is monotone, so they stay sorted at every coarser
+    side, where the count is the number of adjacent keys that differ.
+    """
+    octave = np.frexp(sides)[1]
+    shifts = octave - octave.min()
+    m = int(shifts.max())
+    cells = [np.floor(c * (1.0 / sides.min())).astype(np.int64) for c in columns]
+    # a time-ordered path often stays in one cube from row to row
+    keep = np.zeros(cells[0].size, dtype=bool)
+    keep[0] = True
+    for c in cells:
+        keep[1:] |= c[1:] != c[:-1]
+    rows = np.flatnonzero(keep)
+    cells = [c.take(rows) for c in cells]
+    fit = _high_parts(cells, m)
+    if fit is None:
+        return None
+    counts = np.zeros((len(targets), sides.size), dtype=np.int64)
+    for t, cols in enumerate(targets):
+        keys = np.sort(_zorder_keys(cells, *fit, m, cols))
+        done = 0
+        for k in np.argsort(shifts, kind="stable"):
+            keys >>= len(cols) * int(shifts[k] - done)
+            done = shifts[k]
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            counts[t, k] = keys.size
+    return counts
+
+
+def _cube_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray:
+    """Occupied side-b cubes (grid anchored at 0) of the points with
+    coordinates ``columns[j]``, j in ``cols``: one row of counts per list
+    ``cols`` in ``targets``, one count per side b in ``sides``.  Each
+    target's cubes are counted in one sort on a ladder of powers of two
+    (:func:`_zorder_counts`); other ladders (base 3, sqrt 3), whose sides
+    are inexact in floating point, and keys wider than 63 bits are counted
+    side by side.
     """
     # Cell indices are int64; beyond 2^62 cubes (or at inf/NaN) the cast
     # would return garbage cells instead of failing.
     reach = 2.0**62 * sides.min()
-    if not (points.min() > -reach and points.max() < reach):
+    if not all(c.min() > -reach and c.max() < reach for c in columns):
         raise DegenerateSample(f"points beyond 2^62 cubes of side {sides.min():g} from the origin")
     if np.all(np.frexp(sides)[0] == 0.5):
-        order = np.argsort(sides)
-        cells = _unique_cells(np.floor(points / sides[order[0]]).astype(np.int64))
-        yield order[0], cells
-        for finer, k in zip(order[:-1], order[1:]):
-            cells = _unique_cells(cells // int(sides[k] / sides[finer]))
-            yield k, cells
-        return
+        counts = _zorder_counts(columns, sides, targets)
+        if counts is not None:
+            return counts
+    counts = np.zeros((len(targets), sides.size), dtype=np.int64)
+    points = np.column_stack(columns)
     for k, b in enumerate(sides):
-        yield k, _unique_cells(np.floor(points / b).astype(np.int64))
+        cells = _unique_cells(np.floor(points / b).astype(np.int64))
+        for t, cols in enumerate(targets):
+            counts[t, k] = (cells if len(cols) == len(columns) else _unique_cells(cells[:, cols])).shape[0]
+    return counts
 
 
 def count_occupied_cubes(points: np.ndarray, sides) -> np.ndarray:
     """Occupied side-b cubes (grid anchored at 0), one count per side b in ``sides``."""
     sides = np.atleast_1d(np.asarray(sides, dtype=float))
-    counts = np.zeros(sides.size, dtype=np.int64)
     if points.shape[0] == 0:
-        return counts
-    for k, cells in _ladder_cells(points, sides):
-        counts[k] = cells.shape[0]
-    return counts
+        return np.zeros(sides.size, dtype=np.int64)
+    return _cube_counts(list(points.T), sides, [list(range(points.shape[1]))])[0]
 
 
 def _nested_ratios(sides: np.ndarray) -> bool:
@@ -188,9 +273,8 @@ def box_count_graph(path: LevyPath, mask: np.ndarray, sides) -> BoxCountEstimate
     if not np.any(mask):
         raise EmptyRestriction("no grid point falls inside the time set")
     sides = np.sort(np.asarray(sides, dtype=float))[::-1]
-    graph, range_ = np.zeros((2, sides.size), dtype=np.int64)
-    for k, cells in _ladder_cells(np.column_stack([path.times[mask], path.values[mask]]), sides):
-        graph[k], range_[k] = cells.shape[0], _unique_cells(cells[:, 1:]).shape[0]
+    columns = [path.times[mask], *(path.values[:, j][mask] for j in range(path.d))]
+    graph, range_ = _cube_counts(columns, sides, [list(range(len(columns))), list(range(1, len(columns)))])
     return _fit_counts(sides, graph, _fit_counts(sides, range_))
 
 

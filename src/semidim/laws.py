@@ -206,12 +206,13 @@ class BlockLaw(Record):
     def __post_init__(self):
         if self.kind is LawKind.SEMISTABLE_DISCRETE:
             _check_alpha(self.alpha, upper_inclusive=False)
-            if self.c is None or self.c <= 1.0:
-                raise ValueError("SEMISTABLE_DISCRETE requires a scaling constant c > 1")
+            # NaN fails every comparison: test that c lies inside the range, not outside
+            if self.c is None or not 1.0 < self.c < math.inf:
+                raise ValueError(f"SEMISTABLE_DISCRETE requires a finite scaling constant c > 1, got {self.c}")
         else:
             _check_alpha(self.alpha)
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
     def sample_increments(self, dt: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """n iid increments over time step dt; shape (n,) or (n, 2)."""

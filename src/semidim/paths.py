@@ -26,7 +26,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .codec import Record
 from .errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EnsembleTooSmall
@@ -206,6 +205,17 @@ def check_grid(n: int, d: int) -> None:
     check_memory((2 ** min(n, 64) + 1) * (1 + 3 * d), f"a grid of depth n={n} in d={d}")
 
 
+def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray) -> None:
+    """out += block_values @ basis.T, one column multiply-add at a time.
+
+    A block has a few columns and 2^n rows; elementwise multiply-adds keep
+    such a thin product off BLAS, whose threads cost more than they save.
+    """
+    for i in range(basis.shape[0]):
+        for k in range(basis.shape[1]):
+            out[:, i] += block_values[:, k] * basis[i, k]
+
+
 def simulate_path(
     spec: ExponentSpec,
     laws,
@@ -241,7 +251,7 @@ def simulate_path(
                     inc = inc[:, None]
                 block_path = np.zeros((n_steps + 1, block.d))
                 np.cumsum(inc, axis=0, out=block_path[1:])
-            values += block_path @ block.basis.T
+            _embed(values, block_path, block.basis)
     if not np.isfinite(values).all():
         raise DegenerateSample(f"path {name!r} leaves the float64 range")
     return LevyPath(times=times, values=values, seed=seed, n=n, spec=spec, laws=laws)
@@ -276,7 +286,7 @@ def sample_marginal(
                 samples = law.sample_increments(t, size, rng)
                 if samples.ndim == 1:
                     samples = samples[:, None]
-            out += samples @ block.basis.T
+            _embed(out, samples, block.basis)
     if not np.isfinite(out).all():
         raise DegenerateSample(f"marginal {name!r} leaves the float64 range")
     return out
@@ -335,6 +345,8 @@ def semiselfsimilarity_test(
     threshold.  Raises BudgetExceeded, before sampling, when the two
     ensembles would not fit in physical memory.
     """
+    import scipy.stats  # here alone: loading it takes longer than loading semidim
+
     if ensemble < 10**4:
         raise EnsembleTooSmall(f"semi-selfsimilarity test needs >= 1e4 samples, got {ensemble}")
     check_memory(2 * ensemble * spec.d, f"two ensembles of {ensemble} points in d={spec.d}")

@@ -14,6 +14,7 @@ from semidim.errors import (
 )
 from semidim.estimators import (
     Schedule,
+    _high_parts,
     _near_pair_energies,
     classify_sojourn_case,
     count_occupied_cubes,
@@ -52,11 +53,10 @@ class TestBoxCounting:
 
     def test_non_monotone_counts_raise(self, monkeypatch):
         # a graph count that falls as the nested cubes shrink breaks an invariant
-        def shrinking(points, sides):
-            for k in range(sides.size):
-                yield k, np.zeros((sides.size - k, 2), dtype=np.int64)
+        def shrinking(columns, sides, targets):
+            return np.tile(np.arange(sides.size, 0, -1), (len(targets), 1))
 
-        monkeypatch.setattr(sd.estimators, "_ladder_cells", shrinking)
+        monkeypatch.setattr(sd.estimators, "_cube_counts", shrinking)
         with pytest.raises(NonMonotoneCounts):
             sd.box_count_graph(line_path(), interval(0, 1).mask(16), sd.dyadic_scales(1, 10))
 
@@ -110,6 +110,18 @@ class TestBoxCounting:
         assert np.array_equal(est.counts, count_occupied_cubes(p.graph_points()[mask], sides[order]))
         assert est.range.range is None
 
+    def test_heavy_tailed_path(self):
+        # an alpha = 0.3 isotropic path whose graph needs a key over 63 bits
+        alpha = 0.3
+        spec = sd.validate_exponent(np.array([[1 / alpha, -1.0], [1.0, 1 / alpha]]), 2.0)
+        p = sd.simulate_path(spec, (BlockLaw(LawKind.STABLE_ISOTROPIC_2D, alpha=alpha),), 14, seed=28)
+        sides = sd.dyadic_scales(-6, 12)
+        mask = interval(0, 1).mask(p.n)
+        assert offset_key_bits(p.graph_points(), sides) > 63
+        est = sd.box_count_graph(p, mask, sides)
+        assert np.array_equal(est.counts, reference_cube_counts(p.graph_points()[mask], sides))
+        assert np.array_equal(est.range.counts, reference_cube_counts(p.values[mask], sides))
+
     def test_refinement_stability(self):
         # refining n -> n+2 never drops the estimate by more than 0.05
         scales = sd.dyadic_scales(2, 11)
@@ -126,6 +138,14 @@ def reference_cube_counts(points, sides):
     return np.array([np.unique(np.floor(points / b), axis=0).shape[0] for b in sides])
 
 
+def offset_key_bits(points, sides):
+    """Bits of a Z-order key over the bounding box: D columns times M octaves
+    of interleaved bits, plus each column's range of cells at the largest side."""
+    m = round(np.log2(max(sides) / min(sides)))
+    high = np.floor(points / min(sides)).astype(np.int64) >> m
+    return points.shape[1] * m + sum(np.log2(int(c.max()) - int(c.min()) + 1) for c in high.T)
+
+
 def walk_cloud(rng, n, dim):
     """A time-ordered walk straddling the origin, plus a scatter of far points."""
     walk = np.cumsum(rng.normal(scale=0.01, size=(n, dim)), axis=0) - 0.3
@@ -140,12 +160,51 @@ class TestCubeKernel:
     }
 
     @pytest.mark.parametrize("ladder", sorted(LADDERS))
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_matches_per_side_unique(self, ladder, dim):
         rng = np.random.default_rng(10 * dim + len(ladder))
         points = walk_cloud(rng, 4000, dim)
         sides = rng.permutation(self.LADDERS[ladder])  # counts follow the given order
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_skipped_octaves(self, dim):
+        # neighbouring sides 3, 1 and 5 octaves apart, in any order
+        rng = np.random.default_rng(13 + dim)
+        points = walk_cloud(rng, 4000, dim)
+        sides = rng.permutation(2.0 ** -np.array([0.0, 3.0, 4.0, 9.0]))
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+
+    def test_jump_beyond_a_63_bit_key(self, monkeypatch):
+        # one jump of 1e5 widens the bounding-box key past 63 bits; ranking
+        # the high parts still counts it in one sort, not side by side
+        rng = np.random.default_rng(14)
+        points = walk_cloud(rng, 4000, 3)
+        points[2000:4000] += [1e5, -1e5, 1e5]
+        sides = sd.dyadic_scales(0, 10)
+        assert offset_key_bits(points, sides) > 63
+        # every high part lies below its radix, and the radices fit the key
+        cells = [np.floor(c / sides.min()).astype(np.int64) for c in points.T]
+        highs, radices = _high_parts(cells, 10)
+        assert all(h.min() >= 0 and h.max() < r for h, r in zip(highs, radices))
+        assert np.prod(radices, dtype=float) <= 2.0 ** (63 - 3 * 10)
+
+        def side_by_side(cells):
+            raise AssertionError("counted side by side")
+
+        monkeypatch.setattr(sd.estimators, "_unique_cells", side_by_side)
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+
+    def test_too_many_columns_for_one_key(self, monkeypatch):
+        # 5 columns of 13 octaves need 65 interleaved bits: counted side by side
+        rng = np.random.default_rng(15)
+        points = walk_cloud(rng, 4000, 5)
+        sides = sd.dyadic_scales(0, 13)
+        calls = []
+        unique_cells = sd.estimators._unique_cells
+        monkeypatch.setattr(sd.estimators, "_unique_cells", lambda cells: calls.append(1) or unique_cells(cells))
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+        assert len(calls) == sides.size
 
     def test_wide_key_range(self):
         # cell indices spanning ~2^31 per column overflow a packed int64 key

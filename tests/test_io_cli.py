@@ -293,6 +293,26 @@ class TestCLI:
         assert run_cli(*argv) == 2
         assert "TruncationTooCoarse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            {"kind": "STABLE_SYMMETRIC", "alpha": 1.0, "scale": float("nan")},
+            {"kind": "STABLE_SYMMETRIC", "alpha": 1.0, "scale": float("inf")},
+            {"kind": "SEMISTABLE_DISCRETE", "alpha": 1.0, "c": float("nan")},
+            {"kind": "SEMISTABLE_DISCRETE", "alpha": 1.0, "c": float("inf")},
+        ],
+    )
+    def test_non_finite_law_rejected_before_the_path(self, tmp_path, capsys, monkeypatch, law):
+        calls = []
+        monkeypatch.setattr(cli, "simulate_path", lambda *args, **kwargs: calls.append(args))
+        exp, laws = tmp_path / "exponent.json", tmp_path / "laws.json"
+        exp.write_text(json.dumps({"c": 2.0, "matrix": [[1.0]]}))
+        laws.write_text(json.dumps([law]))  # written as NaN / Infinity, which json reads back
+        argv = ("simulate", "--exponent", str(exp), "--laws", str(laws), "--n", "4", "--out", str(tmp_path))
+        assert run_cli(*argv) == 2
+        assert "ValueError" in capsys.readouterr().err
+        assert calls == []
+
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         def broken(args):
             raise TypeError("unexpected")

@@ -227,6 +227,21 @@ class TestBlockLaw:
         with pytest.raises(ValueError):
             BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.0, scale=0.0)
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            (LawKind.STABLE_SYMMETRIC, "scale", float("nan")),
+            (LawKind.STABLE_SYMMETRIC, "scale", float("inf")),
+            (LawKind.SEMISTABLE_DISCRETE, "c", float("nan")),
+            (LawKind.SEMISTABLE_DISCRETE, "c", float("inf")),
+        ],
+    )
+    def test_non_finite_scale_and_c_rejected(self, kind, field, value):
+        # NaN fails both ``scale <= 0`` and ``c <= 1``; the law must still not load
+        fields = {"alpha": 1.0, "c": 2.0} | {field: value}
+        with pytest.raises(ValueError):
+            BlockLaw(kind, **fields)
+
     def test_increment_shapes(self):
         rng = derive_rng(5, "test/shapes")
         assert BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.5).sample_increments(0.1, 7, rng).shape == (7,)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -141,6 +146,14 @@ class TestEmpiricalFullness:
         )
         full, ratio = empirical_fullness(spec, laws, seed=1)
         assert not full and ratio < 1e-3
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # only the semi-selfsimilarity test needs scipy.stats, and it loads it
+    code = "import sys, semidim; print('scipy.stats' in sys.modules)"
+    env = os.environ | {"PYTHONPATH": str(Path(sd.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestSemiselfsimilarity:
