@@ -8,7 +8,8 @@ cover interval still holds a few grid points.
 
 Every path lies on the same grid t_k = k 2^-n, so the restriction of a path
 to B depends only on (B, n, L): :meth:`BorelSetSpec.mask` computes it once
-per grid, and the estimators take the mask.
+per grid, and the estimators take the mask.  :meth:`BorelSetSpec.contains`
+is the same test on given times, such as the rows a path holds.
 """
 
 from __future__ import annotations
@@ -74,28 +75,35 @@ class BorelSetSpec(Record):
         return max(1, level)
 
     def mask(self, n: int, level: int | None = None) -> np.ndarray:
-        """Boolean mask of the grid times k 2^-n, k = 0 .. 2^n, lying in B
-        (the level-``level`` prefractal cover for a Cantor set).
+        """Boolean mask of the grid times k 2^-n, k = 0 .. 2^n, lying in B:
+        :meth:`contains` on the grid of depth n."""
+        return self.contains(grid_times(n), n, level)
 
-        ``level`` overrides the automatic cover depth; it is ignored for
-        intervals and passed through to Cantor members of a union.
+    def contains(self, t: np.ndarray, n: int, level: int | None = None) -> np.ndarray:
+        """Which times ``t`` lie in B (in the level-``level`` prefractal cover
+        for a Cantor set), tested time by time, so that the test of a grid
+        time is the same wherever the grid is cut.
+
+        ``level`` overrides the automatic cover depth of the grid of depth n;
+        it is ignored for intervals and passed through to Cantor members of a
+        union.
         """
         if self.kind is SetKind.FINITE_UNION:
-            out = np.zeros(2**n + 1, dtype=bool)
+            out = np.zeros(np.shape(t), dtype=bool)
             for member in self.members:
-                out |= member.mask(n, level)
+                out |= member.contains(t, n, level)
             return out
-        x = grid_times(n)
         if self.kind is SetKind.INTERVAL:
-            return (x >= self.a) & (x <= self.b)
+            return (t >= self.a) & (t <= self.b)
         if level is None:
             level = self.cover_level(n)
         # Left endpoints of the m first-level pieces, evenly spread so that
         # the first starts at 0 and the last ends at 1 (m >= 2).
         offsets = np.arange(self.m) * (1.0 - self.r) / (self.m - 1)
         pitch = offsets[1] - offsets[0]
+        # x, a copy of t, is rescaled in place to its position in its piece
+        x = np.array(t, dtype=float)
         alive = np.ones(x.shape, dtype=bool)
-        # x, a fresh grid, is rescaled in place to its position in its piece
         for _ in range(level):
             x -= offsets[np.clip(np.floor(x / pitch).astype(int), 0, self.m - 1)]
             inside = (x >= -1e-12) & (x <= self.r + 1e-12)

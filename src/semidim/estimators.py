@@ -12,11 +12,13 @@ right shift of the sorted keys and a count of the adjacent keys that differ
 bit for bit).  A column whose high part would widen the key past 63 bits is
 replaced by its rank among the column's distinct high parts; only when even
 that does not fit, and on other ladders (base 3, sqrt 3, whose sides are
-inexact in floating point), are the points quantised side by side.
-:func:`box_count_graph` quantises the masked time and space columns of a
-path once and sorts one key for the graph and one for the range; it takes
-the mask of B on the path's grid, which the caller computes once with
-:meth:`BorelSetSpec.mask`.
+inexact in floating point), and for a single side, are the points
+quantised side by side.  :func:`box_count_graph` quantises the masked time
+and space columns of a path once and sorts one key for the graph and one for
+the range; it takes the mask of B on the path's grid, which the caller
+computes once with :meth:`BorelSetSpec.mask`, and reads it at the rows the
+path holds (a path simulated on the mask holds just its rows).  The energy
+estimator tests the path's own times with :meth:`BorelSetSpec.contains`.
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -202,7 +204,8 @@ def _cube_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray:
     reach = 2.0**62 * sides.min()
     if not all(c.min() > -reach and c.max() < reach for c in columns):
         raise DegenerateSample(f"points beyond 2^62 cubes of side {sides.min():g} from the origin")
-    if np.all(np.frexp(sides)[0] == 0.5):
+    # one side is counted faster side by side: the key would buy nothing
+    if sides.size > 1 and np.all(np.frexp(sides)[0] == 0.5):
         counts = _zorder_counts(columns, sides, targets)
         if counts is not None:
             return counts
@@ -264,16 +267,21 @@ def _fit_counts(sides: np.ndarray, counts: np.ndarray, range_=None) -> BoxCountE
 def box_count_graph(path: LevyPath, mask: np.ndarray, sides) -> BoxCountEstimate:
     """Box-count estimate of dim of the graph, carrying the range's, on a time set.
 
-    ``mask`` marks the grid points of the path in the set, as
-    :meth:`BorelSetSpec.mask` returns it for the path's depth.  The cubes of
-    the range X(t) are those of the graph (t, X(t)) projected, so one ladder
-    walk counts both.  The grid must resolve the smallest cube: 2^-n <= min(side)/4.
+    ``mask`` marks the grid points in the set, as :meth:`BorelSetSpec.mask`
+    returns it for the path's depth; it is read at the grid rows the path
+    holds, and a path that holds just the rows in the set is counted as it
+    is.  The cubes of the range X(t) are those of the graph (t, X(t))
+    projected, so one ladder walk counts both.  The grid must resolve the
+    smallest cube: 2^-n <= min(side)/4.
     """
     check_box_sides(sides, path.n)
-    if not np.any(mask):
+    keep = mask if path.rows is None else mask[path.rows]
+    if not np.any(keep):
         raise EmptyRestriction("no grid point falls inside the time set")
     sides = np.sort(np.asarray(sides, dtype=float))[::-1]
-    columns = [path.times[mask], *(path.values[:, j][mask] for j in range(path.d))]
+    columns = [path.times, *(path.values[:, j] for j in range(path.d))]
+    if not keep.all():
+        columns = [c[keep] for c in columns]
     graph, range_ = _cube_counts(columns, sides, [list(range(len(columns))), list(range(1, len(columns)))])
     return _fit_counts(sides, graph, _fit_counts(sides, range_))
 
@@ -498,30 +506,41 @@ def _near_pair_energies(
     return 2.0 * sums / n**2
 
 
+def energy_cover_level(borel: BorelSetSpec, n_needed: int) -> int | None:
+    """The prefractal level at which :func:`energy_dimension` thins a Cantor
+    set to ``n_needed`` pieces; None for other sets, which it takes at their
+    box-counting cover."""
+    if borel.kind is not SetKind.SELF_SIMILAR_CANTOR:
+        return None
+    return math.ceil(math.log(n_needed) / math.log(borel.m))
+
+
 def _energy_candidates(
     path: LevyPath, borel: BorelSetSpec, cover_level, n_needed: int
 ) -> np.ndarray:
-    """Grid indices carrying the natural measure of B, one per structural cell.
+    """Indices of the path's rows carrying the natural measure of B, one per
+    structural cell.
 
     On intervals every covered grid point qualifies.  On a self-similar set
     the candidates are thinned to one grid point per piece at the shallowest
-    level holding >= n_needed pieces (masking at that same level), so
-    subsample spacings stay inside the set's self-similar scaling window
+    level holding >= n_needed pieces (testing membership at that same level),
+    so subsample spacings stay inside the set's self-similar scaling window
     instead of probing the interval-like remnant below the cover resolution.
+    The path must hold every grid row of that cover.
     """
-    if borel.kind is not SetKind.SELF_SIMILAR_CANTOR:
-        idx = np.flatnonzero(borel.mask(path.n, cover_level))
+    level = energy_cover_level(borel, n_needed)
+    if level is None:
+        idx = np.flatnonzero(borel.contains(path.times, path.n, cover_level))
         if idx.size == 0:
             raise EmptyRestriction("no grid point falls inside the time set")
         return idx
-    level = math.ceil(math.log(n_needed) / math.log(borel.m))
     piece = borel.r**level
     if piece < path.grid_step:
         raise DegenerateSample(
             f"grid too coarse to thin {n_needed} samples to level-{level} pieces; "
             "raise the grid depth or lower subsample * ratio"
         )
-    idx = np.flatnonzero(borel.mask(path.n, level))
+    idx = np.flatnonzero(borel.contains(path.times, path.n, level))
     if idx.size == 0:
         raise EmptyRestriction("no grid point falls inside the time set")
     cell = np.floor(path.times[idx] / piece).astype(np.int64)

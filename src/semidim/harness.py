@@ -22,6 +22,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +38,7 @@ from .estimators import (
     check_energy,
     check_sojourn,
     dyadic_scales,
+    energy_cover_level,
     energy_dimension,
     geometric_scales,
     sojourn_mc,
@@ -64,6 +66,14 @@ def verdict(
     if abs(diff) > 2.0 * tol and stderr < tol / 2.0:
         return FAIL
     return INCONCLUSIVE
+
+
+def _judged(estimate: float, theory: float, tol: float, stderr: float, **rule) -> dict:
+    """A stage's verdict; an estimate that is not finite is INCONCLUSIVE,
+    with that as its reason."""
+    if not math.isfinite(estimate):
+        return {"verdict": INCONCLUSIVE, "reason": "non-finite estimate"}
+    return {"verdict": verdict(estimate, theory, tol, stderr, **rule)}
 
 
 @dataclass(frozen=True)
@@ -174,12 +184,13 @@ class VerificationReport(Record):
         return "\n".join(lines)
 
 
-def _over_paths(spec, laws, n, seed, prefix, count, measure, threads=1) -> list:
-    """``measure(i, path)`` for the paths ``prefix/path/0 .. count-1``, in order;
-    each path has its own named stream, so ``threads`` cannot change a result."""
+def _over_paths(spec, laws, n, mask, seed, prefix, count, measure, threads=1) -> list:
+    """``measure(i, path)`` for the paths ``prefix/path/0 .. count-1`` on the
+    grid rows ``mask`` keeps, in order; each path has its own named stream,
+    so ``threads`` cannot change a result."""
 
     def one(i: int):
-        return measure(i, simulate_path(spec, laws, n, seed, name=f"{prefix}/path/{i}"))
+        return measure(i, simulate_path(spec, laws, n, seed, name=f"{prefix}/path/{i}", mask=mask))
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -198,14 +209,24 @@ def _median_stage(ests, theory: float, tol: float, **extra) -> dict:
         "tol": tol,
         "stderr": stderr,
         "per_seed": ests.tolist(),
-        "verdict": verdict(med, theory, tol, stderr),
+        **_judged(med, theory, tol, stderr),
         **extra,
     }
 
 
 def _box_stages(sc: Scenario, theory: dict, seed: int, threads: int):
-    """The box_graph and box_range stages, and the energy estimate of path 0."""
+    """The box_graph and box_range stages, and the energy estimate of path 0.
+
+    The paths hold only the grid rows of the time set's cover.  The energy
+    stage tests a Cantor set at its own prefractal level; the covers of one
+    Cantor set nest, so where that level is the shallower one the paths hold
+    its cover, the union of the two.
+    """
     mask = sc.borel.mask(sc.n, sc.cover_level)
+    held = mask
+    level = energy_cover_level(sc.borel, sc.energy_ratio * sc.energy_subsample)
+    if level is not None and level < (sc.cover_level or sc.borel.cover_level(sc.n)):
+        held = sc.borel.mask(sc.n, level)
 
     def measure(i: int, path):
         g = box_count_graph(path, mask, sc.box_sides)
@@ -219,7 +240,7 @@ def _box_stages(sc: Scenario, theory: dict, seed: int, threads: int):
             )
         return g.estimate, g.range.estimate, energy
 
-    runs = _over_paths(sc.spec, sc.laws, sc.n, seed, f"scenario/{sc.name}", sc.n_seeds, measure, threads)
+    runs = _over_paths(sc.spec, sc.laws, sc.n, held, seed, f"scenario/{sc.name}", sc.n_seeds, measure, threads)
     graph, range_, energy = zip(*runs)
     stages = {
         "box_graph": _median_stage(graph, theory["graph_dim"], sc.box_tol, spread=float(np.std(graph))),
@@ -242,7 +263,7 @@ def _sojourn_stage(sc: Scenario, seed: int) -> dict:
         "tol": sc.sojourn_tol,
         "stderr": slope_err,
         "case": graph_soj.case,
-        "verdict": verdict(slope, theory, sc.sojourn_tol, slope_err, overshoot_inconclusive=True),
+        **_judged(slope, theory, sc.sojourn_tol, slope_err, overshoot_inconclusive=True),
     }
 
 
@@ -492,7 +513,7 @@ def sweep(cfg: SweepConfig, master_seed: int) -> list[dict]:
                 return est.estimate
 
             prefix = f"sweep/alpha={alpha:.6g}/s={s:.6g}"
-            ests = _over_paths(spec, (_stable(alpha),), cfg.n, master_seed, prefix, cfg.n_seeds, measure)
+            ests = _over_paths(spec, (_stable(alpha),), cfg.n, mask, master_seed, prefix, cfg.n_seeds, measure)
             est = float(np.median(ests))
             rows.append(
                 {

@@ -33,7 +33,12 @@ def write_sidecar(path: Path, config: dict) -> None:
 
 
 def write_path_dump(out_prefix: Path, path: LevyPath, config: dict | None = None, csv: bool = False) -> Path:
-    """Dump a path as little-endian float64 rows (t, x_1..x_d) plus sidecar."""
+    """Dump a path as little-endian float64 rows (t, x_1..x_d) plus sidecar.
+
+    Only a path on the whole grid is dumped, since :func:`read_path_dump`
+    reads no other."""
+    if path.rows is not None:
+        raise InvalidInputs(f"only a path on the whole grid is dumped; this one holds {path.rows.size} of its rows")
     out_prefix = Path(out_prefix)
     data = np.ascontiguousarray(path.graph_points(), dtype="<f8")
     bin_path = out_prefix.with_suffix(".bin")

@@ -17,6 +17,17 @@ Block dispatch:
   exactly.  For G != 0 the increments are not stationary: no Levy process
   carries a full Gaussian law on a defective block, so this construction
   trades stationarity for the correct marginals.
+
+A path on a time set B holds only the grid rows that B's mask keeps.  A
+Levy block has stationary independent increments, so its increment over a
+gap of h grid steps is one draw of X(h 2^-n), independent of the rest, and
+the value at a first kept time t > 0 is one draw of X(t): each block draws
+one increment per kept step and one per gap, exactly in law.  The draws are
+grouped by step length, one sampler call per distinct length; a semistable
+block checks its truncation at each length's own step, which a longer step
+passes more easily.  The Gaussian-operator block takes the kept times as
+they are, since its increments are differences of C(t) on any increasing
+times.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Record
-from .errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EnsembleTooSmall
+from .errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EmptyRestriction, EnsembleTooSmall
 from .laws import BlockLaw, LawKind
 from .seeds import derive_rng
 from .spectral import ExponentSpec, SpectralBlock, scaling_operator
@@ -47,14 +58,16 @@ KS_THRESHOLD_SLACK = 1.5
 
 @dataclass(frozen=True)
 class LevyPath:
-    """A trajectory on the dyadic grid t_k = k * 2^-n, starting at 0."""
+    """A trajectory on rows of the dyadic grid t_k = k * 2^-n, starting at 0
+    at t = 0."""
 
-    times: np.ndarray  # (N+1,)
-    values: np.ndarray  # (N+1, d)
+    times: np.ndarray  # (N,) the grid times of the rows held
+    values: np.ndarray  # (N, d)
     seed: int
     n: int
     spec: ExponentSpec
     laws: tuple[BlockLaw, ...]
+    rows: np.ndarray | None = None  # the grid rows k held, ascending; None for all 2^n + 1
 
     @property
     def d(self) -> int:
@@ -216,45 +229,85 @@ def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray) -> None
             out[:, i] += block_values[:, k] * basis[i, k]
 
 
+def _step_groups(steps: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(h, positions of the steps of h grid steps) per distinct h, ascending
+    in h.  Each pass takes out the shortest step left; the steps inside the
+    pieces of a time set are all alike, so the first pass takes nearly all of
+    them and the later passes see only the gaps."""
+    groups = []
+    where = np.arange(steps.size)
+    while where.size:
+        h = steps.min()
+        hit = steps == h
+        groups.append((int(h), where[hit]))
+        steps, where = steps[~hit], where[~hit]
+    return groups
+
+
 def simulate_path(
     spec: ExponentSpec,
     laws,
     n: int,
     seed: int,
     name: str = "path",
+    mask: np.ndarray | None = None,
 ) -> LevyPath:
     """Simulate a path on the dyadic grid of depth n over [0, 1].
 
     One BlockLaw per spectral block, ordered by ascending a_j.  Fully
-    deterministic given (spec, laws, n, seed, name); block streams are
+    deterministic given (spec, laws, n, seed, name, mask); block streams are
     derived independently so the output does not depend on evaluation order.
+
+    ``mask`` (2^n + 1 booleans) restricts the path to the grid rows it keeps.
+    Each block then draws one increment per step between consecutive kept
+    rows, and one over [0, t] for a first kept time t > 0: one call to the
+    sampler per distinct step length, shortest first.  A mask that keeps
+    every row draws exactly the path of ``mask=None``.
     Raises BudgetExceeded, before allocating, when the grid alone would not
     fit in physical memory.
     """
     check_grid(n, spec.d)
     laws, blocks = _block_strategies(spec, laws)
 
-    n_steps = 2**n
     dt = 2.0 ** (-n)
-    times = grid_times(n)
-    values = np.zeros((n_steps + 1, spec.d))
+    if mask is not None and mask.shape != (2**n + 1,):
+        raise ValueError(f"mask must hold 2^n + 1 = {2**n + 1} rows, got shape {mask.shape}")
+    # ``first`` rows, 1 when row 0 (where every path is 0) is held, come
+    # before the first step
+    if mask is None or mask.all():
+        rows, times, first = None, grid_times(n), 1
+        groups = [(1, range(2**n))]  # every step is one grid step
+    else:
+        rows = np.flatnonzero(mask)
+        if rows.size == 0:
+            raise EmptyRestriction("no grid point falls inside the time set")
+        times, first = rows * dt, int(rows[0] == 0)
+        groups = _step_groups(np.diff(rows, prepend=0)[first:])
+    n_steps = times.size - first
+    values = np.zeros((times.size, spec.d))
     # Near alpha = 0 the increments can overflow float64; such a path is
     # rejected as a whole below instead of warning sample by sample.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j, (block, law, strategy) in enumerate(blocks):
             rng = derive_rng(seed, f"{name}/block/{j}")
             if strategy == "gaussian_operator":
-                block_path = _gaussian_operator_block(block, law, times, rng)
+                start = times if first else np.concatenate(([0.0], times))
+                block_path = _gaussian_operator_block(block, law, start, rng)[1 - first :]
             else:
-                inc = law.sample_increments(dt, n_steps, rng)
+                draws = [law.sample_increments(h * dt, len(at), rng) for h, at in groups]
+                inc = draws[0]
+                if len(draws) > 1:
+                    inc = np.empty((n_steps, *inc.shape[1:]))
+                    for (_, at), draw in zip(groups, draws):
+                        inc[at] = draw
                 if inc.ndim == 1:
                     inc = inc[:, None]
-                block_path = np.zeros((n_steps + 1, block.d))
-                np.cumsum(inc, axis=0, out=block_path[1:])
+                block_path = np.zeros((times.size, block.d))
+                np.cumsum(inc, axis=0, out=block_path[first:])
             _embed(values, block_path, block.basis)
     if not np.isfinite(values).all():
         raise DegenerateSample(f"path {name!r} leaves the float64 range")
-    return LevyPath(times=times, values=values, seed=seed, n=n, spec=spec, laws=laws)
+    return LevyPath(times=times, values=values, seed=seed, n=n, spec=spec, laws=laws, rows=rows)
 
 
 def sample_marginal(

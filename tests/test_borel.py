@@ -75,6 +75,19 @@ class TestMask:
             x = np.where(inside, rel / spec.r, 0.0)
         assert np.array_equal(spec.mask(n, level), alive)
 
+    @pytest.mark.parametrize(
+        "spec, level",
+        [(cantor(), 8), (cantor(), None), (cantor(3, 0.2), 5), (union(interval(0.0, 0.2), cantor()), 6), (interval(0.3, 0.6), None)],
+    )
+    def test_contains_is_the_mask_on_any_rows(self, spec, level):
+        # the test of a grid time does not depend on which other times come with it
+        n = 16
+        rows = np.sort(np.random.default_rng(1).choice(2**n + 1, 5000, replace=False))
+        mask = spec.mask(n, level)
+        assert np.array_equal(spec.contains(grid_times(n)[rows], n, level), mask[rows])
+        kept = np.flatnonzero(mask)
+        assert spec.contains(kept * 2.0**-n, n, level).all()
+
     def test_mask_lies_on_the_path_grid(self):
         path = simulate_path(validate_exponent(np.array([[0.5]]), 2.0), BM_LAWS, 10, seed=1)
         assert np.array_equal(grid_times(10), path.times)

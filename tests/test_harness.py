@@ -7,7 +7,7 @@ from semidim import builtin_scenarios, get_scenario, run_scenario, sweep
 from semidim.borel import BorelSetSpec, cantor, interval
 from semidim.errors import BudgetExceeded, InvalidInputs, TruncationTooCoarse
 from semidim.estimators import box_count_graph, dyadic_scales
-from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, _sojourn_stage, verdict
+from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, _median_stage, _sojourn_stage, verdict
 from semidim.laws import BlockLaw, LawKind
 from semidim.paths import simulate_path
 from semidim.spectral import validate_exponent
@@ -52,6 +52,12 @@ class TestVerdictRule:
     def test_overshoot_rule(self):
         assert verdict(1.9, 1.5, 0.15, 0.001, overshoot_inconclusive=True) == INCONCLUSIVE
         assert verdict(1.9, 1.5, 0.15, 0.001) == FAIL
+
+
+    def test_non_finite_estimate_is_inconclusive_with_a_reason(self):
+        stage = _median_stage([1.5, float("nan"), 1.5], 1.5, 0.08)
+        assert stage["verdict"] == INCONCLUSIVE and stage["reason"] == "non-finite estimate"
+        assert "reason" not in _median_stage([1.5, 1.4, 1.5], 1.5, 0.08)
 
 
 class TestScenario:
@@ -152,21 +158,33 @@ class TestRunScenario:
         assert len(calls) == 1
 
     def test_one_mask_per_grid(self, monkeypatch):
-        # brownian-cantor on a 2^18 grid: one mask for the box stage, shared by
-        # every path and target, and one at the energy stage's thinning level
+        # brownian-cantor on a 2^18 grid: one full-grid membership test, the
+        # box stage's mask, shared by every path and target; the energy
+        # stage's thinning level is tested on the times path 0 holds
+        from semidim import harness
+
         obj = builtin_scenarios()["brownian-cantor"].as_dict()
         obj.update(n=18, n_seeds=3, sojourn_n=10, sojourn_radii=[2.0**-k for k in range(2, 6)], energy_ratio=2)
         sc = Scenario.from_dict(obj | {"sojourn_ensemble": 200})
-        calls = []
-        original = BorelSetSpec.mask
+        kept = int(sc.borel.mask(18, 8).sum())
+        calls, held = [], []
+        original = BorelSetSpec.contains
 
-        def counted(self, n, level=None):
-            calls.append((n, level))
-            return original(self, n, level)
+        def counted(self, t, n, level=None):
+            calls.append((t.size, n, level))
+            return original(self, t, n, level)
 
-        monkeypatch.setattr(BorelSetSpec, "mask", counted)
+        def simulated(*args, **kwargs):
+            path = simulate_path(*args, **kwargs)
+            held.append(path.times.size)
+            return path
+
+        monkeypatch.setattr(BorelSetSpec, "contains", counted)
+        monkeypatch.setattr(harness, "simulate_path", simulated)
         run_scenario(sc, 5, threads=2)
-        assert calls == [(18, 8), (18, 11)]
+        assert calls == [(2**18 + 1, 18, 8), (kept, 18, 11)]
+        # the box paths hold just the rows of the box stage's mask
+        assert held == [kept] * sc.n_seeds
 
     def test_paths_only_for_the_box_stage(self, monkeypatch):
         from semidim import estimators, harness, paths
@@ -189,8 +207,9 @@ class TestRunScenario:
         sc = mini_scenario(n_seeds=2)
         report = run_scenario(sc, 5)
         spec = validate_exponent(np.array([[0.5]]), 2.0)
-        paths = [simulate_path(spec, sc.laws, 14, 5, name=f"scenario/mini/path/{i}") for i in range(2)]
-        ests = [box_count_graph(p, interval().mask(p.n), sc.box_sides) for p in paths]
+        mask = interval().mask(14)
+        paths = [simulate_path(spec, sc.laws, 14, 5, name=f"scenario/mini/path/{i}", mask=mask) for i in range(2)]
+        ests = [box_count_graph(p, mask, sc.box_sides) for p in paths]
         assert report.stages["box_graph"]["per_seed"] == [e.estimate for e in ests]
         assert report.stages["box_range"]["per_seed"] == [e.range.estimate for e in ests]
 
@@ -230,10 +249,11 @@ class TestSweep:
             laws = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=alpha),)
             for borel in (interval(0.0, 1.0), cantor(2, 1 / 3)):
                 s = borel.hausdorff_dim
+                mask = borel.mask(12)
                 ests = [
                     box_count_graph(
-                        simulate_path(spec, laws, 12, 9, name=f"sweep/alpha={alpha:.6g}/s={s:.6g}/path/{i}"),
-                        borel.mask(12),
+                        simulate_path(spec, laws, 12, 9, name=f"sweep/alpha={alpha:.6g}/s={s:.6g}/path/{i}", mask=mask),
+                        mask,
                         dyadic_scales(1, 10),
                     ).estimate
                     for i in range(2)

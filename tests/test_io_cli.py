@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import semidim as sd
 from semidim import cli
 from semidim.cli import main
+from semidim.errors import InvalidInputs
 from semidim.io import fmt_float, read_path_dump, write_csv, write_path_dump
 from semidim.laws import BlockLaw, LawKind
 
@@ -34,6 +35,13 @@ class TestIO:
         meta = json.loads(prefix.with_suffix(".json").read_text())
         assert {"seed", "n", "version", "created_utc", "laws"} <= set(meta)
         assert (tmp_path / "dump.csv").exists()
+
+    def test_path_on_a_time_set_not_dumped(self, tmp_path):
+        # its rows are not the grid that read_path_dump requires
+        p = sd.simulate_path(BROWNIAN, BM_LAWS, 8, seed=4, mask=sd.cantor().mask(8))
+        with pytest.raises(InvalidInputs):
+            write_path_dump(tmp_path / "dump", p)
+        assert not list(tmp_path.iterdir())
 
     def test_csv_floats_round_trip(self, tmp_path):
         values = [0.1, 1.0 / 3.0, np.pi, 2.0**-52]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,9 +9,10 @@ import pytest
 import scipy.stats
 
 import semidim as sd
-from semidim.errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EnsembleTooSmall
+from semidim.borel import cantor, interval
+from semidim.errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EmptyRestriction, EnsembleTooSmall
 from semidim.laws import BlockLaw, LawKind
-from semidim.paths import sample_marginal
+from semidim.paths import KS_THRESHOLD_SLACK, sample_marginal
 
 BROWNIAN = sd.validate_exponent(np.array([[0.5]]), 2.0)
 BM_LAWS = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),)
@@ -100,6 +102,115 @@ class TestSimulatePath:
         inc = np.diff(p.values[:, 0])
         corr = np.corrcoef(inc[:-1], inc[1:])[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(inc.size - 1)
+
+
+# SHA-256 of unmasked paths at n = 10, seed 3, name "pin"; a mask that keeps
+# every row must draw them byte for byte.
+FULL_MASK_PINS = {
+    "stable-2": (
+        [[0.5]],
+        BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),
+        "e290fd707e2c3040495d2d1b4225340ccc725da8219b855ca3b8b374004ac6d3",
+    ),
+    "stable-1.2": (
+        [[1 / 1.2]],
+        BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.2),
+        "89ce4830435953e30bbb2609330ede932d4363e0fec2691a6e8e9d4b8433829d",
+    ),
+    "isotropic-1.2": (
+        [[1 / 1.2, -1.0], [1.0, 1 / 1.2]],
+        BlockLaw(LawKind.STABLE_ISOTROPIC_2D, alpha=1.2),
+        "022a9990b22e8866a00eb4dd2151d84c036cda526ab96dc8a5557fa14681e137",
+    ),
+    "semistable": (
+        [[1.0]],
+        BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0),
+        "f4fa6bf25802178a24c79a0fcf7ea6d8025f3a43541377039f43aa12805b1855",
+    ),
+    "jordan": (
+        [[0.5, 1.0], [0.0, 0.5]],
+        BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),
+        "f458046d3d5d23ed937d77b5690ab6bce23f02e13999bd889fe83d32d612d3a0",
+    ),
+}
+STABLE12 = (sd.validate_exponent(np.array([[1 / 1.2]]), 2.0), (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.2),))
+JORDAN = (sd.validate_exponent(np.array([[0.5, 1.0], [0.0, 0.5]]), 2.0), BM_LAWS)
+KS_PATHS = 1500
+
+
+def ks_threshold(size: int) -> float:
+    """The semi-selfsimilarity test's threshold for two samples of ``size``."""
+    return 1.36 * np.sqrt(2.0 / size) * KS_THRESHOLD_SLACK
+
+
+class TestMaskedDraw:
+    @pytest.mark.parametrize("case", sorted(FULL_MASK_PINS))
+    def test_full_mask_draws_the_unmasked_bytes(self, case):
+        matrix, law, digest = FULL_MASK_PINS[case]
+        spec = sd.validate_exponent(np.array(matrix), 2.0)
+        for mask in (None, np.ones(2**10 + 1, dtype=bool)):
+            p = sd.simulate_path(spec, (law,), 10, seed=3, name="pin", mask=mask)
+            assert p.rows is None and p.times.size == 2**10 + 1
+            assert hashlib.sha256(p.values.tobytes()).hexdigest() == digest
+
+    def test_holds_the_kept_rows(self):
+        mask = cantor().mask(12, level=4)
+        p = sd.simulate_path(*JORDAN, 12, seed=1, mask=mask)
+        assert np.array_equal(p.rows, np.flatnonzero(mask))
+        assert np.array_equal(p.times, sd.paths.grid_times(12)[mask])
+        assert p.values.shape == (mask.sum(), 2) and not np.any(p.values[0])
+
+    def test_mask_of_another_grid_or_of_no_row_rejected(self):
+        with pytest.raises(ValueError):
+            sd.simulate_path(BROWNIAN, BM_LAWS, 8, seed=0, mask=np.ones(2**9 + 1, dtype=bool))
+        with pytest.raises(EmptyRestriction):
+            sd.simulate_path(BROWNIAN, BM_LAWS, 8, seed=0, mask=np.zeros(2**8 + 1, dtype=bool))
+
+    @pytest.mark.parametrize("spec, laws", [STABLE12, (SEMI, SEMI_LAWS)], ids=["stable", "semistable"])
+    def test_law_over_a_gap(self, spec, laws):
+        # the middle-third gap of the level-1 cover: X(t_j) - X(t_i) is one
+        # draw of X((j - i) 2^-n), by stationary independent increments
+        mask = cantor().mask(10, level=1)
+        rows = np.flatnonzero(mask)
+        k = int(np.flatnonzero(np.diff(rows) > 1)[0])
+        i, j = rows[k], rows[k + 1]
+        spans = np.array(
+            [np.diff(sd.simulate_path(spec, laws, 10, seed=s, name="gap", mask=mask).values[k : k + 2, 0])[0] for s in range(KS_PATHS)]
+        )
+        reference = sample_marginal(spec, laws, (j - i) * 2.0**-10, KS_PATHS, seed=0, name="gap/reference")[:, 0]
+        assert scipy.stats.ks_2samp(spans, reference).statistic < ks_threshold(KS_PATHS)
+
+    @pytest.mark.parametrize("spec, laws", [STABLE12, JORDAN], ids=["stable", "jordan"])
+    def test_first_kept_row_after_zero(self, spec, laws):
+        # on [0.25, 0.75] the first value is one draw of X(0.25)
+        mask = interval(0.25, 0.75).mask(10)
+        first = np.array([sd.simulate_path(spec, laws, 10, seed=s, name="late", mask=mask).values[0] for s in range(KS_PATHS)])
+        reference = sample_marginal(spec, laws, 0.25, KS_PATHS, seed=0, name="late/reference")
+        for col in range(spec.d):
+            assert scipy.stats.ks_2samp(first[:, col], reference[:, col]).statistic < ks_threshold(KS_PATHS)
+
+    def test_box_and_energy_covers_that_do_not_nest(self, monkeypatch):
+        # the energy stage thins 1000 * 2 points at level 11, above the box
+        # cover's level 12: the paths hold the level-11 cover, which holds both
+        from semidim import harness
+
+        obj = harness.builtin_scenarios()["brownian-cantor"].as_dict()
+        obj.update(n_seeds=2, sojourn_n=10, sojourn_radii=[2.0**-k for k in range(2, 6)], sojourn_ensemble=200)
+        obj.update(cover_level=12, energy_subsample=1000, energy_ratio=2)
+        sc = harness.Scenario.from_dict(obj)
+        held = []
+
+        def simulated(*args, **kwargs):
+            path = sd.simulate_path(*args, **kwargs)
+            held.append(path.rows)
+            return path
+
+        monkeypatch.setattr(harness, "simulate_path", simulated)
+        report = harness.run_scenario(sc, 5)
+        assert set(report.stages) == {"box_graph", "box_range", "sojourn", "energy"}
+        rows = np.flatnonzero(sc.borel.mask(20, 11))
+        assert rows.size > sc.borel.mask(20, 12).sum()
+        assert len(held) == 2 and all(np.array_equal(r, rows) for r in held)
 
 
 class TestGaussianOperatorBlock:
