@@ -101,16 +101,18 @@ class BorelSetSpec(Record):
         # the first starts at 0 and the last ends at 1 (m >= 2).
         offsets = np.arange(self.m) * (1.0 - self.r) / (self.m - 1)
         pitch = offsets[1] - offsets[0]
-        # x, a copy of t, is rescaled in place to its position in its piece
-        x = np.array(t, dtype=float)
-        alive = np.ones(x.shape, dtype=bool)
+        # x holds the times still alive, in order, each rescaled to its
+        # position in its piece
+        x = np.array(t, dtype=float).ravel()
+        alive = np.ones(x.size, dtype=bool)
         for _ in range(level):
             x -= offsets[np.clip(np.floor(x / pitch).astype(int), 0, self.m - 1)]
             inside = (x >= -1e-12) & (x <= self.r + 1e-12)
-            alive &= inside
+            if not inside.all():
+                alive[alive] = inside
+                x = x[inside]
             x /= self.r
-            x[~inside] = 0.0
-        return alive
+        return alive.reshape(np.shape(t))
 
     def as_dict(self) -> dict:
         """Only the fields that define this kind of set are written."""

@@ -10,7 +10,10 @@ Three families are supported, one per admissible spectral block shape:
   sqrt(A) * N(0, 2 * scale**2 * I) with A one-sided (alpha/2)-stable;
 * a discrete semistable family with Levy-measure atoms at +-c^(k/alpha)
   of mass c^(-k), k in Z, simulated as compound Poisson above a truncation
-  level k_min with Gaussian compensation of the removed small jumps.
+  level k_min with Gaussian compensation of the removed small jumps: the
+  rare atoms (fewer than one jump a sample on average) in one merged draw,
+  and the net jump count of each frequent atom by inversion on a CDF table
+  where the table is small beside the draw, else as two Poisson counts.
 
 The discrete family scales only along the geometric sequence c^k, which is
 what distinguishes semistable from stable paths: X(c*dt) matches
@@ -26,14 +29,19 @@ from enum import Enum
 import numpy as np
 
 from .codec import Record
-from .errors import AlphaOutOfRange, BudgetExceeded, TruncationTooCoarse
+from .errors import AlphaOutOfRange, BudgetExceeded, DegenerateSample, TruncationTooCoarse
 
 DEFAULT_K_MIN = -25
 # Neglected-tail probability budget used to pick the largest simulated atom.
 _ATOM_TAIL_BUDGET = 1e-12
-# Most atoms one draw walks, two Poisson draws each: a deeper truncation, or
-# a c nearer 1, is rejected before the atom arrays are built.
+# Most atoms one draw walks: a deeper truncation, or a c nearer 1, is rejected
+# before the atom arrays are built.  Each frequent atom costs one table
+# inversion or two Poisson draws of n variates.
 _MAX_ATOMS = 10**5
+# The rare atoms are drawn together in runs cut where their running total
+# intensity passes a multiple of this, so that one draw holds about 2n jumps;
+# with c >= 2 the rare intensities sum to less than 2 and make one run.
+_RARE_RUN = 2.0
 
 
 def _check_alpha(alpha: float, upper_inclusive: bool = True) -> None:
@@ -136,6 +144,36 @@ def check_truncation(alpha: float, c: float, dt: float, k_min: int) -> None:
         )
 
 
+def _net_count_cdf(mu: float, lo: int, hi: int) -> np.ndarray:
+    """CDF table of N+ - N- for independent N+, N- ~ Poisson(mu), each taken
+    over the counts lo .. hi: entry i is P(N+ - N- <= i - (hi - lo))."""
+    # log p(k) - log p(lo) = sum of log(mu / j) for j = lo+1 .. k: the terms
+    # are small, so the pmf keeps its relative precision after normalising
+    log_p = np.concatenate(([0.0], np.cumsum(np.log(mu / np.arange(lo + 1, hi + 1)))))
+    p = np.exp(log_p - log_p.max())
+    p /= p.sum()
+    return np.cumsum(np.convolve(p, p[::-1]))
+
+
+def _add_rare_jumps(out: np.ndarray, heights: np.ndarray, lam: np.ndarray, rng: np.random.Generator) -> None:
+    """Add the jumps of atoms of per-sample intensities ``lam`` to ``out``.
+
+    The atoms are superposed: one Poisson total over all samples and atoms,
+    then, for each jump, its atom by inverting the cumulative intensity, its
+    sample uniform on 0 .. n-1 and its sign fair (one integer in 0 .. 2n-1
+    carries both).  Exact by Poisson superposition and marking.
+    """
+    n = out.size
+    cum = np.cumsum(lam)
+    total = rng.poisson(n * cum[-1])
+    if total:
+        jump = heights[np.searchsorted(cum[:-1], rng.random(total) * cum[-1], side="right")]
+        slot = rng.integers(0, 2 * n, size=total)
+        jump[(slot & 1) == 0] *= -1.0
+        slot >>= 1
+        out += np.bincount(slot, weights=jump, minlength=n)
+
+
 def sample_semistable_increment(
     alpha: float,
     c: float,
@@ -146,19 +184,29 @@ def sample_semistable_increment(
 ):
     """Increments of the discrete semistable law over a time step dt.
 
-    By Poisson thinning, the net signed jump count of atom k is the
-    difference N+ - N- of two independent Poisson(dt * c^-k / 2) counts, so
-    each atom costs two Poisson draws of n variates with one scalar
-    intensity, accumulated as c^(k/alpha) * (N+ - N-) into one float
-    vector; memory is O(n).  Atoms are walked from the largest down, so two
-    truncation depths k_min share the draws of their common atoms.  Atoms
-    with intensity below 1e-3 draw one global Poisson count instead, whose
-    jumps land on uniformly chosen samples with random signs.
+    Atom k fires as a Poisson(lam_k) count per sample, lam_k = dt * c^-k,
+    each jump of height +-c^(k/alpha) with a fair sign.  Memory is O(n).
+
+    * Rare atoms (lam_k < 1) are drawn together, rarest first, by
+      :func:`_add_rare_jumps`, in runs cut where their running total
+      intensity passes a multiple of ``_RARE_RUN``, so that one draw holds
+      about ``_RARE_RUN * n`` jumps (one run when c >= 2).
+    * Each frequent atom, from the largest down, adds c^(k/alpha) times its
+      net count N+ - N-, the difference of two independent Poisson(lam_k/2)
+      counts (Poisson thinning).  Where the atom's CDF table
+      (:func:`_net_count_cdf`) has size**2 <= 4n, so that building it costs
+      at most 4 multiply-adds a sample, the net count is one uniform per
+      sample inverted on the table; otherwise it is two Poisson vectors.
+
+    The atom order does not depend on k_min, so two truncation depths share
+    the draws of their common atoms.  A Gaussian of std
+    :func:`compensation_std` replaces the jumps below k_min.
 
     TruncationTooCoarse fires when the compensation Gaussian would rival the
     increment's own scale dt^(1/alpha), i.e. when k_min is too shallow for
-    this dt (:func:`check_truncation`), and BudgetExceeded when the walk
-    would take more than ``_MAX_ATOMS`` atoms.
+    this dt (:func:`check_truncation`), BudgetExceeded when the walk would
+    take more than ``_MAX_ATOMS`` atoms, and DegenerateSample when an atom
+    height leaves the float64 range.
     """
     _check_alpha(alpha, upper_inclusive=False)
     if c <= 1.0:
@@ -169,18 +217,35 @@ def sample_semistable_increment(
     n = 1 if size is None else int(np.prod(size))
     ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
     sigma = compensation_std(alpha, c, dt, k_min)
-    heights = np.power(float(c), ks.astype(float) / alpha)
+    with np.errstate(over="ignore"):
+        heights = np.power(float(c), ks.astype(float) / alpha)
+    if not np.isfinite(heights).all():
+        raise DegenerateSample(f"atom height c^(k/alpha) at k = {ks[-1]} leaves the float64 range")
     out = np.zeros(n)
-    for h, lam_k in zip(heights[::-1], lam[::-1]):
-        if lam_k >= 1e-3:
-            net = rng.poisson(0.5 * lam_k, n) - rng.poisson(0.5 * lam_k, n)
-            out += h * net
+    # lam falls with k: atoms [0, frequent) fire at least once a sample on average
+    frequent = int(np.count_nonzero(lam >= 1.0))
+    rare_h, rare_lam = heights[frequent:][::-1], lam[frequent:][::-1]
+    cuts = np.searchsorted(np.cumsum(rare_lam), np.arange(_RARE_RUN, rare_lam.sum(), _RARE_RUN), side="right")
+    bounds = [0, *cuts.tolist(), rare_lam.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        _add_rare_jumps(out, rare_h[start:stop], rare_lam[start:stop], rng)
+    # Poisson(mu) puts mass below about 1e-30, far under the 2^-53 resolution
+    # of a uniform, outside the counts mu +- (12 sqrt(mu) + 30)
+    mu = 0.5 * lam[:frequent]
+    reach = 12.0 * np.sqrt(mu) + 30.0
+    lo, hi = np.maximum(np.floor(mu - reach), 0.0), np.ceil(mu + reach)
+    table = (hi - lo + 1.0) ** 2 <= 4.0 * n
+    for i in range(frequent - 1, -1, -1):
+        if table[i]:
+            cdf = _net_count_cdf(mu[i], int(lo[i]), int(hi[i]))
+            top = int(hi[i] - lo[i])  # the table holds the net counts -top .. top
+            u = rng.random(n)
+            u *= cdf[-1]
+            out += (heights[i] * np.arange(-top, top + 1))[np.searchsorted(cdf[:-1], u, side="right")]
         else:
-            total = rng.poisson(n * lam_k)
-            if total:
-                where = rng.integers(0, n, size=total)
-                signs = 2 * rng.integers(0, 2, size=total) - 1
-                np.add.at(out, where, signs * h)
+            both = rng.poisson(mu[i], 2 * n)
+            both[:n] -= both[n:]
+            out += heights[i] * both[:n]
     out += sigma * rng.standard_normal(n)
     if size is None:
         return float(out[0])

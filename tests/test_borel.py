@@ -4,12 +4,27 @@ import numpy as np
 import pytest
 
 from semidim import BorelSetSpec, cantor, interval, simulate_path, time_set, union, validate_exponent
-from semidim.borel import check_cover_level
+from semidim.borel import SetKind, check_cover_level
 from semidim.errors import InvalidInputs, ResolutionTooCoarse
 from semidim.laws import BlockLaw, LawKind
 from semidim.paths import grid_times
 
 BM_LAWS = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),)
+
+
+def reference_contains(spec, t, n, level):
+    """Whether time t lies in the set, level by level in plain floats."""
+    if spec.kind is SetKind.FINITE_UNION:
+        return any(reference_contains(member, t, n, level) for member in spec.members)
+    if spec.kind is SetKind.INTERVAL:
+        return spec.a <= t <= spec.b
+    pitch = (1.0 - spec.r) / (spec.m - 1)
+    for _ in range(spec.cover_level(n) if level is None else level):
+        t -= min(max(math.floor(t / pitch), 0), spec.m - 1) * pitch
+        if not -1e-12 <= t <= spec.r + 1e-12:
+            return False
+        t /= spec.r
+    return True
 
 
 class TestDimensions:
@@ -64,7 +79,8 @@ class TestMask:
         "spec, n, level", [(cantor(), 16, 8), (cantor(), 20, None), (cantor(3, 0.2), 14, 5), (cantor(2, 0.5), 12, 10)]
     )
     def test_matches_the_copying_reference(self, spec, n, level):
-        # the mask rescales its grid in place; the reference copies per level
+        # the mask carries only the times still alive; the reference carries
+        # every time through every level
         t = np.arange(2**n + 1) / 2**n
         offsets = np.arange(spec.m) * (1.0 - spec.r) / (spec.m - 1)
         x, alive = t.copy(), np.ones(t.size, dtype=bool)
@@ -74,6 +90,16 @@ class TestMask:
             alive &= inside
             x = np.where(inside, rel / spec.r, 0.0)
         assert np.array_equal(spec.mask(n, level), alive)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [cantor(2, 1 / 3), cantor(3, 0.2), cantor(2, 0.5), cantor(4, 0.25), union(cantor(3, 0.2), interval(0.45, 0.55), cantor())],
+    )
+    @pytest.mark.parametrize("level", [None, 4])
+    def test_matches_a_per_time_reference(self, spec, level):
+        n = 12
+        want = [reference_contains(spec, t, n, level) for t in grid_times(n).tolist()]
+        assert spec.mask(n, level).tolist() == want
 
     @pytest.mark.parametrize(
         "spec, level",

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -43,6 +45,22 @@ def reference_semistable_increment(alpha, c, dt, rng, k_min, n):
                 np.add.at(out, where, signs * heights[k_idx])
     out += compensation_std(alpha, c, dt, k_min) * rng.standard_normal(n)
     return out
+
+
+class CountingGenerator:
+    """A Generator whose method calls are counted by name."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 class TestStableSampler:
@@ -153,6 +171,44 @@ class TestSemistableSampler:
         )
         ks = scipy.stats.ks_2samp(a, b).statistic
         assert ks < 1.36 * np.sqrt(2.0 / n) * 2.0
+
+    @pytest.mark.parametrize("draw_size", [2**16, 20], ids=["table", "two-poisson"])
+    def test_each_branch_matches_reference_kernel(self, draw_size):
+        # at dt = 2^-16 one draw of 2^16 inverts every frequent atom's net
+        # count on its table; draws of 20 are too small for a table, so every
+        # frequent atom draws two Poisson vectors
+        n, dt = 2**16, 2.0**-16
+        rng = derive_rng(4, f"test/semi/branch/{draw_size}")
+        a = np.concatenate([sample_semistable_increment(1.0, 2.0, dt, rng, size=draw_size) for _ in range(-(-n // draw_size))])
+        b = reference_semistable_increment(1.0, 2.0, dt, derive_rng(4, "test/semi/branch/reference"), k_min=DEFAULT_K_MIN, n=n)
+        ks = scipy.stats.ks_2samp(a, b).statistic
+        assert ks < 1.36 * np.sqrt(1.0 / a.size + 1.0 / n) * 2.0
+
+    def test_rare_atoms_in_runs_match_reference_kernel(self):
+        # at c = 1.25 the rare intensities sum to about 4.1, so the rare atoms
+        # are drawn in three runs (one Poisson total each) of about 2n jumps
+        n, c, dt, k_min = 2**16, 1.25, 2.0**-8, -40
+        rng = CountingGenerator(derive_rng(4, "test/semi/runs"))
+        a = sample_semistable_increment(1.0, c, dt, rng, k_min=k_min, size=n)
+        assert rng.calls["poisson"] == 3
+        b = reference_semistable_increment(1.0, c, dt, derive_rng(4, "test/semi/runs/reference"), k_min=k_min, n=n)
+        assert scipy.stats.ks_2samp(a, b).statistic < 1.36 * np.sqrt(2.0 / n) * 2.0
+
+    @pytest.mark.parametrize("size", [2**16, 20])
+    def test_generator_calls_scale_with_frequent_atoms(self, size):
+        # one Poisson total for all rare atoms, then one uniform vector (table)
+        # or one Poisson vector of 2n (two counts) per frequent atom; a walk
+        # over the rare atoms one by one would make more calls than this
+        dt = 2.0**-16
+        _, lam = semistable_atom_range(1.0, 2.0, dt, DEFAULT_K_MIN, n_samples=size)
+        frequent = int(np.count_nonzero(lam >= 1.0))
+        rng = CountingGenerator(derive_rng(4, "test/semi/calls"))
+        sample_semistable_increment(1.0, 2.0, dt, rng, size=size)
+        table = size == 2**16
+        assert frequent == 10 and lam.size - frequent > frequent + 4
+        assert rng.calls["poisson"] == (1 if table else 1 + frequent)
+        assert rng.calls["random"] == (1 + frequent if table else 1)
+        assert sum(rng.calls.values()) <= frequent + 4
 
     def test_rare_atoms_symmetric(self):
         # at dt = 2^-14 the atoms of height >= 1/16 fire below intensity 1e-3

@@ -125,7 +125,7 @@ FULL_MASK_PINS = {
     "semistable": (
         [[1.0]],
         BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0),
-        "f4fa6bf25802178a24c79a0fcf7ea6d8025f3a43541377039f43aa12805b1855",
+        "a4adfa629e09c1c53b6f1eefc00c919bef8ec436c0a72277b9f72fecbb07a089",
     ),
     "jordan": (
         [[0.5, 1.0], [0.0, 0.5]],
