@@ -359,7 +359,8 @@ def covering_count(
 
 @dataclass(frozen=True)
 class SojournEstimate(Record):
-    """Monte Carlo means of the sojourn time T(a, s) over a radii grid."""
+    """Monte Carlo means of the sojourn time T(a, s) over a radii grid, and
+    the log-log slope's jackknife stderr over the batches."""
 
     target: str  # "graph" or "range"
     radii: np.ndarray
@@ -367,6 +368,7 @@ class SojournEstimate(Record):
     means: np.ndarray
     stderrs: np.ndarray
     fit: ScalingFit
+    slope_stderr: float
     case: str
     theory_exponent: float
 
@@ -407,7 +409,11 @@ def sojourn_mc(
     each of ``SOJOURN_BATCHES`` batches draws one uniform time per stratum
     (the bottom one takes its midpoint, as the laws need t > 0) and its share
     of ``ensemble`` draws of X(t), which every radius and both targets read.
-    The batches' spread is the stderr.  Returns (graph, range) estimates.
+    All the draws are one :func:`sample_marginal` call, one time per row, on
+    the stream ``<name>/draws``.  The batches' spread is the stderr of each
+    mean; the slope's stderr is the jackknife over the batches, refitting
+    with each batch left out, so it counts that every radius reads the same
+    draws.  Returns (graph, range) estimates.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     check_sojourn(ensemble, radii, n, spec.d)
@@ -421,17 +427,20 @@ def sojourn_mc(
     times = edges[:-1] + widths * derive_rng(seed, f"{name}/times").random((SOJOURN_BATCHES, widths.size))
     times[:, 0] = 0.5 * widths[0]
     sizes = ensemble // SOJOURN_BATCHES + (np.arange(SOJOURN_BATCHES) < ensemble % SOJOURN_BATCHES)
-    hits = {target: np.zeros((SOJOURN_BATCHES, radii.size)) for target in ("graph", "range")}
-    for (b, k), t in np.ndenumerate(times):
-        x = sample_marginal(spec, laws, t, sizes[b], seed, name=f"{name}/time/{k}/batch/{b}")
-        x2 = np.sum(x**2, axis=1)
-        for target, norms in (("graph", x2 + t * t), ("range", x2)):
-            hits[target][b] += widths[k] * np.count_nonzero(norms[:, None] <= radii**2, axis=0)
+    # batch b holds sizes[b] rows at each of its times, batch by batch
+    per_time = np.repeat(sizes, widths.size)
+    t = np.repeat(times.ravel(), per_time)
+    x2 = np.sum(sample_marginal(spec, laws, t, t.size, seed, name=f"{name}/draws") ** 2, axis=1)
+    first_rows = np.cumsum(per_time) - per_time
     out = []
-    for target, theory in (("graph", exp_graph), ("range", exp_range)):
-        means = hits[target].sum(axis=0) / ensemble
-        stderrs = np.std(hits[target] / sizes[:, None], axis=0, ddof=1) / math.sqrt(SOJOURN_BATCHES)
+    for target, theory, norms in (("graph", exp_graph, x2 + t * t), ("range", exp_range, x2)):
+        within = np.add.reduceat(norms[:, None] <= radii**2, first_rows, axis=0, dtype=np.int64)
+        hits = np.einsum("bkr,k->br", within.reshape(SOJOURN_BATCHES, widths.size, radii.size), widths)
+        total = hits.sum(axis=0)
+        means = total / ensemble
+        stderrs = np.std(hits / sizes[:, None], axis=0, ddof=1) / math.sqrt(SOJOURN_BATCHES)
         fit = fit_loglog(radii, means)
+        left_out = [fit_loglog(radii, (total - h) / (ensemble - size)).slope for h, size in zip(hits, sizes)]
         out.append(
             SojournEstimate(
                 target=target,
@@ -440,6 +449,7 @@ def sojourn_mc(
                 means=means,
                 stderrs=stderrs,
                 fit=fit,
+                slope_stderr=float(np.std(left_out) * math.sqrt(SOJOURN_BATCHES - 1)),
                 case=case,
                 theory_exponent=theory,
             )

@@ -176,6 +176,8 @@ class VerificationReport(Record):
             theory = info.get("theory")
             v = info.get("verdict", "-")
             extra = f" (stderr {info['stderr']:.4f})" if "stderr" in info else ""
+            if "reason" in info:
+                extra += f": {info['reason']}"
             lines.append(
                 f"  {stage:<12} estimate={est:.4f} theory={theory:.4f} -> {v}{extra}"
             )
@@ -255,8 +257,7 @@ def _sojourn_stage(sc: Scenario, seed: int) -> dict:
         sc.spec, sc.laws, sc.sojourn_radii, 1.0, sc.sojourn_ensemble, seed, sc.sojourn_n,
         name=f"scenario/{sc.name}/sojourn",
     )
-    slope, theory = graph_soj.fit.slope, graph_soj.theory_exponent
-    slope_err = _sojourn_slope_stderr(graph_soj)
+    slope, theory, slope_err = graph_soj.fit.slope, graph_soj.theory_exponent, graph_soj.slope_stderr
     return {
         "estimate": slope,
         "theory": theory,
@@ -302,15 +303,6 @@ def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> Verificati
         runtime_seconds=time.perf_counter() - started,
         notes=sc.notes,
     )
-
-
-def _sojourn_slope_stderr(est) -> float:
-    """Propagate per-radius Monte Carlo noise into the fitted slope."""
-    x = np.log(est.radii)
-    x = x - x.mean()
-    rel = est.stderrs / np.maximum(est.means, 1e-300)
-    denom = float(np.sum(x**2))
-    return float(np.sqrt(np.sum((x * rel) ** 2)) / denom)
 
 
 # --------------------------------------------------------------------------

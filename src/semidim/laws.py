@@ -42,6 +42,8 @@ _MAX_ATOMS = 10**5
 # intensity passes a multiple of this, so that one draw holds about 2n jumps;
 # with c >= 2 the rare intensities sum to less than 2 and make one run.
 _RARE_RUN = 2.0
+# Largest Poisson mean numpy draws: the int64 maximum less ten of its square roots.
+_LOG_POISSON_MAX = math.log(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
 
 def _check_alpha(alpha: float, upper_inclusive: bool = True) -> None:
@@ -52,14 +54,15 @@ def _check_alpha(alpha: float, upper_inclusive: bool = True) -> None:
 
 
 def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator, size=None):
-    """Symmetric alpha-stable variates by the CMS construction.
+    """Symmetric alpha-stable variates by the CMS construction; ``scale`` is
+    one value, or one per variate.
 
     The single formula below is continuous in alpha and reduces to tan(U)
     at alpha = 1 and to 2 sin(U) sqrt(W) (exactly Gaussian, variance 2) at
     alpha = 2.
     """
     _check_alpha(alpha)
-    if scale <= 0:
+    if np.any(scale <= 0):
         raise ValueError(f"scale must be positive, got {scale}")
     u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
     w = rng.exponential(1.0, size=size)
@@ -88,11 +91,12 @@ def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Genera
     """Isotropic alpha-stable vectors in R^2, shape (..., 2).
 
     E exp(i <theta, X>) = exp(-(scale * |theta|)**alpha); rotation invariant
-    by construction.
+    by construction.  ``scale`` is one value, or one per vector.
     """
     _check_alpha(alpha)
-    if scale <= 0:
+    if np.any(scale <= 0):
         raise ValueError(f"scale must be positive, got {scale}")
+    scale = np.asarray(scale)[..., None]
     shape = () if size is None else (size if isinstance(size, tuple) else (size,))
     g = rng.standard_normal(shape + (2,))
     if alpha == 2.0:
@@ -141,6 +145,17 @@ def check_truncation(alpha: float, c: float, dt: float, k_min: int) -> None:
         raise TruncationTooCoarse(
             f"k_min={k_min} is too shallow at time step {dt:.3e}: the compensation "
             f"std exceeds half the increment scale; lower k_min to at most {limit:.6g}"
+        )
+
+
+def check_poisson_mean(c: float, dt: float, k_min: int) -> None:
+    """Raise BudgetExceeded when k_min is so deep that its atom's mean count
+    dt c^(-k_min) / 2 passes the largest Poisson mean numpy draws (about
+    9.2e18); solved for k_min in log space, so that nothing overflows."""
+    if -k_min > (_LOG_POISSON_MAX + math.log(2.0) - math.log(dt)) / math.log(c):
+        raise BudgetExceeded(
+            f"k_min={k_min} is too deep at time step {dt:.3e}: the atom k = k_min "
+            "fires more often than numpy's Poisson sampler can draw; raise k_min"
         )
 
 
@@ -205,8 +220,9 @@ def sample_semistable_increment(
     TruncationTooCoarse fires when the compensation Gaussian would rival the
     increment's own scale dt^(1/alpha), i.e. when k_min is too shallow for
     this dt (:func:`check_truncation`), BudgetExceeded when the walk would
-    take more than ``_MAX_ATOMS`` atoms, and DegenerateSample when an atom
-    height leaves the float64 range.
+    take more than ``_MAX_ATOMS`` atoms or k_min is too deep for numpy's
+    Poisson sampler at this dt (:func:`check_poisson_mean`), and
+    DegenerateSample when an atom height leaves the float64 range.
     """
     _check_alpha(alpha, upper_inclusive=False)
     if c <= 1.0:
@@ -214,6 +230,7 @@ def sample_semistable_increment(
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
     check_truncation(alpha, c, dt, k_min)
+    check_poisson_mean(c, dt, k_min)
     n = 1 if size is None else int(np.prod(size))
     ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
     sigma = compensation_std(alpha, c, dt, k_min)
@@ -274,20 +291,30 @@ class BlockLaw(Record):
             # NaN fails every comparison: test that c lies inside the range, not outside
             if self.c is None or not 1.0 < self.c < math.inf:
                 raise ValueError(f"SEMISTABLE_DISCRETE requires a finite scaling constant c > 1, got {self.c}")
+            check_poisson_mean(self.c, 1.0, self.k_min)  # every step a run takes is <= 1
         else:
             _check_alpha(self.alpha)
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
-    def sample_increments(self, dt: float, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n iid increments over time step dt; shape (n,) or (n, 2)."""
-        if self.kind is LawKind.STABLE_SYMMETRIC:
-            return sample_stable_increment(self.alpha, self.scale * dt ** (1.0 / self.alpha), rng, size=n)
-        if self.kind is LawKind.STABLE_ISOTROPIC_2D:
-            return sample_isotropic_stable_2d(self.alpha, self.scale * dt ** (1.0 / self.alpha), rng, size=n)
-        return self.scale * sample_semistable_increment(
-            self.alpha, self.c, dt, rng, k_min=self.k_min, size=n
-        )
+    def sample_increments(self, dt, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n independent increments over one time step dt or over one step each
+        (dt of shape (n,)); shape (n,) or (n, 2).  A stable law scales each
+        increment by its step; the semistable sampler takes one step a call, so
+        it draws the increments grouped by step, shortest first, in order."""
+        if self.kind is not LawKind.SEMISTABLE_DISCRETE:
+            scale = self.scale * dt ** (1.0 / self.alpha)
+            if self.kind is LawKind.STABLE_SYMMETRIC:
+                return sample_stable_increment(self.alpha, scale, rng, size=n)
+            return sample_isotropic_stable_2d(self.alpha, scale, rng, size=n)
+        if np.ndim(dt) == 0:  # a whole path's steps: no grouping temporaries of its size
+            return self.scale * sample_semistable_increment(self.alpha, self.c, dt, rng, k_min=self.k_min, size=n)
+        out, order, start = np.empty(n), np.argsort(dt, kind="stable"), 0
+        for step, count in zip(*np.unique(dt, return_counts=True)):
+            draw = sample_semistable_increment(self.alpha, self.c, float(step), rng, k_min=self.k_min, size=int(count))
+            out[order[start : start + count]] = self.scale * draw
+            start += count
+        return out
 
     def as_dict(self) -> dict:
         """Only the semistable law writes its scaling constant and truncation."""

@@ -18,16 +18,14 @@ Block dispatch:
   carries a full Gaussian law on a defective block, so this construction
   trades stationarity for the correct marginals.
 
-A path on a time set B holds only the grid rows that B's mask keeps.  A
-Levy block has stationary independent increments, so its increment over a
-gap of h grid steps is one draw of X(h 2^-n), independent of the rest, and
-the value at a first kept time t > 0 is one draw of X(t): each block draws
-one increment per kept step and one per gap, exactly in law.  The draws are
-grouped by step length, one sampler call per distinct length; a semistable
-block checks its truncation at each length's own step, which a longer step
-passes more easily.  The Gaussian-operator block takes the kept times as
-they are, since its increments are differences of C(t) on any increasing
-times.
+Paths and marginals share one draw per block, :func:`_block_increments`:
+independent draws of X_j(t_i) - X_j(t_i - step_i), one row per time.  A Levy
+block draws X(step_i), by stationary independent increments; the
+Gaussian-operator block draws N(0, C(t_i) - C(t_i - step_i)), C(0) = 0.  A
+path passes the steps between the grid rows it holds: on the whole grid the
+one step 2^-n, and on a time set B one per kept step and per gap of B's mask,
+and one over [0, t] for a first kept time t > 0.  A marginal X(t) is the
+increment over [0, t].
 """
 
 from __future__ import annotations
@@ -93,8 +91,9 @@ def _has_real_spectrum(block: SpectralBlock) -> bool:
     return bool(np.max(np.abs(eig.imag)) <= _BLOCK_FORM_TOL)
 
 
-def _check_law(block: SpectralBlock, law: BlockLaw, spec_c: float) -> str:
-    """Return the simulation strategy for (block, law) or raise."""
+def _is_gaussian_operator(block: SpectralBlock, law: BlockLaw, spec_c: float) -> bool:
+    """Whether (block, law) is simulated as a Gaussian-operator block rather
+    than by its law's increments; raise when there is no simulator for it."""
     if abs(law.alpha - block.alpha) > ALPHA_MATCH_TOL:
         raise BlockLawMismatch(
             f"law alpha {law.alpha} does not match block alpha {block.alpha:.12g}"
@@ -106,18 +105,16 @@ def _check_law(block: SpectralBlock, law: BlockLaw, spec_c: float) -> str:
             raise BlockLawMismatch(
                 f"semistable law c={law.c} must equal the exponent's c={spec_c}"
             )
-        return "scalar"
+        return False
     if law.kind is LawKind.STABLE_ISOTROPIC_2D:
         if block.d != 2 or not _is_rotation_form(block.matrix):
             raise BlockLawMismatch(
                 "STABLE_ISOTROPIC_2D requires a 2-d rotation-form block a*I + b*J"
             )
-        return "isotropic"
+        return False
     # STABLE_SYMMETRIC
-    if block.d == 1:
-        return "scalar"
-    if law.alpha == 2.0 and _has_real_spectrum(block):
-        return "gaussian_operator"
+    if block.d == 1 or (law.alpha == 2.0 and _has_real_spectrum(block)):
+        return block.d > 1
     raise BlockLawMismatch(
         f"no simulator for a {block.d}-d block with law {law.kind.value} "
         f"at alpha={law.alpha}; multi-dimensional non-rotation blocks are "
@@ -125,13 +122,13 @@ def _check_law(block: SpectralBlock, law: BlockLaw, spec_c: float) -> str:
     )
 
 
-def _block_strategies(spec: ExponentSpec, laws) -> tuple[tuple[BlockLaw, ...], list]:
-    """The laws as a tuple and, per spectral block, (block, law, strategy)."""
+def _block_laws(spec: ExponentSpec, laws) -> tuple[tuple[BlockLaw, ...], list]:
+    """The laws as a tuple and, per spectral block, (block, law, gaussian)."""
     dec = spec.decomposition
     laws = tuple(laws)
     if len(laws) != dec.p:
         raise BlockLawMismatch(f"need {dec.p} block laws, got {len(laws)}")
-    return laws, [(b, l, _check_law(b, l, spec.c)) for b, l in zip(dec.blocks, laws)]
+    return laws, [(b, l, _is_gaussian_operator(b, l, spec.c)) for b, l in zip(dec.blocks, laws)]
 
 
 def _nilpotent_power_series(g: np.ndarray, log_t: np.ndarray) -> np.ndarray:
@@ -175,22 +172,27 @@ def _gaussian_covariance(block: SpectralBlock, law: BlockLaw, t: np.ndarray) -> 
     return t[:, None, None] * np.einsum("kij,jl,kml->kim", m_t, c1, m_t)
 
 
-def _gaussian_operator_block(
-    block: SpectralBlock, law: BlockLaw, times: np.ndarray, rng: np.random.Generator
+def _block_increments(
+    block: SpectralBlock, law: BlockLaw, gaussian: bool, times, steps, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Cumulative block path with covariance C(t); increments are differences
-    of consecutive C."""
-    t_pos = times[1:]
-    c_t = _gaussian_covariance(block, law, t_pos)
-    c_inc = np.diff(np.concatenate([np.zeros((1, block.d, block.d)), c_t]), axis=0)
-    c_inc = 0.5 * (c_inc + np.transpose(c_inc, (0, 2, 1)))
-    c_inc += 1e-14 * np.trace(c_inc, axis1=1, axis2=2)[:, None, None] * np.eye(block.d)
-    chol = np.linalg.cholesky(c_inc)
-    z = rng.standard_normal((t_pos.size, block.d))
-    increments = np.einsum("kij,kj->ki", chol, z)
-    path = np.zeros((times.size, block.d))
-    np.cumsum(increments, axis=0, out=path[1:])
-    return path
+    """``size`` independent draws of X_j(t_i) - X_j(t_i - step_i), one row per
+    time, shape (size, block.d); ``times`` and ``steps`` are each one value
+    or one per row, with 0 < step_i <= t_i.  A Levy block draws X(step_i);
+    the Gaussian-operator block draws N(0, C(t_i) - C(t_i - step_i)), C(0) = 0,
+    with one Cholesky factor for one time and step.
+    """
+    if not gaussian:
+        inc = law.sample_increments(steps, size, rng)
+        return inc[:, None] if inc.ndim == 1 else inc
+    t, step = np.broadcast_arrays(np.atleast_1d(times), np.atleast_1d(steps))
+    cov = _gaussian_covariance(block, law, t)
+    before = t - step
+    later = before > 0
+    cov[later] -= _gaussian_covariance(block, law, before[later])
+    cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+    cov += 1e-14 * np.trace(cov, axis1=1, axis2=2)[:, None, None] * np.eye(block.d)
+    chol = np.broadcast_to(np.linalg.cholesky(cov), (size, block.d, block.d))
+    return np.einsum("kij,kj->ki", chol, rng.standard_normal((size, block.d)))
 
 
 def grid_times(n: int) -> np.ndarray:
@@ -211,7 +213,7 @@ def check_memory(floats: int, what: str) -> None:
 def check_grid(n: int, d: int) -> None:
     """Reject a negative depth or a grid of depth n in d dimensions that would
     not fit in physical memory: times and values, plus one block's
-    increments and cumulative path."""
+    increments and a sampler temporary of their size."""
     if n < 0:
         raise ValueError("grid depth must be nonnegative")
     # beyond 2^64 points no memory suffices, so 2^n is never formed for a huge n
@@ -227,21 +229,6 @@ def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray) -> None
     for i in range(basis.shape[0]):
         for k in range(basis.shape[1]):
             out[:, i] += block_values[:, k] * basis[i, k]
-
-
-def _step_groups(steps: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(h, positions of the steps of h grid steps) per distinct h, ascending
-    in h.  Each pass takes out the shortest step left; the steps inside the
-    pieces of a time set are all alike, so the first pass takes nearly all of
-    them and the later passes see only the gaps."""
-    groups = []
-    where = np.arange(steps.size)
-    while where.size:
-        h = steps.min()
-        hit = steps == h
-        groups.append((int(h), where[hit]))
-        steps, where = steps[~hit], where[~hit]
-    return groups
 
 
 def simulate_path(
@@ -260,14 +247,14 @@ def simulate_path(
 
     ``mask`` (2^n + 1 booleans) restricts the path to the grid rows it keeps.
     Each block then draws one increment per step between consecutive kept
-    rows, and one over [0, t] for a first kept time t > 0: one call to the
-    sampler per distinct step length, shortest first.  A mask that keeps
-    every row draws exactly the path of ``mask=None``.
+    rows, and one over [0, t] for a first kept time t > 0, all in one
+    :func:`_block_increments` call.  A mask that keeps every row draws
+    exactly the path of ``mask=None``, whose steps are the one grid step.
     Raises BudgetExceeded, before allocating, when the grid alone would not
     fit in physical memory.
     """
     check_grid(n, spec.d)
-    laws, blocks = _block_strategies(spec, laws)
+    laws, blocks = _block_laws(spec, laws)
 
     dt = 2.0 ** (-n)
     if mask is not None and mask.shape != (2**n + 1,):
@@ -276,35 +263,22 @@ def simulate_path(
     # before the first step
     if mask is None or mask.all():
         rows, times, first = None, grid_times(n), 1
-        groups = [(1, range(2**n))]  # every step is one grid step
+        steps = dt
     else:
         rows = np.flatnonzero(mask)
         if rows.size == 0:
             raise EmptyRestriction("no grid point falls inside the time set")
         times, first = rows * dt, int(rows[0] == 0)
-        groups = _step_groups(np.diff(rows, prepend=0)[first:])
-    n_steps = times.size - first
+        steps = np.diff(rows, prepend=0)[first:] * dt
     values = np.zeros((times.size, spec.d))
     # Near alpha = 0 the increments can overflow float64; such a path is
     # rejected as a whole below instead of warning sample by sample.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, (block, law, strategy) in enumerate(blocks):
+        for j, (block, law, gaussian) in enumerate(blocks):
             rng = derive_rng(seed, f"{name}/block/{j}")
-            if strategy == "gaussian_operator":
-                start = times if first else np.concatenate(([0.0], times))
-                block_path = _gaussian_operator_block(block, law, start, rng)[1 - first :]
-            else:
-                draws = [law.sample_increments(h * dt, len(at), rng) for h, at in groups]
-                inc = draws[0]
-                if len(draws) > 1:
-                    inc = np.empty((n_steps, *inc.shape[1:]))
-                    for (_, at), draw in zip(groups, draws):
-                        inc[at] = draw
-                if inc.ndim == 1:
-                    inc = inc[:, None]
-                block_path = np.zeros((times.size, block.d))
-                np.cumsum(inc, axis=0, out=block_path[first:])
-            _embed(values, block_path, block.basis)
+            inc = _block_increments(block, law, gaussian, times[first:], steps, times.size - first, rng)
+            # values[first:] += cumsum(inc) @ basis.T; row 0, when held, is X(0) = 0
+            _embed(values[first:], np.cumsum(inc, axis=0, out=inc), block.basis)
     if not np.isfinite(values).all():
         raise DegenerateSample(f"path {name!r} leaves the float64 range")
     return LevyPath(times=times, values=values, seed=seed, n=n, spec=spec, laws=laws, rows=rows)
@@ -313,33 +287,25 @@ def simulate_path(
 def sample_marginal(
     spec: ExponentSpec,
     laws,
-    t: float,
+    t,
     size: int,
     seed: int,
     name: str = "marginal",
 ) -> np.ndarray:
-    """iid samples of X(t), shape (size, d).
-
-    For Levy block laws X(t) equals one increment over [0, t] in
-    distribution; the Gaussian operator block draws N(0, C(t)) directly.
-    """
-    if t <= 0:
+    """Independent draws of X(t), shape (size, d), for one time ``t`` or one
+    time per row (shape (size,)): each row is the increment over [0, t], drawn
+    by :func:`_block_increments` with step = t on one stream per block."""
+    if np.shape(t) not in ((), (size,)):
+        raise ValueError(f"need one time or {size} times, got shape {np.shape(t)}")
+    if not np.all(np.asarray(t) > 0):  # NaN fails too
         raise ValueError("time must be positive")
-    _, blocks = _block_strategies(spec, laws)
+    _, blocks = _block_laws(spec, laws)
     out = np.zeros((size, spec.d))
     # as in simulate_path: an overflowing sample rejects the whole draw
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, (block, law, strategy) in enumerate(blocks):
+        for j, (block, law, gaussian) in enumerate(blocks):
             rng = derive_rng(seed, f"{name}/block/{j}")
-            if strategy == "gaussian_operator":
-                c_t = _gaussian_covariance(block, law, np.array([t]))[0]
-                chol = np.linalg.cholesky(c_t + 1e-14 * np.trace(c_t) * np.eye(block.d))
-                samples = rng.standard_normal((size, block.d)) @ chol.T
-            else:
-                samples = law.sample_increments(t, size, rng)
-                if samples.ndim == 1:
-                    samples = samples[:, None]
-            _embed(out, samples, block.basis)
+            _embed(out, _block_increments(block, law, gaussian, t, t, size, rng), block.basis)
     if not np.isfinite(out).all():
         raise DegenerateSample(f"marginal {name!r} leaves the float64 range")
     return out

@@ -35,7 +35,7 @@ def records():
         DEC,
         sd.box_count_graph(PATH, interval().mask(PATH.n), sd.dyadic_scales(1, 10)),
         sd.covering_count(PATH, sd.dyadic_intervals(3), Schedule.A1, 1.5, [2.0]),
-        sd.SojournEstimate("graph", RADII, 1.0, RADII**1.5, RADII / 10, FIT, "iv", 1.5),
+        sd.SojournEstimate("graph", RADII, 1.0, RADII**1.5, RADII / 10, FIT, 0.01, "iv", 1.5),
         sd.EnergyEstimate(RADII, RADII, RADII, np.array([True, True, False]), 1.1, (1000, 4000), (0.1, 0.05)),
         KSReport((0.01, 0.02), 0.03, True, 0.25, 2.0, 10000),
         VerificationReport("x", 5, {"graph_dim": 1.5}, {"box": {"verdict": "PASS"}}, "PASS", 1.0),

@@ -340,6 +340,20 @@ class TestSojournMC:
             mean, stderr = oracle[est.target]
             assert np.all(np.abs(est.means - mean) <= 4.0 * np.hypot(est.stderrs, stderr)), est.target
 
+    def test_one_marginal_draw_per_run(self, monkeypatch):
+        from semidim import estimators
+
+        calls = []
+
+        def counted(spec, laws, t, size, seed, name):
+            calls.append((np.shape(t), size, name))
+            return sd.sample_marginal(spec, laws, t, size, seed, name)
+
+        monkeypatch.setattr(estimators, "sample_marginal", counted)
+        sd.sojourn_mc(BROWNIAN, BM_LAWS, sd.geometric_scales(2.0, 2, 6), 1.0, 205, 1, 12, name="run")
+        # 8 * 12 + 1 strata, each drawn 205 times over the 10 batches
+        assert calls == [((97 * 205,), 97 * 205, "run/draws")]
+
     def test_monotone_and_bounded(self):
         radii = sd.geometric_scales(2.0, 2, 6)
         graph_est, range_est = sd.sojourn_mc(BROWNIAN, BM_LAWS, radii, 1.0, 200, 1, 12)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from semidim import builtin_scenarios, get_scenario, run_scenario, sweep
 from semidim.borel import BorelSetSpec, cantor, interval
 from semidim.errors import BudgetExceeded, InvalidInputs, TruncationTooCoarse
 from semidim.estimators import box_count_graph, dyadic_scales
-from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, _median_stage, _sojourn_stage, verdict
+from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, _judged, _median_stage, _sojourn_stage, verdict
 from semidim.laws import BlockLaw, LawKind
 from semidim.paths import simulate_path
 from semidim.spectral import validate_exponent
@@ -218,6 +219,11 @@ class TestRunScenario:
         rep = run_scenario(sc, 5)
         text = rep.to_text()
         assert "mini" in text and "box_graph" in text
+        # a stage's reason, here for a non-finite estimate, is printed with it
+        stages = rep.stages | {"sojourn": rep.stages["sojourn"] | {"estimate": float("nan")} | _judged(float("nan"), 1.5, 0.2, 0.0)}
+        text = replace(rep, stages=stages).to_text()
+        assert "sojourn      estimate=nan theory=1.5000 -> INCONCLUSIVE" in text
+        assert "non-finite estimate" in text
 
 
 @pytest.mark.parametrize("name", sorted(builtin_scenarios()))

@@ -321,6 +321,19 @@ class TestCLI:
         assert "ValueError" in capsys.readouterr().err
         assert calls == []
 
+    def test_semistable_poisson_limit_rejected_before_the_path(self, tmp_path, capsys, monkeypatch):
+        # k_min = -64 makes the atom k_min fire 2^63 times on average at t = 1,
+        # past numpy's Poisson limit
+        calls = []
+        monkeypatch.setattr(cli, "simulate_path", lambda *args, **kwargs: calls.append(args))
+        exp, laws = tmp_path / "exponent.json", tmp_path / "laws.json"
+        exp.write_text(json.dumps({"c": 2.0, "matrix": [[1.0]]}))
+        laws.write_text(json.dumps([{"kind": "SEMISTABLE_DISCRETE", "alpha": 1.0, "c": 2.0, "k_min": -64}]))
+        argv = ("simulate", "--exponent", str(exp), "--laws", str(laws), "--n", "4", "--out", str(tmp_path))
+        assert run_cli(*argv) == 2
+        assert "BudgetExceeded" in capsys.readouterr().err
+        assert calls == []
+
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         def broken(args):
             raise TypeError("unexpected")

@@ -15,7 +15,7 @@ from semidim import (
 )
 from semidim.errors import AlphaOutOfRange, BudgetExceeded, DegenerateSample, TruncationTooCoarse
 from semidim.laws import DEFAULT_K_MIN, check_truncation, compensation_std, semistable_atom_range
-from semidim.paths import simulate_path
+from semidim.paths import sample_marginal, simulate_path
 from semidim.spectral import validate_exponent
 
 
@@ -252,16 +252,29 @@ class TestSemistableSampler:
         [
             (1.0, 2.0, 10**6, TruncationTooCoarse),  # q^k_min beyond float64
             (1.0, 2.0, -(10**400), BudgetExceeded),  # k_min beyond float64
-            (1.0, 2.0, -(10**12), BudgetExceeded),  # 10^12 atoms
-            (1.0, 1.0 + 2**-40, -(10**14), BudgetExceeded),  # c near 1: deep enough, then 10^14 atoms
+            (1.0, 2.0, -(10**12), BudgetExceeded),  # atom means beyond numpy's Poisson limit
+            (1.0, 1.0 + 2**-40, -(10**14), BudgetExceeded),  # c near 1: as deep, past the Poisson limit
+            (1.0, 1.0 + 2**-40, -(4 * 10**13), BudgetExceeded),  # c near 1: passes both k_min tests, then 10^14 atoms
             (1e-300, 2.0, -25, DegenerateSample),  # c^(k/alpha) beyond float64
         ],
     )
     def test_extreme_laws_raise_input_errors(self, alpha, c, k_min, error):
-        law = BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=alpha, c=c, k_min=k_min)
+        # an error may come at load, from the law, or from the sampler
         spec = validate_exponent(np.array([[1.0 / alpha]]), c)
         with pytest.raises(error):
+            law = BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=alpha, c=c, k_min=k_min)
             simulate_path(spec, (law,), 4, seed=0)
+
+    def test_poisson_limit_checked_at_load_and_in_the_sampler(self):
+        # the atom k_min fires dt c^(-k_min) / 2 times on average, which
+        # numpy's Poisson sampler draws up to about 9.2e18 = 2^63 - 3e10
+        spec = validate_exponent(np.array([[1.0]]), 2.0)
+        with pytest.raises(BudgetExceeded):
+            BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0, k_min=-64)
+        law = BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0, k_min=-63)
+        assert np.isfinite(sample_marginal(spec, (law,), 1.0, 20, seed=1)).all()
+        with pytest.raises(BudgetExceeded):
+            sample_semistable_increment(1.0, 2.0, 2.0, derive_rng(1, "x"), k_min=-63, size=20)
 
     def test_alpha_strictly_below_two(self):
         rng = derive_rng(4, "x")
@@ -300,8 +313,11 @@ class TestBlockLaw:
 
     def test_increment_shapes(self):
         rng = derive_rng(5, "test/shapes")
-        assert BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.5).sample_increments(0.1, 7, rng).shape == (7,)
-        assert BlockLaw(LawKind.STABLE_ISOTROPIC_2D, alpha=1.5).sample_increments(0.1, 7, rng).shape == (7, 2)
+        semistable = BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.5, c=2.0)
+        for dt in (0.1, np.array([0.1, 0.2, 0.1, 0.05, 0.1, 0.2, 0.4])):  # one step, or one per increment
+            assert BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.5).sample_increments(dt, 7, rng).shape == (7,)
+            assert BlockLaw(LawKind.STABLE_ISOTROPIC_2D, alpha=1.5).sample_increments(dt, 7, rng).shape == (7, 2)
+            assert semistable.sample_increments(dt, 7, rng).shape == (7,)
 
 
 class TestSeedDerivation:

@@ -189,6 +189,23 @@ class TestMaskedDraw:
         for col in range(spec.d):
             assert scipy.stats.ks_2samp(first[:, col], reference[:, col]).statistic < ks_threshold(KS_PATHS)
 
+    @pytest.mark.parametrize("spec, laws", [STABLE12, (SEMI, SEMI_LAWS), JORDAN], ids=["stable", "semistable", "jordan"])
+    def test_marginal_with_a_time_per_row(self, spec, laws):
+        # rows at 0.25 and 0.5, interleaved, each drawn as X(t) at its own time
+        times = np.where(np.arange(2 * KS_PATHS) % 2, 0.5, 0.25)
+        per_row = sample_marginal(spec, laws, times, times.size, seed=0, name="rows")
+        for t in (0.25, 0.5):
+            reference = sample_marginal(spec, laws, t, KS_PATHS, seed=0, name=f"scalar/{t}")
+            for col in range(spec.d):
+                ks = scipy.stats.ks_2samp(per_row[times == t, col], reference[:, col]).statistic
+                assert ks < ks_threshold(KS_PATHS), (t, col)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, float("nan"), np.array([0.5, np.nan]), np.array([0.5, 0.5, 0.5])])
+    def test_marginal_times_rejected(self, t):
+        # each time must be positive, and one per row when there are several
+        with pytest.raises(ValueError):
+            sample_marginal(*STABLE12, t, 2, seed=0)
+
     def test_box_and_energy_covers_that_do_not_nest(self, monkeypatch):
         # the energy stage thins 1000 * 2 points at level 11, above the box
         # cover's level 12: the paths hold the level-11 cover, which holds both
