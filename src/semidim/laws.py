@@ -12,8 +12,10 @@ Three families are supported, one per admissible spectral block shape:
   of mass c^(-k), k in Z, simulated as compound Poisson above a truncation
   level k_min with Gaussian compensation of the removed small jumps: the
   rare atoms (fewer than one jump a sample on average) in one merged draw,
-  and the net jump count of each frequent atom by inversion on a CDF table
-  where the table is small beside the draw, else as two Poisson counts.
+  and the net jump count of each frequent atom by guide-table inversion of
+  its CDF where the table is small beside the draw, else as two Poisson
+  counts.  One draw takes one time step for all samples or one per sample,
+  atom k firing dt_i c^(-k) times on average at sample i.
 
 The discrete family scales only along the geometric sequence c^k, which is
 what distinguishes semistable from stable paths: X(c*dt) matches
@@ -42,6 +44,9 @@ _MAX_ATOMS = 10**5
 # intensity passes a multiple of this, so that one draw holds about 2n jumps;
 # with c >= 2 the rare intensities sum to less than 2 and make one run.
 _RARE_RUN = 2.0
+# Relative slack of a guide-table bucket's ends, far above the few ulps by
+# which u / w can round across one (see _invert).
+_GUIDE_SLACK = 1e-12
 # Largest Poisson mean numpy draws: the int64 maximum less ten of its square roots.
 _LOG_POISSON_MAX = math.log(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
@@ -51,6 +56,15 @@ def _check_alpha(alpha: float, upper_inclusive: bool = True) -> None:
     if not ok:
         bound = "(0, 2]" if upper_inclusive else "(0, 2)"
         raise AlphaOutOfRange(f"alpha must be in {bound}, got {alpha}")
+
+
+def _check_steps(dt, n: int) -> None:
+    """Raise ValueError unless dt is one step, or one per sample of n, each
+    positive and finite."""
+    if np.ndim(dt) and np.shape(dt) != (n,):
+        raise ValueError(f"need one time step or {n}, got shape {np.shape(dt)}")
+    if not (np.min(dt) > 0 and np.max(dt) < math.inf):  # a NaN minimum or maximum fails too
+        raise ValueError(f"time step must be positive and finite, got {dt}")
 
 
 def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator, size=None):
@@ -170,74 +184,124 @@ def _net_count_cdf(mu: float, lo: int, hi: int) -> np.ndarray:
     return np.cumsum(np.convolve(p, p[::-1]))
 
 
-def _add_rare_jumps(out: np.ndarray, heights: np.ndarray, lam: np.ndarray, rng: np.random.Generator) -> None:
-    """Add the jumps of atoms of per-sample intensities ``lam`` to ``out``.
+def _invert(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum[:-1], u, side="right")`` for 0 <= u <= cum[-1],
+    bit for bit, by guide-table inversion (Chen & Asau, AIIE Trans. 6(2), 1974).
+
+    [0, cum[-1]] is cut into m = 4 len(cum) buckets of width w, and u goes to
+    bucket floor(u / w).  Each bucket's index range is read with a relative
+    slack of ``_GUIDE_SLACK``, far above the rounding of u / w, so that the
+    true index lies in it; a bucket that no edge falls in gives that index
+    at once, and only the u in the others are searched.
+    """
+    edges, m = cum[:-1], 4 * cum.size
+    ends = np.arange(m + 2) * (cum[-1] / m)
+    first = np.searchsorted(edges, ends[:-1] * (1.0 - _GUIDE_SLACK), side="right")
+    guide = np.where(first == np.searchsorted(edges, ends[1:] * (1.0 + _GUIDE_SLACK), side="right"), first, -1)
+    bucket = np.multiply(u, m / cum[-1], out=np.empty(u.shape, dtype=np.intp), casting="unsafe")
+    index = guide[bucket]
+    del bucket
+    search = np.flatnonzero(index < 0)
+    index[search] = np.searchsorted(edges, u[search], side="right")
+    return index
+
+
+def _add_rare_jumps(
+    out: np.ndarray, heights: np.ndarray, lam: np.ndarray, weights: np.ndarray | None, rng: np.random.Generator
+) -> None:
+    """Add the jumps of atoms of intensities ``lam`` to ``out``, atom k firing
+    lam_k w_i times on average at sample i, w = ``weights`` or all 1 when None.
 
     The atoms are superposed: one Poisson total over all samples and atoms,
     then, for each jump, its atom by inverting the cumulative intensity, its
-    sample uniform on 0 .. n-1 and its sign fair (one integer in 0 .. 2n-1
-    carries both).  Exact by Poisson superposition and marking.
+    sample and its sign.  With equal weights the sample is uniform on
+    0 .. n-1 and one integer in 0 .. 2n-1 carries both; otherwise one uniform
+    on [0, 2 sum w) does: its half gives the sign, and its offset in that
+    half, inverted on the cumulative weights, the sample.  Exact by Poisson
+    superposition and marking.
     """
     n = out.size
     cum = np.cumsum(lam)
-    total = rng.poisson(n * cum[-1])
+    rows = None if weights is None else np.cumsum(weights)
+    weight = n if rows is None else rows[-1]
+    total = rng.poisson(weight * cum[-1])
     if total:
-        jump = heights[np.searchsorted(cum[:-1], rng.random(total) * cum[-1], side="right")]
-        slot = rng.integers(0, 2 * n, size=total)
-        jump[(slot & 1) == 0] *= -1.0
-        slot >>= 1
+        jump = heights[_invert(cum, rng.random(total) * cum[-1])]
+        if rows is None:
+            slot = rng.integers(0, 2 * n, size=total)
+            jump[(slot & 1) == 0] *= -1.0
+            slot >>= 1
+        else:
+            u = rng.random(total)
+            u *= 2.0 * weight
+            upper = u >= weight
+            jump[upper] *= -1.0
+            u[upper] -= weight  # exact (Sterbenz): weight <= u <= 2 weight
+            slot = np.searchsorted(rows[:-1], u, side="right")
         out += np.bincount(slot, weights=jump, minlength=n)
 
 
 def sample_semistable_increment(
     alpha: float,
     c: float,
-    dt: float,
+    dt,
     rng: np.random.Generator,
     k_min: int = DEFAULT_K_MIN,
     size=None,
 ):
-    """Increments of the discrete semistable law over a time step dt.
+    """Increments of the discrete semistable law over a time step dt, one
+    step for all samples or one per sample (dt of the samples' count).
 
-    Atom k fires as a Poisson(lam_k) count per sample, lam_k = dt * c^-k,
-    each jump of height +-c^(k/alpha) with a fair sign.  Memory is O(n).
+    Atom k fires as a Poisson(dt_i * c^-k) count at sample i, each jump of
+    height +-c^(k/alpha) with a fair sign.  Memory is O(n).  The atom range,
+    and which atoms count as frequent, are set at the longest step.
 
-    * Rare atoms (lam_k < 1) are drawn together, rarest first, by
-      :func:`_add_rare_jumps`, in runs cut where their running total
-      intensity passes a multiple of ``_RARE_RUN``, so that one draw holds
-      about ``_RARE_RUN * n`` jumps (one run when c >= 2).
+    * Rare atoms (fewer than one jump a sample on average at the longest
+      step) are drawn together, rarest first, by :func:`_add_rare_jumps`, in
+      runs cut where their running total intensity passes a multiple of
+      ``_RARE_RUN``, so that one draw holds at most about ``_RARE_RUN * n``
+      jumps (one run when c >= 2).  The intensities factorise as
+      dt_i * c^-k, so each run is one Poisson total with its jumps placed on
+      the samples in proportion to their steps.
     * Each frequent atom, from the largest down, adds c^(k/alpha) times its
-      net count N+ - N-, the difference of two independent Poisson(lam_k/2)
-      counts (Poisson thinning).  Where the atom's CDF table
-      (:func:`_net_count_cdf`) has size**2 <= 4n, so that building it costs
-      at most 4 multiply-adds a sample, the net count is one uniform per
-      sample inverted on the table; otherwise it is two Poisson vectors.
+      net count N+ - N-, the difference of two independent Poisson counts of
+      mean dt_i c^-k / 2 (Poisson thinning).  With one step for all samples
+      and a CDF table (:func:`_net_count_cdf`) of size**2 <= 4n, so that
+      building it costs at most 4 multiply-adds a sample, the net count is
+      one uniform per sample inverted on the table (:func:`_invert`);
+      otherwise it is two Poisson vectors.
 
     The atom order does not depend on k_min, so two truncation depths share
     the draws of their common atoms.  A Gaussian of std
-    :func:`compensation_std` replaces the jumps below k_min.
+    :func:`compensation_std`, whose variance is linear in dt, replaces the
+    jumps below k_min.
 
-    TruncationTooCoarse fires when the compensation Gaussian would rival the
-    increment's own scale dt^(1/alpha), i.e. when k_min is too shallow for
-    this dt (:func:`check_truncation`), BudgetExceeded when the walk would
-    take more than ``_MAX_ATOMS`` atoms or k_min is too deep for numpy's
-    Poisson sampler at this dt (:func:`check_poisson_mean`), and
-    DegenerateSample when an atom height leaves the float64 range.
+    ValueError fires for a step that is not positive and finite, or not one
+    per sample; TruncationTooCoarse when the compensation Gaussian would
+    rival the increment's own scale dt^(1/alpha) at the shortest step, i.e.
+    when k_min is too shallow (:func:`check_truncation`); BudgetExceeded when
+    the walk would take more than ``_MAX_ATOMS`` atoms or k_min is too deep
+    for numpy's Poisson sampler at the longest step
+    (:func:`check_poisson_mean`); and DegenerateSample when an atom height
+    leaves the float64 range.
     """
     _check_alpha(alpha, upper_inclusive=False)
     if c <= 1.0:
         raise ValueError(f"semistable scaling constant must be > 1, got {c}")
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    check_truncation(alpha, c, dt, k_min)
-    check_poisson_mean(c, dt, k_min)
     n = 1 if size is None else int(np.prod(size))
-    ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
-    sigma = compensation_std(alpha, c, dt, k_min)
+    _check_steps(dt, n)
+    longest = float(np.max(dt))
+    check_truncation(alpha, c, float(np.min(dt)), k_min)
+    check_poisson_mean(c, longest, k_min)
+    ks, lam = semistable_atom_range(alpha, c, longest, k_min, n_samples=n)
+    sigma = compensation_std(alpha, c, longest, k_min)
     with np.errstate(over="ignore"):
         heights = np.power(float(c), ks.astype(float) / alpha)
     if not np.isfinite(heights).all():
         raise DegenerateSample(f"atom height c^(k/alpha) at k = {ks[-1]} leaves the float64 range")
+    per_row = np.ndim(dt) > 0
+    # a sample's intensities and variance scale by its step over the longest
+    ratio = np.asarray(dt, dtype=float) / longest if per_row else 1.0
     out = np.zeros(n)
     # lam falls with k: atoms [0, frequent) fire at least once a sample on average
     frequent = int(np.count_nonzero(lam >= 1.0))
@@ -245,25 +309,25 @@ def sample_semistable_increment(
     cuts = np.searchsorted(np.cumsum(rare_lam), np.arange(_RARE_RUN, rare_lam.sum(), _RARE_RUN), side="right")
     bounds = [0, *cuts.tolist(), rare_lam.size]
     for start, stop in zip(bounds, bounds[1:]):
-        _add_rare_jumps(out, rare_h[start:stop], rare_lam[start:stop], rng)
+        _add_rare_jumps(out, rare_h[start:stop], rare_lam[start:stop], ratio if per_row else None, rng)
     # Poisson(mu) puts mass below about 1e-30, far under the 2^-53 resolution
     # of a uniform, outside the counts mu +- (12 sqrt(mu) + 30)
     mu = 0.5 * lam[:frequent]
     reach = 12.0 * np.sqrt(mu) + 30.0
     lo, hi = np.maximum(np.floor(mu - reach), 0.0), np.ceil(mu + reach)
-    table = (hi - lo + 1.0) ** 2 <= 4.0 * n
+    table = ((hi - lo + 1.0) ** 2 <= 4.0 * n) & (not per_row)
     for i in range(frequent - 1, -1, -1):
         if table[i]:
             cdf = _net_count_cdf(mu[i], int(lo[i]), int(hi[i]))
             top = int(hi[i] - lo[i])  # the table holds the net counts -top .. top
             u = rng.random(n)
             u *= cdf[-1]
-            out += (heights[i] * np.arange(-top, top + 1))[np.searchsorted(cdf[:-1], u, side="right")]
+            out += np.take(heights[i] * np.arange(-top, top + 1), _invert(cdf, u), out=u)
         else:
-            both = rng.poisson(mu[i], 2 * n)
-            both[:n] -= both[n:]
-            out += heights[i] * both[:n]
-    out += sigma * rng.standard_normal(n)
+            both = rng.poisson(mu[i] * ratio, (2, n))
+            both[0] -= both[1]
+            out += heights[i] * both[0]
+    out += sigma * np.sqrt(ratio) * rng.standard_normal(n)
     if size is None:
         return float(out[0])
     return out.reshape(size)
@@ -300,21 +364,15 @@ class BlockLaw(Record):
     def sample_increments(self, dt, n: int, rng: np.random.Generator) -> np.ndarray:
         """n independent increments over one time step dt or over one step each
         (dt of shape (n,)); shape (n,) or (n, 2).  A stable law scales each
-        increment by its step; the semistable sampler takes one step a call, so
-        it draws the increments grouped by step, shortest first, in order."""
-        if self.kind is not LawKind.SEMISTABLE_DISCRETE:
-            scale = self.scale * dt ** (1.0 / self.alpha)
-            if self.kind is LawKind.STABLE_SYMMETRIC:
-                return sample_stable_increment(self.alpha, scale, rng, size=n)
-            return sample_isotropic_stable_2d(self.alpha, scale, rng, size=n)
-        if np.ndim(dt) == 0:  # a whole path's steps: no grouping temporaries of its size
+        increment by its step; the semistable sampler takes every step in one
+        draw.  Raises ValueError for a step that is not positive and finite."""
+        _check_steps(dt, n)
+        if self.kind is LawKind.SEMISTABLE_DISCRETE:
             return self.scale * sample_semistable_increment(self.alpha, self.c, dt, rng, k_min=self.k_min, size=n)
-        out, order, start = np.empty(n), np.argsort(dt, kind="stable"), 0
-        for step, count in zip(*np.unique(dt, return_counts=True)):
-            draw = sample_semistable_increment(self.alpha, self.c, float(step), rng, k_min=self.k_min, size=int(count))
-            out[order[start : start + count]] = self.scale * draw
-            start += count
-        return out
+        scale = self.scale * dt ** (1.0 / self.alpha)
+        if self.kind is LawKind.STABLE_SYMMETRIC:
+            return sample_stable_increment(self.alpha, scale, rng, size=n)
+        return sample_isotropic_stable_2d(self.alpha, scale, rng, size=n)
 
     def as_dict(self) -> dict:
         """Only the semistable law writes its scaling constant and truncation."""

@@ -14,7 +14,14 @@ from semidim import (
     sample_stable_increment,
 )
 from semidim.errors import AlphaOutOfRange, BudgetExceeded, DegenerateSample, TruncationTooCoarse
-from semidim.laws import DEFAULT_K_MIN, check_truncation, compensation_std, semistable_atom_range
+from semidim.laws import (
+    DEFAULT_K_MIN,
+    _invert,
+    _net_count_cdf,
+    check_truncation,
+    compensation_std,
+    semistable_atom_range,
+)
 from semidim.paths import sample_marginal, simulate_path
 from semidim.spectral import validate_exponent
 
@@ -210,6 +217,49 @@ class TestSemistableSampler:
         assert rng.calls["random"] == (1 + frequent if table else 1)
         assert sum(rng.calls.values()) <= frequent + 4
 
+    def test_per_row_steps_take_one_set_of_generator_calls(self):
+        # one draw for all the steps: two or 500 distinct steps between the
+        # same shortest and longest make the same generator calls
+        n, law = 1000, BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0)
+        calls = []
+        for dt in (np.where(np.arange(n) % 2, 1.0, 2.0**-8), np.geomspace(2.0**-8, 1.0, n // 2).repeat(2)):
+            rng = CountingGenerator(derive_rng(4, "test/semi/rows/calls"))
+            law.sample_increments(dt, n, rng)
+            calls.append(rng.calls)
+        assert calls[0] == calls[1]
+
+    @pytest.mark.parametrize("k_min", [DEFAULT_K_MIN, -12])
+    def test_per_row_steps_match_scalar_draws_and_reference_kernel(self, k_min):
+        # rows at three interleaved steps in one draw; each step's rows are
+        # increments over that step, as a scalar draw and the reference say.
+        # k_min = -12 is as shallow as the shortest step allows: there the
+        # compensation Gaussian is half the increment scale at that step
+        n, steps = 2 * 10**4, (2.0**-10, 2.0**-4, 1.0)
+        dt = np.tile(steps, n)
+        rows = sample_semistable_increment(1.0, 2.0, dt, derive_rng(4, "test/semi/rows"), k_min=k_min, size=dt.size)
+        threshold = 1.36 * np.sqrt(2.0 / n) * 2.0
+        for step in steps:
+            scalar = sample_semistable_increment(1.0, 2.0, step, derive_rng(4, f"test/semi/rows/{step}"), k_min=k_min, size=n)
+            reference = reference_semistable_increment(
+                1.0, 2.0, step, derive_rng(4, f"test/semi/rows/reference/{step}"), k_min=k_min, n=n
+            )
+            assert scipy.stats.ks_2samp(rows[dt == step], scalar).statistic < threshold, step
+            assert scipy.stats.ks_2samp(rows[dt == step], reference).statistic < threshold, step
+
+    def test_per_row_rare_atoms_in_runs(self):
+        # at c = 1.25 the rare atoms at the longest step 2^-8 make three runs,
+        # one Poisson total each, with per-row steps as with a scalar one;
+        # every frequent atom draws one Poisson vector of two counts a row
+        # (the shorter step, 0.75 * 2^-8, is as short as k_min = -40 allows)
+        n, c, k_min = 2**16, 1.25, -40
+        dt = np.where(np.arange(n) % 2, 2.0**-8, 0.75 * 2.0**-8)
+        _, lam = semistable_atom_range(1.0, c, 2.0**-8, k_min, n_samples=n)
+        rng = CountingGenerator(derive_rng(4, "test/semi/rows/runs"))
+        a = sample_semistable_increment(1.0, c, dt, rng, k_min=k_min, size=n)
+        assert rng.calls["poisson"] == 3 + np.count_nonzero(lam >= 1.0)
+        b = reference_semistable_increment(1.0, c, 2.0**-8, derive_rng(4, "test/semi/rows/runs/reference"), k_min=k_min, n=n // 2)
+        assert scipy.stats.ks_2samp(a[dt == 2.0**-8], b).statistic < 1.36 * np.sqrt(4.0 / n) * 2.0
+
     def test_rare_atoms_symmetric(self):
         # at dt = 2^-14 the atoms of height >= 1/16 fire below intensity 1e-3
         # and take the sparse branch; about 390 of them land in 2*10^5
@@ -225,6 +275,13 @@ class TestSemistableSampler:
         rng = derive_rng(4, "x")
         with pytest.raises(ValueError):
             sample_semistable_increment(1.0, 2.0, 0.0, rng)
+
+    @pytest.mark.parametrize("dt", [-1.0, float("nan"), float("inf"), np.array([0.5, np.nan])])
+    def test_rejects_bad_dt(self, dt):
+        # a NaN step is a bad input, not a truncation too coarse for it
+        rng = derive_rng(4, "x")
+        with pytest.raises(ValueError):
+            sample_semistable_increment(1.0, 2.0, dt, rng, size=2)
 
     def test_truncation_too_coarse(self):
         rng = derive_rng(4, "x")
@@ -283,6 +340,15 @@ class TestSemistableSampler:
 
 
 class TestBlockLaw:
+    @pytest.mark.parametrize("kind", list(LawKind))
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf"), np.array([0.5, np.nan]), np.array([0.5, -0.5]), np.ones(3)])
+    def test_bad_steps_rejected(self, kind, dt):
+        # every law raises one ValueError for a step that is not positive and
+        # finite, or not one per increment
+        law = BlockLaw(kind, alpha=1.5, c=2.0)
+        with pytest.raises(ValueError):
+            law.sample_increments(dt, 2, derive_rng(5, "x"))
+
     def test_dict_round_trip(self):
         law = BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0, k_min=-20)
         again = BlockLaw.from_dict(law.as_dict())
@@ -318,6 +384,54 @@ class TestBlockLaw:
             assert BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.5).sample_increments(dt, 7, rng).shape == (7,)
             assert BlockLaw(LawKind.STABLE_ISOTROPIC_2D, alpha=1.5).sample_increments(dt, 7, rng).shape == (7, 2)
             assert semistable.sample_increments(dt, 7, rng).shape == (7,)
+
+
+def net_count_table(mu):
+    """The sampler's CDF table of a frequent atom's net count at mean mu."""
+    reach = 12.0 * np.sqrt(mu) + 30.0
+    return _net_count_cdf(mu, int(max(np.floor(mu - reach), 0.0)), int(np.ceil(mu + reach)))
+
+
+def probes(cum):
+    """u at every edge and one ulp either side, 0, just below and at the top,
+    and uniforms, all inside [0, cum[-1]]."""
+    top = cum[-1]
+    edges = cum[:-1]
+    u = np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [0.0, np.nextafter(top, 0.0), top]]
+    )
+    u = np.concatenate([u, derive_rng(6, "test/invert").random(10**4) * top])
+    return u[(u >= 0.0) & (u <= top)]
+
+
+class TestGuideInversion:
+    @pytest.mark.parametrize("mu", [0.5 * 2**k for k in range(10)])
+    def test_equals_searchsorted_on_net_count_tables(self, mu):
+        cdf = net_count_table(mu)
+        u = probes(cdf)
+        assert np.array_equal(_invert(cdf, u), np.searchsorted(cdf[:-1], u, side="right"))
+
+    @pytest.mark.parametrize("c, dt", [(2.0, 2.0**-16), (2.0, 1.0), (1.25, 2.0**-8), (10.0, 0.5)])
+    def test_equals_searchsorted_on_rare_intensities(self, c, dt):
+        _, lam = semistable_atom_range(1.0, c, dt, DEFAULT_K_MIN, n_samples=2**16)
+        cum = np.cumsum(lam[lam < 1.0][::-1])
+        u = probes(cum)
+        assert np.array_equal(_invert(cum, u), np.searchsorted(cum[:-1], u, side="right"))
+
+    @pytest.mark.parametrize(
+        "cum",
+        [
+            [0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0],
+            [1.0, 1.0, 1.0, 1.0],
+            [0.0, 0.0, 0.0, 5.0],
+            [1e-300, 1e-300, 0.5, 0.5, 1.0, 1.0],
+            [7.0],
+        ],
+    )
+    def test_equals_searchsorted_with_repeated_entries(self, cum):
+        cum = np.array(cum)
+        u = probes(cum)
+        assert np.array_equal(_invert(cum, u), np.searchsorted(cum[:-1], u, side="right"))
 
 
 class TestSeedDerivation:

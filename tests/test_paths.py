@@ -133,6 +133,10 @@ FULL_MASK_PINS = {
         "f458046d3d5d23ed937d77b5690ab6bce23f02e13999bd889fe83d32d612d3a0",
     ),
 }
+# SHA-256 of the whole-grid semistable path at n = 16, seed 3, name "pin":
+# draws of 2^16 at dt = 2^-16, which invert every frequent atom's net count
+# on its CDF table.
+SEMISTABLE_TABLE_PIN = "e80b62f45815b4884c5ac9cc054cee0c9c1aaa97bcbab46857cbc0e1d75a72db"
 STABLE12 = (sd.validate_exponent(np.array([[1 / 1.2]]), 2.0), (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.2),))
 JORDAN = (sd.validate_exponent(np.array([[0.5, 1.0], [0.0, 0.5]]), 2.0), BM_LAWS)
 KS_PATHS = 1500
@@ -152,6 +156,11 @@ class TestMaskedDraw:
             p = sd.simulate_path(spec, (law,), 10, seed=3, name="pin", mask=mask)
             assert p.rows is None and p.times.size == 2**10 + 1
             assert hashlib.sha256(p.values.tobytes()).hexdigest() == digest
+
+    def test_semistable_table_draws_pinned(self):
+        matrix, law, _ = FULL_MASK_PINS["semistable"]
+        p = sd.simulate_path(sd.validate_exponent(np.array(matrix), 2.0), (law,), 16, seed=3, name="pin")
+        assert hashlib.sha256(p.values.tobytes()).hexdigest() == SEMISTABLE_TABLE_PIN
 
     def test_holds_the_kept_rows(self):
         mask = cantor().mask(12, level=4)
