@@ -21,7 +21,7 @@ from . import __version__
 from .borel import check_cover_level, time_set
 from .dimension import dimensions_from_spectrum
 from .errors import InvalidInputs, SemidimError
-from .estimators import box_count_graph, dyadic_scales, sojourn_mc
+from .estimators import BOX_FIT_DROP, MIN_FIT_SCALES, box_count_graph, dyadic_scales, sojourn_mc
 from .harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, get_scenario, run_scenario, sweep
 from .io import read_path_dump, write_csv, write_loglog_csv, write_path_dump, write_sidecar
 from .laws import BlockLaw
@@ -93,11 +93,11 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     path = read_path_dump(Path(args.path))
     borel = time_set(args.borel)
-    sides = (
-        np.asarray([float(x) for x in args.scales.split(",")])
-        if args.scales
-        else dyadic_scales(2, max(11, args.n_scales))
-    )
+    # the sides 2^-2 .. 2^-k must be enough for the windowed fit
+    k_min = 1 + MIN_FIT_SCALES + 2 * BOX_FIT_DROP
+    if not args.scales and args.n_scales < k_min:
+        raise InvalidInputs(f"--n-scales must be >= {k_min} for {k_min - 1} scales from 2^-2, got {args.n_scales}")
+    sides = [float(x) for x in args.scales.split(",")] if args.scales else dyadic_scales(2, args.n_scales)
     check_cover_level(borel, args.cover_level, path.n)
     est = box_count_graph(path, borel.mask(path.n, args.cover_level), sides)
     out_dir = Path(args.out)
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="simulate a path and dump it")
     sp.add_argument("--exponent", help="exponent JSON file (default Brownian d=1)")
     sp.add_argument("--laws", help="JSON file with one block law per block")
-    sp.add_argument("--n", type=int, default=12, help="dyadic grid depth")
+    sp.add_argument("--n", type=int, default=13, help="dyadic grid depth")
     sp.add_argument("--csv", action="store_true", help="also write CSV (small n)")
     common(sp, "seed", "out")
     sp.set_defaults(fn=cmd_simulate)

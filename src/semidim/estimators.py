@@ -4,21 +4,19 @@ Box counting works on axis-aligned cube grids anchored at the origin.  Side
 lengths should form a nested geometric family (each side an integer multiple
 of the next) so occupied counts are provably monotone; the helpers
 :func:`dyadic_scales` and :func:`geometric_scales` produce such grids.
-:func:`count_occupied_cubes` counts a whole ladder at once.  On a ladder of
-powers of two it quantises each column once, at the finest side, builds one
-Z-order (Morton) key per row and sorts the keys once; each coarser side is a
-right shift of the sorted keys and a count of the adjacent keys that differ
-(dividing by a power of two is exact, so the counts match a per-side count
-bit for bit).  A column whose high part would widen the key past 63 bits is
-replaced by its rank among the column's distinct high parts; only when even
-that does not fit, and on other ladders (base 3, sqrt 3, whose sides are
-inexact in floating point), and for a single side, are the points
-quantised side by side.  :func:`box_count_graph` quantises the masked time
-and space columns of a path once and sorts one key for the graph and one for
-the range; it takes the mask of B on the path's grid, which the caller
-computes once with :meth:`BorelSetSpec.mask`, and reads it at the rows the
-path holds (a path simulated on the mask holds just its rows).  The energy
-estimator tests the path's own times with :meth:`BorelSetSpec.contains`.
+:func:`count_occupied_cubes` counts a whole ladder at once.  Sides with the
+same floating-point mantissa are power-of-two multiples of each other; each
+such group (a dyadic ladder is one, a base-3 or sqrt-3 ladder one per side)
+is quantised once, at its smallest side, into one Z-order (Morton) key per
+row and sorted once, and each coarser side of the group is a right shift of
+the sorted keys (dividing by a power of two is exact, so the counts match a
+per-side count bit for bit).  :func:`box_count_graph` quantises the masked
+time and space columns of a path once per group and sorts one key for the
+graph and one for the range; it takes the mask of B on the path's grid,
+which the caller computes once with :meth:`BorelSetSpec.mask`, and reads it
+at the rows the path holds (a path simulated on the mask holds just its
+rows).  The energy estimator tests the path's own times with
+:meth:`BorelSetSpec.contains`.
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -77,34 +75,6 @@ def geometric_scales(base: float, k_min: int, k_max: int) -> np.ndarray:
     return float(base) ** (-np.arange(k_min, k_max + 1, dtype=float))
 
 
-def _unique_cells(cells: np.ndarray) -> np.ndarray:
-    """The distinct rows of an integer cell array, in lexicographic order.
-
-    Consecutive repeats are dropped first (a time-ordered path often stays in
-    one cell); the rest are packed into one int64 key per row when the key
-    range fits below 2^62, else left to ``np.unique(axis=0)``.
-    """
-    if cells.shape[0] > 1:
-        keep = np.empty(cells.shape[0], dtype=bool)
-        keep[0] = True
-        np.any(cells[1:] != cells[:-1], axis=1, out=keep[1:])
-        cells = cells[keep]
-    mins = cells.min(axis=0)
-    ranges = [int(r) for r in cells.max(axis=0) - mins + 1]
-    if math.prod(ranges) >= 2**62:
-        return np.unique(cells, axis=0)
-    key = cells[:, 0] - mins[0]
-    for i in range(1, cells.shape[1]):
-        key = key * ranges[i] + (cells[:, i] - mins[i])
-    key = np.unique(key)
-    columns = []
-    for r in ranges[:0:-1]:
-        key, column = np.divmod(key, r)
-        columns.append(column)
-    columns.append(key)
-    return np.column_stack(columns[::-1]) + mins
-
-
 def _high_parts(cells: list, m: int):
     """Each column's cells above the low ``m`` bits, as offsets from their
     minimum or, while the columns do not fit in a 63-bit key beside the
@@ -154,20 +124,22 @@ def _zorder_keys(cells: list, highs: list, radices: list, m: int, cols) -> np.nd
     return key
 
 
-def _zorder_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray | None:
-    """:func:`_cube_counts` on a ladder of powers of two, or None when the
-    keys do not fit in 63 bits.
+def _octave_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray:
+    """:func:`_cube_counts` on a group of sides that are power-of-two
+    multiples of each other.
 
-    Each column is quantised once, at the finest side; multiplying by a
+    Each column is quantised once, at the smallest side b; dividing by a
     power of two is exact in floating point, so floor(floor(p / b) / 2^s)
     equals floor(p / (2^s b)) bit for bit.  The keys of a target are sorted
     once; a right shift is monotone, so they stay sorted at every coarser
-    side, where the count is the number of adjacent keys that differ.
+    side, where the count is the number of adjacent keys that differ.  A
+    group whose key does not fit in 63 bits is counted as a finer and a
+    coarser half of its octaves; a single side, by comparing whole rows.
     """
     octave = np.frexp(sides)[1]
     shifts = octave - octave.min()
     m = int(shifts.max())
-    cells = [np.floor(c * (1.0 / sides.min())).astype(np.int64) for c in columns]
+    cells = [np.floor(c / sides.min()).astype(np.int64) for c in columns]
     # a time-ordered path often stays in one cube from row to row
     keep = np.zeros(cells[0].size, dtype=bool)
     keep[0] = True
@@ -175,10 +147,18 @@ def _zorder_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray | No
         keep[1:] |= c[1:] != c[:-1]
     rows = np.flatnonzero(keep)
     cells = [c.take(rows) for c in cells]
+    counts = np.zeros((len(targets), sides.size), dtype=np.int64)
     fit = _high_parts(cells, m)
     if fit is None:
-        return None
-    counts = np.zeros((len(targets), sides.size), dtype=np.int64)
+        if m == 0:
+            for t, cols in enumerate(targets):
+                counts[t] = np.unique(np.column_stack([cells[j] for j in cols]), axis=0).shape[0]
+        else:
+            octaves = np.unique(shifts)
+            finer = shifts <= octaves[(octaves.size - 1) // 2]
+            for half in (finer, ~finer):
+                counts[:, half] = _octave_counts(columns, sides[half], targets)
+        return counts
     for t, cols in enumerate(targets):
         keys = np.sort(_zorder_keys(cells, *fit, m, cols))
         done = 0
@@ -193,28 +173,22 @@ def _zorder_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray | No
 def _cube_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray:
     """Occupied side-b cubes (grid anchored at 0) of the points with
     coordinates ``columns[j]``, j in ``cols``: one row of counts per list
-    ``cols`` in ``targets``, one count per side b in ``sides``.  Each
-    target's cubes are counted in one sort on a ladder of powers of two
-    (:func:`_zorder_counts`); other ladders (base 3, sqrt 3), whose sides
-    are inexact in floating point, and keys wider than 63 bits are counted
-    side by side.
+    ``cols`` in ``targets``, one count per side b in ``sides``.  The sides
+    are grouped by their floating-point mantissa, so the sides of a group
+    are power-of-two multiples of each other, and each group is counted by
+    :func:`_octave_counts`: a dyadic ladder is one group, a base-3 or sqrt-3
+    ladder one group per side.
     """
     # Cell indices are int64; beyond 2^62 cubes (or at inf/NaN) the cast
     # would return garbage cells instead of failing.
     reach = 2.0**62 * sides.min()
     if not all(c.min() > -reach and c.max() < reach for c in columns):
         raise DegenerateSample(f"points beyond 2^62 cubes of side {sides.min():g} from the origin")
-    # one side is counted faster side by side: the key would buy nothing
-    if sides.size > 1 and np.all(np.frexp(sides)[0] == 0.5):
-        counts = _zorder_counts(columns, sides, targets)
-        if counts is not None:
-            return counts
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
-    points = np.column_stack(columns)
-    for k, b in enumerate(sides):
-        cells = _unique_cells(np.floor(points / b).astype(np.int64))
-        for t, cols in enumerate(targets):
-            counts[t, k] = (cells if len(cols) == len(columns) else _unique_cells(cells[:, cols])).shape[0]
+    mantissas = np.frexp(sides)[0]
+    for mantissa in np.unique(mantissas):
+        group = mantissas == mantissa
+        counts[:, group] = _octave_counts(columns, sides[group], targets)
     return counts
 
 
@@ -242,10 +216,14 @@ class BoxCountEstimate(Record):
 
 
 def check_box_sides(sides, n: int | None = None) -> None:
-    """Reject a side ladder too short for the windowed fit or, on a grid of
-    depth n, one whose smallest cube the grid does not resolve: 2^-n must be
-    <= min(side)/4, compared in log2 so that no depth overflows."""
+    """Reject a side that is not finite and > 0, a side ladder too short for
+    the windowed fit or, on a grid of depth n, one whose smallest cube the
+    grid does not resolve: 2^-n must be <= min(side)/4, compared in log2 so
+    that no depth overflows."""
     sides = np.asarray(sides, dtype=float)
+    bad = sides[~(np.isfinite(sides) & (sides > 0.0))]
+    if bad.size:
+        raise InvalidInputs(f"box sides must be finite and > 0, got {bad[0]:g}")
     if sides.size < MIN_FIT_SCALES + 2 * BOX_FIT_DROP:
         raise ValueError(
             f"need >= {MIN_FIT_SCALES + 2 * BOX_FIT_DROP} scales for a windowed fit"

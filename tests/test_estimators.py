@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semidim as sd
 from semidim.borel import cantor, interval
@@ -175,9 +177,22 @@ class TestCubeKernel:
         sides = rng.permutation(2.0 ** -np.array([0.0, 3.0, 4.0, 9.0]))
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
+    @staticmethod
+    def group_calls(monkeypatch):
+        """The sides of each :func:`_octave_counts` call, splits included."""
+        calls = []
+        octave_counts = sd.estimators._octave_counts
+
+        def spy(columns, sides, targets):
+            calls.append(sides.size)
+            return octave_counts(columns, sides, targets)
+
+        monkeypatch.setattr(sd.estimators, "_octave_counts", spy)
+        return calls
+
     def test_jump_beyond_a_63_bit_key(self, monkeypatch):
         # one jump of 1e5 widens the bounding-box key past 63 bits; ranking
-        # the high parts still counts it in one sort, not side by side
+        # the high parts still counts the ladder in one group pass, unsplit
         rng = np.random.default_rng(14)
         points = walk_cloud(rng, 4000, 3)
         points[2000:4000] += [1e5, -1e5, 1e5]
@@ -188,23 +203,43 @@ class TestCubeKernel:
         highs, radices = _high_parts(cells, 10)
         assert all(h.min() >= 0 and h.max() < r for h, r in zip(highs, radices))
         assert np.prod(radices, dtype=float) <= 2.0 ** (63 - 3 * 10)
-
-        def side_by_side(cells):
-            raise AssertionError("counted side by side")
-
-        monkeypatch.setattr(sd.estimators, "_unique_cells", side_by_side)
+        calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+        assert calls == [sides.size]
 
     def test_too_many_columns_for_one_key(self, monkeypatch):
-        # 5 columns of 13 octaves need 65 interleaved bits: counted side by side
+        # 5 columns of 13 octaves need 65 interleaved bits: the ladder is
+        # counted as a finer and a coarser half of 7 sides each, and the
+        # finer half, whose ranks are wide too, splits again
         rng = np.random.default_rng(15)
         points = walk_cloud(rng, 4000, 5)
         sides = sd.dyadic_scales(0, 13)
-        calls = []
-        unique_cells = sd.estimators._unique_cells
-        monkeypatch.setattr(sd.estimators, "_unique_cells", lambda cells: calls.append(1) or unique_cells(cells))
+        calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
-        assert len(calls) == sides.size
+        assert calls[:2] == [14, 7] and calls[-1] == 7 and len(calls) > 3
+
+    def test_one_side_beyond_a_63_bit_key(self, monkeypatch):
+        # 4 columns of ~7e4 distinct cells each: even their ranks need more
+        # than 63 bits, so the one side is counted by comparing whole rows
+        rng = np.random.default_rng(16)
+        points = rng.uniform(-1e6, 1e6, size=(70000, 4))
+        side = 3.0**-3
+        cells = [np.floor(c / side).astype(np.int64) for c in points.T]
+        assert _high_parts(cells, 0) is None
+        calls = self.group_calls(monkeypatch)
+        assert np.array_equal(count_occupied_cubes(points, [side]), reference_cube_counts(points, [side]))
+        assert calls == [1]
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_mixed_ladder(self, monkeypatch, dim):
+        # dyadic and sqrt-3 sides shuffled together (1.0 sits in both): one
+        # group for the powers of two, one for each other side
+        rng = np.random.default_rng(17 + dim)
+        points = walk_cloud(rng, 4000, dim)
+        sides = rng.permutation(np.concatenate([sd.dyadic_scales(0, 10), self.LADDERS["sqrt3"]]))
+        calls = self.group_calls(monkeypatch)
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+        assert sorted(calls) == [1] * 11 + [11 + 1]
 
     def test_wide_key_range(self):
         # cell indices spanning ~2^31 per column overflow a packed int64 key
@@ -226,6 +261,33 @@ class TestCubeKernel:
         assert count_occupied_cubes(np.zeros((0, 2)), [0.5, 0.25]).tolist() == [0, 0]
         points = np.array([[0.1, -0.1], [0.2, -0.2], [0.9, 0.9]])
         assert count_occupied_cubes(points, [0.5]).tolist() == [2]
+
+
+# group bases with distinct float mantissas: 1, 3^-1/2, 3^-1, 0.1, 0.7
+GROUP_BASES = (1.0, 3.0**-0.5, 1.0 / 3.0, 0.1, 0.7)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    ladder=st.lists(
+        st.tuples(st.sampled_from(GROUP_BASES), st.sets(st.integers(-3, 14), min_size=1, max_size=6)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda group: group[0],
+    ),
+    dim=st.integers(1, 5),
+    rows=st.integers(1, 600),
+    jump=st.sampled_from([0.0, 1.0, 1e3, 1e5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cube_kernel_matches_per_side_unique(ladder, dim, rows, jump, seed):
+    # sides from 1-3 mantissa groups, each a few octaves with gaps, in any
+    # order; a walk whose second half jumps far away
+    rng = np.random.default_rng(seed)
+    sides = rng.permutation([base * 2.0**-k for base, octaves in ladder for k in octaves])
+    points = np.cumsum(rng.normal(scale=0.01, size=(rows, dim)), axis=0)
+    points[rows // 2 :] += jump * rng.choice([-1.0, 1.0], size=dim)
+    assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
 
 def dense_near_pair_energies(points, gammas, r_cut):

@@ -138,6 +138,32 @@ class TestCLI:
         csv_lines = (tmp_path / "est" / "boxcount.csv").read_text().splitlines()
         assert csv_lines[0].startswith("scale,statistic")
 
+    def test_simulate_then_estimate_with_defaults(self, tmp_path, capsys):
+        # the default grid resolves the default finest side 2^-11
+        assert run_cli("simulate", "--out", str(tmp_path)) == 0
+        prefix = str(tmp_path / "path-n13-seed0")
+        assert run_cli("estimate", "--path", prefix, "--out", str(tmp_path / "est")) == 0
+        capsys.readouterr()
+        assert run_cli("estimate", "--path", prefix, "--n-scales", "10", "--out", str(tmp_path / "e10")) == 2
+        assert "InvalidInputs: --n-scales must be >= 11" in capsys.readouterr().err
+        assert not (tmp_path / "e10").exists()
+
+    @pytest.mark.parametrize("side", ["nan", "inf", "-inf", "0", "-0.25"])
+    def test_bad_box_side_rejected(self, tmp_path, capsys, side):
+        from test_harness import mini_scenario
+
+        sides = [2.0**-k for k in range(2, 11)] + [float(side)]
+        # json writes and reads NaN and Infinity
+        text = json.dumps(mini_scenario().as_dict() | {"box_sides": sides})
+        with pytest.raises(InvalidInputs, match=f"got {float(side):g}$"):
+            sd.Scenario.from_json(text)
+        assert run_cli("simulate", "--out", str(tmp_path)) == 0
+        scales = ",".join(map(str, sides))
+        argv = ("estimate", "--path", str(tmp_path / "path-n13-seed0"), "--scales", scales, "--out", str(tmp_path / "est"))
+        assert run_cli(*argv) == 2
+        assert f"InvalidInputs: box sides must be finite and > 0, got {float(side):g}" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
     def test_estimate_rejects_an_off_grid_dump(self, tmp_path, capsys):
         assert run_cli("simulate", "--n", "12", "--seed", "2", "--out", str(tmp_path)) == 0
         prefix = tmp_path / "path-n12-seed2"
