@@ -15,6 +15,7 @@ is the same test on given times, such as the rows a path holds.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -49,9 +50,10 @@ class BorelSetSpec(Record):
             if not 0.0 <= self.a <= self.b <= 1.0:
                 raise ValueError(f"interval [{self.a}, {self.b}] must sit inside [0, 1]")
         elif self.kind is SetKind.SELF_SIMILAR_CANTOR:
-            if self.m < 2 or not 0.0 < self.r < 1.0 or self.m * self.r > 1.0 + 1e-12:
+            # m <= 2^53 keeps every piece index an exact float
+            if not 2 <= self.m <= 2**53 or not 0.0 < self.r < 1.0 or self.m * self.r > 1.0 + 1e-12:
                 raise ValueError(
-                    f"Cantor set needs m >= 2, 0 < r < 1 and m*r <= 1, got m={self.m}, r={self.r}"
+                    f"Cantor set needs 2 <= m <= 2^53, 0 < r < 1 and m*r <= 1, got m={self.m}, r={self.r}"
                 )
         elif not self.members:
             raise ValueError("finite union needs at least one member")
@@ -97,16 +99,15 @@ class BorelSetSpec(Record):
             return (t >= self.a) & (t <= self.b)
         if level is None:
             level = self.cover_level(n)
-        # Left endpoints of the m first-level pieces, evenly spread so that
-        # the first starts at 0 and the last ends at 1 (m >= 2).
-        offsets = np.arange(self.m) * (1.0 - self.r) / (self.m - 1)
-        pitch = offsets[1] - offsets[0]
+        # Piece k of the m first-level pieces starts at k * pitch, evenly
+        # spread so that the first starts at 0 and the last ends at 1 (m >= 2).
+        pitch = (1.0 - self.r) / (self.m - 1)
         # x holds the times still alive, in order, each rescaled to its
         # position in its piece
         x = np.array(t, dtype=float).ravel()
         alive = np.ones(x.size, dtype=bool)
         for _ in range(level):
-            x -= offsets[np.clip(np.floor(x / pitch).astype(int), 0, self.m - 1)]
+            x -= np.clip(np.floor(x / pitch), 0, self.m - 1) * (1.0 - self.r) / (self.m - 1)
             inside = (x >= -1e-12) & (x <= self.r + 1e-12)
             if not inside.all():
                 alive[alive] = inside
@@ -145,7 +146,8 @@ def time_set(arg: str | BorelSetSpec | None) -> BorelSetSpec:
         return arg
     if arg == "cantor":
         return cantor(2, 1.0 / 3.0)
-    return BorelSetSpec.from_json(Path(arg).read_text() if Path(arg).exists() else arg)
+    # os.path.exists, unlike Path.exists, is False for a string too long to name a file
+    return BorelSetSpec.from_json(Path(arg).read_text() if os.path.exists(arg) else arg)
 
 
 def check_cover_level(borel: BorelSetSpec, level: int | None, n: int) -> None:

@@ -29,11 +29,11 @@ from .paths import simulate_path
 from .spectral import ExponentSpec
 
 _BROWNIAN_EXPONENT = {"c": 2.0, "matrix": [[0.5]]}
+_BROWNIAN_LAWS = [{"kind": "STABLE_SYMMETRIC", "alpha": 2.0}]
 
 
 def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "fn"}
-_BROWNIAN_LAWS = [{"kind": "STABLE_SYMMETRIC", "alpha": 2.0}]
 
 
 def _load_exponent(arg: str | None) -> ExponentSpec:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .borel import BorelSetSpec, SetKind
 from .codec import Record
@@ -466,29 +465,26 @@ def _near_pair_energies(
     Column 0 is time.  With the points sorted by time, the partners j > i of
     a block of rows lie at t <= t_last + r_cut; a KD-tree over that window
     finds the near pairs, so the cost follows the near pairs rather than
-    n^2, and the block length bounds the memory they take.  The radius test
-    is the exact squared-distance one, d^2 <= r_cut^2.
+    n^2, and the block length bounds the memory they take.  The tree's
+    query at r_cut is the one radius test, and it gives the distances.
     """
+    from scipy.spatial import cKDTree  # here alone: loading it slows ``import semidim``
+
     n = points.shape[0]
     points = points[np.argsort(points[:, 0], kind="stable")]
     times = points[:, 0]
-    r2 = r_cut * r_cut
-    reach = r_cut * (1.0 + 1e-9)  # candidates only; the d^2 test decides
+    reach = r_cut * (1.0 + 1e-9)  # the time window only picks candidates
     sums = np.zeros(gammas.size)
     for start in range(0, n, _ENERGY_BLOCK):
         stop = min(start + _ENERGY_BLOCK, n)
         end = int(np.searchsorted(times, times[stop - 1] + reach, side="right"))
         block = cKDTree(points[start:stop])
         window = cKDTree(points[start:end])
-        pairs = block.sparse_distance_matrix(window, reach, output_type="ndarray")
-        i = pairs["i"] + start
-        j = pairs["j"] + start
-        keep = j > i
-        i, j = i[keep], j[keep]
-        d2 = np.sum((points[i] - points[j]) ** 2, axis=1)
-        if np.any(d2 == 0.0):
+        pairs = block.sparse_distance_matrix(window, r_cut, output_type="ndarray")
+        d = pairs["v"][pairs["j"] > pairs["i"]]
+        if np.any(d == 0.0):
             raise DegenerateSample("duplicate points in the energy subsample")
-        log_d = 0.5 * np.log(d2[d2 <= r2])
+        log_d = np.log(d)
         for g, gamma in enumerate(gammas):
             sums[g] += np.sum(np.exp(-gamma * log_d))
     return 2.0 * sums / n**2

@@ -52,6 +52,9 @@ class TestDimensions:
             cantor(2, 0.6)  # m*r > 1
         with pytest.raises(ValueError):
             cantor(1, 0.3)
+        for m in (2**53 + 1, 2**63, 10**30, 10**400):  # piece indices past exact floats
+            with pytest.raises(ValueError):
+                cantor(m, 1e-320)
 
 
 class TestMask:
@@ -76,7 +79,14 @@ class TestMask:
         assert u.mask(5).sum() == 20
 
     @pytest.mark.parametrize(
-        "spec, n, level", [(cantor(), 16, 8), (cantor(), 20, None), (cantor(3, 0.2), 14, 5), (cantor(2, 0.5), 12, 10)]
+        "spec, n, level",
+        [
+            (cantor(), 16, 8),
+            (cantor(), 20, None),
+            (cantor(3, 0.2), 14, 5),
+            (cantor(2, 0.5), 12, 10),
+            (cantor(10**5, 1e-6), 14, 2),
+        ],
     )
     def test_matches_the_copying_reference(self, spec, n, level):
         # the mask carries only the times still alive; the reference carries
@@ -113,6 +123,15 @@ class TestMask:
         assert np.array_equal(spec.contains(grid_times(n)[rows], n, level), mask[rows])
         kept = np.flatnonzero(mask)
         assert spec.contains(kept * 2.0**-n, n, level).all()
+
+    @pytest.mark.parametrize(
+        "spec, level", [(cantor(10**12, 1e-13), None), (cantor(2**53, 2.0**-53), None), (cantor(2**53, 2.0**-53), 2)]
+    )
+    def test_many_pieces(self, spec, level):
+        # each live time's piece offset comes from its index: no array of m offsets
+        n = 12
+        want = [reference_contains(spec, t, n, level) for t in grid_times(n).tolist()]
+        assert spec.mask(n, level).tolist() == want
 
     def test_mask_lies_on_the_path_grid(self):
         path = simulate_path(validate_exponent(np.array([[0.5]]), 2.0), BM_LAWS, 10, seed=1)
@@ -154,6 +173,10 @@ class TestTimeSet:
         assert time_set("cantor") == cantor(2, 1 / 3)
         assert time_set(spec) is spec
         assert time_set(str(path)) == spec
+        assert time_set(spec.to_json()) == spec
+        # inline JSON too long to name a file
+        spec = union(*(interval(0.1 * k, 0.1 * k + 0.05) for k in range(5)))
+        assert len(spec.to_json().encode()) > 255
         assert time_set(spec.to_json()) == spec
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,6 +334,18 @@ class TestNearPairEnergies:
         points = np.concatenate([points, points[1500:1501]])
         with pytest.raises(DegenerateSample):
             _near_pair_energies(points, self.GAMMAS, 0.05)
+
+
+def test_set_up_leaves_scipy_spatial_unloaded():
+    # only the energy kernel needs scipy.spatial, and it loads it
+    code = (
+        "import sys, semidim\n"
+        "for sc in semidim.builtin_scenarios().values(): sc.validate_expected()\n"
+        "print('scipy.spatial' in sys.modules)"
+    )
+    env = os.environ | {"PYTHONPATH": str(Path(sd.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestCoveringCount:

@@ -96,6 +96,12 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out == {"graph": 0.75, "range": 0.75, "branch": "SLOW", "alphas": [1.5]}
 
+    def test_dim_inline_time_set_too_long_for_a_file_name(self, capsys):
+        borel = sd.union(*(sd.interval(0.1 * k, 0.1 * k + 0.05) for k in range(5))).to_json()
+        assert len(borel.encode()) > 255
+        assert run_cli("dim", "--alpha1", "2", "--s", "1", "--borel", borel) == 0
+        assert json.loads(capsys.readouterr().out)["graph"] == pytest.approx(1.5)
+
     def test_simulate_deterministic_sha(self, tmp_path, capsys):
         for sub in ("a", "b"):
             assert (
@@ -422,22 +428,49 @@ FUZZ_FLOATS = st.one_of(
     st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e-300, 5e-324]), st.floats()
 )
 UNIT = mostly(st.floats(0.0, 1.0), FUZZ_FLOATS)
-FUZZ_BOREL = st.fixed_dictionaries(
-    {"kind": mostly(st.sampled_from(["INTERVAL", "SELF_SIMILAR_CANTOR", "FINITE_UNION"]), st.text(max_size=4))},
-    optional={
-        "a": UNIT,
-        "b": UNIT,
-        "m": st.integers(-1, 5),
-        "r": UNIT,
-        "members": st.lists(st.fixed_dictionaries({"kind": st.just("INTERVAL"), "a": UNIT}), max_size=2),
-    },
+# Cantor piece counts up to and past the 2^53 that a set accepts, with
+# ratios that keep m * r <= 1
+HOSTILE_CANTOR = st.sampled_from(
+    [(10**12, 1e-13), (10**12, 1e-12), (2**53, 2.0**-53), (2**53 + 1, 1e-17), (2**63, 1e-19), (10**30, 1e-31)]
+).map(lambda mr: {"kind": "SELF_SIMILAR_CANTOR", "m": mr[0], "r": mr[1]})
+FUZZ_MEMBER = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("INTERVAL"), "a": UNIT}),
+    st.fixed_dictionaries({"kind": st.just("SELF_SIMILAR_CANTOR")}, optional={"m": st.integers(-1, 5), "r": UNIT}),
+    HOSTILE_CANTOR,
+)
+FUZZ_BOREL = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": mostly(st.sampled_from(["INTERVAL", "SELF_SIMILAR_CANTOR", "FINITE_UNION"]), st.text(max_size=4))},
+        optional={
+            "a": UNIT,
+            "b": UNIT,
+            "m": st.integers(-1, 5),
+            "r": UNIT,
+            "members": st.lists(FUZZ_MEMBER, max_size=6),
+        },
+    ),
+    HOSTILE_CANTOR,
+)
+# five members written out take more than the 255 bytes of a file name
+LONG_UNION = json.dumps(
+    {"kind": "FINITE_UNION", "members": [{"kind": "INTERVAL", "a": k / 10, "b": k / 10 + 0.05} for k in range(5)]}
+)
+FUZZ_TIME_SET = mostly(
+    st.one_of(
+        st.none(),
+        st.just("cantor"),
+        FUZZ_BOREL,
+        st.builds(json.dumps, FUZZ_BOREL),
+        st.just(LONG_UNION),
+        # written to a file, which the config names
+        st.tuples(st.just("file"), st.one_of(st.builds(json.dumps, FUZZ_BOREL), st.just(LONG_UNION))),
+    ),
+    st.text(max_size=6),
 )
 FUZZ_SWEEP = st.fixed_dictionaries(
     {
         "alphas": st.lists(mostly(st.floats(0.0, 2.0, exclude_min=True), FUZZ_FLOATS), max_size=3),
-        "time_sets": st.lists(
-            mostly(st.one_of(st.none(), st.just("cantor"), FUZZ_BOREL), st.text(max_size=6)), max_size=3
-        ),
+        "time_sets": st.lists(FUZZ_TIME_SET, max_size=3),
         "n": mostly(st.just(12), st.integers(-1, 12)),
         "n_seeds": mostly(st.integers(1, 2), st.integers(-1, 2)),
     },
@@ -452,8 +485,14 @@ FUZZ_SWEEP = st.fixed_dictionaries(
 @given(config=FUZZ_SWEEP)
 def test_sweep_config_exits_0_or_2(config):
     with tempfile.TemporaryDirectory() as tmp:
+        time_sets = []
+        for k, b in enumerate(config["time_sets"]):
+            if isinstance(b, tuple):
+                (Path(tmp) / f"set{k}.json").write_text(b[1])
+                b = str(Path(tmp) / f"set{k}.json")
+            time_sets.append(b)
         cfg = Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(json.dumps(config | {"time_sets": time_sets}))
         assert main(["sweep", "--config", str(cfg), "--out", tmp]) in (0, 2)
 
 
