@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .borel import check_cover_level, time_set
 from .dimension import dimensions_from_spectrum
-from .errors import InvalidInputs, SemidimError
+from .errors import InvalidInputs, ResolutionTooCoarse, SemidimError
 from .estimators import BOX_FIT_DROP, MIN_FIT_SCALES, box_count_graph, dyadic_scales, sojourn_mc
 from .harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, get_scenario, run_scenario, sweep
 from .io import read_path_dump, write_csv, write_loglog_csv, write_path_dump, write_sidecar
@@ -46,7 +47,8 @@ def _load_laws(arg: str | None) -> tuple[BlockLaw, ...]:
 
 
 def _scenario_from_arg(arg: str) -> Scenario:
-    if Path(arg).exists():
+    # os.path.exists, unlike Path.exists, is False for a string too long to name a file
+    if os.path.exists(arg):
         return Scenario.from_json(Path(arg).read_text())
     return get_scenario(arg)
 
@@ -97,8 +99,11 @@ def cmd_estimate(args) -> int:
     k_min = 1 + MIN_FIT_SCALES + 2 * BOX_FIT_DROP
     if not args.scales and args.n_scales < k_min:
         raise InvalidInputs(f"--n-scales must be >= {k_min} for {k_min - 1} scales from 2^-2, got {args.n_scales}")
-    sides = [float(x) for x in args.scales.split(",")] if args.scales else dyadic_scales(2, args.n_scales)
     check_cover_level(borel, args.cover_level, path.n)
+    # before the sides are built, as --n-scales sets their count
+    if not args.scales and args.n_scales > path.n - 2:
+        raise ResolutionTooCoarse(f"grid depth n={path.n} too coarse for smallest side 2^-{args.n_scales} (2^-n > side/4)")
+    sides = [float(x) for x in args.scales.split(",")] if args.scales else dyadic_scales(2, args.n_scales)
     est = box_count_graph(path, borel.mask(path.n, args.cover_level), sides)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -47,6 +47,7 @@ from .errors import (
     ScheduleMismatch,
 )
 from .fitting import ScalingFit, fit_loglog
+from .laws import PathBuffers
 from .paths import LevyPath, check_memory, sample_marginal
 from .seeds import derive_rng
 from .spectral import ExponentSpec
@@ -86,7 +87,8 @@ def _high_parts(cells: list, m: int):
     highs = [c >> m for c in cells]
     mins = [int(h.min()) for h in highs]
     radices = [int(h.max()) - lo + 1 for h, lo in zip(highs, mins)]
-    highs = [h - lo for h, lo in zip(highs, mins)]
+    for h, lo in zip(highs, mins):
+        h -= lo
     offsets = set(range(len(cells)))
     while math.prod(radices) > 2**room:
         if not offsets:
@@ -123,7 +125,7 @@ def _zorder_keys(cells: list, highs: list, radices: list, m: int, cols) -> np.nd
     return key
 
 
-def _octave_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray:
+def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers) -> np.ndarray:
     """:func:`_cube_counts` on a group of sides that are power-of-two
     multiples of each other.
 
@@ -134,18 +136,30 @@ def _octave_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray:
     side, where the count is the number of adjacent keys that differ.  A
     group whose key does not fit in 63 bits is counted as a finer and a
     coarser half of its octaves; a single side, by comparing whole rows.
+    Column j is quantised in place on the scratch slot j of ``buffers``.
     """
     octave = np.frexp(sides)[1]
     shifts = octave - octave.min()
     m = int(shifts.max())
-    cells = [np.floor(c / sides.min()).astype(np.int64) for c in columns]
+    cells = []
+    for j, c in enumerate(columns):
+        q = buffers.take(j, c.shape)
+        np.divide(c, sides.min(), out=q)
+        np.floor(q, out=q)
+        # floor(c / b).astype(np.int64), cast element by element onto the same memory
+        cells.append(q.view(np.int64))
+        np.copyto(cells[-1], q, casting="unsafe")
     # a time-ordered path often stays in one cube from row to row
     keep = np.zeros(cells[0].size, dtype=bool)
     keep[0] = True
     for c in cells:
         keep[1:] |= c[1:] != c[:-1]
     rows = np.flatnonzero(keep)
-    cells = [c.take(rows) for c in cells]
+    del keep
+    # the kept rows move to the front of their own slot (take copies them
+    # aside first, as they overlap)
+    cells = [c.take(rows, out=c[: rows.size]) for c in cells]
+    del rows
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
     fit = _high_parts(cells, m)
     if fit is None:
@@ -156,7 +170,7 @@ def _octave_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray:
             octaves = np.unique(shifts)
             finer = shifts <= octaves[(octaves.size - 1) // 2]
             for half in (finer, ~finer):
-                counts[:, half] = _octave_counts(columns, sides[half], targets)
+                counts[:, half] = _octave_counts(columns, sides[half], targets, buffers)
         return counts
     for t, cols in enumerate(targets):
         keys = np.sort(_zorder_keys(cells, *fit, m, cols))
@@ -169,7 +183,7 @@ def _octave_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray:
     return counts
 
 
-def _cube_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray:
+def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers) -> np.ndarray:
     """Occupied side-b cubes (grid anchored at 0) of the points with
     coordinates ``columns[j]``, j in ``cols``: one row of counts per list
     ``cols`` in ``targets``, one count per side b in ``sides``.  The sides
@@ -187,7 +201,7 @@ def _cube_counts(columns: list, sides: np.ndarray, targets) -> np.ndarray:
     mantissas = np.frexp(sides)[0]
     for mantissa in np.unique(mantissas):
         group = mantissas == mantissa
-        counts[:, group] = _octave_counts(columns, sides[group], targets)
+        counts[:, group] = _octave_counts(columns, sides[group], targets, buffers)
     return counts
 
 
@@ -196,7 +210,7 @@ def count_occupied_cubes(points: np.ndarray, sides) -> np.ndarray:
     sides = np.atleast_1d(np.asarray(sides, dtype=float))
     if points.shape[0] == 0:
         return np.zeros(sides.size, dtype=np.int64)
-    return _cube_counts(list(points.T), sides, [list(range(points.shape[1]))])[0]
+    return _cube_counts(list(points.T), sides, [list(range(points.shape[1]))], PathBuffers())[0]
 
 
 def _nested_ratios(sides: np.ndarray) -> bool:
@@ -241,7 +255,7 @@ def _fit_counts(sides: np.ndarray, counts: np.ndarray, range_=None) -> BoxCountE
     return BoxCountEstimate(sides=sides, counts=counts, fit=fit, estimate=float(-fit.slope), range=range_)
 
 
-def box_count_graph(path: LevyPath, mask: np.ndarray, sides) -> BoxCountEstimate:
+def box_count_graph(path: LevyPath, mask: np.ndarray, sides, _buffers: PathBuffers | None = None) -> BoxCountEstimate:
     """Box-count estimate of dim of the graph, carrying the range's, on a time set.
 
     ``mask`` marks the grid points in the set, as :meth:`BorelSetSpec.mask`
@@ -249,7 +263,9 @@ def box_count_graph(path: LevyPath, mask: np.ndarray, sides) -> BoxCountEstimate
     holds, and a path that holds just the rows in the set is counted as it
     is.  The cubes of the range X(t) are those of the graph (t, X(t))
     projected, so one ladder walk counts both.  The grid must resolve the
-    smallest cube: 2^-n <= min(side)/4.
+    smallest cube: 2^-n <= min(side)/4.  The cells are quantised on the
+    scratch slots of ``_buffers`` (fresh arrays when None), never on the
+    path's own.
     """
     check_box_sides(sides, path.n)
     keep = mask if path.rows is None else mask[path.rows]
@@ -259,7 +275,8 @@ def box_count_graph(path: LevyPath, mask: np.ndarray, sides) -> BoxCountEstimate
     columns = [path.times, *(path.values[:, j] for j in range(path.d))]
     if not keep.all():
         columns = [c[keep] for c in columns]
-    graph, range_ = _cube_counts(columns, sides, [list(range(len(columns))), list(range(1, len(columns)))])
+    targets = [list(range(len(columns))), list(range(1, len(columns)))]
+    graph, range_ = _cube_counts(columns, sides, targets, PathBuffers() if _buffers is None else _buffers)
     return _fit_counts(sides, graph, _fit_counts(sides, range_))
 
 
@@ -587,6 +604,7 @@ def energy_dimension(
     slack = candidates.size - 1 - stride * (n_large - 1)
     offset = int(rng.integers(0, slack + 1)) if slack > 0 else 0
     chosen = candidates[offset + stride * np.arange(n_large)]
+    del candidates  # up to one index a grid row, far more than the selection
     # the graph points (t, X(t)) of the large selection; block b is every
     # n_blocks-th of them from b
     graph = np.column_stack([path.times[chosen], path.values[chosen]])

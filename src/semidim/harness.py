@@ -23,6 +23,7 @@ import concurrent.futures
 import functools
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -43,7 +44,7 @@ from .estimators import (
     geometric_scales,
     sojourn_mc,
 )
-from .laws import BlockLaw, LawKind, check_truncation
+from .laws import BlockLaw, LawKind, PathBuffers, check_truncation
 from .paths import check_grid, empirical_fullness, simulate_path
 from .spectral import ExponentSpec, validate_exponent
 
@@ -187,12 +188,18 @@ class VerificationReport(Record):
 
 
 def _over_paths(spec, laws, n, mask, seed, prefix, count, measure, threads=1) -> list:
-    """``measure(i, path)`` for the paths ``prefix/path/0 .. count-1`` on the
-    grid rows ``mask`` keeps, in order; each path has its own named stream,
-    so ``threads`` cannot change a result."""
+    """``measure(i, path, buffers)`` for the paths ``prefix/path/0 .. count-1``
+    on the grid rows ``mask`` keeps, in order; each path has its own named
+    stream, so ``threads`` cannot change a result.  Each worker draws its
+    paths on one :class:`PathBuffers`, reused from path to path, which
+    ``measure`` may use for its scratch; a path lives until the worker's next."""
+    worker = threading.local()
 
     def one(i: int):
-        return measure(i, simulate_path(spec, laws, n, seed, name=f"{prefix}/path/{i}", mask=mask))
+        if not hasattr(worker, "buffers"):
+            worker.buffers = PathBuffers()
+        path = simulate_path(spec, laws, n, seed, name=f"{prefix}/path/{i}", mask=mask, _buffers=worker.buffers)
+        return measure(i, path, worker.buffers)
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -230,10 +237,10 @@ def _box_stages(sc: Scenario, theory: dict, seed: int, threads: int):
     if level is not None and level < (sc.cover_level or sc.borel.cover_level(sc.n)):
         held = sc.borel.mask(sc.n, level)
 
-    def measure(i: int, path):
-        g = box_count_graph(path, mask, sc.box_sides)
+    def measure(i: int, path, buffers):
         # Path 0 also feeds the energy stage, estimated here so that no path
         # outlives its own box counts.
+        g = box_count_graph(path, mask, sc.box_sides, _buffers=buffers)
         energy = None
         if i == 0:
             energy = energy_dimension(
@@ -497,8 +504,8 @@ def sweep(cfg: SweepConfig, master_seed: int) -> list[dict]:
             theory = dimensions_from_spectrum(dec.alphas, dec.block_dims, s)["graph"]
             mask = borel.mask(cfg.n, cfg.cover_level)
 
-            def measure(i: int, path) -> float:
-                est = box_count_graph(path, mask, SWEEP_SIDES)
+            def measure(i: int, path, buffers) -> float:
+                est = box_count_graph(path, mask, SWEEP_SIDES, _buffers=buffers)
                 budget = cfg.budget_seconds
                 if budget is not None and time.perf_counter() - started > budget:
                     raise BudgetExceeded(f"sweep cell alpha={alpha}, s={s} exceeded {budget}s")

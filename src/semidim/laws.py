@@ -47,6 +47,9 @@ _RARE_RUN = 2.0
 # Relative slack of a guide-table bucket's ends, far above the few ulps by
 # which u / w can round across one (see _invert).
 _GUIDE_SLACK = 1e-12
+# Values per pass of the in-place CMS chains: their one temporary is a chunk,
+# not a third array of the draw's length.
+_CMS_CHUNK = 2**13
 # Largest Poisson mean numpy draws: the int64 maximum less ten of its square roots.
 _LOG_POISSON_MAX = math.log(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
@@ -67,56 +70,134 @@ def _check_steps(dt, n: int) -> None:
         raise ValueError(f"time step must be positive and finite, got {dt}")
 
 
-def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator, size=None):
+class PathBuffers:
+    """Float64 arrays that one worker reuses from path to path, one per
+    named slot, so that the draws, sums and cells of a path land in memory
+    that is already paged in.
+
+    :meth:`take` returns an uninitialised array on a slot's storage, grown
+    when too small; it stays valid until the slot is taken again.  The
+    slots "times" and "values" hold a path; 0, 1 and 2 are scratch, taken in
+    turn by a sampler (its variates on 0; a stable sampler's angles and
+    exponentials on 0 and 1, or on 1 and 2 beside the isotropic sampler's
+    normals; the semistable sampler's uniforms on 1), the embedding of a
+    block (its products on 1) and the box kernel (the cells of column j on
+    j).  A fresh set is a set of fresh arrays, which is how the public calls
+    allocate.
+    """
+
+    def __init__(self):
+        self._slots: dict = {}
+
+    def take(self, slot, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        store = self._slots.get(slot)
+        if store is None or store.size < size:
+            store = self._slots[slot] = np.empty(size)
+        return store[:size].reshape(shape)
+
+
+def _shape(size) -> tuple:
+    return () if size is None else (size if isinstance(size, tuple) else (size,))
+
+
+def _cms_draws(rng: np.random.Generator, u: np.ndarray, w: np.ndarray):
+    """Draw u ~ U(-pi/2, pi/2) and w ~ Exp(1) in place, with the bits and
+    stream of ``rng.uniform(-pi/2, pi/2)`` and ``rng.exponential(1.0)``
+    (numpy computes a uniform as low + (high - low) * U[0, 1)); then yield
+    their flat views ``_CMS_CHUNK`` values at a time, with a scratch chunk."""
+    rng.random(out=u)
+    u *= math.pi
+    u += -math.pi / 2
+    rng.standard_exponential(out=w)
+    u, w = u.reshape(-1), w.reshape(-1)
+    t = np.empty(min(u.size, _CMS_CHUNK))
+    for start in range(0, u.size, _CMS_CHUNK):
+        stop = min(start + _CMS_CHUNK, u.size)
+        yield u[start:stop], w[start:stop], t[: stop - start]
+
+
+def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator, size=None, _buffers=None):
     """Symmetric alpha-stable variates by the CMS construction; ``scale`` is
     one value, or one per variate.
 
     The single formula below is continuous in alpha and reduces to tan(U)
     at alpha = 1 and to 2 sin(U) sqrt(W) (exactly Gaussian, variance 2) at
-    alpha = 2.
+    alpha = 2.  Each factor is evaluated in place, in the textbook's order
+    of operations, on the slots 0 and 1 of ``_buffers`` (a
+    :class:`PathBuffers`; fresh arrays when None).
     """
     _check_alpha(alpha)
     if np.any(scale <= 0):
         raise ValueError(f"scale must be positive, got {scale}")
-    u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
-    w = rng.exponential(1.0, size=size)
-    x = (
-        np.sin(alpha * u)
-        / np.cos(u) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    )
-    return scale * x
+    buffers = PathBuffers() if _buffers is None else _buffers
+    x = buffers.take(0, _shape(size))
+    # x = sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / w)^((1 - alpha)/alpha)
+    for u, w, t in _cms_draws(rng, x, buffers.take(1, x.shape)):
+        np.multiply(u, 1.0 - alpha, out=t)
+        np.cos(t, out=t)
+        np.divide(t, w, out=w)
+        w **= (1.0 - alpha) / alpha
+        np.multiply(u, alpha, out=t)
+        np.sin(t, out=t)
+        np.cos(u, out=u)
+        u **= 1.0 / alpha
+        np.divide(t, u, out=u)
+        u *= w
+    x *= scale
+    return x if size is not None else x[()]
 
 
-def sample_one_sided_stable(gamma: float, rng: np.random.Generator, size=None):
-    """Positive gamma-stable variates with E exp(-lam*A) = exp(-lam**gamma)."""
+def sample_one_sided_stable(gamma: float, rng: np.random.Generator, size=None, _buffers=None):
+    """Positive gamma-stable variates with E exp(-lam*A) = exp(-lam**gamma),
+    evaluated in place on the slots 1 (the variates) and 2 of ``_buffers``
+    (fresh arrays when None)."""
     if not 0.0 < gamma < 1.0:
         raise AlphaOutOfRange(f"one-sided index must be in (0, 1), got {gamma}")
-    u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
-    w = rng.exponential(1.0, size=size)
-    return (
-        np.sin(gamma * (u + math.pi / 2))
-        / np.cos(u) ** (1.0 / gamma)
-        * (np.cos(gamma * math.pi / 2 + (gamma - 1.0) * u) / w) ** ((1.0 - gamma) / gamma)
-    )
+    buffers = PathBuffers() if _buffers is None else _buffers
+    a = buffers.take(1, _shape(size))
+    # a = sin(gamma (u + pi/2)) / cos(u)^(1/gamma)
+    #     * (cos(gamma pi/2 + (gamma - 1) u) / w)^((1 - gamma)/gamma)
+    for u, w, t in _cms_draws(rng, a, buffers.take(2, a.shape)):
+        np.multiply(u, gamma - 1.0, out=t)
+        t += gamma * math.pi / 2
+        np.cos(t, out=t)
+        np.divide(t, w, out=w)
+        w **= (1.0 - gamma) / gamma
+        np.add(u, math.pi / 2, out=t)
+        t *= gamma
+        np.sin(t, out=t)
+        np.cos(u, out=u)
+        u **= 1.0 / gamma
+        np.divide(t, u, out=u)
+        u *= w
+    return a if size is not None else a[()]
 
 
-def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Generator, size=None):
+def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Generator, size=None, _buffers=None):
     """Isotropic alpha-stable vectors in R^2, shape (..., 2).
 
     E exp(i <theta, X>) = exp(-(scale * |theta|)**alpha); rotation invariant
-    by construction.  ``scale`` is one value, or one per vector.
+    by construction.  ``scale`` is one value, or one per vector.  The
+    vectors sqrt(2) scale sqrt(A) G are formed in place on the slot 0 of
+    ``_buffers`` (fresh arrays when None), A on the one-sided sampler's slots.
     """
     _check_alpha(alpha)
     if np.any(scale <= 0):
         raise ValueError(f"scale must be positive, got {scale}")
-    scale = np.asarray(scale)[..., None]
-    shape = () if size is None else (size if isinstance(size, tuple) else (size,))
-    g = rng.standard_normal(shape + (2,))
+    buffers = PathBuffers() if _buffers is None else _buffers
+    shape = _shape(size)
+    g = rng.standard_normal(out=buffers.take(0, shape + (2,)))
+    factor = math.sqrt(2.0) * np.asarray(scale)
     if alpha == 2.0:
-        return math.sqrt(2.0) * scale * g
-    a = sample_one_sided_stable(alpha / 2.0, rng, size=size)
-    return math.sqrt(2.0) * scale * np.sqrt(a)[..., None] * g
+        g *= factor[..., None]
+        return g
+    a = sample_one_sided_stable(alpha / 2.0, rng, size=shape, _buffers=buffers)
+    np.sqrt(a, out=a)
+    a *= factor
+    for column in (g[..., 0], g[..., 1]):  # faster than g *= a[..., None], the same products
+        column *= a
+    return g
 
 
 def semistable_atom_range(alpha: float, c: float, dt: float, k_min: int, n_samples: int = 1):
@@ -207,7 +288,12 @@ def _invert(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _add_rare_jumps(
-    out: np.ndarray, heights: np.ndarray, lam: np.ndarray, weights: np.ndarray | None, rng: np.random.Generator
+    out: np.ndarray,
+    heights: np.ndarray,
+    lam: np.ndarray,
+    weights: np.ndarray | None,
+    rng: np.random.Generator,
+    buffers: PathBuffers,
 ) -> None:
     """Add the jumps of atoms of intensities ``lam`` to ``out``, atom k firing
     lam_k w_i times on average at sample i, w = ``weights`` or all 1 when None.
@@ -218,7 +304,8 @@ def _add_rare_jumps(
     0 .. n-1 and one integer in 0 .. 2n-1 carries both; otherwise one uniform
     on [0, 2 sum w) does: its half gives the sign, and its offset in that
     half, inverted on the cumulative weights, the sample.  Exact by Poisson
-    superposition and marking.
+    superposition and marking.  The jumps' uniforms, then their heights, take
+    the slot 1 of ``buffers``.
     """
     n = out.size
     cum = np.cumsum(lam)
@@ -226,10 +313,18 @@ def _add_rare_jumps(
     weight = n if rows is None else rows[-1]
     total = rng.poisson(weight * cum[-1])
     if total:
-        jump = heights[_invert(cum, rng.random(total) * cum[-1])]
+        u = rng.random(out=buffers.take(1, (total,)))
+        u *= cum[-1]
+        # the indices lie in range: mode "clip" spares the copy of ``out``
+        # that numpy's default mode makes
+        jump = np.take(heights, _invert(cum, u), out=u, mode="clip")
         if rows is None:
             slot = rng.integers(0, 2 * n, size=total)
-            jump[(slot & 1) == 0] *= -1.0
+            sign = slot & 1
+            sign <<= 1
+            sign -= 1  # -1 on an even slot, 1 on an odd one: a product that flips no bit but the sign
+            jump *= sign
+            del sign
             slot >>= 1
         else:
             u = rng.random(total)
@@ -248,9 +343,11 @@ def sample_semistable_increment(
     rng: np.random.Generator,
     k_min: int = DEFAULT_K_MIN,
     size=None,
+    _buffers=None,
 ):
     """Increments of the discrete semistable law over a time step dt, one
-    step for all samples or one per sample (dt of the samples' count).
+    step for all samples or one per sample (dt of the samples' count), summed
+    on the slot 0 of ``_buffers`` (fresh arrays when None).
 
     Atom k fires as a Poisson(dt_i * c^-k) count at sample i, each jump of
     height +-c^(k/alpha) with a fair sign.  Memory is O(n).  The atom range,
@@ -268,8 +365,8 @@ def sample_semistable_increment(
       mean dt_i c^-k / 2 (Poisson thinning).  With one step for all samples
       and a CDF table (:func:`_net_count_cdf`) of size**2 <= 4n, so that
       building it costs at most 4 multiply-adds a sample, the net count is
-      one uniform per sample inverted on the table (:func:`_invert`);
-      otherwise it is two Poisson vectors.
+      one uniform per sample, drawn on the slot 1, inverted on the table
+      (:func:`_invert`); otherwise it is two Poisson vectors.
 
     The atom order does not depend on k_min, so two truncation depths share
     the draws of their common atoms.  A Gaussian of std
@@ -302,14 +399,16 @@ def sample_semistable_increment(
     per_row = np.ndim(dt) > 0
     # a sample's intensities and variance scale by its step over the longest
     ratio = np.asarray(dt, dtype=float) / longest if per_row else 1.0
-    out = np.zeros(n)
+    buffers = PathBuffers() if _buffers is None else _buffers
+    out = buffers.take(0, (n,))
+    out.fill(0.0)
     # lam falls with k: atoms [0, frequent) fire at least once a sample on average
     frequent = int(np.count_nonzero(lam >= 1.0))
     rare_h, rare_lam = heights[frequent:][::-1], lam[frequent:][::-1]
     cuts = np.searchsorted(np.cumsum(rare_lam), np.arange(_RARE_RUN, rare_lam.sum(), _RARE_RUN), side="right")
     bounds = [0, *cuts.tolist(), rare_lam.size]
     for start, stop in zip(bounds, bounds[1:]):
-        _add_rare_jumps(out, rare_h[start:stop], rare_lam[start:stop], ratio if per_row else None, rng)
+        _add_rare_jumps(out, rare_h[start:stop], rare_lam[start:stop], ratio if per_row else None, rng, buffers)
     # Poisson(mu) puts mass below about 1e-30, far under the 2^-53 resolution
     # of a uniform, outside the counts mu +- (12 sqrt(mu) + 30)
     mu = 0.5 * lam[:frequent]
@@ -320,14 +419,16 @@ def sample_semistable_increment(
         if table[i]:
             cdf = _net_count_cdf(mu[i], int(lo[i]), int(hi[i]))
             top = int(hi[i] - lo[i])  # the table holds the net counts -top .. top
-            u = rng.random(n)
+            u = rng.random(out=buffers.take(1, (n,)))
             u *= cdf[-1]
-            out += np.take(heights[i] * np.arange(-top, top + 1), _invert(cdf, u), out=u)
+            out += np.take(heights[i] * np.arange(-top, top + 1), _invert(cdf, u), out=u, mode="clip")
         else:
             both = rng.poisson(mu[i] * ratio, (2, n))
             both[0] -= both[1]
-            out += heights[i] * both[0]
-    out += sigma * np.sqrt(ratio) * rng.standard_normal(n)
+            out += np.multiply(both[0], heights[i], out=buffers.take(1, (n,)))
+    gauss = rng.standard_normal(out=buffers.take(1, (n,)))
+    gauss *= sigma * np.sqrt(ratio)
+    out += gauss
     if size is None:
         return float(out[0])
     return out.reshape(size)
@@ -361,18 +462,22 @@ class BlockLaw(Record):
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
-    def sample_increments(self, dt, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_increments(self, dt, n: int, rng: np.random.Generator, _buffers=None) -> np.ndarray:
         """n independent increments over one time step dt or over one step each
         (dt of shape (n,)); shape (n,) or (n, 2).  A stable law scales each
         increment by its step; the semistable sampler takes every step in one
-        draw.  Raises ValueError for a step that is not positive and finite."""
+        draw.  Each law draws on the slots of ``_buffers`` (see
+        :class:`PathBuffers`; fresh arrays when None).  Raises ValueError for
+        a step that is not positive and finite."""
         _check_steps(dt, n)
         if self.kind is LawKind.SEMISTABLE_DISCRETE:
-            return self.scale * sample_semistable_increment(self.alpha, self.c, dt, rng, k_min=self.k_min, size=n)
+            x = sample_semistable_increment(self.alpha, self.c, dt, rng, k_min=self.k_min, size=n, _buffers=_buffers)
+            x *= self.scale
+            return x
         scale = self.scale * dt ** (1.0 / self.alpha)
         if self.kind is LawKind.STABLE_SYMMETRIC:
-            return sample_stable_increment(self.alpha, scale, rng, size=n)
-        return sample_isotropic_stable_2d(self.alpha, scale, rng, size=n)
+            return sample_stable_increment(self.alpha, scale, rng, size=n, _buffers=_buffers)
+        return sample_isotropic_stable_2d(self.alpha, scale, rng, size=n, _buffers=_buffers)
 
     def as_dict(self) -> dict:
         """Only the semistable law writes its scaling constant and truncation."""

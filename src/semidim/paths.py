@@ -38,7 +38,7 @@ import numpy as np
 
 from .codec import Record
 from .errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EmptyRestriction, EnsembleTooSmall
-from .laws import BlockLaw, LawKind
+from .laws import BlockLaw, LawKind, PathBuffers
 from .seeds import derive_rng
 from .spectral import ExponentSpec, SpectralBlock, scaling_operator
 
@@ -173,16 +173,24 @@ def _gaussian_covariance(block: SpectralBlock, law: BlockLaw, t: np.ndarray) -> 
 
 
 def _block_increments(
-    block: SpectralBlock, law: BlockLaw, gaussian: bool, times, steps, size: int, rng: np.random.Generator
+    block: SpectralBlock,
+    law: BlockLaw,
+    gaussian: bool,
+    times,
+    steps,
+    size: int,
+    rng: np.random.Generator,
+    buffers: PathBuffers,
 ) -> np.ndarray:
     """``size`` independent draws of X_j(t_i) - X_j(t_i - step_i), one row per
     time, shape (size, block.d); ``times`` and ``steps`` are each one value
-    or one per row, with 0 < step_i <= t_i.  A Levy block draws X(step_i);
-    the Gaussian-operator block draws N(0, C(t_i) - C(t_i - step_i)), C(0) = 0,
-    with one Cholesky factor for one time and step.
+    or one per row, with 0 < step_i <= t_i.  A Levy block draws X(step_i)
+    on the slots of ``buffers``; the Gaussian-operator block draws
+    N(0, C(t_i) - C(t_i - step_i)), C(0) = 0, with one Cholesky factor for
+    one time and step.
     """
     if not gaussian:
-        inc = law.sample_increments(steps, size, rng)
+        inc = law.sample_increments(steps, size, rng, _buffers=buffers)
         return inc[:, None] if inc.ndim == 1 else inc
     t, step = np.broadcast_arrays(np.atleast_1d(times), np.atleast_1d(steps))
     cov = _gaussian_covariance(block, law, t)
@@ -220,15 +228,16 @@ def check_grid(n: int, d: int) -> None:
     check_memory((2 ** min(n, 64) + 1) * (1 + 3 * d), f"a grid of depth n={n} in d={d}")
 
 
-def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray) -> None:
-    """out += block_values @ basis.T, one column multiply-add at a time.
+def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray, scratch: np.ndarray) -> None:
+    """out += block_values @ basis.T, one column multiply-add at a time, each
+    product formed in ``scratch`` (one value per row).
 
     A block has a few columns and 2^n rows; elementwise multiply-adds keep
     such a thin product off BLAS, whose threads cost more than they save.
     """
     for i in range(basis.shape[0]):
         for k in range(basis.shape[1]):
-            out[:, i] += block_values[:, k] * basis[i, k]
+            out[:, i] += np.multiply(block_values[:, k], basis[i, k], out=scratch)
 
 
 def simulate_path(
@@ -238,6 +247,7 @@ def simulate_path(
     seed: int,
     name: str = "path",
     mask: np.ndarray | None = None,
+    _buffers: PathBuffers | None = None,
 ) -> LevyPath:
     """Simulate a path on the dyadic grid of depth n over [0, 1].
 
@@ -252,9 +262,15 @@ def simulate_path(
     exactly the path of ``mask=None``, whose steps are the one grid step.
     Raises BudgetExceeded, before allocating, when the grid alone would not
     fit in physical memory.
+
+    The path is drawn, summed and embedded on the slots of ``_buffers`` (see
+    :class:`PathBuffers`), and its times and values are the slots "times"
+    and "values": valid until the next path drawn on the same buffers.
+    Without ``_buffers`` every array is fresh, and the path is the caller's.
     """
     check_grid(n, spec.d)
     laws, blocks = _block_laws(spec, laws)
+    buffers = PathBuffers() if _buffers is None else _buffers
 
     dt = 2.0 ** (-n)
     if mask is not None and mask.shape != (2**n + 1,):
@@ -262,24 +278,29 @@ def simulate_path(
     # ``first`` rows, 1 when row 0 (where every path is 0) is held, come
     # before the first step
     if mask is None or mask.all():
-        rows, times, first = None, grid_times(n), 1
+        rows, first = None, 1
+        times = np.multiply(np.arange(2**n + 1), dt, out=buffers.take("times", (2**n + 1,)))
         steps = dt
     else:
         rows = np.flatnonzero(mask)
         if rows.size == 0:
             raise EmptyRestriction("no grid point falls inside the time set")
-        times, first = rows * dt, int(rows[0] == 0)
+        times, first = np.multiply(rows, dt, out=buffers.take("times", rows.shape)), int(rows[0] == 0)
         steps = np.diff(rows, prepend=0)[first:] * dt
-    values = np.zeros((times.size, spec.d))
+    size = times.size - first
+    values = buffers.take("values", (spec.d, times.size)).T
+    values.fill(0.0)
     # Near alpha = 0 the increments can overflow float64; such a path is
     # rejected as a whole below instead of warning sample by sample.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j, (block, law, gaussian) in enumerate(blocks):
             rng = derive_rng(seed, f"{name}/block/{j}")
-            inc = _block_increments(block, law, gaussian, times[first:], steps, times.size - first, rng)
+            inc = _block_increments(block, law, gaussian, times[first:], steps, size, rng, buffers)
             # values[first:] += cumsum(inc) @ basis.T; row 0, when held, is X(0) = 0
-            _embed(values[first:], np.cumsum(inc, axis=0, out=inc), block.basis)
-    if not np.isfinite(values).all():
+            _embed(values[first:], np.cumsum(inc, axis=0, out=inc), block.basis, buffers.take(1, (size,)))
+        # a NaN or an infinity makes the minimum or the maximum one
+        finite = np.isfinite(values.min()) and np.isfinite(values.max())
+    if not finite:
         raise DegenerateSample(f"path {name!r} leaves the float64 range")
     return LevyPath(times=times, values=values, seed=seed, n=n, spec=spec, laws=laws, rows=rows)
 
@@ -301,11 +322,13 @@ def sample_marginal(
         raise ValueError("time must be positive")
     _, blocks = _block_laws(spec, laws)
     out = np.zeros((size, spec.d))
+    buffers = PathBuffers()
     # as in simulate_path: an overflowing sample rejects the whole draw
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j, (block, law, gaussian) in enumerate(blocks):
             rng = derive_rng(seed, f"{name}/block/{j}")
-            _embed(out, _block_increments(block, law, gaussian, t, t, size, rng), block.basis)
+            inc = _block_increments(block, law, gaussian, t, t, size, rng, buffers)
+            _embed(out, inc, block.basis, buffers.take(1, (size,)))
     if not np.isfinite(out).all():
         raise DegenerateSample(f"marginal {name!r} leaves the float64 range")
     return out

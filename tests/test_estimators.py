@@ -60,7 +60,7 @@ class TestBoxCounting:
 
     def test_non_monotone_counts_raise(self, monkeypatch):
         # a graph count that falls as the nested cubes shrink breaks an invariant
-        def shrinking(columns, sides, targets):
+        def shrinking(columns, sides, targets, buffers):
             return np.tile(np.arange(sides.size, 0, -1), (len(targets), 1))
 
         monkeypatch.setattr(sd.estimators, "_cube_counts", shrinking)
@@ -188,9 +188,9 @@ class TestCubeKernel:
         calls = []
         octave_counts = sd.estimators._octave_counts
 
-        def spy(columns, sides, targets):
+        def spy(columns, sides, targets, buffers):
             calls.append(sides.size)
-            return octave_counts(columns, sides, targets)
+            return octave_counts(columns, sides, targets, buffers)
 
         monkeypatch.setattr(sd.estimators, "_octave_counts", spy)
         return calls

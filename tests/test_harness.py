@@ -1,14 +1,27 @@
+import functools
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from semidim import builtin_scenarios, get_scenario, run_scenario, sweep
+from semidim import builtin_scenarios, get_scenario, harness, run_scenario, sweep
 from semidim.borel import BorelSetSpec, cantor, interval
 from semidim.errors import BudgetExceeded, InvalidInputs, TruncationTooCoarse
 from semidim.estimators import box_count_graph, dyadic_scales
-from semidim.harness import FAIL, INCONCLUSIVE, PASS, Scenario, SweepConfig, _judged, _median_stage, _sojourn_stage, verdict
+from semidim.harness import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    SWEEP_SIDES,
+    Scenario,
+    SweepConfig,
+    _judged,
+    _median_stage,
+    _sojourn_stage,
+    verdict,
+)
 from semidim.laws import BlockLaw, LawKind
 from semidim.paths import simulate_path
 from semidim.spectral import validate_exponent
@@ -272,3 +285,29 @@ class TestSweep:
     def test_n_seeds_below_one_rejected(self, n_seeds):
         with pytest.raises(InvalidInputs):
             SweepConfig(alphas=(2.0,), n_seeds=n_seeds)
+
+    def test_worker_buffers_give_the_fresh_paths(self, monkeypatch):
+        # each worker draws its paths on one set of buffers, reused from path
+        # to path; with more workers than cores and a short switch interval
+        # the paths and box counts still equal fresh ones, and sweep's rows
+        # do not depend on the worker count
+        spec = validate_exponent(np.array([[1 / 1.2]]), 2.0)
+        laws = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.2),)
+        mask = cantor(2, 1 / 3).mask(12)
+        fresh = [simulate_path(spec, laws, 12, 9, name=f"reuse/path/{i}", mask=mask) for i in range(6)]
+        want = [(p.values.tobytes(), box_count_graph(p, mask, SWEEP_SIDES).counts.tolist()) for p in fresh]
+
+        def measure(i, path, buffers):
+            return path.values.tobytes(), box_count_graph(path, mask, SWEEP_SIDES, _buffers=buffers).counts.tolist()
+
+        cfg = SweepConfig(alphas=(1.2, 2.0), time_sets=(None, "cantor"), n=12, n_seeds=3)
+        rows = sweep(cfg, 9)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 3):
+                assert harness._over_paths(spec, laws, 12, mask, 9, "reuse", 6, measure, threads) == want
+            monkeypatch.setattr(harness, "_over_paths", functools.partial(harness._over_paths, threads=3))
+            assert sweep(cfg, 9) == rows
+        finally:
+            sys.setswitchinterval(switch)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 import tracemalloc
@@ -153,6 +155,14 @@ class TestCLI:
         assert run_cli("estimate", "--path", prefix, "--n-scales", "10", "--out", str(tmp_path / "e10")) == 2
         assert "InvalidInputs: --n-scales must be >= 11" in capsys.readouterr().err
         assert not (tmp_path / "e10").exists()
+
+    @pytest.mark.parametrize("n_scales", ["12", str(10**18)])
+    def test_n_scales_beyond_the_grid_rejected_before_the_sides(self, tmp_path, capsys, n_scales):
+        # 10^18 sides would not fit in memory: the depth is checked first
+        assert run_cli("simulate", "--out", str(tmp_path)) == 0
+        prefix = str(tmp_path / "path-n13-seed0")
+        assert run_cli("estimate", "--path", prefix, "--n-scales", n_scales, "--out", str(tmp_path / "est")) == 2
+        assert "ResolutionTooCoarse" in capsys.readouterr().err
 
     @pytest.mark.parametrize("side", ["nan", "inf", "-inf", "0", "-0.25"])
     def test_bad_box_side_rejected(self, tmp_path, capsys, side):
@@ -397,6 +407,11 @@ class TestCLI:
     def test_unknown_scenario_exit_code(self, capsys):
         assert run_cli("verify", "--scenario", "nope") == 2
 
+    def test_scenario_name_too_long_for_a_file_is_unknown(self, capsys):
+        assert run_cli("verify", "--scenario", "x" * 300) == 2
+        err = capsys.readouterr().err
+        assert f"unknown scenario '{'x' * 300}'; builtin: ['brownian-cantor'," in err
+
     def test_malformed_scenario_exit_code(self, tmp_path, capsys):
         from test_harness import mini_scenario
 
@@ -593,3 +608,163 @@ def test_scenario_load_raises_only_input_errors(name, changes):
         sd.Scenario.from_json(text)
     except (sd.SemidimError, ValueError):
         pass
+
+
+# Hostile option values: free text, numbers at and past the float and int
+# ranges, separators alone, a NUL byte, names too long for a file, JSON
+# fragments, and every fixture file below by its token.
+ARGV_FILES = {
+    "@exponent": json.dumps({"c": 2.0, "matrix": [[0.5]]}),
+    "@exponent_iso": json.dumps({"c": 2.0, "matrix": [[1 / 1.2, -1.0], [1.0, 1 / 1.2]]}),
+    "@laws": json.dumps([{"kind": "STABLE_SYMMETRIC", "alpha": 2.0}]),
+    "@laws_iso": json.dumps([{"kind": "STABLE_ISOTROPIC_2D", "alpha": 1.2}]),
+    "@borel": json.dumps({"kind": "INTERVAL", "a": 0.0, "b": 0.5}),
+    "@sweep": json.dumps({"alphas": [2.0], "n": 12, "n_seeds": 1}),
+    "@not_json": "{not json",
+    "@list": "[1, 2]",
+}
+ARGV_TOKENS = [*ARGV_FILES, "@scenario", "@dump", "@dir", "@missing"]
+HOSTILE_ARG = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(
+        ["", " ", ",", ",,", "nan", "inf", "-inf", "-1", "0", "1e400", "5e-324", "0x10", "1_0", "\x00",
+         "[]", "{}", "null", "[0.5]", "cantor", "x" * 300, "é" * 150, "-h", "--seed"]
+    ),
+    st.sampled_from(ARGV_TOKENS),
+)
+EDGE_INTS = st.sampled_from(["-1", "0", "-3000", str(-(2**63)), str(2**63), str(10**18), str(10**30)])
+EDGE_FLOATS = st.sampled_from(["-0.0", "-1.5", "2.5", "1e308", "1e-300", "5e-324", "nan", "inf", "-inf"])
+
+
+def int_arg(lo, hi):
+    """(valid, hostile) strategies of an integer option."""
+    return st.integers(lo, hi).map(str), st.one_of(EDGE_INTS, st.integers().map(str), HOSTILE_ARG)
+
+
+def float_arg(lo, hi):
+    return st.floats(lo, hi).map(repr), st.one_of(EDGE_FLOATS, HOSTILE_ARG)
+
+
+def sides_arg(lo, hi, size):
+    """Comma-separated sides 2^-k, k in [lo, hi]; or hostile lists."""
+    valid = st.lists(st.integers(lo, hi).map(lambda k: repr(2.0**-k)), min_size=size, max_size=size + 2)
+    hostile = st.lists(st.one_of(EDGE_FLOATS, st.floats().map(repr), HOSTILE_ARG), max_size=size + 2)
+    return valid.map(",".join), st.one_of(hostile.map(",".join), HOSTILE_ARG)
+
+
+def file_arg(*valid):
+    return st.sampled_from(valid), HOSTILE_ARG
+
+
+SEED_ARG = int_arg(0, 2**32)
+# Options of each subcommand as (valid, hostile) values.  The depths and
+# sizes that are valid stay small; the hostile ones must be rejected before
+# anything of their size is built.
+ARGV_OPTIONS = {
+    "decompose": {"--exponent": file_arg("@exponent", "@exponent_iso")},
+    "dim": {
+        "--alpha1": float_arg(0.1, 2.0),
+        "--alpha2": float_arg(0.1, 2.0),
+        "--d1": int_arg(1, 2),
+        "--s": float_arg(0.0, 1.0),
+        "--exponent": file_arg("@exponent", "@exponent_iso"),
+        "--borel": file_arg("@borel", "cantor"),
+    },
+    "simulate": {
+        "--exponent": file_arg("@exponent", "@exponent_iso"),
+        "--laws": file_arg("@laws", "@laws_iso"),
+        "--n": int_arg(0, 10),
+        "--csv": (st.none(), st.none()),
+        "--seed": SEED_ARG,
+    },
+    "estimate": {
+        "--path": file_arg("@dump"),
+        "--borel": file_arg("@borel", "cantor"),
+        "--scales": sides_arg(1, 11, 10),
+        "--n-scales": int_arg(11, 11),
+        "--cover-level": int_arg(1, 8),
+    },
+    "sojourn": {
+        "--exponent": file_arg("@exponent", "@exponent_iso"),
+        "--laws": file_arg("@laws", "@laws_iso"),
+        "--radii": sides_arg(1, 4, 2),
+        "--horizon": float_arg(0.1, 1.0),
+        "--ensemble": int_arg(200, 300),
+        "--n": int_arg(8, 10),
+        "--seed": SEED_ARG,
+    },
+    "verify": {"--scenario": file_arg("@scenario"), "--seed": SEED_ARG, "--threads": int_arg(1, 3)},
+    "sweep": {"--config": (st.just("@sweep"), HOSTILE_ARG.filter(bool)), "--seed": SEED_ARG},
+}
+# the options argparse requires, left out one draw in four; and sweep's
+# config, always named, as without one the default sweep runs for a second
+REQUIRED = {"decompose": "--exponent", "estimate": "--path", "verify": "--scenario"}
+# output directories: a new one, an existing one, a file, a name too long, a NUL byte
+OUT_ARG = st.sampled_from(["out", ".", "@exponent", "x" * 300, "a\x00b"])
+
+
+@st.composite
+def argv(draw, command):
+    """An argv of ``command``: its required option mostly, a random subset of
+    the others, one of them (or the output directory) hostile and the rest
+    valid."""
+    options = ARGV_OPTIONS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), unique=True))
+    if command in REQUIRED and REQUIRED[command] not in chosen and draw(mostly(st.just(True), st.just(False))):
+        chosen.append(REQUIRED[command])
+    if command == "sweep" and "--config" not in chosen:
+        chosen.append("--config")
+    writes = command not in ("decompose", "dim")
+    targets = chosen + ["--out"] * writes
+    attacked = draw(st.sampled_from(targets)) if targets else None
+    args = [command]
+    for name in chosen:
+        value = draw(options[name][name == attacked])
+        args += [name] if value is None else [name, value]
+    if writes:
+        args += ["--out", draw(OUT_ARG) if attacked == "--out" else "out"]
+    return args
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    from test_harness import mini_scenario
+
+    root = tmp_path_factory.mktemp("argv")
+    for token, text in ARGV_FILES.items():
+        (root / token[1:]).write_text(text)
+    sc = mini_scenario(n=12, n_seeds=2, sojourn_n=10, energy_ratio=2)  # verified in 0.1 s
+    (root / "scenario").write_text(sc.to_json())
+    assert main(["simulate", "--n", "13", "--out", str(root)]) == 0
+    (root / "dir").mkdir()
+    return root
+
+
+def resolve(arg: str, root: Path) -> str:
+    """A token's file under ``root``; any other argument as it is."""
+    if arg.startswith("@"):
+        return str(root / {"@dump": "path-n13-seed0", "@missing": "missing.json"}.get(arg, arg[1:]))
+    return arg
+
+
+@pytest.mark.parametrize("command", sorted(ARGV_OPTIONS))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_argv_exits_0_to_3_and_never_raises(argv_dir, command, data):
+    """Any argv through ``main``: an exit code of 0 to 3 with no traceback,
+    1 and 3 only for a verdict.  argparse rejects a malformed command line by
+    SystemExit (2, or 0 for -h), as a process would exit; nothing else may
+    escape ``main``."""
+    args = [resolve(a, argv_dir) for a in data.draw(argv(command))]
+    if "--out" in args:
+        at = args.index("--out") + 1
+        args[at] = args[at] if args[at].startswith(str(argv_dir)) else f"{argv_dir}/out/{args[at]}"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (args, err.getvalue())
+    assert code in (0, 2) or args[0] == "verify"
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from semidim import (
 )
 from semidim.errors import AlphaOutOfRange, BudgetExceeded, DegenerateSample, TruncationTooCoarse
 from semidim.laws import (
+    _CMS_CHUNK,
     DEFAULT_K_MIN,
+    PathBuffers,
     _invert,
     _net_count_cdf,
     check_truncation,
@@ -52,6 +55,93 @@ def reference_semistable_increment(alpha, c, dt, rng, k_min, n):
                 np.add.at(out, where, signs * heights[k_idx])
     out += compensation_std(alpha, c, dt, k_min) * rng.standard_normal(n)
     return out
+
+
+def reference_stable_increment(alpha, scale, rng, size):
+    """The textbook CMS expression, one temporary per operation."""
+    u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
+    w = rng.exponential(1.0, size=size)
+    x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha) * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+    return scale * x
+
+
+def reference_one_sided_stable(gamma, rng, size):
+    u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
+    w = rng.exponential(1.0, size=size)
+    return (
+        np.sin(gamma * (u + math.pi / 2))
+        / np.cos(u) ** (1.0 / gamma)
+        * (np.cos(gamma * math.pi / 2 + (gamma - 1.0) * u) / w) ** ((1.0 - gamma) / gamma)
+    )
+
+
+def reference_isotropic_stable_2d(alpha, scale, rng, size):
+    scale = np.asarray(scale)[..., None]
+    g = rng.standard_normal((size, 2))
+    if alpha == 2.0:
+        return math.sqrt(2.0) * scale * g
+    a = reference_one_sided_stable(alpha / 2.0, rng, size)
+    return math.sqrt(2.0) * scale * np.sqrt(a)[..., None] * g
+
+
+# a few draws, a chunk of the in-place chains and one more, and several chunks
+IN_PLACE_SIZES = [1, 5, _CMS_CHUNK + 1, 3 * _CMS_CHUNK - 7]
+
+
+def per_row_scale(size):
+    return 0.1 + derive_rng(7, f"test/in-place/scale/{size}").random(size)
+
+
+class TestInPlaceSamplers:
+    """The in-place samplers equal the textbook expressions bit for bit, on
+    fresh arrays and on buffers left dirty by a larger draw."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0])
+    @pytest.mark.parametrize("size", IN_PLACE_SIZES)
+    def test_stable_increment(self, alpha, size):
+        buffers = PathBuffers()
+        sample_stable_increment(0.7, 1.0, derive_rng(1, "dirty"), size=4 * _CMS_CHUNK, _buffers=buffers)
+        for scale in (1.7, per_row_scale(size)):
+            want = reference_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size)
+            for lent in (None, buffers):
+                got = sample_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size=size, _buffers=lent)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.6, 0.95])
+    @pytest.mark.parametrize("size", IN_PLACE_SIZES)
+    def test_one_sided_stable(self, gamma, size):
+        buffers = PathBuffers()
+        sample_one_sided_stable(0.5, derive_rng(1, "dirty"), size=4 * _CMS_CHUNK, _buffers=buffers)
+        want = reference_one_sided_stable(gamma, derive_rng(2, f"one-sided/{gamma}"), size)
+        for lent in (None, buffers):
+            got = sample_one_sided_stable(gamma, derive_rng(2, f"one-sided/{gamma}"), size=size, _buffers=lent)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.2, 2.0])
+    @pytest.mark.parametrize("size", IN_PLACE_SIZES)
+    def test_isotropic_stable_2d(self, alpha, size):
+        buffers = PathBuffers()
+        sample_isotropic_stable_2d(0.7, 1.0, derive_rng(1, "dirty"), size=4 * _CMS_CHUNK, _buffers=buffers)
+        for scale in (1.7, per_row_scale(size)):
+            want = reference_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size)
+            for lent in (None, buffers):
+                got = sample_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size=size, _buffers=lent)
+                assert got.tobytes() == want.tobytes()
+
+    def test_one_draw_without_a_size_is_a_scalar(self):
+        rng, ref = derive_rng(4, "scalar"), derive_rng(4, "scalar")
+        x = sample_stable_increment(1.2, 1.0, rng)
+        assert isinstance(x, np.float64) and x == reference_stable_increment(1.2, 1.0, ref, None)
+        a = sample_one_sided_stable(0.6, rng)
+        assert isinstance(a, np.float64) and a == reference_one_sided_stable(0.6, ref, None)
+        v = sample_isotropic_stable_2d(1.2, 1.0, rng)
+        assert v.shape == (2,)
+
+    def test_public_draws_are_the_callers(self):
+        first = sample_stable_increment(1.2, 1.0, derive_rng(5, "own"), size=100)
+        kept = first.copy()
+        sample_stable_increment(1.2, 1.0, derive_rng(6, "own"), size=100)
+        assert first.tobytes() == kept.tobytes()
 
 
 class CountingGenerator:

@@ -11,7 +11,7 @@ import scipy.stats
 import semidim as sd
 from semidim.borel import cantor, interval
 from semidim.errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EmptyRestriction, EnsembleTooSmall
-from semidim.laws import BlockLaw, LawKind
+from semidim.laws import BlockLaw, LawKind, PathBuffers
 from semidim.paths import KS_THRESHOLD_SLACK, sample_marginal
 
 BROWNIAN = sd.validate_exponent(np.array([[0.5]]), 2.0)
@@ -237,6 +237,43 @@ class TestMaskedDraw:
         rows = np.flatnonzero(sc.borel.mask(20, 11))
         assert rows.size > sc.borel.mask(20, 12).sum()
         assert len(held) == 2 and all(np.array_equal(r, rows) for r in held)
+
+
+ISOTROPIC12 = (sd.validate_exponent(np.array([[1 / 1.2, -1.0], [1.0, 1 / 1.2]]), 2.0), (BlockLaw(LawKind.STABLE_ISOTROPIC_2D, alpha=1.2),))
+DIAGONAL = (sd.validate_exponent(np.array([[0.5, 0.0], [0.0, 1 / 1.2]]), 2.0), (BM_LAWS[0], STABLE12[1][0]))
+
+
+class TestReusedBuffers:
+    """Paths drawn one after another on one set of buffers equal fresh paths
+    byte for byte, whatever the buffers held before."""
+
+    @pytest.mark.parametrize(
+        "spec, laws",
+        [(BROWNIAN, BM_LAWS), STABLE12, ISOTROPIC12, JORDAN, DIAGONAL, (SEMI, SEMI_LAWS)],
+        ids=["brownian", "stable-1.2", "isotropic", "jordan", "two-blocks", "semistable"],
+    )
+    def test_paths_on_one_set_equal_fresh_paths(self, spec, laws):
+        buffers = PathBuffers()
+        masks = [None, cantor().mask(12, level=5), np.ones(2**12 + 1, dtype=bool), interval(0.25, 0.75).mask(12), None]
+        for k, mask in enumerate(masks):
+            fresh = sd.simulate_path(spec, laws, 12, seed=k, name="reuse", mask=mask)
+            lent = sd.simulate_path(spec, laws, 12, seed=k, name="reuse", mask=mask, _buffers=buffers)
+            assert lent.times.tobytes() == fresh.times.tobytes()
+            assert lent.values.tobytes() == fresh.values.tobytes()
+            assert (lent.rows is None and fresh.rows is None) or np.array_equal(lent.rows, fresh.rows)
+            counts = sd.box_count_graph(fresh, cantor().mask(12, level=5), sd.dyadic_scales(1, 10)).counts
+            lent_counts = sd.box_count_graph(lent, cantor().mask(12, level=5), sd.dyadic_scales(1, 10), _buffers=buffers)
+            assert np.array_equal(lent_counts.counts, counts)
+
+    def test_public_path_is_the_callers(self):
+        # a later path, fresh or on buffers, leaves an earlier public path as it was
+        first = sd.simulate_path(*ISOTROPIC12, 12, seed=1)
+        times, values = first.times.copy(), first.values.copy()
+        sd.simulate_path(*ISOTROPIC12, 12, seed=2)
+        buffers = PathBuffers()
+        sd.simulate_path(*ISOTROPIC12, 12, seed=3, _buffers=buffers)
+        sd.box_count_graph(first, interval().mask(12), sd.dyadic_scales(1, 10), _buffers=buffers)
+        assert first.times.tobytes() == times.tobytes() and first.values.tobytes() == values.tobytes()
 
 
 class TestGaussianOperatorBlock:
