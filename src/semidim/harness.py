@@ -59,22 +59,33 @@ def verdict(
     stderr: float,
     overshoot_inconclusive: bool = False,
 ) -> str:
-    diff = estimate - theory
-    if abs(diff) <= tol:
-        return PASS
-    if overshoot_inconclusive and diff > tol:
-        return INCONCLUSIVE
-    if abs(diff) > 2.0 * tol and stderr < tol / 2.0:
-        return FAIL
-    return INCONCLUSIVE
+    return _judged(estimate, theory, tol, stderr, overshoot_inconclusive)["verdict"]
 
 
-def _judged(estimate: float, theory: float, tol: float, stderr: float, **rule) -> dict:
-    """A stage's verdict; an estimate that is not finite is INCONCLUSIVE,
-    with that as its reason."""
+def _judged(estimate: float, theory: float, tol: float, stderr: float, overshoot_inconclusive: bool = False) -> dict:
+    """A stage's verdict and, unless it is PASS, its reason: the rule that
+    fired, with its numbers.  An estimate that is not finite is INCONCLUSIVE."""
     if not math.isfinite(estimate):
         return {"verdict": INCONCLUSIVE, "reason": "non-finite estimate"}
-    return {"verdict": verdict(estimate, theory, tol, stderr, **rule)}
+    diff = estimate - theory
+    if abs(diff) <= tol:
+        return {"verdict": PASS}
+    if overshoot_inconclusive and diff > tol:
+        return {
+            "verdict": INCONCLUSIVE,
+            "reason": f"overshoot: estimate - theory = {diff:.4f} > tol = {tol:.4f}; the theory is a lower bound",
+        }
+    miss = f"|estimate - theory| = {abs(diff):.4f}"
+    if abs(diff) > 2.0 * tol and stderr < tol / 2.0:
+        return {
+            "verdict": FAIL,
+            "reason": f"confident miss: {miss} > 2*tol = {2.0 * tol:.4f} and stderr {stderr:.4f} < tol/2 = {tol / 2.0:.4f}",
+        }
+    if abs(diff) <= 2.0 * tol:
+        why = f"{miss} lies between tol = {tol:.4f} and 2*tol = {2.0 * tol:.4f}"
+    else:
+        why = f"{miss} > 2*tol = {2.0 * tol:.4f}, but stderr {stderr:.4f} >= tol/2 = {tol / 2.0:.4f}"
+    return {"verdict": INCONCLUSIVE, "reason": f"miss without confidence: {why}"}
 
 
 @dataclass(frozen=True)
@@ -278,13 +289,21 @@ def _sojourn_stage(sc: Scenario, seed: int) -> dict:
 def _energy_stage(energy, box_estimate: float, graph_dim: float) -> dict:
     coherent = bool(energy.estimate <= box_estimate + 0.1)
     lower_ok = bool(energy.estimate >= graph_dim - 0.25)
-    return {
+    stage = {
         "estimate": energy.estimate,
         "theory": graph_dim,
         "coherent_with_box": coherent,
         "lower_bound_ok": lower_ok,
         "verdict": PASS if (coherent and lower_ok) else FAIL,
     }
+    failed = []
+    if not coherent:
+        failed.append(f"coherent_with_box: estimate {energy.estimate:.4f} > box estimate + 0.1 = {box_estimate + 0.1:.4f}")
+    if not lower_ok:
+        failed.append(f"lower_bound_ok: estimate {energy.estimate:.4f} < theory - 0.25 = {graph_dim - 0.25:.4f}")
+    if failed:
+        stage["reason"] = "; ".join(failed)
+    return stage
 
 
 def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> VerificationReport:

@@ -7,7 +7,8 @@ Three families are supported, one per admissible spectral block shape:
   2 * scale**2 under the standard stable scale convention
   E exp(i theta X) = exp(-(scale * |theta|)**alpha);
 * isotropic alpha-stable on R^2 via the sub-Gaussian representation
-  sqrt(A) * N(0, 2 * scale**2 * I) with A one-sided (alpha/2)-stable;
+  sqrt(A) * N(0, 2 * scale**2 * I), A one-sided (alpha/2)-stable (Weron
+  1996); both draw through one CMS kernel, :func:`_cms`, of tangents only;
 * a discrete semistable family with Levy-measure atoms at +-c^(k/alpha)
   of mass c^(-k), k in Z, simulated as compound Poisson above a truncation
   level k_min with Gaussian compensation of the removed small jumps: the
@@ -47,8 +48,7 @@ _RARE_RUN = 2.0
 # Relative slack of a guide-table bucket's ends, far above the few ulps by
 # which u / w can round across one (see _invert).
 _GUIDE_SLACK = 1e-12
-# Values per pass of the in-place CMS chains: their one temporary is a chunk,
-# not a third array of the draw's length.
+# Values per pass of the in-place CMS kernel, whose scratch is two such chunks.
 _CMS_CHUNK = 2**13
 # Largest Poisson mean numpy draws: the int64 maximum less ten of its square roots.
 _LOG_POISSON_MAX = math.log(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
@@ -101,76 +101,76 @@ def _shape(size) -> tuple:
     return () if size is None else (size if isinstance(size, tuple) else (size,))
 
 
-def _cms_draws(rng: np.random.Generator, u: np.ndarray, w: np.ndarray):
-    """Draw u ~ U(-pi/2, pi/2) and w ~ Exp(1) in place, with the bits and
-    stream of ``rng.uniform(-pi/2, pi/2)`` and ``rng.exponential(1.0)``
-    (numpy computes a uniform as low + (high - low) * U[0, 1)); then yield
-    their flat views ``_CMS_CHUNK`` values at a time, with a scratch chunk."""
-    rng.random(out=u)
-    u *= math.pi
-    u += -math.pi / 2
+def _cms(rng: np.random.Generator, x: np.ndarray, w: np.ndarray, alpha: float, shift: float) -> None:
+    """Draw u ~ U(-pi/2, pi/2) on the flat ``x`` and w ~ Exp(1) on ``w`` (the
+    bits and stream of ``rng.uniform`` and ``rng.exponential``), then set x,
+    ``_CMS_CHUNK`` values at a time, to sin(alpha (u + shift)) / cos(u)^(1/alpha)
+    * (cos((1 - alpha) u - alpha shift) / w)^((1 - alpha)/alpha), taking every
+    sine and cosine from ``np.tan`` (SIMD where numpy's float64 sin and cos
+    are scalar) by identities that hold at shifts 0 and pi/2."""
+    rng.random(out=x)
+    x *= math.pi
+    x += -math.pi / 2
     rng.standard_exponential(out=w)
-    u, w = u.reshape(-1), w.reshape(-1)
-    t = np.empty(min(u.size, _CMS_CHUNK))
-    for start in range(0, u.size, _CMS_CHUNK):
-        stop = min(start + _CMS_CHUNK, u.size)
-        yield u[start:stop], w[start:stop], t[: stop - start]
+    scratch = np.empty((2, min(x.size, _CMS_CHUNK)))
+    for start in range(0, x.size, _CMS_CHUNK):
+        u, v = x[start : start + _CMS_CHUNK], w[start : start + _CMS_CHUNK]
+        t, s = scratch[:, : u.size]
+        # (cos(phi) / w)^((1 - alpha)/alpha) = (w sqrt(1 + tan(phi)^2))^((alpha - 1)/alpha)
+        np.multiply(u, 1.0 - alpha, out=t)
+        t -= alpha * shift
+        np.tan(t, out=t)
+        t *= t
+        t += 1.0
+        np.sqrt(t, out=t)
+        v *= t
+        v **= (alpha - 1.0) / alpha
+        # 1 / cos(u)^(1/alpha) = (1 + tan(u)^2)^(1/(2 alpha))
+        np.tan(u, out=t)
+        t *= t
+        t += 1.0
+        t **= 0.5 / alpha
+        # sin(theta) = 2 tau / (1 + tau^2), tau = tan(alpha (u + shift) / 2), which
+        # multiplies v before t: near u = -pi/2 at shift pi/2, it tends to 0 as t overflows
+        u += shift
+        u *= 0.5 * alpha
+        np.tan(u, out=u)
+        np.multiply(u, u, out=s)
+        s += 1.0
+        u /= s
+        u *= v
+        u *= t
+        u += u
 
 
 def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator, size=None, _buffers=None):
     """Symmetric alpha-stable variates by the CMS construction; ``scale`` is
     one value, or one per variate.
 
-    The single formula below is continuous in alpha and reduces to tan(U)
-    at alpha = 1 and to 2 sin(U) sqrt(W) (exactly Gaussian, variance 2) at
-    alpha = 2.  Each factor is evaluated in place, in the textbook's order
-    of operations, on the slots 0 and 1 of ``_buffers`` (a
-    :class:`PathBuffers`; fresh arrays when None).
+    The single formula, :func:`_cms` at shift 0, is continuous in alpha and
+    reduces to tan(U) at alpha = 1 and to 2 sin(U) sqrt(W) (exactly Gaussian,
+    variance 2) at alpha = 2.  It is evaluated in place on the slots 0 and 1
+    of ``_buffers`` (a :class:`PathBuffers`; fresh arrays when None).
     """
     _check_alpha(alpha)
     if np.any(scale <= 0):
         raise ValueError(f"scale must be positive, got {scale}")
     buffers = PathBuffers() if _buffers is None else _buffers
     x = buffers.take(0, _shape(size))
-    # x = sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / w)^((1 - alpha)/alpha)
-    for u, w, t in _cms_draws(rng, x, buffers.take(1, x.shape)):
-        np.multiply(u, 1.0 - alpha, out=t)
-        np.cos(t, out=t)
-        np.divide(t, w, out=w)
-        w **= (1.0 - alpha) / alpha
-        np.multiply(u, alpha, out=t)
-        np.sin(t, out=t)
-        np.cos(u, out=u)
-        u **= 1.0 / alpha
-        np.divide(t, u, out=u)
-        u *= w
+    _cms(rng, x.reshape(-1), buffers.take(1, (x.size,)), alpha, 0.0)
     x *= scale
     return x if size is not None else x[()]
 
 
 def sample_one_sided_stable(gamma: float, rng: np.random.Generator, size=None, _buffers=None):
-    """Positive gamma-stable variates with E exp(-lam*A) = exp(-lam**gamma),
-    evaluated in place on the slots 1 (the variates) and 2 of ``_buffers``
-    (fresh arrays when None)."""
+    """Positive gamma-stable variates with E exp(-lam*A) = exp(-lam**gamma):
+    :func:`_cms` at shift pi/2, in place on the slots 1 (the variates) and 2
+    of ``_buffers`` (fresh arrays when None)."""
     if not 0.0 < gamma < 1.0:
         raise AlphaOutOfRange(f"one-sided index must be in (0, 1), got {gamma}")
     buffers = PathBuffers() if _buffers is None else _buffers
     a = buffers.take(1, _shape(size))
-    # a = sin(gamma (u + pi/2)) / cos(u)^(1/gamma)
-    #     * (cos(gamma pi/2 + (gamma - 1) u) / w)^((1 - gamma)/gamma)
-    for u, w, t in _cms_draws(rng, a, buffers.take(2, a.shape)):
-        np.multiply(u, gamma - 1.0, out=t)
-        t += gamma * math.pi / 2
-        np.cos(t, out=t)
-        np.divide(t, w, out=w)
-        w **= (1.0 - gamma) / gamma
-        np.add(u, math.pi / 2, out=t)
-        t *= gamma
-        np.sin(t, out=t)
-        np.cos(u, out=u)
-        u **= 1.0 / gamma
-        np.divide(t, u, out=u)
-        u *= w
+    _cms(rng, a.reshape(-1), buffers.take(2, (a.size,)), gamma, math.pi / 2)
     return a if size is not None else a[()]
 
 

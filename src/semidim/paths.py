@@ -234,10 +234,18 @@ def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray, scratch
 
     A block has a few columns and 2^n rows; elementwise multiply-adds keep
     such a thin product off BLAS, whose threads cost more than they save.
+    An entry of 1 adds its column as it is, and an entry of 0 adds nothing:
+    ``out`` starts at +0 and, in round-to-nearest, no sum of the products
+    makes it -0, so a +-0 addend changes no value.  Where such a skipped
+    product would be NaN, its row holds a non-finite value in another column,
+    as every block column has a nonzero entry, so the path is still rejected.
     """
     for i in range(basis.shape[0]):
         for k in range(basis.shape[1]):
-            out[:, i] += np.multiply(block_values[:, k], basis[i, k], out=scratch)
+            if basis[i, k] == 1.0:
+                out[:, i] += block_values[:, k]
+            elif basis[i, k] != 0.0:
+                out[:, i] += np.multiply(block_values[:, k], basis[i, k], out=scratch)
 
 
 def simulate_path(

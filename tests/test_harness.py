@@ -1,6 +1,7 @@
 import functools
 import json
 import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -67,6 +68,43 @@ class TestVerdictRule:
         assert verdict(1.9, 1.5, 0.15, 0.001, overshoot_inconclusive=True) == INCONCLUSIVE
         assert verdict(1.9, 1.5, 0.15, 0.001) == FAIL
 
+
+    def test_every_verdict_but_pass_names_its_rule(self):
+        assert _judged(1.45, 1.5, 0.08, 0.01) == {"verdict": PASS}
+        over = _judged(1.9, 1.5, 0.15, 0.001, overshoot_inconclusive=True)
+        assert over["verdict"] == INCONCLUSIVE and over["reason"].startswith("overshoot:")
+        assert "0.4000 > tol = 0.1500" in over["reason"]
+        confident = _judged(1.9, 1.5, 0.15, 0.001)
+        assert confident["verdict"] == FAIL and confident["reason"].startswith("confident miss:")
+        assert "0.4000 > 2*tol = 0.3000" in confident["reason"] and "stderr 0.0010 < tol/2 = 0.0750" in confident["reason"]
+        noisy = _judged(1.2, 1.5, 0.08, 0.1)
+        assert noisy["verdict"] == INCONCLUSIVE and noisy["reason"].startswith("miss without confidence:")
+        assert "stderr 0.1000 >= tol/2 = 0.0400" in noisy["reason"]
+        near = _judged(1.38, 1.5, 0.08, 0.001)
+        assert near["verdict"] == INCONCLUSIVE and "between tol = 0.0800 and 2*tol = 0.1600" in near["reason"]
+        for args in [(1.45, 1.5, 0.08, 0.01), (1.9, 1.5, 0.15, 0.001), (1.2, 1.5, 0.08, 0.1), (1.38, 1.5, 0.08, 0.001)]:
+            assert verdict(*args) == _judged(*args)["verdict"]
+
+    @pytest.mark.parametrize(
+        "estimate, failed",
+        [(1.5, []), (1.75, ["coherent_with_box"]), (1.2, ["lower_bound_ok"])],
+    )
+    def test_energy_fail_names_the_failed_check(self, estimate, failed):
+        energy = types.SimpleNamespace(estimate=estimate)
+        stage = harness._energy_stage(energy, box_estimate=1.6, graph_dim=1.5)
+        assert stage["verdict"] == (FAIL if failed else PASS)
+        assert [check for check in ("coherent_with_box", "lower_bound_ok") if not stage[check]] == failed
+        if failed:
+            assert stage["reason"].startswith(f"{failed[0]}: estimate {estimate:.4f}")
+        else:
+            assert "reason" not in stage
+
+    def test_energy_fail_names_both_failed_checks(self):
+        stage = harness._energy_stage(types.SimpleNamespace(estimate=1.0), box_estimate=0.8, graph_dim=1.5)
+        assert stage["reason"] == (
+            "coherent_with_box: estimate 1.0000 > box estimate + 0.1 = 0.9000; "
+            "lower_bound_ok: estimate 1.0000 < theory - 0.25 = 1.2500"
+        )
 
     def test_non_finite_estimate_is_inconclusive_with_a_reason(self):
         stage = _median_stage([1.5, float("nan"), 1.5], 1.5, 0.08)

@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,22 +58,24 @@ def reference_semistable_increment(alpha, c, dt, rng, k_min, n):
     return out
 
 
+def textbook_cms(u, w, alpha, shift):
+    """The CMS expression sin(alpha (u + shift)) / cos(u)^(1/alpha)
+    * (cos((1 - alpha) u - alpha shift) / w)^((1 - alpha)/alpha), one
+    temporary per operation, in the dtype of u and w."""
+    alpha, shift = u.dtype.type(alpha), u.dtype.type(shift)
+    return np.sin(alpha * (u + shift)) / np.cos(u) ** (1 / alpha) * (np.cos((1 - alpha) * u - alpha * shift) / w) ** ((1 - alpha) / alpha)
+
+
 def reference_stable_increment(alpha, scale, rng, size):
-    """The textbook CMS expression, one temporary per operation."""
     u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
     w = rng.exponential(1.0, size=size)
-    x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha) * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    return scale * x
+    return scale * textbook_cms(u, w, alpha, 0.0)
 
 
 def reference_one_sided_stable(gamma, rng, size):
     u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
     w = rng.exponential(1.0, size=size)
-    return (
-        np.sin(gamma * (u + math.pi / 2))
-        / np.cos(u) ** (1.0 / gamma)
-        * (np.cos(gamma * math.pi / 2 + (gamma - 1.0) * u) / w) ** ((1.0 - gamma) / gamma)
-    )
+    return textbook_cms(u, w, gamma, math.pi / 2)
 
 
 def reference_isotropic_stable_2d(alpha, scale, rng, size):
@@ -92,9 +95,17 @@ def per_row_scale(size):
     return 0.1 + derive_rng(7, f"test/in-place/scale/{size}").random(size)
 
 
+# The kernel takes its sines and cosines from tangents, so a draw matches the
+# textbook expression on the same stream to a few ulps, amplified by the
+# exponents 1/alpha and (1 - alpha)/alpha and by angles near +-pi/2; a
+# different draw would miss by far more.
+CMS_RTOL = 1e-12
+
+
 class TestInPlaceSamplers:
-    """The in-place samplers equal the textbook expressions bit for bit, on
-    fresh arrays and on buffers left dirty by a larger draw."""
+    """The in-place samplers draw the textbook's stream to within
+    ``CMS_RTOL``, and bit for bit the same values on fresh arrays and on
+    buffers left dirty by a larger draw."""
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0])
     @pytest.mark.parametrize("size", IN_PLACE_SIZES)
@@ -103,9 +114,10 @@ class TestInPlaceSamplers:
         sample_stable_increment(0.7, 1.0, derive_rng(1, "dirty"), size=4 * _CMS_CHUNK, _buffers=buffers)
         for scale in (1.7, per_row_scale(size)):
             want = reference_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size)
-            for lent in (None, buffers):
-                got = sample_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size=size, _buffers=lent)
-                assert got.tobytes() == want.tobytes()
+            fresh = sample_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size=size)
+            np.testing.assert_allclose(fresh, want, rtol=CMS_RTOL, atol=0.0)
+            lent = sample_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size=size, _buffers=buffers)
+            assert lent.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("gamma", [0.25, 0.6, 0.95])
     @pytest.mark.parametrize("size", IN_PLACE_SIZES)
@@ -113,9 +125,10 @@ class TestInPlaceSamplers:
         buffers = PathBuffers()
         sample_one_sided_stable(0.5, derive_rng(1, "dirty"), size=4 * _CMS_CHUNK, _buffers=buffers)
         want = reference_one_sided_stable(gamma, derive_rng(2, f"one-sided/{gamma}"), size)
-        for lent in (None, buffers):
-            got = sample_one_sided_stable(gamma, derive_rng(2, f"one-sided/{gamma}"), size=size, _buffers=lent)
-            assert got.tobytes() == want.tobytes()
+        fresh = sample_one_sided_stable(gamma, derive_rng(2, f"one-sided/{gamma}"), size=size)
+        np.testing.assert_allclose(fresh, want, rtol=CMS_RTOL, atol=0.0)
+        lent = sample_one_sided_stable(gamma, derive_rng(2, f"one-sided/{gamma}"), size=size, _buffers=buffers)
+        assert lent.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.8, 1.2, 2.0])
     @pytest.mark.parametrize("size", IN_PLACE_SIZES)
@@ -124,16 +137,18 @@ class TestInPlaceSamplers:
         sample_isotropic_stable_2d(0.7, 1.0, derive_rng(1, "dirty"), size=4 * _CMS_CHUNK, _buffers=buffers)
         for scale in (1.7, per_row_scale(size)):
             want = reference_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size)
-            for lent in (None, buffers):
-                got = sample_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size=size, _buffers=lent)
-                assert got.tobytes() == want.tobytes()
+            fresh = sample_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size=size)
+            np.testing.assert_allclose(fresh, want, rtol=CMS_RTOL, atol=0.0)
+            lent = sample_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size=size, _buffers=buffers)
+            assert lent.tobytes() == fresh.tobytes()
 
     def test_one_draw_without_a_size_is_a_scalar(self):
+        # a draw without a size is the first value of a draw of one, bit for bit
         rng, ref = derive_rng(4, "scalar"), derive_rng(4, "scalar")
         x = sample_stable_increment(1.2, 1.0, rng)
-        assert isinstance(x, np.float64) and x == reference_stable_increment(1.2, 1.0, ref, None)
+        assert isinstance(x, np.float64) and x == sample_stable_increment(1.2, 1.0, ref, size=1)[0]
         a = sample_one_sided_stable(0.6, rng)
-        assert isinstance(a, np.float64) and a == reference_one_sided_stable(0.6, ref, None)
+        assert isinstance(a, np.float64) and a == sample_one_sided_stable(0.6, ref, size=1)[0]
         v = sample_isotropic_stable_2d(1.2, 1.0, rng)
         assert v.shape == (2,)
 
@@ -142,6 +157,92 @@ class TestInPlaceSamplers:
         kept = first.copy()
         sample_stable_increment(1.2, 1.0, derive_rng(6, "own"), size=100)
         assert first.tobytes() == kept.tobytes()
+
+
+class ForcedDraws:
+    """Stands in for a Generator in the CMS samplers: ``random`` gives the
+    uniforms r and ``standard_exponential`` the exponentials w."""
+
+    def __init__(self, r, w):
+        self.r, self.w = r, w
+
+    def random(self, out):
+        out[...] = self.r
+        return out
+
+    def standard_exponential(self, out):
+        out[...] = self.w
+        return out
+
+
+def forced_draws():
+    """The uniforms at and next to 0 and 1 (angles at and next to +-pi/2),
+    each beside extreme and plain exponentials, then 4096 random pairs."""
+    r_tail = np.array([0.0, 2.0**-53, 2.0**-52, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-52, 1.0 - 2.0**-53])
+    w_tail = np.array([2.0**-53, 1e-6, 1.0, 36.7])
+    rng = derive_rng(8, "test/cms/accuracy")
+    r = np.concatenate([np.repeat(r_tail, w_tail.size), rng.random(4096)])
+    w = np.concatenate([np.tile(w_tail, r_tail.size), rng.standard_exponential(4096)])
+    return r, w
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant, reason="longdouble is float64 here")
+@pytest.mark.parametrize(
+    "alpha, shift",
+    [(a, 0.0) for a in (0.05, 0.2, 0.5, 1.0, 1.2, 1.9, 2.0)] + [(g, math.pi / 2) for g in (0.05, 0.1, 0.25, 0.6, 0.95)],
+)
+def test_cms_accuracy_against_the_longdouble_textbook(alpha, shift):
+    # the samplers' largest relative error against the textbook expression
+    # evaluated in 80-bit long double on the same float64 draws is at most 3x
+    # that of the same expression evaluated in float64, tail draws included
+    r, w = forced_draws()
+    u = -math.pi / 2 + math.pi * r  # numpy's uniform(-pi/2, pi/2)
+    with np.errstate(all="ignore"):
+        if shift:
+            got = sample_one_sided_stable(alpha, ForcedDraws(r, w), size=r.size)
+        else:
+            got = sample_stable_increment(alpha, 1.0, ForcedDraws(r, w), size=r.size)
+        exact = textbook_cms(u.astype(np.longdouble), w.astype(np.longdouble), alpha, shift)
+        textbook = textbook_cms(u, w, alpha, shift)
+    # where float64 gets the textbook's zeros and finite values, so do the samplers
+    assert np.all(got[(exact == 0) & (textbook == 0)] == 0)
+    inside = (np.abs(exact) >= np.finfo(np.float64).tiny) & (np.abs(exact) <= np.finfo(np.float64).max)
+    inside &= np.isfinite(textbook)
+    assert np.isfinite(got[inside]).all()
+
+    def worst(x, keep):
+        return float(np.max(np.abs((x[keep] - exact[keep]) / exact[keep])))
+
+    # over all draws, and over the random ones alone, whose error the tails
+    # (near u = -pi/2 both evaluations of the one-sided law miss by O(1)) hide
+    bulk = inside & (np.arange(r.size) >= r.size - 4096)
+    assert worst(got, inside) <= 3.0 * worst(textbook, inside)
+    assert worst(got, bulk) <= 3.0 * worst(textbook, bulk)
+
+
+def test_float64_tan_within_4_ulps_of_math_tan():
+    # the CMS kernel takes every sine and cosine from np.tan, so its accuracy
+    # rests on this; the points include the 64 floats below pi/2 and their negatives
+    below = [math.pi / 2]
+    for _ in range(64):
+        below.append(math.nextafter(below[-1], 0.0))
+    x = np.concatenate(
+        [below, np.negative(below), np.linspace(-math.pi / 2, math.pi / 2, 10001), derive_rng(9, "tan").uniform(-math.pi / 2, math.pi / 2, 10**5), [0.0, 5e-324, 1e-300, 1e-8]]
+    )
+    want = np.array([math.tan(v) for v in x.tolist()])
+    ulps = np.abs(np.tan(x) - want) / np.spacing(np.abs(want))
+    assert np.all(np.isfinite(want)) and ulps.max() <= 4.0
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.2])
+def test_small_alpha_draws_raise_no_warning(alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(4):
+            rng = derive_rng(seed, f"test/cms/warnings/{alpha}")
+            sample_stable_increment(alpha, 1.0, rng, size=2**16)
+            sample_one_sided_stable(alpha, rng, size=2**16)
+            sample_isotropic_stable_2d(alpha, 1.0, rng, size=2**16)
 
 
 class CountingGenerator:
