@@ -28,6 +28,11 @@ from .paths import grid_times
 
 # Grid points each piece of an automatic prefractal cover must hold.
 COVER_MIN_POINTS = 2
+# Slack of a cover piece's ends, in units of the piece it lies in.
+_SLACK = 1e-12
+# Rounding error of a time's offset in its level-1 piece, about an ulp of 1;
+# each deeper level grows it by 1/r, past _SLACK where r^level is small.
+_ROUNDING = float(np.finfo(float).eps)
 
 
 class SetKind(Enum):
@@ -106,13 +111,16 @@ class BorelSetSpec(Record):
         # position in its piece
         x = np.array(t, dtype=float).ravel()
         alive = np.ones(x.size, dtype=bool)
+        growth = 1.0  # r^-j after j levels
         for _ in range(level):
             x -= np.clip(np.floor(x / pitch), 0, self.m - 1) * (1.0 - self.r) / (self.m - 1)
-            inside = (x >= -1e-12) & (x <= self.r + 1e-12)
+            slack = max(_SLACK, _ROUNDING * growth)
+            inside = (x >= -slack) & (x <= self.r + slack)
             if not inside.all():
                 alive[alive] = inside
                 x = x[inside]
             x /= self.r
+            growth /= self.r
         return alive.reshape(np.shape(t))
 
     def as_dict(self) -> dict:

@@ -301,7 +301,9 @@ def _energy_stage(energy, box_estimate: float, graph_dim: float) -> dict:
         failed.append(f"coherent_with_box: estimate {energy.estimate:.4f} > box estimate + 0.1 = {box_estimate + 0.1:.4f}")
     if not lower_ok:
         failed.append(f"lower_bound_ok: estimate {energy.estimate:.4f} < theory - 0.25 = {graph_dim - 0.25:.4f}")
-    if failed:
+    if not math.isfinite(energy.estimate):
+        stage["verdict"], stage["reason"] = INCONCLUSIVE, "non-finite estimate"
+    elif failed:
         stage["reason"] = "; ".join(failed)
     return stage
 

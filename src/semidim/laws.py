@@ -15,8 +15,11 @@ Three families are supported, one per admissible spectral block shape:
   rare atoms (fewer than one jump a sample on average) in one merged draw,
   and the net jump count of each frequent atom by guide-table inversion of
   its CDF where the table is small beside the draw, else as two Poisson
-  counts.  One draw takes one time step for all samples or one per sample,
-  atom k firing dt_i c^(-k) times on average at sample i.
+  counts.  Where c^(1/alpha) is an integer the heights lie on a lattice, and
+  a run of table atoms is one group, whose net jump sum is one inversion.
+  One draw takes one time step for all samples or one per sample, atom k
+  firing dt_i c^(-k) times on average at sample i; the tables of a draw are
+  built once per law, longest step and sample count, and shared.
 
 The discrete family scales only along the geometric sequence c^k, which is
 what distinguishes semistable from stable paths: X(c*dt) matches
@@ -25,9 +28,11 @@ c^(1/alpha) * X(dt) in distribution, while intermediate scale factors do not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +50,9 @@ _MAX_ATOMS = 10**5
 # intensity passes a multiple of this, so that one draw holds about 2n jumps;
 # with c >= 2 the rare intensities sum to less than 2 and make one run.
 _RARE_RUN = 2.0
+# Build budget of a group of frequent atoms drawn as one table, in
+# multiply-adds a sample (see _step_plan).
+_GROUP_BUDGET = 32
 # Relative slack of a guide-table bucket's ends, far above the few ulps by
 # which u / w can round across one (see _invert).
 _GUIDE_SLACK = 1e-12
@@ -254,18 +262,37 @@ def check_poisson_mean(c: float, dt: float, k_min: int) -> None:
         )
 
 
-def _net_count_cdf(mu: float, lo: int, hi: int) -> np.ndarray:
-    """CDF table of N+ - N- for independent N+, N- ~ Poisson(mu), each taken
-    over the counts lo .. hi: entry i is P(N+ - N- <= i - (hi - lo))."""
+def _net_count_pmf(mu: float, lo: int, hi: int) -> np.ndarray:
+    """pmf of N+ - N- for independent N+, N- ~ Poisson(mu), each taken over
+    the counts lo .. hi: entry i is P(N+ - N- = i - (hi - lo))."""
     # log p(k) - log p(lo) = sum of log(mu / j) for j = lo+1 .. k: the terms
     # are small, so the pmf keeps its relative precision after normalising
     log_p = np.concatenate(([0.0], np.cumsum(np.log(mu / np.arange(lo + 1, hi + 1)))))
     p = np.exp(log_p - log_p.max())
     p /= p.sum()
-    return np.cumsum(np.convolve(p, p[::-1]))
+    return np.convolve(p, p[::-1])
 
 
-def _invert(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _lattice_sum(g: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
+    """pmf of q X + Y for independent X ~ ``g`` and Y ~ ``p``, each a pmf on
+    consecutive integers from 0: entry l is the sum of g[x] p[y] over
+    q x + y = l.  Residue r of l mod q convolves g with p[r::q], so the sum
+    takes g.size * p.size multiply-adds and no zero of a spread-out g."""
+    out = np.zeros(q * (g.size - 1) + p.size)
+    for r in range(min(q, p.size)):
+        out[r::q][: g.size + (p.size - r - 1) // q] = np.convolve(g, p[r::q])
+    return out
+
+
+def _guide(cum: np.ndarray) -> np.ndarray:
+    """Guide table of :func:`_invert` for the cumulative weights ``cum``."""
+    edges, m = cum[:-1], 4 * cum.size
+    ends = np.arange(m + 2) * (cum[-1] / m)
+    first = np.searchsorted(edges, ends[:-1] * (1.0 - _GUIDE_SLACK), side="right")
+    return np.where(first == np.searchsorted(edges, ends[1:] * (1.0 + _GUIDE_SLACK), side="right"), first, -1)
+
+
+def _invert(cum: np.ndarray, u: np.ndarray, guide: np.ndarray) -> np.ndarray:
     """``np.searchsorted(cum[:-1], u, side="right")`` for 0 <= u <= cum[-1],
     bit for bit, by guide-table inversion (Chen & Asau, AIIE Trans. 6(2), 1974).
 
@@ -273,30 +300,112 @@ def _invert(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     bucket floor(u / w).  Each bucket's index range is read with a relative
     slack of ``_GUIDE_SLACK``, far above the rounding of u / w, so that the
     true index lies in it; a bucket that no edge falls in gives that index
-    at once, and only the u in the others are searched.
+    at once, and only the u in the others are searched.  ``guide`` is the
+    table :func:`_guide` builds from ``cum``.
     """
-    edges, m = cum[:-1], 4 * cum.size
-    ends = np.arange(m + 2) * (cum[-1] / m)
-    first = np.searchsorted(edges, ends[:-1] * (1.0 - _GUIDE_SLACK), side="right")
-    guide = np.where(first == np.searchsorted(edges, ends[1:] * (1.0 + _GUIDE_SLACK), side="right"), first, -1)
-    bucket = np.multiply(u, m / cum[-1], out=np.empty(u.shape, dtype=np.intp), casting="unsafe")
+    bucket = np.multiply(u, (guide.size - 1) / cum[-1], out=np.empty(u.shape, dtype=np.intp), casting="unsafe")
     index = guide[bucket]
     del bucket
     search = np.flatnonzero(index < 0)
-    index[search] = np.searchsorted(edges, u[search], side="right")
+    index[search] = np.searchsorted(cum[:-1], u[search], side="right")
     return index
+
+
+class _Table(NamedTuple):
+    """Values drawn by inverting one uniform on their cumulative weights
+    ``cum``, through the guide table ``guide``."""
+
+    values: np.ndarray
+    cum: np.ndarray
+    guide: np.ndarray
+
+
+def _frozen_table(values: np.ndarray, cum: np.ndarray) -> _Table:
+    """A :class:`_Table` of read-only arrays, safe to share between draws."""
+    table = _Table(values, cum, _guide(cum))
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+class _StepPlan(NamedTuple):
+    """What a semistable draw of n samples at one longest step needs besides
+    its variates: the rare atoms' runs (their heights on their cumulative
+    intensities), the frequent atoms' groups from the largest heights down
+    (a :class:`_Table` of a group's net jump sums, or the (height, mean) of
+    an atom's two Poisson counts), and the compensation std."""
+
+    rare: tuple
+    groups: tuple
+    sigma: float
+
+
+@functools.lru_cache(maxsize=8)
+def _step_plan(alpha: float, c: float, dt: float, k_min: int, n: int, tables: bool) -> _StepPlan:
+    """The :class:`_StepPlan` of a draw of n samples whose longest step is
+    dt, with CDF tables only when ``tables``; built once per argument tuple
+    and shared, read-only, by every draw with those arguments.
+
+    Where q = c^(1/alpha) is an integer, consecutive heights lie on the
+    lattice of the smaller one, so the net jump sum of a run of table atoms
+    is h l for the run's smallest height h and an integer l; its pmf is the
+    :func:`_lattice_sum` of the atoms' net-count pmfs, less the ends that
+    hold below 1e-30, and the run draws as one table.  Runs grow from the
+    largest heights down while the zero-stuffed convolutions that make them
+    stay within ``_GROUP_BUDGET`` multiply-adds a sample.  Any other atom is
+    a group of one, whose table is its own.
+    """
+    ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
+    with np.errstate(over="ignore"):
+        heights = np.power(c, ks.astype(float) / alpha)
+        q = float(np.power(c, 1.0 / alpha))  # inf, not an integer, where it overflows
+    if not np.isfinite(heights).all():
+        raise DegenerateSample(f"atom height c^(k/alpha) at k = {ks[-1]} leaves the float64 range")
+    # lam falls with k: atoms [0, frequent) fire at least once a sample on average
+    frequent = int(np.count_nonzero(lam >= 1.0))
+    rare_h, rare_lam = heights[frequent:][::-1], lam[frequent:][::-1]
+    cuts = np.searchsorted(np.cumsum(rare_lam), np.arange(_RARE_RUN, rare_lam.sum(), _RARE_RUN), side="right")
+    bounds = [0, *cuts.tolist(), rare_lam.size]
+    rare = tuple(_frozen_table(rare_h[a:b], np.cumsum(rare_lam[a:b])) for a, b in zip(bounds, bounds[1:]))
+    # Poisson(mu) puts mass below about 1e-30, far under the 2^-53 resolution
+    # of a uniform, outside the counts mu +- (12 sqrt(mu) + 30)
+    mu = 0.5 * lam[:frequent]
+    reach = 12.0 * np.sqrt(mu) + 30.0
+    lo, hi = np.maximum(np.floor(mu - reach), 0.0), np.ceil(mu + reach)
+    table = ((hi - lo + 1.0) ** 2 <= 4.0 * n) & tables
+    groups, i = [], frequent - 1
+    while i >= 0:
+        if not table[i]:
+            groups.append((heights[i], mu[i]))
+            i -= 1
+            continue
+        pmf, cost = _net_count_pmf(mu[i], int(lo[i]), int(hi[i])), 0.0
+        while q.is_integer() and i > 0 and table[i - 1]:
+            width = 2.0 * (hi[i - 1] - lo[i - 1]) + 1.0
+            cost += (q * (pmf.size - 1) + width) * width
+            if cost > _GROUP_BUDGET * n:
+                break
+            i -= 1
+            pmf = _lattice_sum(pmf, _net_count_pmf(mu[i], int(lo[i]), int(hi[i])), int(q))
+            # drop the ends, symmetric, that hold below 1e-30 as an atom's table does
+            cut = int(np.searchsorted(np.cumsum(pmf), 1e-30))
+            pmf = pmf[cut : pmf.size - cut]
+        top = (pmf.size - 1) // 2  # the table holds the net sums -top .. top, in units of heights[i]
+        groups.append(_frozen_table(heights[i] * np.arange(-top, top + 1), np.cumsum(pmf)))
+        i -= 1
+    return _StepPlan(rare, tuple(groups), compensation_std(alpha, c, dt, k_min))
 
 
 def _add_rare_jumps(
     out: np.ndarray,
-    heights: np.ndarray,
-    lam: np.ndarray,
+    run: _Table,
     weights: np.ndarray | None,
     rng: np.random.Generator,
     buffers: PathBuffers,
 ) -> None:
-    """Add the jumps of atoms of intensities ``lam`` to ``out``, atom k firing
-    lam_k w_i times on average at sample i, w = ``weights`` or all 1 when None.
+    """Add the jumps of the atoms of ``run`` (their heights on their
+    cumulative intensities) to ``out``, atom k firing lam_k w_i times on
+    average at sample i, w = ``weights`` or all 1 when None.
 
     The atoms are superposed: one Poisson total over all samples and atoms,
     then, for each jump, its atom by inverting the cumulative intensity, its
@@ -308,7 +417,7 @@ def _add_rare_jumps(
     the slot 1 of ``buffers``.
     """
     n = out.size
-    cum = np.cumsum(lam)
+    cum = run.cum
     rows = None if weights is None else np.cumsum(weights)
     weight = n if rows is None else rows[-1]
     total = rng.poisson(weight * cum[-1])
@@ -317,7 +426,7 @@ def _add_rare_jumps(
         u *= cum[-1]
         # the indices lie in range: mode "clip" spares the copy of ``out``
         # that numpy's default mode makes
-        jump = np.take(heights, _invert(cum, u), out=u, mode="clip")
+        jump = np.take(run.values, _invert(cum, u, run.guide), out=u, mode="clip")
         if rows is None:
             slot = rng.integers(0, 2 * n, size=total)
             sign = slot & 1
@@ -351,7 +460,9 @@ def sample_semistable_increment(
 
     Atom k fires as a Poisson(dt_i * c^-k) count at sample i, each jump of
     height +-c^(k/alpha) with a fair sign.  Memory is O(n).  The atom range,
-    and which atoms count as frequent, are set at the longest step.
+    and which atoms count as frequent, are set at the longest step; what the
+    draw needs besides its variates (:func:`_step_plan`) is built once per
+    law, longest step and sample count, and shared.
 
     * Rare atoms (fewer than one jump a sample on average at the longest
       step) are drawn together, rarest first, by :func:`_add_rare_jumps`, in
@@ -363,15 +474,18 @@ def sample_semistable_increment(
     * Each frequent atom, from the largest down, adds c^(k/alpha) times its
       net count N+ - N-, the difference of two independent Poisson counts of
       mean dt_i c^-k / 2 (Poisson thinning).  With one step for all samples
-      and a CDF table (:func:`_net_count_cdf`) of size**2 <= 4n, so that
+      and a CDF table (of :func:`_net_count_pmf`) of size**2 <= 4n, so that
       building it costs at most 4 multiply-adds a sample, the net count is
       one uniform per sample, drawn on the slot 1, inverted on the table
-      (:func:`_invert`); otherwise it is two Poisson vectors.
+      (:func:`_invert`); otherwise it is two Poisson vectors.  Where
+      c^(1/alpha) is an integer, a run of table atoms is one group: one
+      uniform a sample, inverted on the CDF of the group's net jump sum,
+      draws all of them (see :func:`_step_plan`).
 
     The atom order does not depend on k_min, so two truncation depths share
-    the draws of their common atoms.  A Gaussian of std
-    :func:`compensation_std`, whose variance is linear in dt, replaces the
-    jumps below k_min.
+    the draws of their common atoms (of their common groups, on a lattice).
+    A Gaussian of std :func:`compensation_std`, whose variance is linear in
+    dt, replaces the jumps below k_min.
 
     ValueError fires for a step that is not positive and finite, or not one
     per sample; TruncationTooCoarse when the compensation Gaussian would
@@ -390,44 +504,27 @@ def sample_semistable_increment(
     longest = float(np.max(dt))
     check_truncation(alpha, c, float(np.min(dt)), k_min)
     check_poisson_mean(c, longest, k_min)
-    ks, lam = semistable_atom_range(alpha, c, longest, k_min, n_samples=n)
-    sigma = compensation_std(alpha, c, longest, k_min)
-    with np.errstate(over="ignore"):
-        heights = np.power(float(c), ks.astype(float) / alpha)
-    if not np.isfinite(heights).all():
-        raise DegenerateSample(f"atom height c^(k/alpha) at k = {ks[-1]} leaves the float64 range")
     per_row = np.ndim(dt) > 0
+    plan = _step_plan(float(alpha), float(c), longest, k_min, n, not per_row)
     # a sample's intensities and variance scale by its step over the longest
     ratio = np.asarray(dt, dtype=float) / longest if per_row else 1.0
     buffers = PathBuffers() if _buffers is None else _buffers
     out = buffers.take(0, (n,))
     out.fill(0.0)
-    # lam falls with k: atoms [0, frequent) fire at least once a sample on average
-    frequent = int(np.count_nonzero(lam >= 1.0))
-    rare_h, rare_lam = heights[frequent:][::-1], lam[frequent:][::-1]
-    cuts = np.searchsorted(np.cumsum(rare_lam), np.arange(_RARE_RUN, rare_lam.sum(), _RARE_RUN), side="right")
-    bounds = [0, *cuts.tolist(), rare_lam.size]
-    for start, stop in zip(bounds, bounds[1:]):
-        _add_rare_jumps(out, rare_h[start:stop], rare_lam[start:stop], ratio if per_row else None, rng, buffers)
-    # Poisson(mu) puts mass below about 1e-30, far under the 2^-53 resolution
-    # of a uniform, outside the counts mu +- (12 sqrt(mu) + 30)
-    mu = 0.5 * lam[:frequent]
-    reach = 12.0 * np.sqrt(mu) + 30.0
-    lo, hi = np.maximum(np.floor(mu - reach), 0.0), np.ceil(mu + reach)
-    table = ((hi - lo + 1.0) ** 2 <= 4.0 * n) & (not per_row)
-    for i in range(frequent - 1, -1, -1):
-        if table[i]:
-            cdf = _net_count_cdf(mu[i], int(lo[i]), int(hi[i]))
-            top = int(hi[i] - lo[i])  # the table holds the net counts -top .. top
+    for run in plan.rare:
+        _add_rare_jumps(out, run, ratio if per_row else None, rng, buffers)
+    for group in plan.groups:
+        if isinstance(group, _Table):
             u = rng.random(out=buffers.take(1, (n,)))
-            u *= cdf[-1]
-            out += np.take(heights[i] * np.arange(-top, top + 1), _invert(cdf, u), out=u, mode="clip")
+            u *= group.cum[-1]
+            out += np.take(group.values, _invert(group.cum, u, group.guide), out=u, mode="clip")
         else:
-            both = rng.poisson(mu[i] * ratio, (2, n))
+            height, mu = group
+            both = rng.poisson(mu * ratio, (2, n))
             both[0] -= both[1]
-            out += np.multiply(both[0], heights[i], out=buffers.take(1, (n,)))
+            out += np.multiply(both[0], height, out=buffers.take(1, (n,)))
     gauss = rng.standard_normal(out=buffers.take(1, (n,)))
-    gauss *= sigma * np.sqrt(ratio)
+    gauss *= plan.sigma * np.sqrt(ratio)
     out += gauss
     if size is None:
         return float(out[0])

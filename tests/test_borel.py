@@ -90,15 +90,18 @@ class TestMask:
     )
     def test_matches_the_copying_reference(self, spec, n, level):
         # the mask carries only the times still alive; the reference carries
-        # every time through every level
+        # every time through every level, with the mask's slack: 1e-12, or an
+        # ulp of 1 grown by 1/r a level where that is larger
         t = np.arange(2**n + 1) / 2**n
         offsets = np.arange(spec.m) * (1.0 - spec.r) / (spec.m - 1)
-        x, alive = t.copy(), np.ones(t.size, dtype=bool)
+        x, alive, growth = t.copy(), np.ones(t.size, dtype=bool), 1.0
         for _ in range(spec.cover_level(n) if level is None else level):
             rel = x - offsets[np.clip(np.floor(x / offsets[1]).astype(int), 0, spec.m - 1)]
-            inside = (rel >= -1e-12) & (rel <= spec.r + 1e-12)
+            slack = max(1e-12, np.finfo(float).eps * growth)
+            inside = (rel >= -slack) & (rel <= spec.r + slack)
             alive &= inside
             x = np.where(inside, rel / spec.r, 0.0)
+            growth /= spec.r
         assert np.array_equal(spec.mask(n, level), alive)
 
     @pytest.mark.parametrize(
@@ -132,6 +135,18 @@ class TestMask:
         n = 12
         want = [reference_contains(spec, t, n, level) for t in grid_times(n).tolist()]
         assert spec.mask(n, level).tolist() == want
+
+    @pytest.mark.parametrize("spec, n", [(cantor(10**12, 1e-13), 12), (cantor(10**5, 1e-6), 14)])
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_keeps_the_right_end_at_extreme_ratios(self, spec, n, level):
+        # t = 1 ends the last piece at every level; the rounding of its offset
+        # in that piece grows by 1/r a level, past a fixed slack of 1e-12
+        assert spec.mask(n, level)[-1] and spec.contains(np.array([1.0]), n, level)[0]
+
+    def test_extreme_ratio_matches_a_per_time_reference(self):
+        spec, n = cantor(10**12, 1e-13), 12
+        want = [reference_contains(spec, t, n, 2) for t in grid_times(n).tolist()]
+        assert spec.mask(n, 2).tolist() == want and want[-1]
 
     def test_mask_lies_on_the_path_grid(self):
         path = simulate_path(validate_exponent(np.array([[0.5]]), 2.0), BM_LAWS, 10, seed=1)

@@ -111,6 +111,12 @@ class TestVerdictRule:
         assert stage["verdict"] == INCONCLUSIVE and stage["reason"] == "non-finite estimate"
         assert "reason" not in _median_stage([1.5, 1.4, 1.5], 1.5, 0.08)
 
+    @pytest.mark.parametrize("estimate", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_energy_is_inconclusive_with_a_reason(self, estimate):
+        # as every other stage: no finite estimate, no scientific FAIL
+        stage = harness._energy_stage(types.SimpleNamespace(estimate=estimate), box_estimate=1.6, graph_dim=1.5)
+        assert stage["verdict"] == INCONCLUSIVE and stage["reason"] == "non-finite estimate"
+
 
 class TestScenario:
     def test_stale_fixture_guard(self):

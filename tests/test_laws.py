@@ -1,5 +1,8 @@
 import collections
+import hashlib
+import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +13,8 @@ from semidim import (
     BlockLaw,
     LawKind,
     derive_rng,
+    get_scenario,
+    run_scenario,
     sample_isotropic_stable_2d,
     sample_one_sided_stable,
     sample_semistable_increment,
@@ -20,8 +25,10 @@ from semidim.laws import (
     _CMS_CHUNK,
     DEFAULT_K_MIN,
     PathBuffers,
+    _guide,
     _invert,
-    _net_count_cdf,
+    _step_plan,
+    _Table,
     check_truncation,
     compensation_std,
     semistable_atom_range,
@@ -394,7 +401,8 @@ class TestSemistableSampler:
 
     @pytest.mark.parametrize("size", [2**16, 20])
     def test_generator_calls_scale_with_frequent_atoms(self, size):
-        # one Poisson total for all rare atoms, then one uniform vector (table)
+        # one Poisson total for all rare atoms, then one uniform vector per
+        # group of table atoms (three groups on the lattice c^(1/alpha) = 2)
         # or one Poisson vector of 2n (two counts) per frequent atom; a walk
         # over the rare atoms one by one would make more calls than this
         dt = 2.0**-16
@@ -405,7 +413,7 @@ class TestSemistableSampler:
         table = size == 2**16
         assert frequent == 10 and lam.size - frequent > frequent + 4
         assert rng.calls["poisson"] == (1 if table else 1 + frequent)
-        assert rng.calls["random"] == (1 + frequent if table else 1)
+        assert rng.calls["random"] == (1 + 3 if table else 1)
         assert sum(rng.calls.values()) <= frequent + 4
 
     def test_per_row_steps_take_one_set_of_generator_calls(self):
@@ -530,6 +538,119 @@ class TestSemistableSampler:
             sample_semistable_increment(2.0, 2.0, 1.0, rng)
 
 
+def table_atoms(alpha, c, dt, k_min, n):
+    """The frequent atoms of a draw of n at step dt, from the largest height
+    down: (height, mean of each Poisson count), as the sampler sets them."""
+    ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
+    frequent = lam >= 1.0
+    return list(zip(np.power(float(c), ks.astype(float) / alpha)[frequent], 0.5 * lam[frequent]))[::-1]
+
+
+def group_atoms(alpha, c, dt, k_min, n):
+    """Each group of the plan of a draw of n at step dt, with its atoms from
+    the largest height down, matched by the group's value range."""
+    atoms, out = table_atoms(alpha, c, dt, k_min, n), []
+    for group in _step_plan(alpha, c, dt, k_min, n, True).groups:
+        if not isinstance(group, _Table):
+            out.append((group, [atoms.pop(0)]))
+            continue
+        # the group's atoms run down to the one whose height is its unit
+        unit = group.values[group.values.size // 2 + 1]
+        size = next(i for i, (height, _) in enumerate(atoms) if height == unit) + 1
+        out.append((group, atoms[:size]))
+        del atoms[:size]
+    assert not atoms
+    return out
+
+
+# (alpha, c): c^(1/alpha) = 2, 4 and 3 make a lattice
+LATTICE_LAWS = [(1.0, 2.0), (0.5, 2.0), (1.0, 3.0)]
+# (alpha, c, dt): c^(1/alpha) = 2^(2/3) and 1.25 make none; frequent atoms at dt
+NON_LATTICE_LAWS = [(1.5, 2.0, 2.0**-16), (1.0, 1.25, 2.0**-8)]
+# SHA-256 of non-lattice draws recorded before frequent atoms were grouped
+# (every group has one atom): (alpha, c, dt, k_min, n) -> digest of a draw
+# on derive_rng(5, f"test/semi/pin/{alpha}/{c}/{n}")
+NON_LATTICE_PINS = {
+    (1.5, 2.0, 2.0**-16, -40, 2**16): "1717334843059d99cedebac84438617c7c34499dba542f68f3835fdd70fb8dfd",
+    (1.0, 1.25, 2.0**-8, -40, 2**16): "07d9fab8de5c8f5072eb3db95c6a30e41434b5af2098de4207ed94c0daa6a9b2",
+    (1.5, 2.0, 2.0**-10, -40, 2**10): "3226240ee8c44cb6ec2266accf65ab42ccca48053814b9b2db1043ba07586e11",
+}
+
+
+class TestGroupedDraw:
+    @pytest.mark.parametrize("alpha, c, dt", [(1.0, 2.0, 2.0**-16)] + NON_LATTICE_LAWS)
+    def test_a_group_of_one_is_the_net_count_table(self, alpha, c, dt):
+        # at (1, 2, 2^-16) the atom of the smallest height is a group of one
+        n, singles = 2**16, 0
+        for group, atoms in group_atoms(alpha, c, dt, -40, n):
+            if isinstance(group, _Table) and len(atoms) == 1:
+                (height, mu), singles = atoms[0], singles + 1
+                cdf = net_count_table(mu)
+                top = cdf.size // 2
+                assert np.array_equal(group.cum, cdf)
+                assert np.array_equal(group.values, height * np.arange(-top, top + 1))
+        assert singles >= 1
+        if (alpha, c, dt) in NON_LATTICE_LAWS:
+            assert all(len(atoms) == 1 for _, atoms in group_atoms(alpha, c, dt, -40, n))
+
+    @pytest.mark.parametrize("alpha, c", LATTICE_LAWS)
+    @pytest.mark.parametrize("dt", [2.0**-16, 2.0**-10])
+    def test_group_pmf_is_the_convolution_of_its_atoms(self, alpha, c, dt):
+        # brute force: each atom's net-count pmf spread out to its spacing
+        # (zero-stuffed) in units of the group's smallest height, convolved;
+        # the group's table leaves out ends that hold below 1e-30 a join
+        q, joined = round(c ** (1.0 / alpha)), 0
+        for group, atoms in group_atoms(alpha, c, dt, -40, 2**16):
+            if not isinstance(group, _Table):
+                continue
+            joined += len(atoms) > 1
+            pmf = np.ones(1)
+            for m, (_, mu) in enumerate(atoms[::-1]):
+                atom = np.diff(net_count_table(mu), prepend=0.0)
+                spread = np.zeros(q**m * (atom.size - 1) + 1)
+                spread[:: q**m] = atom
+                pmf = np.convolve(pmf, spread)
+            cut = (pmf.size - group.cum.size) // 2
+            assert pmf.size - group.cum.size == 2 * cut >= 0
+            assert pmf[:cut].sum() < 1e-30 * len(atoms) and pmf[pmf.size - cut :].sum() < 1e-30 * len(atoms)
+            np.testing.assert_allclose(np.diff(group.cum, prepend=0.0), pmf[cut : pmf.size - cut], rtol=0.0, atol=1e-15)
+            top = group.cum.size // 2
+            assert np.array_equal(group.values, atoms[-1][0] * np.arange(-top, top + 1))
+            assert not any(array.flags.writeable for array in group)
+        assert joined >= 1
+
+    @pytest.mark.parametrize("alpha, c, dt, k_min, n", sorted(NON_LATTICE_PINS))
+    def test_non_lattice_draws_pinned(self, alpha, c, dt, k_min, n):
+        x = sample_semistable_increment(alpha, c, dt, derive_rng(5, f"test/semi/pin/{alpha}/{c}/{n}"), k_min=k_min, size=n)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == NON_LATTICE_PINS[alpha, c, dt, k_min, n]
+
+    @pytest.mark.parametrize("alpha, c", LATTICE_LAWS)
+    @pytest.mark.parametrize("dt", [2.0**-16, 2.0**-10])
+    def test_lattice_draws_match_reference_kernel(self, alpha, c, dt):
+        n = 2**16
+        tag = f"{alpha}/{c}/{dt}"
+        a = sample_semistable_increment(alpha, c, dt, derive_rng(4, f"test/semi/lattice/{tag}"), size=n)
+        b = reference_semistable_increment(alpha, c, dt, derive_rng(4, f"test/semi/lattice/reference/{tag}"), k_min=DEFAULT_K_MIN, n=n)
+        assert scipy.stats.ks_2samp(a, b).statistic < 1.36 * np.sqrt(2.0 / n) * 2.0
+
+    def test_threads_share_the_plans(self):
+        # the box paths' workers draw on one cache of read-only plans, built
+        # afresh here by whichever worker asks first; a short switch interval
+        # interleaves the workers' builds and draws
+        sc = get_scenario("stpetersburg-interval")
+        reports, interval = [], sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for threads in (1, 3):
+                _step_plan.cache_clear()
+                report = run_scenario(sc, 20260809, threads=threads).as_dict()
+                report.pop("runtime_seconds")
+                reports.append(json.dumps(report, sort_keys=True))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[0] == reports[1]
+
+
 class TestBlockLaw:
     @pytest.mark.parametrize("kind", list(LawKind))
     @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf"), np.array([0.5, np.nan]), np.array([0.5, -0.5]), np.ones(3)])
@@ -577,10 +698,20 @@ class TestBlockLaw:
             assert semistable.sample_increments(dt, 7, rng).shape == (7,)
 
 
+def net_count_cdf(mu, lo, hi):
+    """CDF of N+ - N- for independent N+, N- ~ Poisson(mu), each over the
+    counts lo .. hi, as the sampler built each frequent atom's table before
+    the atoms were grouped: the reference of a group of one."""
+    log_p = np.concatenate(([0.0], np.cumsum(np.log(mu / np.arange(lo + 1, hi + 1)))))
+    p = np.exp(log_p - log_p.max())
+    p /= p.sum()
+    return np.cumsum(np.convolve(p, p[::-1]))
+
+
 def net_count_table(mu):
     """The sampler's CDF table of a frequent atom's net count at mean mu."""
     reach = 12.0 * np.sqrt(mu) + 30.0
-    return _net_count_cdf(mu, int(max(np.floor(mu - reach), 0.0)), int(np.ceil(mu + reach)))
+    return net_count_cdf(mu, int(max(np.floor(mu - reach), 0.0)), int(np.ceil(mu + reach)))
 
 
 def probes(cum):
@@ -600,14 +731,22 @@ class TestGuideInversion:
     def test_equals_searchsorted_on_net_count_tables(self, mu):
         cdf = net_count_table(mu)
         u = probes(cdf)
-        assert np.array_equal(_invert(cdf, u), np.searchsorted(cdf[:-1], u, side="right"))
+        assert np.array_equal(_invert(cdf, u, _guide(cdf)), np.searchsorted(cdf[:-1], u, side="right"))
 
     @pytest.mark.parametrize("c, dt", [(2.0, 2.0**-16), (2.0, 1.0), (1.25, 2.0**-8), (10.0, 0.5)])
     def test_equals_searchsorted_on_rare_intensities(self, c, dt):
         _, lam = semistable_atom_range(1.0, c, dt, DEFAULT_K_MIN, n_samples=2**16)
         cum = np.cumsum(lam[lam < 1.0][::-1])
         u = probes(cum)
-        assert np.array_equal(_invert(cum, u), np.searchsorted(cum[:-1], u, side="right"))
+        assert np.array_equal(_invert(cum, u, _guide(cum)), np.searchsorted(cum[:-1], u, side="right"))
+
+    @pytest.mark.parametrize("alpha, c", LATTICE_LAWS)
+    @pytest.mark.parametrize("dt, n", [(2.0**-16, 2**16), (2.0**-10, 2**16), (2.0**-10, 2**10)])
+    def test_prebuilt_guide_equals_searchsorted_on_group_tables(self, alpha, c, dt, n):
+        plan = _step_plan(alpha, c, dt, DEFAULT_K_MIN, n, True)
+        for table in plan.rare + tuple(group for group in plan.groups if isinstance(group, _Table)):
+            u = probes(table.cum)
+            assert np.array_equal(_invert(table.cum, u, table.guide), np.searchsorted(table.cum[:-1], u, side="right"))
 
     @pytest.mark.parametrize(
         "cum",
@@ -622,7 +761,7 @@ class TestGuideInversion:
     def test_equals_searchsorted_with_repeated_entries(self, cum):
         cum = np.array(cum)
         u = probes(cum)
-        assert np.array_equal(_invert(cum, u), np.searchsorted(cum[:-1], u, side="right"))
+        assert np.array_equal(_invert(cum, u, _guide(cum)), np.searchsorted(cum[:-1], u, side="right"))
 
 
 class TestSeedDerivation:

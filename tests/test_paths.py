@@ -125,7 +125,7 @@ FULL_MASK_PINS = {
     "semistable": (
         [[1.0]],
         BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0),
-        "a4adfa629e09c1c53b6f1eefc00c919bef8ec436c0a72277b9f72fecbb07a089",
+        "0eabb25f9d14b6fb22defceabbe98d76ec1873597ea79dd8af1161074e2f8abd",
     ),
     "jordan": (
         [[0.5, 1.0], [0.0, 0.5]],
@@ -134,9 +134,9 @@ FULL_MASK_PINS = {
     ),
 }
 # SHA-256 of the whole-grid semistable path at n = 16, seed 3, name "pin":
-# draws of 2^16 at dt = 2^-16, which invert every frequent atom's net count
-# on its CDF table.
-SEMISTABLE_TABLE_PIN = "e80b62f45815b4884c5ac9cc054cee0c9c1aaa97bcbab46857cbc0e1d75a72db"
+# draws of 2^16 at dt = 2^-16, which invert the net jump sum of every group
+# of frequent atoms on its CDF table.
+SEMISTABLE_TABLE_PIN = "193a0de63ba886d27eeada2ad476469f0bb7c2424cba06f21f80d1846c4fef09"
 STABLE12 = (sd.validate_exponent(np.array([[1 / 1.2]]), 2.0), (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.2),))
 JORDAN = (sd.validate_exponent(np.array([[0.5, 1.0], [0.0, 0.5]]), 2.0), BM_LAWS)
 KS_PATHS = 1500
