@@ -1,15 +1,17 @@
 """Artifact persistence: binary path dumps, sidecars and CSV emission.
 
 Every output data file gets a JSON sidecar carrying the full configuration,
-master seed, package version and a wall-clock stamp; reruns with identical
-sidecar inputs reproduce byte-identical data files.  CSV uses '.' decimals
-and 17 significant digits so floats round-trip exactly.
+master seed, package version, numpy and scipy versions, CPU count and a
+wall-clock stamp; reruns with identical sidecar inputs reproduce
+byte-identical data files.  CSV uses '.' decimals and 17 significant digits
+so floats round-trip exactly.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,13 @@ def fmt_float(x: float) -> str:
 
 
 def write_sidecar(path: Path, config: dict) -> None:
+    import importlib.metadata  # here alone: loading it slows every CLI call
+
     payload = dict(config)
     payload["version"] = __version__
+    payload["numpy"] = np.__version__
+    payload["scipy"] = importlib.metadata.version("scipy")  # reads scipy's version without importing it
+    payload["cpu_count"] = os.cpu_count()
     payload["created_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 

@@ -5,10 +5,11 @@ Its eigenvalue real parts a_1 < ... < a_p (clustered numerically) induce a
 direct-sum splitting of R^d into E-invariant subspaces V_1 ... V_p with block
 matrices E_j, block dimensions d_j and spectral indices alpha_j = 1/a_j.
 
-The invariant subspaces are obtained from an ordered real Schur form followed
-by Sylvester-equation elimination of the coupling blocks, which is far better
-conditioned than polynomial kernels.  The resulting change of basis B
-satisfies B^{-1} E B = blockdiag(E_1, ..., E_p).
+The invariant subspaces come from spectral projectors, each a difference of
+two projectors (I - sign(E - tau I)) / 2 taken at the gaps tau between the
+clusters; the matrix sign is the scaled Newton iteration, so numpy alone
+suffices.  Each V_j gets the orthonormal basis of its projector's range, and
+the resulting change of basis B satisfies B^{-1} E B = blockdiag(E_1, ..., E_p).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .codec import Record
 from .errors import (
@@ -35,6 +35,12 @@ CLUSTER_TOL = 1e-8
 # Slack on the a_j >= 1/2 validity bound, absorbing eigensolver rounding.
 EIGENVALUE_TOL = 1e-10
 MAX_BASIS_COND = 1e12
+# Limits of the Newton sign iteration; see _sign.
+SIGN_MAX_STEPS = 100
+SIGN_TOL = 1e-14
+SIGN_ROUGH = 1e-3
+# A projector's singular values are 0 or >= 1; zeros sit below this share of the largest.
+RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -129,58 +135,60 @@ def _cluster_real_parts(eigenvalues: np.ndarray) -> list[tuple[float, int]]:
     return [(float(np.mean(cl)), len(cl)) for cl in clusters]
 
 
+def _sign(m: np.ndarray) -> np.ndarray:
+    """Matrix sign of m by the determinant-scaled Newton iteration
+    X <- (mu X + (mu X)^-1) / 2 (Higham, Functions of Matrices, ch. 5).
+
+    m is first divided by its largest entry, as the sign is scale-free and
+    the scaling keeps det finite; mu = |det X|^(-1/d) comes from slogdet.
+    The iteration stops when a step changes X by at most SIGN_TOL of its
+    largest entry, or, once steps are below SIGN_ROUGH, when a step no
+    longer shrinks: X then sits at its rounding level."""
+    x = m / np.max(np.abs(m))
+    d = x.shape[0]
+    previous = np.inf
+    with np.errstate(all="ignore"):
+        for _ in range(SIGN_MAX_STEPS):
+            try:
+                mu = np.exp(-np.linalg.slogdet(x)[1] / d)
+                step = 0.5 * (mu * x + np.linalg.inv(x) / mu)
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(step)):
+                break
+            change = np.max(np.abs(step - x)) / np.max(np.abs(step))
+            x = step
+            if change <= SIGN_TOL or previous < SIGN_ROUGH and change >= previous:
+                return x
+            previous = change
+    raise IllConditionedBasis("matrix sign iteration did not converge")
+
+
 def decompose(spec: ExponentSpec) -> SpectralDecomposition:
     """Spectral decomposition of a valid exponent, blocks ascending in a_j."""
     d = spec.d
     clusters = _cluster_real_parts(spec.eigenvalues)
     p = len(clusters)
 
-    # Stage 1: orthogonal reduction to quasi-triangular form with the
-    # eigenvalue clusters appearing in ascending-a_j order on the diagonal.
-    q_total = np.eye(d)
-    t_full = np.array(spec.matrix, dtype=float)
-    done = 0
+    # P_<tau = (I - sign(E - tau I)) / 2 projects onto the sum of the V_j
+    # with a_j < tau; cluster j's projector is the difference of the two
+    # spanning it, and its leading left singular vectors are an orthonormal
+    # basis of V_j.
+    below = [np.zeros((d, d))]
+    for (a_j, _), (a_next, _) in zip(clusters, clusters[1:]):
+        tau = 0.5 * (a_j + a_next)
+        below.append(0.5 * (np.eye(d) - _sign(spec.matrix - tau * np.eye(d))))
+    below.append(np.eye(d))
+    columns = []
     for j, (a_j, mult) in enumerate(clusters):
-        if done + mult == d and j == p - 1:
-            sub = t_full[done:, done:]
-            t_sub, q_sub = scipy.linalg.schur(sub, output="real")
-            sdim = mult
-        else:
-            upper = 0.5 * (a_j + clusters[j + 1][0])
-            sub = t_full[done:, done:]
-            t_sub, q_sub, sdim = scipy.linalg.schur(
-                sub, output="real", sort=lambda re, im, u=upper: re < u
-            )
-        if sdim != mult:
+        u, sv, _ = np.linalg.svd(below[j + 1] - below[j])
+        if not (sv[mult - 1] >= 0.5 and np.all(sv[mult:] <= RANK_TOL * sv[0])):
             raise IllConditionedBasis(
-                f"Schur reordering selected {sdim} eigenvalues for cluster at "
-                f"a={a_j:.6g}, expected {mult}"
+                f"spectral projector of the cluster at a={a_j:.6g} does not have rank {mult}"
             )
-        emb = np.eye(d)
-        emb[done:, done:] = q_sub
-        q_total = q_total @ emb
-        t_full[done:, done:] = t_sub
-        if done:
-            t_full[:done, done:] = t_full[:done, done:] @ q_sub
-        done += mult
+        columns.append(u[:, :mult])
 
-    # Stage 2: annihilate the coupling blocks with Sylvester solves, giving a
-    # (generally non-orthogonal) basis in which E is block diagonal.
-    s_total = np.eye(d)
-    start = 0
-    for a_j, mult in clusters[:-1]:
-        stop = start + mult
-        a_blk = t_full[start:stop, start:stop]
-        b_blk = t_full[stop:, stop:]
-        c_blk = t_full[start:stop, stop:]
-        x = scipy.linalg.solve_sylvester(a_blk, -b_blk, -c_blk)
-        s_step = np.eye(d)
-        s_step[start:stop, stop:] = x
-        s_total = s_total @ s_step
-        t_full[start:stop, stop:] = 0.0
-        start = stop
-
-    basis = q_total @ s_total
+    basis = np.hstack(columns)
     cond = np.linalg.cond(basis)
     if cond > MAX_BASIS_COND:
         raise IllConditionedBasis(f"change of basis condition number {cond:.3e}")
@@ -220,6 +228,8 @@ def scaling_operator(e, s: float) -> np.ndarray:
         raise ValueError(f"scale must be a positive finite real, got {s}")
     if s == 1.0:
         return np.eye(m.shape[0])
+    import scipy.linalg  # here alone: loading it takes longer than loading semidim
+
     return scipy.linalg.expm(math.log(s) * m)
 
 

@@ -337,15 +337,16 @@ class TestNearPairEnergies:
 
 
 def test_set_up_leaves_scipy_spatial_unloaded():
-    # only the energy kernel needs scipy.spatial, and it loads it
+    # set-up, decompositions included, is numpy-only; the energy kernel,
+    # scaling operators and the semi-selfsimilarity test load scipy themselves
     code = (
         "import sys, semidim\n"
-        "for sc in semidim.builtin_scenarios().values(): sc.validate_expected()\n"
-        "print('scipy.spatial' in sys.modules)"
+        "for sc in semidim.builtin_scenarios().values(): sc.validate_expected(); sc.spec.decomposition\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     env = os.environ | {"PYTHONPATH": str(Path(sd.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestCoveringCount:

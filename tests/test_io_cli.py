@@ -1,14 +1,16 @@
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import json
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semidim as sd
@@ -37,6 +39,16 @@ class TestIO:
         meta = json.loads(prefix.with_suffix(".json").read_text())
         assert {"seed", "n", "version", "created_utc", "laws"} <= set(meta)
         assert (tmp_path / "dump.csv").exists()
+
+    def test_sidecar_records_its_environment(self, tmp_path):
+        p = sd.simulate_path(BROWNIAN, BM_LAWS, 6, seed=2)
+        prefix = tmp_path / "dump"
+        write_path_dump(prefix, p)
+        meta = json.loads(prefix.with_suffix(".json").read_text())
+        assert meta["numpy"] == np.__version__
+        assert meta["scipy"] == importlib.metadata.version("scipy")
+        assert meta["cpu_count"] == os.cpu_count()
+        assert np.array_equal(read_path_dump(prefix).values, p.values)
 
     def test_path_on_a_time_set_not_dumped(self, tmp_path):
         # its rows are not the grid that read_path_dump requires
@@ -567,6 +579,13 @@ def exponent_and_laws(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(inputs=exponent_and_laws(), n=mostly(st.integers(0, 8), st.integers(-2, 8)))
+@example(  # a plain determinant overflows at this magnitude
+    inputs=(
+        {"c": 2.0, "matrix": [[1e300, 0.0], [0.0, 0.5]]},
+        [{"kind": "STABLE_SYMMETRIC", "alpha": 2.0}, {"kind": "STABLE_SYMMETRIC", "alpha": 1e-300}],
+    ),
+    n=4,
+)
 def test_exponent_and_laws_exit_0_or_2(inputs, n):
     """Hostile exponent and block-law JSON: ``simulate`` and ``decompose``
     exit 0 or 2 and never raise."""

@@ -136,6 +136,41 @@ class TestDecompose:
                 assert np.max(np.abs(leak)) < 1e-10 * max(1.0, np.max(np.abs(e)))
 
 
+    @pytest.mark.parametrize("name", sorted(sd.builtin_scenarios()))
+    def test_builtin_decompositions_bitwise(self, name):
+        # every builtin exponent is block diagonal already: its basis is the
+        # unit basis and its blocks are its own diagonal blocks, bit for bit,
+        # which keeps every report and random stream as it is
+        spec = sd.builtin_scenarios()[name].spec
+        dec = spec.decomposition
+        assert dec.change_of_basis.tobytes() == np.eye(spec.d).tobytes()
+        start = 0
+        for b in dec.blocks:
+            assert b.matrix.tobytes() == spec.matrix[start : start + b.d, start : start + b.d].tobytes()
+            start += b.d
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1e300, 1e300], [0.0, 0.5]],
+            [[0.5, 1e300], [0.0, 1e300]],
+            [[0.5, 1e300], [0.0, 0.75]],
+            [[0.5, 1e300, 1e300], [0.0, 1e300, 1e300], [0.0, 0.0, 2e300]],
+            [[1e300, 1e300, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 0.5]],
+        ],
+    )
+    def test_hostile_magnitudes_decouple_or_raise(self, m):
+        e = np.array(m)
+        spec = sd.validate_exponent(e, 2.0)
+        try:
+            dec = sd.decompose(spec)
+        except IllConditionedBasis:
+            return
+        for j in range(dec.p):
+            proj = dec.projector(j)
+            leak = (np.eye(spec.d) - proj) @ e @ proj
+            assert np.max(np.abs(leak)) < 1e-10 * max(1.0, np.max(np.abs(e)))
+
     def test_decomposition_lazy_and_kept(self):
         # close real parts joined by a large coupling: the basis is too
         # ill-conditioned, which only the decomposition itself reports
