@@ -10,6 +10,8 @@ two projectors (I - sign(E - tau I)) / 2 taken at the gaps tau between the
 clusters; the matrix sign is the scaled Newton iteration, so numpy alone
 suffices.  Each V_j gets the orthonormal basis of its projector's range, and
 the resulting change of basis B satisfies B^{-1} E B = blockdiag(E_1, ..., E_p).
+A splitting is refused with IllConditionedBasis when B is worse conditioned
+than MAX_BASIS_COND or when some V_j is not invariant to within MAX_LEAK.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ SIGN_TOL = 1e-14
 SIGN_ROUGH = 1e-3
 # A projector's singular values are 0 or >= 1; zeros sit below this share of the largest.
 RANK_TOL = 1e-8
+# A returned splitting leaks at most this share of max(1, max|E|) out of each
+# V_j: max |(I - P_j) E P_j| over the oblique projectors P_j.
+MAX_LEAK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,9 @@ def _sign(m: np.ndarray) -> np.ndarray:
     the scaling keeps det finite; mu = |det X|^(-1/d) comes from slogdet.
     The iteration stops when a step changes X by at most SIGN_TOL of its
     largest entry, or, once steps are below SIGN_ROUGH, when a step no
-    longer shrinks: X then sits at its rounding level."""
+    longer shrinks: X then sits at its rounding level.  Either way X must
+    also be an involution to rounding, max |X X - I| <= d SIGN_TOL max|X|^2,
+    or the iteration goes on."""
     x = m / np.max(np.abs(m))
     d = x.shape[0]
     previous = np.inf
@@ -158,7 +165,8 @@ def _sign(m: np.ndarray) -> np.ndarray:
                 break
             change = np.max(np.abs(step - x)) / np.max(np.abs(step))
             x = step
-            if change <= SIGN_TOL or previous < SIGN_ROUGH and change >= previous:
+            stopped = change <= SIGN_TOL or previous < SIGN_ROUGH and change >= previous
+            if stopped and np.max(np.abs(x @ x - np.eye(d))) <= d * SIGN_TOL * np.max(np.abs(x)) ** 2:
                 return x
             previous = change
     raise IllConditionedBasis("matrix sign iteration did not converge")
@@ -208,11 +216,22 @@ def decompose(spec: ExponentSpec) -> SpectralDecomposition:
             )
         )
         start = stop
-    return SpectralDecomposition(
+    dec = SpectralDecomposition(
         p=p,
         blocks=tuple(blocks),
         change_of_basis=_freeze(basis),
     )
+    # The basis is well enough conditioned; check that it also decouples E.
+    bound = MAX_LEAK * max(1.0, float(np.max(np.abs(spec.matrix))))
+    with np.errstate(all="ignore"):
+        for j, (a_j, _) in enumerate(clusters):
+            proj = dec.projector(j)
+            leak = np.max(np.abs((np.eye(d) - proj) @ spec.matrix @ proj))
+            if not leak <= bound:
+                raise IllConditionedBasis(
+                    f"invariant subspace at a={a_j:.6g} leaks {leak:.3e}, over {bound:.3e}"
+                )
+    return dec
 
 
 def _as_matrix(e) -> np.ndarray:

@@ -60,6 +60,23 @@ def random_valid_exponent(rng, d_max=6):
     return basis @ m @ np.linalg.inv(basis)
 
 
+def rotated(t, seed):
+    """t conjugated by a seeded random rotation: as non-normal as t, but with
+    no zero pattern left for the decomposition to lean on."""
+    t = np.asarray(t, dtype=float)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal(t.shape))
+    q = q * np.sign(np.diag(r))
+    return q @ t @ q.T
+
+
+def rotated_triangular(seed, d, coupling):
+    """Random upper-triangular exponent, real parts in [0.6, 2], couplings of
+    size `coupling`, rotated."""
+    rng = np.random.default_rng(seed)
+    t = np.triu(rng.normal(scale=coupling, size=(d, d)), 1) + np.diag(rng.uniform(0.6, 2.0, size=d))
+    return rotated(t, seed)
+
+
 class TestValidateExponent:
     def test_diagonal_valid(self):
         spec = sd.validate_exponent(np.diag([0.5, 1.0]), 2.0)
@@ -157,6 +174,9 @@ class TestDecompose:
             [[0.5, 1e300], [0.0, 0.75]],
             [[0.5, 1e300, 1e300], [0.0, 1e300, 1e300], [0.0, 0.0, 2e300]],
             [[1e300, 1e300, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 0.5]],
+            rotated([[0.6, 1e6, 0.3], [0.0, 0.7, 0.2], [0.0, 0.0, 1.3]], 1),
+            rotated([[0.6, 1e3, 0.3], [0.0, 0.7, 0.2], [0.0, 0.0, 1.3]], 1),
+            *[rotated_triangular(seed, 4, coupling) for seed in range(4) for coupling in (1.0, 30.0)],
         ],
     )
     def test_hostile_magnitudes_decouple_or_raise(self, m):
