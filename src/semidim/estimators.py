@@ -16,7 +16,9 @@ graph and one for the range; it takes the mask of B on the path's grid,
 which the caller computes once with :meth:`BorelSetSpec.mask`, and reads it
 at the rows the path holds (a path simulated on the mask holds just its
 rows).  The energy estimator tests the path's own times with
-:meth:`BorelSetSpec.contains`.
+:meth:`BorelSetSpec.contains`, and finds the near pairs of its truncated
+energies in numpy alone: sorted by time, each point's candidate partners are
+the next few rows, taken one lag at a time (:func:`_near_pair_energies`).
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .borel import BorelSetSpec, SetKind
 from .codec import Record
@@ -54,7 +57,7 @@ from .spectral import ExponentSpec
 
 BOX_FIT_DROP = 2  # scales dropped at each end of the fit window
 MIN_FIT_SCALES = 6
-_ENERGY_BLOCK = 256  # rows per near-pair block; bounds the pairs held at once
+_ENERGY_CANDIDATES = 2**16  # candidate pairs per near-pair chunk; bounds the kernel's scratch
 # Largest growth of the truncated log-energy, from the small to the large
 # subsample, at which the energy still counts as finite.
 ENERGY_THRESHOLD = 0.1
@@ -479,31 +482,54 @@ def _near_pair_energies(
 ) -> np.ndarray:
     """(1/n^2) sum over ordered pairs i != j with ||P_i - P_j|| <= r_cut of ||.||^-gamma.
 
-    Column 0 is time.  With the points sorted by time, the partners j > i of
-    a block of rows lie at t <= t_last + r_cut; a KD-tree over that window
-    finds the near pairs, so the cost follows the near pairs rather than
-    n^2, and the block length bounds the memory they take.  The tree's
-    query at r_cut is the one radius test, and it gives the distances.
+    Column 0 is time.  With the points sorted by time, a near partner of row
+    i lies at most K rows later, K being the most rows any time window
+    t_i + r_cut reaches.  So the candidate pairs are (i, i + k) for the lags
+    k = 1 .. K, taken a chunk of lags (and, for long samples, of rows) at a
+    time, and the cost follows n K rather than n^2.  Each column is padded
+    with K infinities, so a lag past the last row is never near.  The
+    squared distance sums the columns in order on scratch that one chunk of
+    ``_ENERGY_CANDIDATES`` pairs bounds, and d^2 <= r_cut^2 is the one
+    radius test.
     """
-    from scipy.spatial import cKDTree  # here alone: loading it slows ``import semidim``
-
-    n = points.shape[0]
+    n, dim = points.shape
     points = points[np.argsort(points[:, 0], kind="stable")]
     times = points[:, 0]
     reach = r_cut * (1.0 + 1e-9)  # the time window only picks candidates
+    lags = int(np.max(np.searchsorted(times, times + reach, side="right") - np.arange(1, n + 1)))
+    cols = np.full((dim, n + lags), np.inf)
+    cols[:, :n] = points.T
+    rows = min(n, _ENERGY_CANDIDATES)
+    width = max(1, _ENERGY_CANDIDATES // rows)
+    d2_buf, diff_buf = np.empty((2, width * rows))
+    near_buf = np.empty(width * rows, dtype=bool)
+    r2 = r_cut * r_cut
     sums = np.zeros(gammas.size)
-    for start in range(0, n, _ENERGY_BLOCK):
-        stop = min(start + _ENERGY_BLOCK, n)
-        end = int(np.searchsorted(times, times[stop - 1] + reach, side="right"))
-        block = cKDTree(points[start:stop])
-        window = cKDTree(points[start:end])
-        pairs = block.sparse_distance_matrix(window, r_cut, output_type="ndarray")
-        d = pairs["v"][pairs["j"] > pairs["i"]]
-        if np.any(d == 0.0):
-            raise DegenerateSample("duplicate points in the energy subsample")
-        log_d = np.log(d)
-        for g, gamma in enumerate(gammas):
-            sums[g] += np.sum(np.exp(-gamma * log_d))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        for k in range(1, lags + 1, width):
+            shape = (min(width, lags + 1 - k), stop - start)
+            size = shape[0] * shape[1]
+            d2, diff = d2_buf[:size].reshape(shape), diff_buf[:size].reshape(shape)
+            for j, col in enumerate(cols):
+                # row l of the window holds the partners at lag k + l
+                later = sliding_window_view(col[start + k : stop + k + shape[0] - 1], shape[1])
+                np.subtract(later, col[start:stop], out=diff)
+                if j == 0:
+                    np.multiply(diff, diff, out=d2)
+                else:
+                    np.multiply(diff, diff, out=diff)
+                    np.add(d2, diff, out=d2)
+            near = np.less_equal(d2_buf[:size], r2, out=near_buf[:size])
+            d = np.compress(near, d2_buf[:size], out=diff_buf[: np.count_nonzero(near)])
+            if not d.all():
+                raise DegenerateSample("duplicate points in the energy subsample")
+            np.sqrt(d, out=d)
+            log_d = np.log(d, out=d)
+            power = d2_buf[: d.size]
+            for g, gamma in enumerate(gammas):
+                np.multiply(log_d, -gamma, out=power)
+                sums[g] += np.sum(np.exp(power, out=power))
     return 2.0 * sums / n**2
 
 

@@ -2,13 +2,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semidim as sd
+from semidim import estimators
 from semidim.borel import cantor, interval
 from semidim.errors import (
     DegenerateSample,
@@ -336,12 +338,57 @@ class TestNearPairEnergies:
             _near_pair_energies(points, self.GAMMAS, 0.05)
 
 
-def test_set_up_leaves_scipy_spatial_unloaded():
-    # set-up, decompositions included, is numpy-only; the energy kernel,
-    # scaling operators and the semi-selfsimilarity test load scipy themselves
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(2, 400),
+    cantor_times=st.booleans(),
+    cut=st.sampled_from(["below-gap", "between", "above-diameter"]),
+    chunk=st.sampled_from([61, 2**10, estimators._ENERGY_CANDIDATES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# K = n - 1 lags over several chunks of the default size, and within one
+@example(dim=3, n=400, cantor_times=True, cut="above-diameter", chunk=estimators._ENERGY_CANDIDATES, seed=1)
+@example(dim=2, n=300, cantor_times=False, cut="above-diameter", chunk=estimators._ENERGY_CANDIDATES, seed=2)
+@example(dim=2, n=2, cantor_times=False, cut="above-diameter", chunk=estimators._ENERGY_CANDIDATES, seed=3)
+def test_near_pair_kernel_matches_dense(dim, n, cantor_times, cut, chunk, seed):
+    # time-ordered walks over uniform or clustered Cantor-like times (8
+    # ternary digits, so above 256 points times tie), rows shuffled; the cut
+    # below the smallest distance, between two distances, or above them all
+    rng = np.random.default_rng(seed)
+    if cantor_times:
+        times = np.sort(2.0 * rng.integers(0, 2, size=(n, 8)) @ 3.0 ** -np.arange(1, 9))
+    else:
+        times = np.sort(rng.random(n))
+    space = np.cumsum(rng.normal(scale=n**-0.5, size=(n, dim - 1)), axis=0)
+    points = np.column_stack([times, space])[rng.permutation(n)]
+    gaps = np.unique(np.linalg.norm(points[:, None] - points[None], axis=2)[np.triu_indices(n, 1)])
+    if cut == "below-gap":
+        r_cut = gaps[0] / 2.0
+    elif cut == "above-diameter":
+        r_cut = 2.0 * gaps[-1]
+    else:
+        i = rng.integers(0, gaps.size)
+        r_cut = (gaps[i] + np.append(gaps[1:], 2.0 * gaps[-1])[i]) / 2.0
+    gammas = TestNearPairEnergies.GAMMAS
+    with mock.patch.object(estimators, "_ENERGY_CANDIDATES", chunk):
+        got = _near_pair_energies(points, gammas, r_cut)
+    want = dense_near_pair_energies(points, gammas, r_cut)
+    assert np.all(want > 0.0) == (cut != "below-gap")
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_a_run_loads_no_scipy():
+    # set-up, decompositions included, and a whole run through the energy
+    # stage are numpy-only; scaling operators and the semi-selfsimilarity
+    # test load scipy themselves
     code = (
-        "import sys, semidim\n"
+        "import dataclasses, sys, semidim\n"
         "for sc in semidim.builtin_scenarios().values(): sc.validate_expected(); sc.spec.decomposition\n"
+        "sc = dataclasses.replace(semidim.get_scenario('brownian-interval'), n=12, n_seeds=2,\n"
+        "    box_sides=tuple(2.0 ** -k for k in range(1, 11)), sojourn_n=10, sojourn_ensemble=200,\n"
+        "    sojourn_radii=tuple(2.0 ** -k for k in range(2, 6)), energy_ratio=4)\n"
+        "assert semidim.run_scenario(sc, 1).stages['energy']['estimate'] > 0.0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     env = os.environ | {"PYTHONPATH": str(Path(sd.__file__).parents[1])}
