@@ -490,7 +490,8 @@ def _near_pair_energies(
     with K infinities, so a lag past the last row is never near.  The
     squared distance sums the columns in order on scratch that one chunk of
     ``_ENERGY_CANDIDATES`` pairs bounds, and d^2 <= r_cut^2 is the one
-    radius test.
+    radius test.  The near pairs of a chunk are summed for several gammas at
+    once on that same scratch.
     """
     n, dim = points.shape
     points = points[np.argsort(points[:, 0], kind="stable")]
@@ -526,10 +527,13 @@ def _near_pair_energies(
                 raise DegenerateSample("duplicate points in the energy subsample")
             np.sqrt(d, out=d)
             log_d = np.log(d, out=d)
-            power = d2_buf[: d.size]
-            for g, gamma in enumerate(gammas):
-                np.multiply(log_d, -gamma, out=power)
-                sums[g] += np.sum(np.exp(power, out=power))
+            # as many gammas at once as the scratch holds copies of log_d
+            step = d2_buf.size // max(d.size, 1)
+            for g in range(0, gammas.size, step):
+                some = gammas[g : g + step]
+                power = d2_buf[: some.size * d.size].reshape(some.size, d.size)
+                np.multiply(-some[:, None], log_d, out=power)
+                sums[g : g + step] += np.exp(power, out=power).sum(axis=1)
     return 2.0 * sums / n**2
 
 
