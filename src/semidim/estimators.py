@@ -18,7 +18,7 @@ at the rows the path holds (a path simulated on the mask holds just its
 rows).  The energy estimator tests the path's own times with
 :meth:`BorelSetSpec.contains`, and finds the near pairs of its truncated
 energies in numpy alone: sorted by time, each point's candidate partners are
-the next few rows, taken one lag at a time (:func:`_near_pair_energies`).
+the next few rows, tested a chunk of lags at a time (:func:`_near_pair_energies`).
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -501,7 +501,7 @@ def _near_pair_energies(
     cols = np.full((dim, n + lags), np.inf)
     cols[:, :n] = points.T
     rows = min(n, _ENERGY_CANDIDATES)
-    width = max(1, _ENERGY_CANDIDATES // rows)
+    width = _ENERGY_CANDIDATES // rows
     d2_buf, diff_buf = np.empty((2, width * rows))
     near_buf = np.empty(width * rows, dtype=bool)
     r2 = r_cut * r_cut
