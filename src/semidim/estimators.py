@@ -15,10 +15,15 @@ time and space columns of a path once per group and sorts one key for the
 graph and one for the range; it takes the mask of B on the path's grid,
 which the caller computes once with :meth:`BorelSetSpec.mask`, and reads it
 at the rows the path holds (a path simulated on the mask holds just its
-rows).  The energy estimator tests the path's own times with
-:meth:`BorelSetSpec.contains`, and finds the near pairs of its truncated
-energies in numpy alone: sorted by time, each point's candidate partners are
-the next few rows, tested a chunk of lags at a time (:func:`_near_pair_energies`).
+rows).  The box kernel's scratch with a value a row lives on the reused
+slots of a :class:`~semidim.laws.PathBuffers`: the cells on the scratch
+slots, the keys on the slot "key", sorted in place and compacted in place
+``paths.ROW_CHUNK`` rows at a time; what else it makes is a chunk or a
+byte a row.  The energy estimator tests the path's own times with
+:meth:`BorelSetSpec.contains`, a chunk of rows at a time, and finds the near
+pairs of its truncated energies in numpy alone: sorted by time, each point's
+candidate partners are the next few rows, tested a chunk of lags at a time
+(:func:`_near_pair_energies`).
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -51,7 +56,7 @@ from .errors import (
 )
 from .fitting import ScalingFit, fit_loglog
 from .laws import PathBuffers
-from .paths import LevyPath, check_memory, sample_marginal
+from .paths import ROW_CHUNK, LevyPath, check_memory, sample_marginal
 from .seeds import derive_rng
 from .spectral import ExponentSpec
 
@@ -78,57 +83,105 @@ def geometric_scales(base: float, k_min: int, k_max: int) -> np.ndarray:
     return float(base) ** (-np.arange(k_min, k_max + 1, dtype=float))
 
 
-def _high_parts(cells: list, m: int):
-    """Each column's cells above the low ``m`` bits, as offsets from their
-    minimum or, while the columns do not fit in a 63-bit key beside the
-    ``len(cells) * m`` interleaved bits, as ranks among the column's distinct
-    values, widest column first.  Returns (high parts, radices), or None
-    when even the ranks do not fit."""
+def _drop_repeats(columns: list) -> int:
+    """Move each row of the equal-length ``columns`` that differs from the
+    row before it in some column (and the first row) to the front of every
+    column, in order, ``ROW_CHUNK`` rows at a time; returns how many moved.
+
+    A row moves to its own place or before it, so the row before a chunk is
+    still its own when the chunk reads it: either no row moved onto it, or
+    every row before it stayed in place."""
+    total = columns[0].size
+    size = 0
+    new, differs = np.empty((2, min(total, ROW_CHUNK)), dtype=bool)
+    for start in range(0, total, ROW_CHUNK):
+        stop = min(start + ROW_CHUNK, total)
+        lo = max(start, 1)
+        fresh = new[: stop - start]
+        fresh[0] = start == 0
+        np.not_equal(columns[0][lo:stop], columns[0][lo - 1 : stop - 1], out=fresh[lo - start :])
+        for c in columns[1:]:
+            fresh[lo - start :] |= np.not_equal(c[lo:stop], c[lo - 1 : stop - 1], out=differs[: stop - lo])
+        rows = np.flatnonzero(fresh)
+        for c in columns:
+            c[size : size + rows.size] = c[start:stop].take(rows)
+        size += rows.size
+    return size
+
+
+def _rank_highs(cells: np.ndarray, m: int, scratch: np.ndarray) -> int:
+    """Replace the part of ``cells`` above the low ``m`` bits by its rank among
+    the distinct such parts, in place; returns how many there are.  They are
+    sorted and compacted on ``scratch``, an int64 array of the cells' size."""
+    values = np.right_shift(cells, m, out=scratch)
+    values.sort()
+    values = values[: _drop_repeats([values])]
+    for start in range(0, cells.size, ROW_CHUNK):
+        part = cells[start : start + ROW_CHUNK]
+        rank = np.searchsorted(values, part >> m)
+        part &= (1 << m) - 1
+        part |= rank << m
+    return values.size
+
+
+def _high_parts(cells: list, m: int, scratch: np.ndarray) -> list | None:
+    """Rewrite each column's cells above the low ``m`` bits, in place, as
+    offsets from their minimum or, while the columns do not fit in a 63-bit
+    key beside the ``len(cells) * m`` interleaved bits, as ranks among the
+    column's distinct values (:func:`_rank_highs` on ``scratch``), widest
+    column first; the low bits stay.  Returns the radices of the high parts
+    cell >> m, or None when even the ranks do not fit."""
     room = 63 - len(cells) * m
     if room < 0:
         return None
-    highs = [c >> m for c in cells]
-    mins = [int(h.min()) for h in highs]
-    radices = [int(h.max()) - lo + 1 for h, lo in zip(highs, mins)]
-    for h, lo in zip(highs, mins):
-        h -= lo
+    radices = []
+    for c in cells:
+        # a shift is monotone, so the high parts' extremes are the cells'
+        lo, hi = int(c.min()) >> m, int(c.max()) >> m
+        c -= lo << m
+        radices.append(hi - lo + 1)
     offsets = set(range(len(cells)))
     while math.prod(radices) > 2**room:
         if not offsets:
             return None
         j = max(offsets, key=lambda i: radices[i])
         offsets.remove(j)
-        values, highs[j] = np.unique(highs[j], return_inverse=True)
-        radices[j] = values.size
-    return highs, radices
+        radices[j] = _rank_highs(cells[j], m, scratch)
+    return radices
 
 
-def _zorder_keys(cells: list, highs: list, radices: list, m: int, cols) -> np.ndarray:
-    """One int64 key per row of the columns ``cols``: bit i of the j-th
-    column's low ``m`` bits at bit i * D + j (D columns), the columns' high
-    parts above them in mixed radix.  ``key >> (D * s)`` then identifies the
-    row's cells coarsened s octaves, floor(cell / 2^s) in every column."""
+def _zorder_keys(cells: list, radices: list, m: int, cols, key: np.ndarray) -> np.ndarray:
+    """One int64 key per row of the columns ``cols``, written on ``key``
+    ``ROW_CHUNK`` rows at a time: bit i of the j-th column's low ``m`` bits
+    at bit i * D + j (D columns), the columns' high parts cell >> m above
+    them in mixed radix.  ``key >> (D * s)`` then identifies the row's cells
+    coarsened s octaves, floor(cell / 2^s) in every column."""
     dim = len(cols)
-    key = highs[cols[0]].astype(np.int64)
-    for j in cols[1:]:
-        key = key * radices[j] + highs[j]
-    if m == 0:
-        return key
-    key <<= dim * m
-    # spread w low bits at a time by table: bit i of a chunk goes to bit i * D
-    w = min(m, 12)
+    # spread w low bits at a time by table: bit i of a chunk goes to bit i * D,
+    # and the table of column j's bits from b on is shifted to their place
+    w = max(min(m, 12), 1)
     chunk = np.arange(2**w, dtype=np.int64)
     spread = np.zeros(2**w, dtype=np.int64)
     for i in range(w):
         spread |= ((chunk >> i) & 1) << (i * dim)
-    for pos, j in enumerate(cols):
-        low = cells[j] & ((1 << m) - 1)
-        for b in range(0, m, w):
-            key |= spread[(low >> b) & (2**w - 1)] << (b * dim + pos)
+    tables = [(j, b, spread << (b * dim + pos)) for pos, j in enumerate(cols) for b in range(0, m, w)]
+    scratch = np.empty((2, min(key.size, ROW_CHUNK)), dtype=np.int64)
+    for start in range(0, key.size, ROW_CHUNK):
+        rows = slice(start, start + ROW_CHUNK)
+        part = np.right_shift(cells[cols[0]][rows], m, out=key[rows])
+        bits, spread_bits = scratch[:, : part.size]
+        for j in cols[1:]:
+            part *= radices[j]
+            part += np.right_shift(cells[j][rows], m, out=bits)
+        part <<= dim * m
+        for j, b, table in tables:
+            np.right_shift(cells[j][rows], b, out=bits)
+            bits &= (1 << min(w, m - b)) - 1
+            part |= np.take(table, bits, out=spread_bits, mode="clip")
     return key
 
 
-def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers) -> np.ndarray:
+def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, keep=None) -> np.ndarray:
     """:func:`_cube_counts` on a group of sides that are power-of-two
     multiples of each other.
 
@@ -139,33 +192,36 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
     side, where the count is the number of adjacent keys that differ.  A
     group whose key does not fit in 63 bits is counted as a finer and a
     coarser half of its octaves; a single side, by comparing whole rows.
-    Column j is quantised in place on the scratch slot j of ``buffers``.
+
+    All scratch with a value a row is on ``buffers``: the int64 cells of
+    column j on slot j, the keys on slot "key", sorted and compacted in
+    place.  ``keep`` (None for all) marks the rows counted.
     """
     octave = np.frexp(sides)[1]
     shifts = octave - octave.min()
     m = int(shifts.max())
+    size = columns[0].size if keep is None else int(np.count_nonzero(keep))
     cells = []
     for j, c in enumerate(columns):
-        q = buffers.take(j, c.shape)
-        np.divide(c, sides.min(), out=q)
+        q = buffers.take(j, (size,))
+        filled = 0
+        for start in range(0, c.size, ROW_CHUNK):
+            part = c[start : start + ROW_CHUNK]
+            if keep is not None:
+                part = part[keep[start : start + ROW_CHUNK]]
+            np.divide(part, sides.min(), out=q[filled : filled + part.size])
+            filled += part.size
         np.floor(q, out=q)
         # floor(c / b).astype(np.int64), cast element by element onto the same memory
         cells.append(q.view(np.int64))
         np.copyto(cells[-1], q, casting="unsafe")
     # a time-ordered path often stays in one cube from row to row
-    keep = np.zeros(cells[0].size, dtype=bool)
-    keep[0] = True
-    for c in cells:
-        keep[1:] |= c[1:] != c[:-1]
-    rows = np.flatnonzero(keep)
-    del keep
-    # the kept rows move to the front of their own slot (take copies them
-    # aside first, as they overlap)
-    cells = [c.take(rows, out=c[: rows.size]) for c in cells]
-    del rows
+    size = _drop_repeats(cells)
+    cells = [c[:size] for c in cells]
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
-    fit = _high_parts(cells, m)
-    if fit is None:
+    key = buffers.take("key", (size,)).view(np.int64)
+    radices = _high_parts(cells, m, key)
+    if radices is None:
         if m == 0:
             for t, cols in enumerate(targets):
                 counts[t] = np.unique(np.column_stack([cells[j] for j in cols]), axis=0).shape[0]
@@ -173,38 +229,41 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
             octaves = np.unique(shifts)
             finer = shifts <= octaves[(octaves.size - 1) // 2]
             for half in (finer, ~finer):
-                counts[:, half] = _octave_counts(columns, sides[half], targets, buffers)
+                counts[:, half] = _octave_counts(columns, sides[half], targets, buffers, keep)
         return counts
     for t, cols in enumerate(targets):
-        keys = np.sort(_zorder_keys(cells, *fit, m, cols))
+        keys = _zorder_keys(cells, radices, m, cols, key)
+        keys.sort()
         done = 0
         for k in np.argsort(shifts, kind="stable"):
             keys >>= len(cols) * int(shifts[k] - done)
             done = shifts[k]
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            keys = keys[: _drop_repeats([keys])]
             counts[t, k] = keys.size
     return counts
 
 
-def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers) -> np.ndarray:
+def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, keep=None) -> np.ndarray:
     """Occupied side-b cubes (grid anchored at 0) of the points with
-    coordinates ``columns[j]``, j in ``cols``: one row of counts per list
-    ``cols`` in ``targets``, one count per side b in ``sides``.  The sides
-    are grouped by their floating-point mantissa, so the sides of a group
-    are power-of-two multiples of each other, and each group is counted by
+    coordinates ``columns[j]``, j in ``cols``, at the rows ``keep`` marks
+    (None for all): one row of counts per list ``cols`` in ``targets``, one
+    count per side b in ``sides``.  The sides are grouped by their
+    floating-point mantissa, so the sides of a group are power-of-two
+    multiples of each other, and each group is counted by
     :func:`_octave_counts`: a dyadic ladder is one group, a base-3 or sqrt-3
     ladder one group per side.
     """
     # Cell indices are int64; beyond 2^62 cubes (or at inf/NaN) the cast
     # would return garbage cells instead of failing.
     reach = 2.0**62 * sides.min()
-    if not all(c.min() > -reach and c.max() < reach for c in columns):
+    where = True if keep is None else keep
+    if not all(c.min(where=where, initial=np.inf) > -reach and c.max(where=where, initial=-np.inf) < reach for c in columns):
         raise DegenerateSample(f"points beyond 2^62 cubes of side {sides.min():g} from the origin")
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
     mantissas = np.frexp(sides)[0]
     for mantissa in np.unique(mantissas):
         group = mantissas == mantissa
-        counts[:, group] = _octave_counts(columns, sides[group], targets, buffers)
+        counts[:, group] = _octave_counts(columns, sides[group], targets, buffers, keep)
     return counts
 
 
@@ -266,9 +325,9 @@ def box_count_graph(path: LevyPath, mask: np.ndarray, sides, _buffers: PathBuffe
     holds, and a path that holds just the rows in the set is counted as it
     is.  The cubes of the range X(t) are those of the graph (t, X(t))
     projected, so one ladder walk counts both.  The grid must resolve the
-    smallest cube: 2^-n <= min(side)/4.  The cells are quantised on the
-    scratch slots of ``_buffers`` (fresh arrays when None), never on the
-    path's own.
+    smallest cube: 2^-n <= min(side)/4.  The cells and keys are on the
+    scratch slots and the slot "key" of ``_buffers`` (fresh arrays when
+    None), never on the path's own.
     """
     check_box_sides(sides, path.n)
     keep = mask if path.rows is None else mask[path.rows]
@@ -276,10 +335,9 @@ def box_count_graph(path: LevyPath, mask: np.ndarray, sides, _buffers: PathBuffe
         raise EmptyRestriction("no grid point falls inside the time set")
     sides = np.sort(np.asarray(sides, dtype=float))[::-1]
     columns = [path.times, *(path.values[:, j] for j in range(path.d))]
-    if not keep.all():
-        columns = [c[keep] for c in columns]
     targets = [list(range(len(columns))), list(range(1, len(columns)))]
-    graph, range_ = _cube_counts(columns, sides, targets, PathBuffers() if _buffers is None else _buffers)
+    buffers = PathBuffers() if _buffers is None else _buffers
+    graph, range_ = _cube_counts(columns, sides, targets, buffers, None if keep.all() else keep)
     return _fit_counts(sides, graph, _fit_counts(sides, range_))
 
 
@@ -478,7 +536,7 @@ class EnergyEstimate(Record):
 
 
 def _near_pair_energies(
-    points: np.ndarray, gammas: np.ndarray, r_cut: float
+    points: np.ndarray, gammas: np.ndarray, r_cut: float, buffers: PathBuffers | None = None
 ) -> np.ndarray:
     """(1/n^2) sum over ordered pairs i != j with ||P_i - P_j|| <= r_cut of ||.||^-gamma.
 
@@ -491,18 +549,22 @@ def _near_pair_energies(
     squared distance sums the columns in order on scratch that one chunk of
     ``_ENERGY_CANDIDATES`` pairs bounds, and d^2 <= r_cut^2 is the one
     radius test.  The near pairs of a chunk are summed for several gammas at
-    once on that same scratch.
+    once on that same scratch.  The padded columns are on the slot 1 of
+    ``buffers`` and the scratch on its slot 0 (fresh arrays when None).
     """
     n, dim = points.shape
-    points = points[np.argsort(points[:, 0], kind="stable")]
-    times = points[:, 0]
+    order = np.argsort(points[:, 0], kind="stable")
+    times = points[order, 0]
     reach = r_cut * (1.0 + 1e-9)  # the time window only picks candidates
     lags = int(np.max(np.searchsorted(times, times + reach, side="right") - np.arange(1, n + 1)))
-    cols = np.full((dim, n + lags), np.inf)
-    cols[:, :n] = points.T
+    buffers = PathBuffers() if buffers is None else buffers
+    cols = buffers.take(1, (dim, n + lags))
+    cols[:, n:] = np.inf
+    cols[:, :n] = points[order].T
+    del order, times  # the chunks read cols alone
     rows = min(n, _ENERGY_CANDIDATES)
     width = _ENERGY_CANDIDATES // rows
-    d2_buf, diff_buf = np.empty((2, width * rows))
+    d2_buf, diff_buf = buffers.take(0, (2, width * rows))
     near_buf = np.empty(width * rows, dtype=bool)
     r2 = r_cut * r_cut
     sums = np.zeros(gammas.size)
@@ -522,7 +584,8 @@ def _near_pair_energies(
                     np.multiply(diff, diff, out=diff)
                     np.add(d2, diff, out=d2)
             near = np.less_equal(d2_buf[:size], r2, out=near_buf[:size])
-            d = np.compress(near, d2_buf[:size], out=diff_buf[: np.count_nonzero(near)])
+            d = diff_buf[: np.count_nonzero(near)]
+            d[:] = d2_buf[:size][near]
             if not d.all():
                 raise DegenerateSample("duplicate points in the energy subsample")
             np.sqrt(d, out=d)
@@ -549,8 +612,9 @@ def energy_cover_level(borel: BorelSetSpec, n_needed: int) -> int | None:
 def _energy_candidates(
     path: LevyPath, borel: BorelSetSpec, cover_level, n_needed: int
 ) -> np.ndarray:
-    """Indices of the path's rows carrying the natural measure of B, one per
-    structural cell.
+    """Which of the path's rows carry the natural measure of B, one per
+    structural cell: a boolean mask of its rows, tested ``ROW_CHUNK`` rows
+    at a time.
 
     On intervals every covered grid point qualifies.  On a self-similar set
     the candidates are thinned to one grid point per piece at the shallowest
@@ -560,23 +624,42 @@ def _energy_candidates(
     The path must hold every grid row of that cover.
     """
     level = energy_cover_level(borel, n_needed)
-    if level is None:
-        idx = np.flatnonzero(borel.contains(path.times, path.n, cover_level))
-        if idx.size == 0:
-            raise EmptyRestriction("no grid point falls inside the time set")
-        return idx
-    piece = borel.r**level
-    if piece < path.grid_step:
+    if level is not None and borel.r**level < path.grid_step:
         raise DegenerateSample(
             f"grid too coarse to thin {n_needed} samples to level-{level} pieces; "
             "raise the grid depth or lower subsample * ratio"
         )
-    idx = np.flatnonzero(borel.contains(path.times, path.n, level))
-    if idx.size == 0:
+    qualifies = np.empty(path.times.size, dtype=bool)
+    last = -1  # the piece of the last candidate so far; times are >= 0
+    for start in range(0, qualifies.size, ROW_CHUNK):
+        times = path.times[start : start + ROW_CHUNK]
+        part = qualifies[start : start + ROW_CHUNK]
+        part[:] = borel.contains(times, path.n, cover_level if level is None else level)
+        if level is None or not part.any():
+            continue
+        # the times ascend, so each piece's first row is where the piece changes
+        piece = np.floor(times[part] / borel.r**level).astype(np.int64)
+        part[part] = np.diff(piece, prepend=last) != 0
+        last = piece[-1]
+    if not qualifies.any():
         raise EmptyRestriction("no grid point falls inside the time set")
-    cell = np.floor(path.times[idx] / piece).astype(np.int64)
-    _, first = np.unique(cell, return_index=True)
-    return idx[first]
+    return qualifies
+
+
+def _rows_of_ranks(qualifies: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The rows of the True entries of ``qualifies`` numbered ``ranks``
+    (ascending, from 0), found ``ROW_CHUNK`` rows at a time."""
+    rows = np.empty(ranks.size, dtype=np.int64)
+    seen = done = 0
+    for start in range(0, qualifies.size, ROW_CHUNK):
+        part = qualifies[start : start + ROW_CHUNK]
+        count = int(np.count_nonzero(part))
+        upto = int(np.searchsorted(ranks, seen + count))
+        if upto > done:
+            rows[done:upto] = start + np.flatnonzero(part)[ranks[done:upto] - seen]
+        seen += count
+        done = upto
+    return rows
 
 
 def check_energy(gammas, subsample: int, ratio: int, n: int) -> None:
@@ -605,6 +688,7 @@ def energy_dimension(
     seed: int,
     ratio: int = 8,
     cover_level: int | None = None,
+    _buffers: PathBuffers | None = None,
 ) -> EnergyEstimate:
     """Capacity (Frostman) lower-bound estimate of the graph dimension on B.
 
@@ -612,15 +696,17 @@ def energy_dimension(
     measure at sizes ``subsample`` and ``ratio * subsample`` by even
     decimation, computes near-pair energies over a gamma grid, and returns
     the largest gamma at which the energy is stable from below between the
-    two resolutions.
+    two resolutions.  The near-pair scratch is on the scratch slots 0 and 1
+    of ``_buffers`` (fresh arrays when None), never on the path's own.
     """
     check_energy(gammas, subsample, ratio, path.n)
     gammas = np.sort(np.asarray(gammas, dtype=float))
-    candidates = _energy_candidates(path, borel, cover_level, ratio * subsample)
-    n_blocks = min(ratio, candidates.size // subsample)
+    qualifies = _energy_candidates(path, borel, cover_level, ratio * subsample)
+    candidates = int(np.count_nonzero(qualifies))
+    n_blocks = min(ratio, candidates // subsample)
     if n_blocks < 2:
         raise DegenerateSample(
-            f"time set holds only {candidates.size} usable grid points; "
+            f"time set holds only {candidates} usable grid points; "
             f"need >= {2 * subsample}"
         )
     n_large = n_blocks * subsample
@@ -629,15 +715,15 @@ def energy_dimension(
     # distribution at every size and cannot reveal divergence.  The small
     # reference blocks interleave the large selection, giving n_blocks
     # disjoint copies at n_blocks-fold coarser resolution.
-    stride = candidates.size // n_large
+    stride = candidates // n_large
     rng = derive_rng(seed, "energy/subsample")
-    slack = candidates.size - 1 - stride * (n_large - 1)
+    slack = candidates - 1 - stride * (n_large - 1)
     offset = int(rng.integers(0, slack + 1)) if slack > 0 else 0
-    chosen = candidates[offset + stride * np.arange(n_large)]
-    del candidates  # up to one index a grid row, far more than the selection
+    chosen = _rows_of_ranks(qualifies, offset + stride * np.arange(n_large))
     # the graph points (t, X(t)) of the large selection; block b is every
     # n_blocks-th of them from b
     graph = np.column_stack([path.times[chosen], path.values[chosen]])
+    del qualifies, chosen  # a byte a path row, and an index a point: not read again
 
     # Truncation radii scale with each selection's own resolution: a fixed
     # multiple of the median consecutive-point distance.  Using the same
@@ -654,12 +740,12 @@ def energy_dimension(
 
     block_energies = np.array(
         [
-            _near_pair_energies(graph[b::n_blocks], gammas, r_small)
+            _near_pair_energies(graph[b::n_blocks], gammas, r_small, _buffers)
             for b in range(n_blocks)
         ]
     )
     e_small = np.median(block_energies, axis=0)
-    e_large = _near_pair_energies(graph, gammas, r_large)
+    e_large = _near_pair_energies(graph, gammas, r_large, _buffers)
     if np.any(e_small <= 0.0) or np.any(e_large <= 0.0):
         raise DegenerateSample("no pairs below the truncation radius")
     log_small = np.log(e_small)

@@ -256,7 +256,7 @@ def _box_stages(sc: Scenario, theory: dict, seed: int, threads: int):
         if i == 0:
             energy = energy_dimension(
                 path, sc.borel, sc.energy_gammas, sc.energy_subsample, seed,
-                ratio=sc.energy_ratio, cover_level=sc.cover_level,
+                ratio=sc.energy_ratio, cover_level=sc.cover_level, _buffers=buffers,
             )
         return g.estimate, g.range.estimate, energy
 

@@ -80,17 +80,29 @@ def _check_steps(dt, n: int) -> None:
 
 class PathBuffers:
     """Float64 arrays that one worker reuses from path to path, one per
-    named slot, so that the draws, sums and cells of a path land in memory
-    that is already paged in.
+    named slot, so that the draws, sums, cells and keys of a path land in
+    memory that is already paged in; the int64 cells and keys are views.
 
     :meth:`take` returns an uninitialised array on a slot's storage, grown
     when too small; it stays valid until the slot is taken again.  The
-    slots "times" and "values" hold a path; 0, 1 and 2 are scratch, taken in
-    turn by a sampler (its variates on 0; a stable sampler's angles and
-    exponentials on 0 and 1, or on 1 and 2 beside the isotropic sampler's
-    normals; the semistable sampler's uniforms on 1), the embedding of a
-    block (its products on 1) and the box kernel (the cells of column j on
-    j).  A fresh set is a set of fresh arrays, which is how the public calls
+    slots, each with its size in values a row of a path in d dimensions:
+
+    * "times" (1) and "values" (d) hold the path;
+    * 0, 1, 2 (and on to d) are scratch, taken in turn by a sampler (its
+      variates on 0; a stable sampler's angles and exponentials on 0 and 1,
+      or on 1 and 2 beside the isotropic sampler's normals, 2 a row on 0;
+      the semistable sampler's uniforms on 1), the embedding of a block (its
+      products on 1), the box kernel (the int64 cells of column j on j,
+      j = 0 .. d) and the near-pair energy kernel (its chunk scratch on 0,
+      its padded columns of the subsample on 1);
+    * "steps" (1) holds the steps of a path restricted to a time set;
+    * "key" (1) holds the box kernel's int64 Z-order keys, sorted and
+      compacted in place.
+
+    :func:`semidim.paths.check_grid` budgets these slots before a path is
+    drawn.
+
+    A fresh set is a set of fresh arrays, which is how the public calls
     allocate.
     """
 
@@ -101,6 +113,9 @@ class PathBuffers:
         size = math.prod(shape)
         store = self._slots.get(slot)
         if store is None or store.size < size:
+            # the old storage goes before the new is made, so that growing a
+            # slot never holds both
+            store = self._slots[slot] = None
             store = self._slots[slot] = np.empty(size)
         return store[:size].reshape(shape)
 

@@ -52,6 +52,9 @@ FULLNESS_TOL = 1e-3
 # Slack on the 5% two-sample KS critical value, absorbing small-jump
 # truncation bias in the semi-selfsimilarity test.
 KS_THRESHOLD_SLACK = 1.5
+# Rows per chunk of a pass over the grid or over a path's rows; bounds the
+# scratch of such a pass, whatever the depth.
+ROW_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -220,12 +223,15 @@ def check_memory(floats: int, what: str) -> None:
 
 def check_grid(n: int, d: int) -> None:
     """Reject a negative depth or a grid of depth n in d dimensions that would
-    not fit in physical memory: times and values, plus one block's
-    increments and a sampler temporary of their size."""
+    not fit in physical memory: the :class:`PathBuffers` slots that a path
+    and its box count hold, in values a row: times (1), values (d), the
+    steps of a restricted path (1), the box kernel's keys (1), and 2d of
+    scratch for a block's increments, a sampler's temporaries and the box
+    kernel's cells."""
     if n < 0:
         raise ValueError("grid depth must be nonnegative")
     # beyond 2^64 points no memory suffices, so 2^n is never formed for a huge n
-    check_memory((2 ** min(n, 64) + 1) * (1 + 3 * d), f"a grid of depth n={n} in d={d}")
+    check_memory((2 ** min(n, 64) + 1) * (3 + 3 * d), f"a grid of depth n={n} in d={d}")
 
 
 def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray, scratch: np.ndarray) -> None:
@@ -287,14 +293,21 @@ def simulate_path(
     # before the first step
     if mask is None or mask.all():
         rows, first = None, 1
-        times = np.multiply(np.arange(2**n + 1), dt, out=buffers.take("times", (2**n + 1,)))
+        times = buffers.take("times", (2**n + 1,))
+        for start in range(0, times.size, ROW_CHUNK):
+            stop = min(start + ROW_CHUNK, times.size)
+            np.multiply(np.arange(start, stop), dt, out=times[start:stop])
         steps = dt
     else:
         rows = np.flatnonzero(mask)
         if rows.size == 0:
             raise EmptyRestriction("no grid point falls inside the time set")
         times, first = np.multiply(rows, dt, out=buffers.take("times", rows.shape)), int(rows[0] == 0)
-        steps = np.diff(rows, prepend=0)[first:] * dt
+        # the gaps between held rows, and row k itself before a first row k > 0
+        steps = buffers.take("steps", (rows.size - first,))
+        np.subtract(rows[1:], rows[:-1], out=steps[1 - first :])
+        steps[:1 - first] = rows[:1 - first]
+        steps *= dt
     size = times.size - first
     values = buffers.take("values", (spec.d, times.size)).T
     values.fill(0.0)

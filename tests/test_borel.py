@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from semidim import BorelSetSpec, cantor, interval, simulate_path, time_set, uni
 from semidim.borel import SetKind, check_cover_level
 from semidim.errors import InvalidInputs, ResolutionTooCoarse
 from semidim.laws import BlockLaw, LawKind
-from semidim.paths import grid_times
+from semidim.paths import ROW_CHUNK, grid_times
 
 BM_LAWS = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),)
 
@@ -126,6 +127,31 @@ class TestMask:
         assert np.array_equal(spec.contains(grid_times(n)[rows], n, level), mask[rows])
         kept = np.flatnonzero(mask)
         assert spec.contains(kept * 2.0**-n, n, level).all()
+
+    CHUNK_BITS = ROW_CHUNK.bit_length() - 1
+
+    @pytest.mark.parametrize("n", [CHUNK_BITS - 1, CHUNK_BITS, CHUNK_BITS + 1])
+    @pytest.mark.parametrize(
+        "spec, level",
+        [(cantor(), 8), (cantor(3, 0.2), 5), (union(interval(0.0, 0.2), cantor()), 6), (interval(0.3, 0.6), None)],
+    )
+    def test_chunked_mask_is_contains_on_the_whole_grid(self, spec, level, n):
+        # grids of less than one chunk, one chunk and a row, two chunks and a row
+        assert ROW_CHUNK == 2**self.CHUNK_BITS
+        assert np.array_equal(spec.mask(n, level), spec.contains(grid_times(n), n, level))
+
+    def test_mask_scratch_is_bounded_by_the_chunk(self):
+        # 2^20 + 1 grid times: a 1 MiB answer, where one contains call on the
+        # whole grid would peak at 33 MiB of float copies and masks
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cantor().mask(20, 8)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
         "spec, level", [(cantor(10**12, 1e-13), None), (cantor(2**53, 2.0**-53), None), (cantor(2**53, 2.0**-53), 2)]

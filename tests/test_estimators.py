@@ -62,7 +62,7 @@ class TestBoxCounting:
 
     def test_non_monotone_counts_raise(self, monkeypatch):
         # a graph count that falls as the nested cubes shrink breaks an invariant
-        def shrinking(columns, sides, targets, buffers):
+        def shrinking(columns, sides, targets, *rest):
             return np.tile(np.arange(sides.size, 0, -1), (len(targets), 1))
 
         monkeypatch.setattr(sd.estimators, "_cube_counts", shrinking)
@@ -176,6 +176,15 @@ class TestCubeKernel:
         sides = rng.permutation(self.LADDERS[ladder])  # counts follow the given order
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_across_chunks(self, dim):
+        # more than two chunks of rows: the consecutive-row and sorted-key
+        # dedups carry each chunk's last row into the next
+        rng = np.random.default_rng(20 + dim)
+        points = walk_cloud(rng, 2 * estimators.ROW_CHUNK, dim)
+        sides = sd.dyadic_scales(6, 12)
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_skipped_octaves(self, dim):
         # neighbouring sides 3, 1 and 5 octaves apart, in any order
@@ -190,9 +199,9 @@ class TestCubeKernel:
         calls = []
         octave_counts = sd.estimators._octave_counts
 
-        def spy(columns, sides, targets, buffers):
+        def spy(columns, sides, *rest):
             calls.append(sides.size)
-            return octave_counts(columns, sides, targets, buffers)
+            return octave_counts(columns, sides, *rest)
 
         monkeypatch.setattr(sd.estimators, "_octave_counts", spy)
         return calls
@@ -205,10 +214,13 @@ class TestCubeKernel:
         points[2000:4000] += [1e5, -1e5, 1e5]
         sides = sd.dyadic_scales(0, 10)
         assert offset_key_bits(points, sides) > 63
-        # every high part lies below its radix, and the radices fit the key
+        # every high part lies below its radix, the low bits stay, and the
+        # radices fit the key
         cells = [np.floor(c / sides.min()).astype(np.int64) for c in points.T]
-        highs, radices = _high_parts(cells, 10)
-        assert all(h.min() >= 0 and h.max() < r for h, r in zip(highs, radices))
+        lows = [c & (2**10 - 1) for c in cells]
+        radices = _high_parts(cells, 10, np.empty(cells[0].size, dtype=np.int64))
+        assert all((c >> 10).min() >= 0 and (c >> 10).max() < r for c, r in zip(cells, radices))
+        assert all(np.array_equal(c & (2**10 - 1), low) for c, low in zip(cells, lows))
         assert np.prod(radices, dtype=float) <= 2.0 ** (63 - 3 * 10)
         calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
@@ -232,7 +244,7 @@ class TestCubeKernel:
         points = rng.uniform(-1e6, 1e6, size=(70000, 4))
         side = 3.0**-3
         cells = [np.floor(c / side).astype(np.int64) for c in points.T]
-        assert _high_parts(cells, 0) is None
+        assert _high_parts(cells, 0, np.empty(cells[0].size, dtype=np.int64)) is None
         calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, [side]), reference_cube_counts(points, [side]))
         assert calls == [1]
@@ -527,3 +539,22 @@ class TestEnergyDimension:
         # grid too coarse to thin ratio*subsample points to distinct pieces
         with pytest.raises(DegenerateSample):
             sd.energy_dimension(line_path(14), cantor(2, 1 / 3), self.GAMMAS, 1024, 3, ratio=4)
+
+    @pytest.mark.parametrize(
+        "borel, cover_level, n_needed",
+        [(interval(0.1, 0.9), None, 8000), (cantor(), 8, 2048), (cantor(3, 0.2), None, 2000), (sd.union(interval(0.0, 0.1), cantor()), 7, 8000)],
+    )
+    def test_candidates_match_the_whole_path_index(self, borel, cover_level, n_needed):
+        # the candidates, tested a chunk of rows at a time, and the rows of
+        # chosen ranks equal the former index of every qualifying row, thinned
+        # to each piece's first row on a self-similar set
+        path = line_path(18)
+        level = estimators.energy_cover_level(borel, n_needed)
+        want = np.flatnonzero(borel.contains(path.times, path.n, cover_level if level is None else level))
+        if level is not None:
+            cell = np.floor(path.times[want] / borel.r**level).astype(np.int64)
+            want = want[np.unique(cell, return_index=True)[1]]
+        qualifies = estimators._energy_candidates(path, borel, cover_level, n_needed)
+        assert np.array_equal(np.flatnonzero(qualifies), want)
+        ranks = np.unique(np.random.default_rng(1).integers(0, want.size, 3000))
+        assert np.array_equal(estimators._rows_of_ranks(qualifies, ranks), want[ranks])

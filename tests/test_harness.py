@@ -24,7 +24,7 @@ from semidim.harness import (
     verdict,
 )
 from semidim.laws import BlockLaw, LawKind
-from semidim.paths import simulate_path
+from semidim.paths import ROW_CHUNK, simulate_path
 from semidim.spectral import validate_exponent
 
 
@@ -216,9 +216,10 @@ class TestRunScenario:
         assert len(calls) == 1
 
     def test_one_mask_per_grid(self, monkeypatch):
-        # brownian-cantor on a 2^18 grid: one full-grid membership test, the
-        # box stage's mask, shared by every path and target; the energy
-        # stage's thinning level is tested on the times path 0 holds
+        # brownian-cantor on a 2^18 grid: one pass of membership tests over
+        # the full grid, the box stage's mask, shared by every path and
+        # target; the energy stage's thinning level is tested once on the
+        # times path 0 holds; each pass runs a chunk of ROW_CHUNK times a call
         from semidim import harness
 
         obj = builtin_scenarios()["brownian-cantor"].as_dict()
@@ -240,7 +241,11 @@ class TestRunScenario:
         monkeypatch.setattr(BorelSetSpec, "contains", counted)
         monkeypatch.setattr(harness, "simulate_path", simulated)
         run_scenario(sc, 5, threads=2)
-        assert calls == [(2**18 + 1, 18, 8), (kept, 18, 11)]
+        box = [size for size, n, level in calls if (n, level) == (18, 8)]
+        energy = [size for size, n, level in calls if (n, level) == (18, 11)]
+        assert calls == [(size, 18, 8) for size in box] + [(size, 18, 11) for size in energy]
+        assert sum(box) == 2**18 + 1 and sum(energy) == kept
+        assert max(box + energy) <= ROW_CHUNK
         # the box paths hold just the rows of the box stage's mask
         assert held == [kept] * sc.n_seeds
 

@@ -275,6 +275,49 @@ class TestReusedBuffers:
         sd.box_count_graph(first, interval().mask(12), sd.dyadic_scales(1, 10), _buffers=buffers)
         assert first.times.tobytes() == times.tobytes() and first.values.tobytes() == values.tobytes()
 
+    @pytest.mark.parametrize("spec, laws", [(BROWNIAN, BM_LAWS), ISOTROPIC12, DIAGONAL], ids=["brownian", "isotropic", "two-blocks"])
+    def test_a_shrinking_path_reads_no_stale_slot(self, spec, laws):
+        # the second path holds fewer rows than the first; every slot is
+        # poisoned in between (NaN floats, int64 -1), so a count or an energy
+        # that read past the live rows would differ from the fresh one
+        n, sides, gammas = 17, sd.dyadic_scales(1, 12), np.arange(0.5, 2.5, 0.25)
+        narrow = interval(0.2, 0.4).mask(n)  # counted on a part of the rows held
+        buffers = PathBuffers()
+        for k, borel in enumerate((interval(0.0, 0.9), interval(0.1, 0.5))):
+            mask = borel.mask(n)
+            fresh = sd.simulate_path(spec, laws, n, seed=k, mask=mask)
+            lent = sd.simulate_path(spec, laws, n, seed=k, mask=mask, _buffers=buffers)
+            for counted in (mask, narrow):
+                want = sd.box_count_graph(fresh, counted, sides)
+                got = sd.box_count_graph(lent, counted, sides, _buffers=buffers)
+                assert np.array_equal(got.counts, want.counts)
+                assert np.array_equal(got.range.counts, want.range.counts)
+            want = sd.energy_dimension(fresh, borel, gammas, 1000, 3, ratio=4)
+            got = sd.energy_dimension(lent, borel, gammas, 1000, 3, ratio=4, _buffers=buffers)
+            assert got.as_dict() == want.as_dict()
+            for store in buffers._slots.values():
+                store.fill(0xFF)
+
+
+class TestGridBudget:
+    @pytest.mark.parametrize("spec, laws", [(BROWNIAN, BM_LAWS), ISOTROPIC12], ids=["d=1", "d=2"])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_slots_of_a_path_and_its_box_count_fit_the_preflight(self, monkeypatch, spec, laws, restricted):
+        # check_grid budgets the PathBuffers slots that one path and its box
+        # count hold; a path restricted to all but one row adds its steps
+        n = 12
+        budget = []
+        monkeypatch.setattr(sd.paths, "check_memory", lambda floats, what: budget.append(8 * floats))
+        sd.paths.check_grid(n, spec.d)
+        monkeypatch.undo()
+        mask = np.ones(2**n + 1, dtype=bool)
+        mask[1] = not restricted
+        buffers = PathBuffers()
+        path = sd.simulate_path(spec, laws, n, seed=1, mask=mask, _buffers=buffers)
+        sd.box_count_graph(path, mask, sd.dyadic_scales(1, 10), _buffers=buffers)
+        assert ("steps" in buffers._slots) == restricted and "key" in buffers._slots
+        assert sum(store.nbytes for store in buffers._slots.values()) <= budget[0]
+
 
 def reference_embed(out, block_values, basis):
     """The former embedding: every basis entry multiplied and added."""
