@@ -10,18 +10,20 @@ such group (a dyadic ladder is one, a base-3 or sqrt-3 ladder one per side)
 is quantised once, at its smallest side, into one Z-order (Morton) key per
 row and sorted once, and each coarser side of the group is a right shift of
 the sorted keys (dividing by a power of two is exact, so the counts match a
-per-side count bit for bit).  :func:`box_count_graph` quantises the masked
-time and space columns of a path once per group and sorts one key for the
-graph and one for the range; it takes the mask of B on the path's grid,
-which the caller computes once with :meth:`BorelSetSpec.mask`, and reads it
-at the rows the path holds (a path simulated on the mask holds just its
-rows).  The box kernel's scratch with a value a row lives on the reused
-slots of a :class:`~semidim.laws.PathBuffers`: the cells on the scratch
-slots, the keys on the slot "key", sorted in place and compacted in place
-``paths.ROW_CHUNK`` rows at a time; what else it makes is a chunk or a
-byte a row.  The energy estimator tests the path's own times with
-:meth:`BorelSetSpec.contains`, a chunk of rows at a time, and finds the near
-pairs of its truncated energies in numpy alone: sorted by time, each point's
+per-side count bit for bit).  :func:`box_count_graph` makes one pass over
+chunks of a path's masked rows per group: it quantises the time and space
+columns once, drops each row whose cells equal the row's before with one
+compare a row, and keys the kept rows straight from their cells, one key
+for the graph and one for the range.  It takes the mask of B on the path's
+grid, which the caller computes once with :meth:`BorelSetSpec.mask`, and
+reads it at the rows the path holds (a path simulated on the mask holds
+just its rows).  The keys, a value a row, live on the slot 0 of a reused
+:class:`~semidim.laws.PathBuffers`, sorted in place and compacted in place
+a chunk at a time; the cells of a chunk live on its slot 1, and what
+else the kernel makes is a chunk or a byte a row.  The energy
+estimator tests the path's own times with :meth:`BorelSetSpec.contains`, a
+chunk of rows at a time, and finds the near pairs of its truncated energies
+in numpy alone: sorted by time, each point's
 candidate partners are the next few rows, tested a chunk of lags at a time
 (:func:`_near_pair_energies`).
 
@@ -63,6 +65,9 @@ from .spectral import ExponentSpec
 BOX_FIT_DROP = 2  # scales dropped at each end of the fit window
 MIN_FIT_SCALES = 6
 _ENERGY_CANDIDATES = 2**16  # candidate pairs per near-pair chunk; bounds the kernel's scratch
+# Rows per chunk of the box kernel's pass over a path, whose scratch is
+# about 1 MiB: the cells of the chunk and of its kept rows, D int64 a row each.
+_BOX_ROWS = ROW_CHUNK // 4
 # Largest growth of the truncated log-energy, from the small to the large
 # subsample, at which the energy still counts as finite.
 ENERGY_THRESHOLD = 0.1
@@ -83,162 +88,220 @@ def geometric_scales(base: float, k_min: int, k_max: int) -> np.ndarray:
     return float(base) ** (-np.arange(k_min, k_max + 1, dtype=float))
 
 
-def _drop_repeats(columns: list) -> int:
-    """Move each row of the equal-length ``columns`` that differs from the
-    row before it in some column (and the first row) to the front of every
-    column, in order, ``ROW_CHUNK`` rows at a time; returns how many moved.
+def _drop_repeats(keys: np.ndarray) -> int:
+    """Move each of the sorted ``keys`` that differs from the key before it
+    (and the first) to the front, in order, ``_BOX_ROWS`` keys at a time;
+    returns how many moved.
 
-    A row moves to its own place or before it, so the row before a chunk is
-    still its own when the chunk reads it: either no row moved onto it, or
-    every row before it stayed in place."""
-    total = columns[0].size
+    A key moves to its own place or before it, so the key before a chunk is
+    still its own when the chunk reads it: either no key moved onto it, or
+    every key before it stayed in place."""
+    total = keys.size
     size = 0
-    new, differs = np.empty((2, min(total, ROW_CHUNK)), dtype=bool)
-    for start in range(0, total, ROW_CHUNK):
-        stop = min(start + ROW_CHUNK, total)
+    fresh = np.empty(min(total, _BOX_ROWS), dtype=bool)
+    for start in range(0, total, _BOX_ROWS):
+        stop = min(start + _BOX_ROWS, total)
         lo = max(start, 1)
-        fresh = new[: stop - start]
-        fresh[0] = start == 0
-        np.not_equal(columns[0][lo:stop], columns[0][lo - 1 : stop - 1], out=fresh[lo - start :])
-        for c in columns[1:]:
-            fresh[lo - start :] |= np.not_equal(c[lo:stop], c[lo - 1 : stop - 1], out=differs[: stop - lo])
-        rows = np.flatnonzero(fresh)
-        for c in columns:
-            c[size : size + rows.size] = c[start:stop].take(rows)
+        part = fresh[: stop - start]
+        part[0] = start == 0
+        np.not_equal(keys[lo:stop], keys[lo - 1 : stop - 1], out=part[lo - start :])
+        rows = np.flatnonzero(part)
+        keys[size : size + rows.size] = keys[start:stop].take(rows)
         size += rows.size
     return size
 
 
-def _rank_highs(cells: np.ndarray, m: int, scratch: np.ndarray) -> int:
-    """Replace the part of ``cells`` above the low ``m`` bits by its rank among
-    the distinct such parts, in place; returns how many there are.  They are
-    sorted and compacted on ``scratch``, an int64 array of the cells' size."""
-    values = np.right_shift(cells, m, out=scratch)
-    values.sort()
-    values = values[: _drop_repeats([values])]
-    for start in range(0, cells.size, ROW_CHUNK):
-        part = cells[start : start + ROW_CHUNK]
-        rank = np.searchsorted(values, part >> m)
-        part &= (1 << m) - 1
-        part |= rank << m
-    return values.size
+def _kept_cells(columns: list, b: float, keep, buffers: PathBuffers):
+    """Yield, one chunk of rows at a time, the int64 cells floor(c / b) of
+    the rows of ``columns`` that ``keep`` marks (all when None), less each
+    row whose cells all equal those of the kept row before it: a (D, k)
+    array, valid until the next chunk.
+
+    Each column is quantised once, and a row is compared with the row
+    before it once, in one pass over all D columns of the chunk.  The cells
+    are formed as floats on the slot 1 of ``buffers``, ``_BOX_ROWS`` rows
+    of D values, after a column 0 that carries the last row of the chunk
+    before; the kept rows are then cast to int64 in place."""
+    dim, total = len(columns), columns[0].size
+    rows = min(_BOX_ROWS, total)
+    cells = buffers.take(1, (dim, rows + 1))
+    differs = np.empty((dim, rows), dtype=bool)
+    fresh = np.empty(rows, dtype=bool)
+    seen = False
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        where = None if keep is None else keep[start:stop]
+        k = stop - start if where is None else int(np.count_nonzero(where))
+        if k == 0:
+            continue
+        # floor(c / b) as a float, cast to int64 only on the rows kept
+        for j, c in enumerate(columns):
+            part = c[start:stop]
+            np.divide(part if where is None else part[where], b, out=cells[j, 1 : k + 1])
+        np.floor(cells[:, 1 : k + 1], out=cells[:, 1 : k + 1])
+        np.not_equal(cells[:, 1 : k + 1], cells[:, :k], out=differs[:, :k])
+        np.logical_or.reduce(differs[:, :k], axis=0, out=fresh[:k])
+        fresh[0] |= not seen
+        seen = True
+        index = np.flatnonzero(fresh[:k])
+        kept = cells.view(np.int64)[:, 1 : index.size + 1]
+        cells[:, 0] = cells[:, k]
+        for j in range(dim):
+            kept[j] = cells[j, 1 : k + 1].take(index)
+        yield kept
 
 
-def _high_parts(cells: list, m: int, scratch: np.ndarray) -> list | None:
-    """Rewrite each column's cells above the low ``m`` bits, in place, as
-    offsets from their minimum or, while the columns do not fit in a 63-bit
-    key beside the ``len(cells) * m`` interleaved bits, as ranks among the
-    column's distinct values (:func:`_rank_highs` on ``scratch``), widest
-    column first; the low bits stay.  Returns the radices of the high parts
-    cell >> m, or None when even the ranks do not fit."""
-    room = 63 - len(cells) * m
+def _rank_values(column: np.ndarray, scale: float, keep) -> np.ndarray:
+    """The distinct values of floor(c / scale) over the rows of ``column``
+    that ``keep`` marks (all when None), sorted, as int64: the first of each
+    run of equal values, chunk by chunk, made unique once."""
+    heads = []
+    for start in range(0, column.size, _BOX_ROWS):
+        part = column[start : start + _BOX_ROWS]
+        high = np.divide(part if keep is None else part[keep[start : start + _BOX_ROWS]], scale)
+        np.floor(high, out=high)
+        first = np.empty(high.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(high[1:], high[:-1], out=first[1:])
+        heads.append(high[first])
+    return np.unique(np.concatenate(heads)).astype(np.int64)
+
+
+def _high_parts(columns: list, b: float, keep, m: int, lows: list, highs: list):
+    """The high parts cell >> m of each column as offsets from their minimum
+    or, while the columns do not fit in a 63-bit key beside the
+    ``len(columns) * m`` interleaved bits, as ranks among the column's
+    distinct values (:func:`_rank_values`), widest column first.  Returns
+    the radices of the high parts and, per column, its smallest high part
+    (an offset) or its sorted distinct high parts (ranks); None when even
+    the ranks do not fit.  ``lows`` and ``highs`` are the columns' extremes
+    over the rows counted: floor is monotone, so floor(min c / b) is the
+    smallest cell."""
+    room = 63 - len(columns) * m
     if room < 0:
         return None
-    radices = []
-    for c in cells:
-        # a shift is monotone, so the high parts' extremes are the cells'
-        lo, hi = int(c.min()) >> m, int(c.max()) >> m
-        c -= lo << m
-        radices.append(hi - lo + 1)
-    offsets = set(range(len(cells)))
+    shifts = [(int(np.floor(lo / b)) >> m, int(np.floor(hi / b)) >> m) for lo, hi in zip(lows, highs)]
+    radices = [hi - lo + 1 for lo, hi in shifts]
+    offsets = [lo for lo, _ in shifts]
     while math.prod(radices) > 2**room:
-        if not offsets:
+        fits = [j for j, o in enumerate(offsets) if not isinstance(o, np.ndarray)]
+        if not fits:
             return None
-        j = max(offsets, key=lambda i: radices[i])
-        offsets.remove(j)
-        radices[j] = _rank_highs(cells[j], m, scratch)
-    return radices
+        j = max(fits, key=lambda i: radices[i])
+        # floor(floor(c / b) / 2^m) = floor(c / (2^m b)): dividing by 2^m is exact
+        offsets[j] = _rank_values(columns[j], np.ldexp(b, m), keep)
+        radices[j] = offsets[j].size
+    return radices, offsets
 
 
-def _zorder_keys(cells: list, radices: list, m: int, cols, key: np.ndarray) -> np.ndarray:
-    """One int64 key per row of the columns ``cols``, written on ``key``
-    ``ROW_CHUNK`` rows at a time: bit i of the j-th column's low ``m`` bits
-    at bit i * D + j (D columns), the columns' high parts cell >> m above
-    them in mixed radix.  ``key >> (D * s)`` then identifies the row's cells
-    coarsened s octaves, floor(cell / 2^s) in every column."""
-    dim = len(cols)
-    # spread w low bits at a time by table: bit i of a chunk goes to bit i * D,
-    # and the table of column j's bits from b on is shifted to their place
-    w = max(min(m, 12), 1)
+def _spread_tables(m: int, cols) -> list:
+    """(column, bit, mask, table) for the interleave of :func:`_zorder_keys`:
+    the table spreads w of a column's low bits at once, bit i to bit i * D,
+    and is shifted to the place of the column's bits from b on, whose mask
+    keeps the w (or fewer, at the top) bits."""
+    dim, w = len(cols), min(m, 12)
+    if w == 0:
+        return []
     chunk = np.arange(2**w, dtype=np.int64)
     spread = np.zeros(2**w, dtype=np.int64)
     for i in range(w):
         spread |= ((chunk >> i) & 1) << (i * dim)
-    tables = [(j, b, spread << (b * dim + pos)) for pos, j in enumerate(cols) for b in range(0, m, w)]
-    scratch = np.empty((2, min(key.size, ROW_CHUNK)), dtype=np.int64)
-    for start in range(0, key.size, ROW_CHUNK):
-        rows = slice(start, start + ROW_CHUNK)
-        part = np.right_shift(cells[cols[0]][rows], m, out=key[rows])
-        bits, spread_bits = scratch[:, : part.size]
-        for j in cols[1:]:
-            part *= radices[j]
-            part += np.right_shift(cells[j][rows], m, out=bits)
-        part <<= dim * m
-        for j, b, table in tables:
-            np.right_shift(cells[j][rows], b, out=bits)
-            bits &= (1 << min(w, m - b)) - 1
-            part |= np.take(table, bits, out=spread_bits, mode="clip")
-    return key
+    return [(j, b, (1 << min(w, m - b)) - 1, spread << (b * dim + pos)) for pos, j in enumerate(cols) for b in range(0, m, w)]
 
 
-def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, keep=None) -> np.ndarray:
+def _zorder_keys(cells: np.ndarray, cols, radices: list, offsets: list, m: int, tables: list, key: np.ndarray, scratch) -> None:
+    """One int64 key per row of ``cells``, of the columns ``cols``, written on
+    ``key``: bit i of the j-th column's low ``m`` bits at bit i * D + j (D
+    columns), the columns' high parts cell >> m above them in mixed radix,
+    each less its offset or replaced by its rank (see :func:`_high_parts`).
+    ``key >> (D * s)`` then identifies the row's cells coarsened s octaves,
+    floor(cell / 2^s) in every column.  ``scratch`` is two int64 arrays of
+    the rows' length, or None when m = 0.
+
+    The offsets are subtracted at the end as one constant, sum_j
+    offset_j * radix_j, taken modulo 2^64: int64 arithmetic wraps, and the
+    key itself fits."""
+    constant = 0
+    for pos, j in enumerate(cols):
+        if pos:
+            key *= radices[j]
+        high = cells[j] if m == 0 else np.right_shift(cells[j], m, out=key if pos == 0 else scratch[0])
+        ranked = isinstance(offsets[j], np.ndarray)
+        if ranked:
+            high = np.searchsorted(offsets[j], high)
+        constant = constant * radices[j] + (0 if ranked else offsets[j])
+        if pos:
+            key += high
+        elif high is not key:
+            np.copyto(key, high)
+    key -= (constant + 2**63) % 2**64 - 2**63
+    if m:
+        key <<= len(cols) * m
+    for j, b, mask, table in tables:
+        bits = np.right_shift(cells[j], b, out=scratch[0])
+        bits &= mask
+        key |= np.take(table, bits, out=scratch[1], mode="clip")
+
+
+def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, keep, lows: list, highs: list) -> np.ndarray:
     """:func:`_cube_counts` on a group of sides that are power-of-two
     multiples of each other.
 
     Each column is quantised once, at the smallest side b; dividing by a
     power of two is exact in floating point, so floor(floor(p / b) / 2^s)
-    equals floor(p / (2^s b)) bit for bit.  The keys of a target are sorted
-    once; a right shift is monotone, so they stay sorted at every coarser
-    side, where the count is the number of adjacent keys that differ.  A
-    group whose key does not fit in 63 bits is counted as a finer and a
-    coarser half of its octaves; a single side, by comparing whole rows.
+    equals floor(p / (2^s b)) bit for bit.  One pass over chunks of rows
+    quantises the columns, drops each row whose cells all equal the row's
+    before it with one compare a row (:func:`_kept_cells`; a time-ordered
+    path often stays in one cube from row to row), and keys the kept rows
+    for every target straight from their cells (:func:`_zorder_keys`).  The
+    keys of a target are sorted once; a right shift is monotone, so they
+    stay sorted at every coarser side, where the count is the number of
+    adjacent keys that differ.  A group whose key does not fit in 63 bits is
+    counted as a finer and a coarser half of its octaves; a single side, by
+    comparing whole rows.
 
-    All scratch with a value a row is on ``buffers``: the int64 cells of
-    column j on slot j, the keys on slot "key", sorted and compacted in
-    place.  ``keep`` (None for all) marks the rows counted.
+    The keys of target t are row t of the slot 0 of ``buffers``, sorted and
+    compacted in place; the chunk's cells are on its slot 1.  ``keep``
+    (None for all) marks the rows counted, and ``lows`` and ``highs`` are
+    the columns' extremes over them.
     """
     octave = np.frexp(sides)[1]
     shifts = octave - octave.min()
     m = int(shifts.max())
-    size = columns[0].size if keep is None else int(np.count_nonzero(keep))
-    cells = []
-    for j, c in enumerate(columns):
-        q = buffers.take(j, (size,))
-        filled = 0
-        for start in range(0, c.size, ROW_CHUNK):
-            part = c[start : start + ROW_CHUNK]
-            if keep is not None:
-                part = part[keep[start : start + ROW_CHUNK]]
-            np.divide(part, sides.min(), out=q[filled : filled + part.size])
-            filled += part.size
-        np.floor(q, out=q)
-        # floor(c / b).astype(np.int64), cast element by element onto the same memory
-        cells.append(q.view(np.int64))
-        np.copyto(cells[-1], q, casting="unsafe")
-    # a time-ordered path often stays in one cube from row to row
-    size = _drop_repeats(cells)
-    cells = [c[:size] for c in cells]
+    b = sides.min()
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
-    key = buffers.take("key", (size,)).view(np.int64)
-    radices = _high_parts(cells, m, key)
-    if radices is None:
+    plan = _high_parts(columns, b, keep, m, lows, highs)
+    if plan is None:
         if m == 0:
+            cells = np.concatenate([c.copy() for c in _kept_cells(columns, b, keep, buffers)], axis=1)
             for t, cols in enumerate(targets):
-                counts[t] = np.unique(np.column_stack([cells[j] for j in cols]), axis=0).shape[0]
+                counts[t] = np.unique(cells[cols].T, axis=0).shape[0]
         else:
             octaves = np.unique(shifts)
             finer = shifts <= octaves[(octaves.size - 1) // 2]
             for half in (finer, ~finer):
-                counts[:, half] = _octave_counts(columns, sides[half], targets, buffers, keep)
+                counts[:, half] = _octave_counts(columns, sides[half], targets, buffers, keep, lows, highs)
         return counts
+    radices, offsets = plan
+    size = columns[0].size if keep is None else int(np.count_nonzero(keep))
+    store = buffers.take(0, (len(targets), size)).view(np.int64)
+    tables = [_spread_tables(m, cols) for cols in targets]
+    scratch = np.empty((2, min(size, _BOX_ROWS)), dtype=np.int64) if m else None
+    filled = 0
+    for cells in _kept_cells(columns, b, keep, buffers):
+        k = cells.shape[1]
+        for t, cols in enumerate(targets):
+            part = None if scratch is None else scratch[:, :k]
+            _zorder_keys(cells, cols, radices, offsets, m, tables[t], store[t, filled : filled + k], part)
+        filled += k
     for t, cols in enumerate(targets):
-        keys = _zorder_keys(cells, radices, m, cols, key)
+        keys = store[t, :filled]
         keys.sort()
         done = 0
         for k in np.argsort(shifts, kind="stable"):
             keys >>= len(cols) * int(shifts[k] - done)
             done = shifts[k]
-            keys = keys[: _drop_repeats([keys])]
+            keys = keys[: _drop_repeats(keys)]
             counts[t, k] = keys.size
     return counts
 
@@ -257,13 +320,15 @@ def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers
     # would return garbage cells instead of failing.
     reach = 2.0**62 * sides.min()
     where = True if keep is None else keep
-    if not all(c.min(where=where, initial=np.inf) > -reach and c.max(where=where, initial=-np.inf) < reach for c in columns):
+    lows = [c.min(where=where, initial=np.inf) for c in columns]
+    highs = [c.max(where=where, initial=-np.inf) for c in columns]
+    if not all(lo > -reach and hi < reach for lo, hi in zip(lows, highs)):
         raise DegenerateSample(f"points beyond 2^62 cubes of side {sides.min():g} from the origin")
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
     mantissas = np.frexp(sides)[0]
     for mantissa in np.unique(mantissas):
         group = mantissas == mantissa
-        counts[:, group] = _octave_counts(columns, sides[group], targets, buffers, keep)
+        counts[:, group] = _octave_counts(columns, sides[group], targets, buffers, keep, lows, highs)
     return counts
 
 
@@ -325,9 +390,9 @@ def box_count_graph(path: LevyPath, mask: np.ndarray, sides, _buffers: PathBuffe
     holds, and a path that holds just the rows in the set is counted as it
     is.  The cubes of the range X(t) are those of the graph (t, X(t))
     projected, so one ladder walk counts both.  The grid must resolve the
-    smallest cube: 2^-n <= min(side)/4.  The cells and keys are on the
-    scratch slots and the slot "key" of ``_buffers`` (fresh arrays when
-    None), never on the path's own.
+    smallest cube: 2^-n <= min(side)/4.  The keys are on the slot 0
+    and the cells of a chunk on the slot 1 of ``_buffers`` (fresh
+    arrays when None), never on the path's own.
     """
     check_box_sides(sides, path.n)
     keep = mask if path.rows is None else mask[path.rows]

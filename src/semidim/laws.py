@@ -28,6 +28,7 @@ c^(1/alpha) * X(dt) in distribution, while intermediate scale factors do not.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -80,27 +81,30 @@ def _check_steps(dt, n: int) -> None:
 
 class PathBuffers:
     """Float64 arrays that one worker reuses from path to path, one per
-    named slot, so that the draws, sums, cells and keys of a path land in
-    memory that is already paged in; the int64 cells and keys are views.
+    named slot, so that the draws, sums and keys of a path land in memory
+    that is already paged in; int64 and bool scratch are views.
 
     :meth:`take` returns an uninitialised array on a slot's storage, grown
-    when too small; it stays valid until the slot is taken again.  The
-    slots, each with its size in values a row of a path in d dimensions:
+    when too small; it stays valid until the slot is taken again.  A path
+    and its box count hold the slots "times", "values" and 0 (and "steps")
+    at a value or more a row, and chunk scratch beside them:
 
     * "times" (1) and "values" (d) hold the path;
-    * 0, 1, 2 (and on to d) are scratch, taken in turn by a sampler (its
-      variates on 0; a stable sampler's angles and exponentials on 0 and 1,
-      or on 1 and 2 beside the isotropic sampler's normals, 2 a row on 0;
-      the semistable sampler's uniforms on 1), the embedding of a block (its
-      products on 1), the box kernel (the int64 cells of column j on j,
-      j = 0 .. d) and the near-pair energy kernel (its chunk scratch on 0,
-      its padded columns of the subsample on 1);
-    * "steps" (1) holds the steps of a path restricted to a time set;
-    * "key" (1) holds the box kernel's int64 Z-order keys, sorted and
-      compacted in place.
+    * 0 holds a block's increments (a sampler's variates, the normals of
+      the isotropic sampler, 2 a row; a Gaussian-operator block's, d a
+      row), which the embedding sums a chunk at a time, then the box
+      kernel's int64 Z-order keys of the graph and of the range (2 a row),
+      sorted and compacted in place, then the near-pair energy kernel's
+      chunk scratch;
+    * 1 holds chunk scratch of about ``paths.ROW_CHUNK`` values at most:
+      the CMS kernel's, the embedding's products, a Gaussian-operator
+      block's normals and the box kernel's cells; then the near-pair energy
+      kernel's padded columns of its subsample;
+    * "steps" (1) holds the steps of a path restricted to a time set.
 
-    :func:`semidim.paths.check_grid` budgets these slots before a path is
-    drawn.
+    The semistable sampler takes the slot 1 for its uniforms, Gaussians and
+    rare jumps, a value or more a row.  :func:`semidim.paths.check_grid`
+    budgets these slots before a path is drawn.
 
     A fresh set is a set of fresh arrays, which is how the public calls
     allocate.
@@ -114,9 +118,11 @@ class PathBuffers:
         store = self._slots.get(slot)
         if store is None or store.size < size:
             # the old storage goes before the new is made, so that growing a
-            # slot never holds both
+            # slot never holds both; it grows to the next multiple of
+            # _CMS_CHUNK above the size, so that a path's N - 1 rows of
+            # increments and then N rows of box keys take it once
             store = self._slots[slot] = None
-            store = self._slots[slot] = np.empty(size)
+            store = self._slots[slot] = np.empty((size // _CMS_CHUNK + 1) * _CMS_CHUNK)
         return store[:size].reshape(shape)
 
 
@@ -124,21 +130,37 @@ def _shape(size) -> tuple:
     return () if size is None else (size if isinstance(size, tuple) else (size,))
 
 
-def _cms(rng: np.random.Generator, x: np.ndarray, w: np.ndarray, alpha: float, shift: float) -> None:
-    """Draw u ~ U(-pi/2, pi/2) on the flat ``x`` and w ~ Exp(1) on ``w`` (the
-    bits and stream of ``rng.uniform`` and ``rng.exponential``), then set x,
-    ``_CMS_CHUNK`` values at a time, to sin(alpha (u + shift)) / cos(u)^(1/alpha)
-    * (cos((1 - alpha) u - alpha shift) / w)^((1 - alpha)/alpha), taking every
-    sine and cosine from ``np.tan`` (SIMD where numpy's float64 sin and cos
-    are scalar) by identities that hold at shifts 0 and pi/2."""
-    rng.random(out=x)
-    x *= math.pi
-    x += -math.pi / 2
-    rng.standard_exponential(out=w)
-    scratch = np.empty((2, min(x.size, _CMS_CHUNK)))
-    for start in range(0, x.size, _CMS_CHUNK):
-        u, v = x[start : start + _CMS_CHUNK], w[start : start + _CMS_CHUNK]
-        t, s = scratch[:, : u.size]
+def _cms(rng, size: int, alpha: float, shift: float, scratch: np.ndarray, out: np.ndarray | None = None):
+    """Yield (start, x) for the ``size`` CMS variates, ``_CMS_CHUNK`` at a
+    time: x = sin(alpha (u + shift)) / cos(u)^(1/alpha)
+    * (cos((1 - alpha) u - alpha shift) / w)^((1 - alpha)/alpha) for
+    u ~ U(-pi/2, pi/2) and w ~ Exp(1), every sine and cosine taken from
+    ``np.tan`` (SIMD where numpy's float64 sin and cos are scalar) by
+    identities that hold at shifts 0 and pi/2.
+
+    The stream is that of ``rng.uniform`` for all the draws, then
+    ``rng.exponential``, so the uniforms and the exponentials of a chunk lie
+    at two positions in it.  A first pass draws the uniforms a chunk at a
+    time: onto the flat ``out``, where x is then formed in place, or, when
+    ``out`` is None, onto ``scratch`` and dropped, to be drawn again chunk
+    by chunk from a copy of ``rng`` taken before them.  Each chunk then
+    draws its exponentials from ``rng``, which ends where one whole draw
+    leaves it.  ``scratch`` is a (4, min(size, _CMS_CHUNK)) float array; x
+    is a chunk of ``out``, or a row of ``scratch`` valid until the next chunk.
+    """
+    uniforms = None if out is not None else copy.deepcopy(rng)
+    u_buf, v_buf, t_buf, s_buf = scratch
+    for start in range(0, size, _CMS_CHUNK):
+        stop = min(start + _CMS_CHUNK, size)
+        rng.random(out=u_buf[: stop - start] if out is None else out[start:stop])
+    for start in range(0, size, _CMS_CHUNK):
+        k = min(_CMS_CHUNK, size - start)
+        u, v, t, s = u_buf[:k] if out is None else out[start : start + k], v_buf[:k], t_buf[:k], s_buf[:k]
+        if uniforms is not None:
+            uniforms.random(out=u)
+        u *= math.pi
+        u += -math.pi / 2
+        rng.standard_exponential(out=v)
         # (cos(phi) / w)^((1 - alpha)/alpha) = (w sqrt(1 + tan(phi)^2))^((alpha - 1)/alpha)
         np.multiply(u, 1.0 - alpha, out=t)
         t -= alpha * shift
@@ -164,6 +186,12 @@ def _cms(rng: np.random.Generator, x: np.ndarray, w: np.ndarray, alpha: float, s
         u *= v
         u *= t
         u += u
+        yield start, u
+
+
+def _cms_scratch(buffers: PathBuffers, size: int) -> np.ndarray:
+    """The scratch of :func:`_cms`, on the slot 1 of ``buffers``."""
+    return buffers.take(1, (4, min(size, _CMS_CHUNK)))
 
 
 def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator, size=None, _buffers=None):
@@ -172,28 +200,31 @@ def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator
 
     The single formula, :func:`_cms` at shift 0, is continuous in alpha and
     reduces to tan(U) at alpha = 1 and to 2 sin(U) sqrt(W) (exactly Gaussian,
-    variance 2) at alpha = 2.  It is evaluated in place on the slots 0 and 1
-    of ``_buffers`` (a :class:`PathBuffers`; fresh arrays when None).
+    variance 2) at alpha = 2.  It is evaluated in place on the slot 0 of
+    ``_buffers`` (a :class:`PathBuffers`; fresh arrays when None), a chunk
+    at a time, with its chunk scratch on the slot 1.
     """
     _check_alpha(alpha)
     if np.any(scale <= 0):
         raise ValueError(f"scale must be positive, got {scale}")
     buffers = PathBuffers() if _buffers is None else _buffers
     x = buffers.take(0, _shape(size))
-    _cms(rng, x.reshape(-1), buffers.take(1, (x.size,)), alpha, 0.0)
+    for _ in _cms(rng, x.size, alpha, 0.0, _cms_scratch(buffers, x.size), out=x.reshape(-1)):
+        pass
     x *= scale
     return x if size is not None else x[()]
 
 
 def sample_one_sided_stable(gamma: float, rng: np.random.Generator, size=None, _buffers=None):
     """Positive gamma-stable variates with E exp(-lam*A) = exp(-lam**gamma):
-    :func:`_cms` at shift pi/2, in place on the slots 1 (the variates) and 2
-    of ``_buffers`` (fresh arrays when None)."""
+    :func:`_cms` at shift pi/2, in place on the slot 0 of ``_buffers``
+    (fresh arrays when None), with its chunk scratch on the slot 1."""
     if not 0.0 < gamma < 1.0:
         raise AlphaOutOfRange(f"one-sided index must be in (0, 1), got {gamma}")
     buffers = PathBuffers() if _buffers is None else _buffers
-    a = buffers.take(1, _shape(size))
-    _cms(rng, a.reshape(-1), buffers.take(2, (a.size,)), gamma, math.pi / 2)
+    a = buffers.take(0, _shape(size))
+    for _ in _cms(rng, a.size, gamma, math.pi / 2, _cms_scratch(buffers, a.size), out=a.reshape(-1)):
+        pass
     return a if size is not None else a[()]
 
 
@@ -203,7 +234,9 @@ def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Genera
     E exp(i <theta, X>) = exp(-(scale * |theta|)**alpha); rotation invariant
     by construction.  ``scale`` is one value, or one per vector.  The
     vectors sqrt(2) scale sqrt(A) G are formed in place on the slot 0 of
-    ``_buffers`` (fresh arrays when None), A on the one-sided sampler's slots.
+    ``_buffers`` (fresh arrays when None): the normals G first, then, a
+    chunk at a time, the one-sided (alpha/2)-stable A of :func:`_cms` on
+    its scratch on the slot 1, which scales the chunk's rows.
     """
     _check_alpha(alpha)
     if np.any(scale <= 0):
@@ -215,11 +248,15 @@ def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Genera
     if alpha == 2.0:
         g *= factor[..., None]
         return g
-    a = sample_one_sided_stable(alpha / 2.0, rng, size=shape, _buffers=buffers)
-    np.sqrt(a, out=a)
-    a *= factor
-    for column in (g[..., 0], g[..., 1]):  # faster than g *= a[..., None], the same products
-        column *= a
+    rows = g.reshape(-1, 2)
+    if factor.ndim:  # one per vector, flat
+        factor = np.broadcast_to(factor, shape).reshape(-1)
+    for start, a in _cms(rng, rows.shape[0], alpha / 2.0, math.pi / 2, _cms_scratch(buffers, rows.shape[0])):
+        np.sqrt(a, out=a)
+        a *= factor[start : start + a.size] if factor.ndim else factor
+        part = rows[start : start + a.size]
+        for column in (part[:, 0], part[:, 1]):  # faster than part *= a[:, None], the same products
+            column *= a
     return g
 
 

@@ -25,7 +25,9 @@ Gaussian-operator block draws N(0, C(t_i) - C(t_i - step_i)), C(0) = 0.  A
 path passes the steps between the grid rows it holds: on the whole grid the
 one step 2^-n, and on a time set B one per kept step and per gap of B's mask,
 and one over [0, t] for a first kept time t > 0.  A marginal X(t) is the
-increment over [0, t].
+increment over [0, t].  A path sums and embeds a block's increments one
+``ROW_CHUNK`` of rows at a time, carrying the sum from chunk to chunk, so
+that beside its times, values and increments it holds chunk scratch alone.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ KS_THRESHOLD_SLACK = 1.5
 # Rows per chunk of a pass over the grid or over a path's rows; bounds the
 # scratch of such a pass, whatever the depth.
 ROW_CHUNK = 2**16
+# Values that the chunked passes over a path (the samplers, the embedding,
+# the box kernel and the near-pair energy kernel) hold at once beside its
+# full-length slots, at most.
+CHUNK_SCRATCH = 8 * ROW_CHUNK
 
 
 @dataclass(frozen=True)
@@ -175,6 +181,18 @@ def _gaussian_covariance(block: SpectralBlock, law: BlockLaw, t: np.ndarray) -> 
     return t[:, None, None] * np.einsum("kij,jl,kml->kim", m_t, c1, m_t)
 
 
+def _gaussian_factors(block: SpectralBlock, law: BlockLaw, t: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Cholesky factors of C(t_i) - C(t_i - step_i), C(0) = 0, one per row of
+    the equal-length ``t`` and ``step``; shape (len(t), d, d)."""
+    cov = _gaussian_covariance(block, law, t)
+    before = t - step
+    later = before > 0
+    cov[later] -= _gaussian_covariance(block, law, before[later])
+    cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+    cov += 1e-14 * np.trace(cov, axis1=1, axis2=2)[:, None, None] * np.eye(block.d)
+    return np.linalg.cholesky(cov)
+
+
 def _block_increments(
     block: SpectralBlock,
     law: BlockLaw,
@@ -186,24 +204,30 @@ def _block_increments(
     buffers: PathBuffers,
 ) -> np.ndarray:
     """``size`` independent draws of X_j(t_i) - X_j(t_i - step_i), one row per
-    time, shape (size, block.d); ``times`` and ``steps`` are each one value
-    or one per row, with 0 < step_i <= t_i.  A Levy block draws X(step_i)
-    on the slots of ``buffers``; the Gaussian-operator block draws
-    N(0, C(t_i) - C(t_i - step_i)), C(0) = 0, with one Cholesky factor for
-    one time and step.
+    time, shape (size, block.d), on the slot 0 of ``buffers``; ``times`` and
+    ``steps`` are each one value or one per row, with 0 < step_i <= t_i.  A
+    Levy block draws X(step_i) on the slots of ``buffers``; the
+    Gaussian-operator block draws N(0, C(t_i) - C(t_i - step_i)), C(0) = 0,
+    with one Cholesky factor for one time and step.  Its factors, and its
+    normals on the slot 1, are formed a chunk of rows at a time, in the
+    order of one (size, d) draw of the normals; each (rows, d, d) temporary
+    of a chunk holds ``ROW_CHUNK / 8`` values, so that the chunk's
+    temporaries stay within ``CHUNK_SCRATCH``.
     """
     if not gaussian:
         inc = law.sample_increments(steps, size, rng, _buffers=buffers)
         return inc[:, None] if inc.ndim == 1 else inc
+    d = block.d
     t, step = np.broadcast_arrays(np.atleast_1d(times), np.atleast_1d(steps))
-    cov = _gaussian_covariance(block, law, t)
-    before = t - step
-    later = before > 0
-    cov[later] -= _gaussian_covariance(block, law, before[later])
-    cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
-    cov += 1e-14 * np.trace(cov, axis1=1, axis2=2)[:, None, None] * np.eye(block.d)
-    chol = np.broadcast_to(np.linalg.cholesky(cov), (size, block.d, block.d))
-    return np.einsum("kij,kj->ki", chol, rng.standard_normal((size, block.d)))
+    out = buffers.take(0, (size, d))
+    rows = max(ROW_CHUNK // (8 * d * d), 1)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        if t.size > 1 or start == 0:
+            chol = _gaussian_factors(block, law, t[start:stop], step[start:stop])
+        normals = rng.standard_normal(out=buffers.take(1, (stop - start, d)))
+        np.einsum("kij,kj->ki", np.broadcast_to(chol, (stop - start, d, d)), normals, out=out[start:stop])
+    return out
 
 
 def grid_times(n: int) -> np.ndarray:
@@ -225,18 +249,19 @@ def check_grid(n: int, d: int) -> None:
     """Reject a negative depth or a grid of depth n in d dimensions that would
     not fit in physical memory: the :class:`PathBuffers` slots that a path
     and its box count hold, in values a row: times (1), values (d), the
-    steps of a restricted path (1), the box kernel's keys (1), and 2d of
-    scratch for a block's increments, a sampler's temporaries and the box
-    kernel's cells."""
+    steps of a restricted path (1), and the slot 0, which holds a block's
+    increments (at most d) and then the box kernel's keys of the graph and
+    the range (2); and ``CHUNK_SCRATCH`` values beside them, the most that
+    the chunked passes over a path hold at once."""
     if n < 0:
         raise ValueError("grid depth must be nonnegative")
     # beyond 2^64 points no memory suffices, so 2^n is never formed for a huge n
-    check_memory((2 ** min(n, 64) + 1) * (3 + 3 * d), f"a grid of depth n={n} in d={d}")
+    check_memory((2 ** min(n, 64) + 1) * (2 + d + max(d, 2)) + CHUNK_SCRATCH, f"a grid of depth n={n} in d={d}")
 
 
 def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray, scratch: np.ndarray) -> None:
-    """out += block_values @ basis.T, one column multiply-add at a time, each
-    product formed in ``scratch`` (one value per row).
+    """out += block_values @ basis.T, one column multiply-add at a time,
+    ``scratch.size`` rows at a time, each product formed in ``scratch``.
 
     A block has a few columns and 2^n rows; elementwise multiply-adds keep
     such a thin product off BLAS, whose threads cost more than they save.
@@ -246,12 +271,16 @@ def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray, scratch
     product would be NaN, its row holds a non-finite value in another column,
     as every block column has a nonzero entry, so the path is still rejected.
     """
-    for i in range(basis.shape[0]):
-        for k in range(basis.shape[1]):
-            if basis[i, k] == 1.0:
-                out[:, i] += block_values[:, k]
-            elif basis[i, k] != 0.0:
-                out[:, i] += np.multiply(block_values[:, k], basis[i, k], out=scratch)
+    for start in range(0, out.shape[0], max(scratch.size, 1)):
+        rows = out[start : start + scratch.size]
+        values = block_values[start : start + scratch.size]
+        product = scratch[: rows.shape[0]]
+        for i in range(basis.shape[0]):
+            for k in range(basis.shape[1]):
+                if basis[i, k] == 1.0:
+                    rows[:, i] += values[:, k]
+                elif basis[i, k] != 0.0:
+                    rows[:, i] += np.multiply(values[:, k], basis[i, k], out=product)
 
 
 def simulate_path(
@@ -280,7 +309,12 @@ def simulate_path(
     The path is drawn, summed and embedded on the slots of ``_buffers`` (see
     :class:`PathBuffers`), and its times and values are the slots "times"
     and "values": valid until the next path drawn on the same buffers.
-    Without ``_buffers`` every array is fresh, and the path is the caller's.
+    Each block's increments, on the slot 0, are summed in place and added
+    into the values through the block's basis one ``ROW_CHUNK`` of rows at
+    a time: a chunk's first row adds the last sum before it, which gives
+    the bits of one whole cumulative sum, and the products of the
+    embedding take a chunk of scratch on the slot 1.  Without ``_buffers``
+    every array is fresh, and the path is the caller's.
     """
     check_grid(n, spec.d)
     laws, blocks = _block_laws(spec, laws)
@@ -317,8 +351,16 @@ def simulate_path(
         for j, (block, law, gaussian) in enumerate(blocks):
             rng = derive_rng(seed, f"{name}/block/{j}")
             inc = _block_increments(block, law, gaussian, times[first:], steps, size, rng, buffers)
-            # values[first:] += cumsum(inc) @ basis.T; row 0, when held, is X(0) = 0
-            _embed(values[first:], np.cumsum(inc, axis=0, out=inc), block.basis, buffers.take(1, (size,)))
+            # values[first:] += cumsum(inc) @ basis.T, a chunk of rows at a
+            # time, the chunk's sum carried on from the last row before it
+            # (the bits of one whole cumsum); row 0, when held, is X(0) = 0
+            scratch = buffers.take(1, (min(size, ROW_CHUNK),))
+            for start in range(0, size, ROW_CHUNK):
+                part = inc[start : start + ROW_CHUNK]
+                if start:
+                    part[0] += inc[start - 1]
+                np.cumsum(part, axis=0, out=part)
+                _embed(values[first + start : first + start + part.shape[0]], part, block.basis, scratch)
         # a NaN or an infinity makes the minimum or the maximum one
         finite = np.isfinite(values.min()) and np.isfinite(values.max())
     if not finite:
@@ -349,7 +391,7 @@ def sample_marginal(
         for j, (block, law, gaussian) in enumerate(blocks):
             rng = derive_rng(seed, f"{name}/block/{j}")
             inc = _block_increments(block, law, gaussian, t, t, size, rng, buffers)
-            _embed(out, inc, block.basis, buffers.take(1, (size,)))
+            _embed(out, inc, block.basis, buffers.take(1, (min(size, ROW_CHUNK),)))
     if not np.isfinite(out).all():
         raise DegenerateSample(f"marginal {name!r} leaves the float64 range")
     return out

@@ -214,13 +214,20 @@ class TestCubeKernel:
         points[2000:4000] += [1e5, -1e5, 1e5]
         sides = sd.dyadic_scales(0, 10)
         assert offset_key_bits(points, sides) > 63
-        # every high part lies below its radix, the low bits stay, and the
+        # every high part, less its offset or as its rank among the
+        # column's distinct high parts, lies below its radix, and the
         # radices fit the key
-        cells = [np.floor(c / sides.min()).astype(np.int64) for c in points.T]
-        lows = [c & (2**10 - 1) for c in cells]
-        radices = _high_parts(cells, 10, np.empty(cells[0].size, dtype=np.int64))
-        assert all((c >> 10).min() >= 0 and (c >> 10).max() < r for c, r in zip(cells, radices))
-        assert all(np.array_equal(c & (2**10 - 1), low) for c, low in zip(cells, lows))
+        columns = list(points.T)
+        radices, offsets = _high_parts(columns, sides.min(), None, 10, [c.min() for c in columns], [c.max() for c in columns])
+        assert any(isinstance(o, np.ndarray) for o in offsets)
+        for c, r, o in zip(columns, radices, offsets):
+            high = np.floor(c / sides.min()).astype(np.int64) >> 10
+            if isinstance(o, np.ndarray):
+                assert np.array_equal(o, np.unique(high))
+            else:
+                assert high.min() == o
+            part = np.searchsorted(o, high) if isinstance(o, np.ndarray) else high - o
+            assert part.min() >= 0 and part.max() < r
         assert np.prod(radices, dtype=float) <= 2.0 ** (63 - 3 * 10)
         calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
@@ -243,8 +250,8 @@ class TestCubeKernel:
         rng = np.random.default_rng(16)
         points = rng.uniform(-1e6, 1e6, size=(70000, 4))
         side = 3.0**-3
-        cells = [np.floor(c / side).astype(np.int64) for c in points.T]
-        assert _high_parts(cells, 0, np.empty(cells[0].size, dtype=np.int64)) is None
+        columns = list(points.T)
+        assert _high_parts(columns, side, None, 0, [c.min() for c in columns], [c.max() for c in columns]) is None
         calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, [side]), reference_cube_counts(points, [side]))
         assert calls == [1]

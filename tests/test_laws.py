@@ -149,6 +149,27 @@ class TestInPlaceSamplers:
             lent = sample_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size=size, _buffers=buffers)
             assert lent.tobytes() == fresh.tobytes()
 
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64])
+    @pytest.mark.parametrize("size", [_CMS_CHUNK - 1, _CMS_CHUNK, _CMS_CHUNK + 1, 2 * _CMS_CHUNK + 3])
+    @pytest.mark.parametrize(
+        "sampler, reference",
+        [
+            (lambda rng, size: sample_stable_increment(1.2, 1.7, rng, size=size), lambda rng, size: reference_stable_increment(1.2, 1.7, rng, size)),
+            (lambda rng, size: sample_one_sided_stable(0.6, rng, size=size), lambda rng, size: reference_one_sided_stable(0.6, rng, size)),
+            (lambda rng, size: sample_isotropic_stable_2d(1.2, 1.7, rng, size=size), lambda rng, size: reference_isotropic_stable_2d(1.2, 1.7, rng, size)),
+        ],
+        ids=["stable", "one-sided", "isotropic"],
+    )
+    def test_chunked_draws_keep_the_stream(self, sampler, reference, size, bit_generator):
+        # a sampler reads its uniforms and exponentials a chunk at a time
+        # from two positions of one stream; its values and the generator's
+        # next draw are those of the textbook order (all uniforms, then all
+        # exponentials), whatever the bit generator
+        got_rng, want_rng = (np.random.Generator(bit_generator(12345)) for _ in range(2))
+        got, want = sampler(got_rng, size), reference(want_rng, size)
+        np.testing.assert_allclose(got, want, rtol=CMS_RTOL, atol=0.0)
+        assert got_rng.random() == want_rng.random()
+
     def test_one_draw_without_a_size_is_a_scalar(self):
         # a draw without a size is the first value of a draw of one, bit for bit
         rng, ref = derive_rng(4, "scalar"), derive_rng(4, "scalar")
@@ -167,18 +188,23 @@ class TestInPlaceSamplers:
 
 
 class ForcedDraws:
-    """Stands in for a Generator in the CMS samplers: ``random`` gives the
-    uniforms r and ``standard_exponential`` the exponentials w."""
+    """Stands in for a Generator in the CMS samplers: ``random`` hands out
+    the uniforms r and ``standard_exponential`` the exponentials w, each in
+    successive slices, as a generator's stream would; a copy carries on
+    from where the original stands."""
 
     def __init__(self, r, w):
         self.r, self.w = r, w
+        self.at_r = self.at_w = 0
 
     def random(self, out):
-        out[...] = self.r
+        out[...] = self.r[self.at_r : self.at_r + out.size].reshape(out.shape)
+        self.at_r += out.size
         return out
 
     def standard_exponential(self, out):
-        out[...] = self.w
+        out[...] = self.w[self.at_w : self.at_w + out.size].reshape(out.shape)
+        self.at_w += out.size
         return out
 
 

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import scipy.stats
 import semidim as sd
 from semidim.borel import cantor, interval
 from semidim.errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EmptyRestriction, EnsembleTooSmall
-from semidim.laws import BlockLaw, LawKind, PathBuffers
+from semidim.laws import _CMS_CHUNK, BlockLaw, LawKind, PathBuffers
 from semidim.paths import KS_THRESHOLD_SLACK, sample_marginal
 
 BROWNIAN = sd.validate_exponent(np.array([[0.5]]), 2.0)
@@ -299,24 +300,77 @@ class TestReusedBuffers:
                 store.fill(0xFF)
 
 
+def grid_budget(monkeypatch, n, d):
+    """Bytes that check_grid budgets for a grid of depth n in d dimensions."""
+    budget = []
+    monkeypatch.setattr(sd.paths, "check_memory", lambda floats, what: budget.append(8 * floats))
+    sd.paths.check_grid(n, d)
+    monkeypatch.undo()
+    return budget[0]
+
+
+def traced_peak(call):
+    """tracemalloc's peak over the second of two calls of ``call``, counting
+    what the first left allocated (numpy reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        call()
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestGridBudget:
     @pytest.mark.parametrize("spec, laws", [(BROWNIAN, BM_LAWS), ISOTROPIC12], ids=["d=1", "d=2"])
     @pytest.mark.parametrize("restricted", [False, True])
     def test_slots_of_a_path_and_its_box_count_fit_the_preflight(self, monkeypatch, spec, laws, restricted):
         # check_grid budgets the PathBuffers slots that one path and its box
-        # count hold; a path restricted to all but one row adds its steps
-        n = 12
-        budget = []
-        monkeypatch.setattr(sd.paths, "check_memory", lambda floats, what: budget.append(8 * floats))
-        sd.paths.check_grid(n, spec.d)
-        monkeypatch.undo()
+        # count hold: the path's times and values, a block's increments and
+        # then the keys on slot 0, the steps of a path restricted to all but
+        # one row, and the chunk scratch on slot 1, which a path of four
+        # ROW_CHUNKs does not fill
+        n = 18
+        budget = grid_budget(monkeypatch, n, spec.d)
         mask = np.ones(2**n + 1, dtype=bool)
         mask[1] = not restricted
         buffers = PathBuffers()
         path = sd.simulate_path(spec, laws, n, seed=1, mask=mask, _buffers=buffers)
         sd.box_count_graph(path, mask, sd.dyadic_scales(1, 10), _buffers=buffers)
-        assert ("steps" in buffers._slots) == restricted and "key" in buffers._slots
-        assert sum(store.nbytes for store in buffers._slots.values()) <= budget[0]
+        slots = buffers._slots
+        assert set(slots) == {"times", "values", 0, 1} | ({"steps"} if restricted else set())
+        # a chunk, less than a value a row, and the grain a slot grows by
+        assert slots[1].size <= sd.paths.ROW_CHUNK + _CMS_CHUNK
+        assert sum(store.nbytes for store in slots.values()) <= budget
+
+    def test_a_gaussian_operator_path_fits_the_preflight(self, monkeypatch):
+        # the covariances and Cholesky factors of the Jordan block are formed
+        # a chunk of rows at a time, so one path at n = 16 stays in budget
+        n = 16
+        budget = grid_budget(monkeypatch, n, JORDAN[0].d)
+        buffers = PathBuffers()
+        assert traced_peak(lambda: sd.simulate_path(*JORDAN, n, seed=1, _buffers=buffers)) <= budget
+
+    def test_a_box_path_holds_its_rows_and_a_chunk_allowance(self):
+        # simulating, box counting and the energy estimate of one
+        # isotropic-12-interval path hold the times, the values and the
+        # increments' slot, plus the chunk scratch that check_grid allows
+        # beside them; cell columns or keys of a value a row would pass it.
+        # At n = 18 a path spans four ROW_CHUNKs, so that they can be told apart.
+        sc = sd.get_scenario("isotropic-12-interval")
+        n = 18
+        mask = sc.borel.mask(n)
+        buffers = PathBuffers()
+
+        def call():
+            path = sd.simulate_path(sc.spec, sc.laws, n, seed=1, _buffers=buffers)
+            sd.box_count_graph(path, mask, sc.box_sides, _buffers=buffers)
+            sd.energy_dimension(path, sc.borel, sc.energy_gammas, sc.energy_subsample, 1, ratio=sc.energy_ratio, _buffers=buffers)
+
+        peak = traced_peak(call)
+        held = sum(buffers._slots[slot].nbytes for slot in ("times", "values", 0))
+        assert peak <= held + 8 * sd.paths.CHUNK_SCRATCH
 
 
 def reference_embed(out, block_values, basis):
