@@ -23,7 +23,7 @@ a chunk at a time; the cells of a chunk live on its slot 1, and what
 else the kernel makes is a chunk or a byte a row.  The energy
 estimator tests the path's own times with :meth:`BorelSetSpec.contains`, a
 chunk of rows at a time, and finds the near pairs of its truncated energies
-in numpy alone: sorted by time, each point's
+in numpy alone: a path's rows come in time order, so each point's
 candidate partners are the next few rows, tested a chunk of lags at a time
 (:func:`_near_pair_energies`).
 
@@ -151,32 +151,17 @@ def _kept_cells(columns: list, b: float, keep, buffers: PathBuffers):
         yield kept
 
 
-def _rank_values(column: np.ndarray, scale: float, keep) -> np.ndarray:
-    """The distinct values of floor(c / scale) over the rows of ``column``
-    that ``keep`` marks (all when None), sorted, as int64: the first of each
-    run of equal values, chunk by chunk, made unique once."""
-    heads = []
-    for start in range(0, column.size, _BOX_ROWS):
-        part = column[start : start + _BOX_ROWS]
-        high = np.divide(part if keep is None else part[keep[start : start + _BOX_ROWS]], scale)
-        np.floor(high, out=high)
-        first = np.empty(high.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(high[1:], high[:-1], out=first[1:])
-        heads.append(high[first])
-    return np.unique(np.concatenate(heads)).astype(np.int64)
-
-
-def _high_parts(columns: list, b: float, keep, m: int, lows: list, highs: list):
+def _high_parts(columns: list, b: float, keep, m: int, lows: list, highs: list, buffers: PathBuffers):
     """The high parts cell >> m of each column as offsets from their minimum
     or, while the columns do not fit in a 63-bit key beside the
     ``len(columns) * m`` interleaved bits, as ranks among the column's
-    distinct values (:func:`_rank_values`), widest column first.  Returns
-    the radices of the high parts and, per column, its smallest high part
-    (an offset) or its sorted distinct high parts (ranks); None when even
-    the ranks do not fit.  ``lows`` and ``highs`` are the columns' extremes
-    over the rows counted: floor is monotone, so floor(min c / b) is the
-    smallest cell."""
+    distinct values (the heads of its runs, which :func:`_kept_cells`
+    yields on the slot 1 of ``buffers``, made unique once), widest column
+    first.  Returns the radices of the high parts and, per column, its
+    smallest high part (an offset) or its sorted distinct high parts
+    (ranks); None when even the ranks do not fit.  ``lows`` and ``highs``
+    are the columns' extremes over the rows counted: floor is monotone, so
+    floor(min c / b) is the smallest cell."""
     room = 63 - len(columns) * m
     if room < 0:
         return None
@@ -189,7 +174,8 @@ def _high_parts(columns: list, b: float, keep, m: int, lows: list, highs: list):
             return None
         j = max(fits, key=lambda i: radices[i])
         # floor(floor(c / b) / 2^m) = floor(c / (2^m b)): dividing by 2^m is exact
-        offsets[j] = _rank_values(columns[j], np.ldexp(b, m), keep)
+        heads = [cells[0].copy() for cells in _kept_cells([columns[j]], np.ldexp(b, m), keep, buffers)]
+        offsets[j] = np.unique(np.concatenate(heads))
         radices[j] = offsets[j].size
     return radices, offsets
 
@@ -270,7 +256,7 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
     m = int(shifts.max())
     b = sides.min()
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
-    plan = _high_parts(columns, b, keep, m, lows, highs)
+    plan = _high_parts(columns, b, keep, m, lows, highs, buffers)
     if plan is None:
         if m == 0:
             cells = np.concatenate([c.copy() for c in _kept_cells(columns, b, keep, buffers)], axis=1)
@@ -283,7 +269,7 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
                 counts[:, half] = _octave_counts(columns, sides[half], targets, buffers, keep, lows, highs)
         return counts
     radices, offsets = plan
-    size = columns[0].size if keep is None else int(np.count_nonzero(keep))
+    size = columns[0].size
     store = buffers.take(0, (len(targets), size)).view(np.int64)
     tables = [_spread_tables(m, cols) for cols in targets]
     scratch = np.empty((2, min(size, _BOX_ROWS)), dtype=np.int64) if m else None
@@ -605,28 +591,27 @@ def _near_pair_energies(
 ) -> np.ndarray:
     """(1/n^2) sum over ordered pairs i != j with ||P_i - P_j|| <= r_cut of ||.||^-gamma.
 
-    Column 0 is time.  With the points sorted by time, a near partner of row
-    i lies at most K rows later, K being the most rows any time window
-    t_i + r_cut reaches.  So the candidate pairs are (i, i + k) for the lags
-    k = 1 .. K, taken a chunk of lags (and, for long samples, of rows) at a
-    time, and the cost follows n K rather than n^2.  Each column is padded
-    with K infinities, so a lag past the last row is never near.  The
-    squared distance sums the columns in order on scratch that one chunk of
+    Column 0 is time, and it must ascend (a path's rows and every
+    decimation of them do): a near partner of row i then lies at most K
+    rows later, K being the most rows any time window t_i + r_cut reaches.
+    So the candidate pairs are (i, i + k) for the lags k = 1 .. K, taken a
+    chunk of lags (and, for long samples, of rows) at a time, and the cost
+    follows n K rather than n^2.  Each column is padded with K infinities,
+    so a lag past the last row is never near.  The squared distance sums
+    the columns in order on scratch that one chunk of
     ``_ENERGY_CANDIDATES`` pairs bounds, and d^2 <= r_cut^2 is the one
     radius test.  The near pairs of a chunk are summed for several gammas at
     once on that same scratch.  The padded columns are on the slot 1 of
     ``buffers`` and the scratch on its slot 0 (fresh arrays when None).
     """
     n, dim = points.shape
-    order = np.argsort(points[:, 0], kind="stable")
-    times = points[order, 0]
+    times = points[:, 0]
     reach = r_cut * (1.0 + 1e-9)  # the time window only picks candidates
     lags = int(np.max(np.searchsorted(times, times + reach, side="right") - np.arange(1, n + 1)))
     buffers = PathBuffers() if buffers is None else buffers
     cols = buffers.take(1, (dim, n + lags))
     cols[:, n:] = np.inf
-    cols[:, :n] = points[order].T
-    del order, times  # the chunks read cols alone
+    cols[:, :n] = points.T
     rows = min(n, _ENERGY_CANDIDATES)
     width = _ENERGY_CANDIDATES // rows
     d2_buf, diff_buf = buffers.take(0, (2, width * rows))

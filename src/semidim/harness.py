@@ -119,7 +119,7 @@ class Scenario(Record):
             raise InvalidInputs(f"scenario {self.name}: n_seeds must be >= 2, got {self.n_seeds}")
         check_box_sides(self.box_sides, self.n)
         # checked here, as the time-set mask is built before any path
-        check_grid(self.n, len(self.matrix))
+        check_grid(self.n, len(self.matrix), self.laws)
         check_cover_level(self.borel, self.cover_level, self.n)
         check_sojourn(self.sojourn_ensemble, self.sojourn_radii, self.sojourn_n, len(self.matrix))
         check_energy(self.energy_gammas, self.energy_subsample, self.energy_ratio, self.n)

@@ -103,8 +103,10 @@ class PathBuffers:
     * "steps" (1) holds the steps of a path restricted to a time set.
 
     The semistable sampler takes the slot 1 for its uniforms, Gaussians and
-    rare jumps, a value or more a row.  :func:`semidim.paths.check_grid`
-    budgets these slots before a path is drawn.
+    rare jumps, a value or more a row, and holds temporaries of a value or
+    more a row beside it.  :func:`semidim.paths.check_grid` budgets these
+    slots, and ``paths.SEMISTABLE_DRAW`` values a row beside the slot 0 for
+    a semistable law, before a path is drawn.
 
     A fresh set is a set of fresh arrays, which is how the public calls
     allocate.
@@ -260,7 +262,7 @@ def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Genera
     return g
 
 
-def semistable_atom_range(alpha: float, c: float, dt: float, k_min: int, n_samples: int = 1):
+def semistable_atom_range(c: float, dt: float, k_min: int, n_samples: int = 1):
     """Atom indices [k_min, k_max] and their Poisson intensities for one dt."""
     k_max = math.ceil(math.log(max(1, n_samples) * dt / _ATOM_TAIL_BUDGET) / math.log(c))
     k_max = max(k_max, k_min + 1)
@@ -407,7 +409,7 @@ def _step_plan(alpha: float, c: float, dt: float, k_min: int, n: int, tables: bo
     stay within ``_GROUP_BUDGET`` multiply-adds a sample.  Any other atom is
     a group of one, whose table is its own.
     """
-    ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
+    ks, lam = semistable_atom_range(c, dt, k_min, n_samples=n)
     with np.errstate(over="ignore"):
         heights = np.power(c, ks.astype(float) / alpha)
         q = float(np.power(c, 1.0 / alpha))  # inf, not an integer, where it overflows

@@ -61,6 +61,13 @@ ROW_CHUNK = 2**16
 # the box kernel and the near-pair energy kernel) hold at once beside its
 # full-length slots, at most.
 CHUNK_SCRATCH = 8 * ROW_CHUNK
+# Values a row that a semistable block's draw holds beside the slot 0, at
+# most: the jumps of a rare run, up to 3 a row, take about 3 values each
+# (their uniforms on the slot 1, then two index arrays, or the jumps' slots
+# and signs), and a step per row adds the steps' ratios to the longest,
+# their running sum and a sum of the jumps; a group's Poisson counts take
+# fewer.
+SEMISTABLE_DRAW = 12
 
 
 @dataclass(frozen=True)
@@ -245,18 +252,20 @@ def check_memory(floats: int, what: str) -> None:
         )
 
 
-def check_grid(n: int, d: int) -> None:
+def check_grid(n: int, d: int, laws=()) -> None:
     """Reject a negative depth or a grid of depth n in d dimensions that would
-    not fit in physical memory: the :class:`PathBuffers` slots that a path
-    and its box count hold, in values a row: times (1), values (d), the
-    steps of a restricted path (1), and the slot 0, which holds a block's
-    increments (at most d) and then the box kernel's keys of the graph and
-    the range (2); and ``CHUNK_SCRATCH`` values beside them, the most that
-    the chunked passes over a path hold at once."""
+    not fit in physical memory: what a path drawn by ``laws`` and its box
+    count hold, in values a row: times (1), values (d), the steps of a
+    restricted path (1), the slot 0 of its :class:`PathBuffers`, which
+    holds a block's increments (at most d) and then the box kernel's keys
+    of the graph and the range (2), and ``SEMISTABLE_DRAW`` beside it when
+    a law is semistable; and ``CHUNK_SCRATCH`` values beside them, the most
+    that the chunked passes over a path hold at once."""
     if n < 0:
         raise ValueError("grid depth must be nonnegative")
+    draw = SEMISTABLE_DRAW if any(law.kind is LawKind.SEMISTABLE_DISCRETE for law in laws) else 0
     # beyond 2^64 points no memory suffices, so 2^n is never formed for a huge n
-    check_memory((2 ** min(n, 64) + 1) * (2 + d + max(d, 2)) + CHUNK_SCRATCH, f"a grid of depth n={n} in d={d}")
+    check_memory((2 ** min(n, 64) + 1) * (2 + d + max(d, 2) + draw) + CHUNK_SCRATCH, f"a grid of depth n={n} in d={d}")
 
 
 def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray, scratch: np.ndarray) -> None:
@@ -316,8 +325,8 @@ def simulate_path(
     embedding take a chunk of scratch on the slot 1.  Without ``_buffers``
     every array is fresh, and the path is the caller's.
     """
-    check_grid(n, spec.d)
     laws, blocks = _block_laws(spec, laws)
+    check_grid(n, spec.d, laws)
     buffers = PathBuffers() if _buffers is None else _buffers
 
     dt = 2.0 ** (-n)

@@ -5,6 +5,7 @@ derived from the documented master seed, so the whole suite is
 byte-reproducible; the final criterion re-executes key stages to prove it.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -348,3 +349,28 @@ class TestCriterion11Reproducibility:
             f"re-runs under master seed {MASTER_SEED} ({elapsed:.0f}s)"
             + (f"; mismatches: {mismatches}" if mismatches else ""),
         )
+
+
+# The first 16 hex digits of the SHA-256 of each builtin's report at
+# MASTER_SEED, less its runtime_seconds, as JSON with indent=2 and sorted
+# keys.  A change to an RNG stream or to an estimator's bits moves them, and
+# records the new table here.
+REPORT_DIGESTS = {
+    "brownian-interval": "a212447c141a2f92",
+    "brownian-cantor": "40117ffa6c5795c7",
+    "cauchy-cantor": "43998932e0b83f23",
+    "diag-2-05-interval": "f43afc19e16dbf13",
+    "diag-2-1-interval": "3e8b24fc5e049d66",
+    "isotropic-12-interval": "c8d00ccbb08f54ae",
+    "isotropic-08-interval": "7d39663282e75b96",
+    "stpetersburg-interval": "a783033f51002c16",
+}
+
+
+def test_builtin_reports_keep_their_bits(reports):
+    got = {}
+    for name, (report, _) in reports.items():
+        out = report.as_dict()
+        out.pop("runtime_seconds")
+        got[name] = hashlib.sha256(json.dumps(out, indent=2, sort_keys=True).encode()).hexdigest()[:16]
+    assert got == REPORT_DIGESTS

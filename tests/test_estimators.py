@@ -30,7 +30,7 @@ from semidim.estimators import (
     covering_count,
     dyadic_intervals,
 )
-from semidim.laws import BlockLaw, LawKind
+from semidim.laws import BlockLaw, LawKind, PathBuffers
 from semidim.paths import LevyPath
 
 BROWNIAN = sd.validate_exponent(np.array([[0.5]]), 2.0)
@@ -216,19 +216,24 @@ class TestCubeKernel:
         assert offset_key_bits(points, sides) > 63
         # every high part, less its offset or as its rank among the
         # column's distinct high parts, lies below its radix, and the
-        # radices fit the key
+        # radices fit the key; so too over the rows a keep marks, here the
+        # walk's first 3000 rows, which hold fewer distinct high parts
         columns = list(points.T)
-        radices, offsets = _high_parts(columns, sides.min(), None, 10, [c.min() for c in columns], [c.max() for c in columns])
-        assert any(isinstance(o, np.ndarray) for o in offsets)
-        for c, r, o in zip(columns, radices, offsets):
-            high = np.floor(c / sides.min()).astype(np.int64) >> 10
-            if isinstance(o, np.ndarray):
-                assert np.array_equal(o, np.unique(high))
-            else:
-                assert high.min() == o
-            part = np.searchsorted(o, high) if isinstance(o, np.ndarray) else high - o
-            assert part.min() >= 0 and part.max() < r
-        assert np.prod(radices, dtype=float) <= 2.0 ** (63 - 3 * 10)
+        keep = np.arange(points.shape[0]) < 3000
+        for where in (None, keep):
+            rows = slice(None) if where is None else where
+            lows, highs = [c[rows].min() for c in columns], [c[rows].max() for c in columns]
+            radices, offsets = _high_parts(columns, sides.min(), where, 10, lows, highs, PathBuffers())
+            assert any(isinstance(o, np.ndarray) for o in offsets)
+            for c, r, o in zip(columns, radices, offsets):
+                high = np.floor(c[rows] / sides.min()).astype(np.int64) >> 10
+                if isinstance(o, np.ndarray):
+                    assert np.array_equal(o, np.unique(high))
+                else:
+                    assert high.min() == o
+                part = np.searchsorted(o, high) if isinstance(o, np.ndarray) else high - o
+                assert part.min() >= 0 and part.max() < r
+            assert np.prod(radices, dtype=float) <= 2.0 ** (63 - 3 * 10)
         calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
         assert calls == [sides.size]
@@ -251,7 +256,7 @@ class TestCubeKernel:
         points = rng.uniform(-1e6, 1e6, size=(70000, 4))
         side = 3.0**-3
         columns = list(points.T)
-        assert _high_parts(columns, side, None, 0, [c.min() for c in columns], [c.max() for c in columns]) is None
+        assert _high_parts(columns, side, None, 0, [c.min() for c in columns], [c.max() for c in columns], PathBuffers()) is None
         calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, [side]), reference_cube_counts(points, [side]))
         assert calls == [1]
@@ -333,9 +338,9 @@ class TestNearPairEnergies:
     def brownian_graph(self, seed, n=12):
         return sd.simulate_path(BROWNIAN, BM_LAWS, n, seed=seed).graph_points()
 
-    def test_matches_dense_out_of_time_order(self):
-        points = self.brownian_graph(12)
-        points = points[np.random.default_rng(12).permutation(points.shape[0])]
+    def test_matches_dense_in_time_order(self):
+        # every other row of a path, as the energy blocks decimate it
+        points = self.brownian_graph(12)[1::2]
         r_cut = 0.05
         got = _near_pair_energies(points, self.GAMMAS, r_cut)
         want = dense_near_pair_energies(points, self.GAMMAS, r_cut)
@@ -351,8 +356,9 @@ class TestNearPairEnergies:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_duplicate_point_raises(self):
+        # the repeated row stays in time order, beside its twin
         points = self.brownian_graph(13, n=11)
-        points = np.concatenate([points, points[1500:1501]])
+        points = np.insert(points, 1500, points[1500], axis=0)
         with pytest.raises(DegenerateSample):
             _near_pair_energies(points, self.GAMMAS, 0.05)
 
@@ -372,7 +378,7 @@ class TestNearPairEnergies:
 @example(dim=2, n=2, cantor_times=False, cut="above-diameter", chunk=estimators._ENERGY_CANDIDATES, seed=3)
 def test_near_pair_kernel_matches_dense(dim, n, cantor_times, cut, chunk, seed):
     # time-ordered walks over uniform or clustered Cantor-like times (8
-    # ternary digits, so above 256 points times tie), rows shuffled; the cut
+    # ternary digits, so above 256 points times tie), in time order; the cut
     # below the smallest distance, between two distances, or above them all
     rng = np.random.default_rng(seed)
     if cantor_times:
@@ -380,7 +386,7 @@ def test_near_pair_kernel_matches_dense(dim, n, cantor_times, cut, chunk, seed):
     else:
         times = np.sort(rng.random(n))
     space = np.cumsum(rng.normal(scale=n**-0.5, size=(n, dim - 1)), axis=0)
-    points = np.column_stack([times, space])[rng.permutation(n)]
+    points = np.column_stack([times, space])
     gaps = np.unique(np.linalg.norm(points[:, None] - points[None], axis=2)[np.triu_indices(n, 1)])
     if cut == "below-gap":
         r_cut = gaps[0] / 2.0

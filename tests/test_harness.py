@@ -10,7 +10,7 @@ import pytest
 from semidim import builtin_scenarios, get_scenario, harness, run_scenario, sweep
 from semidim.borel import BorelSetSpec, cantor, interval
 from semidim.errors import BudgetExceeded, InvalidInputs, TruncationTooCoarse
-from semidim.estimators import box_count_graph, dyadic_scales
+from semidim.estimators import box_count_graph, count_occupied_cubes, dyadic_scales
 from semidim.harness import (
     FAIL,
     INCONCLUSIVE,
@@ -265,6 +265,30 @@ class TestRunScenario:
         sc = mini_scenario()
         run_scenario(sc, 5)
         assert calls == [f"scenario/mini/path/{i}" for i in range(sc.n_seeds)]
+
+    def test_paths_on_the_shallower_energy_cover(self, monkeypatch):
+        # the energy stage thins this Cantor set at level 6, shallower than
+        # the box stage's cover at level 7: the paths hold the level-6 rows,
+        # and each box count reads the level-7 rows among them
+        sc = mini_scenario(borel=cantor(4, 0.2), n=17, cover_level=7, energy_ratio=2, expected={})
+        held, box = sc.borel.mask(17, 6), sc.borel.mask(17, 7)
+        assert np.all(held[box]) and box.sum() < held.sum()
+        counted = []
+
+        def checked(path, mask, sides, _buffers=None):
+            est = box_count_graph(path, mask, sides, _buffers=_buffers)
+            assert np.array_equal(mask, box)
+            assert np.array_equal(path.rows, np.flatnonzero(held))
+            kept = mask[path.rows]
+            points = np.column_stack([path.times[kept], path.values[kept]])
+            assert np.array_equal(est.counts, count_occupied_cubes(points, est.sides))
+            assert np.array_equal(est.range.counts, count_occupied_cubes(points[:, 1:], est.sides))
+            counted.append(int(kept.sum()))
+            return est
+
+        monkeypatch.setattr(harness, "box_count_graph", checked)
+        run_scenario(sc, 5)
+        assert counted == [int(box.sum())] * sc.n_seeds
 
     def test_per_seed_follows_the_seed_names(self):
         sc = mini_scenario(n_seeds=2)

@@ -40,7 +40,7 @@ from semidim.spectral import validate_exponent
 def reference_semistable_increment(alpha, c, dt, rng, k_min, n):
     """The former Poisson-plus-binomial kernel: per atom k a Poisson(dt*c^-k)
     jump count, split into signs by a Binomial(count, 1/2) draw."""
-    ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
+    ks, lam = semistable_atom_range(c, dt, k_min, n_samples=n)
     heights = np.power(float(c), ks.astype(float) / alpha)
     common = lam >= 1e-3
     h_common = heights[common]
@@ -432,7 +432,7 @@ class TestSemistableSampler:
         # or one Poisson vector of 2n (two counts) per frequent atom; a walk
         # over the rare atoms one by one would make more calls than this
         dt = 2.0**-16
-        _, lam = semistable_atom_range(1.0, 2.0, dt, DEFAULT_K_MIN, n_samples=size)
+        _, lam = semistable_atom_range(2.0, dt, DEFAULT_K_MIN, n_samples=size)
         frequent = int(np.count_nonzero(lam >= 1.0))
         rng = CountingGenerator(derive_rng(4, "test/semi/calls"))
         sample_semistable_increment(1.0, 2.0, dt, rng, size=size)
@@ -478,7 +478,7 @@ class TestSemistableSampler:
         # (the shorter step, 0.75 * 2^-8, is as short as k_min = -40 allows)
         n, c, k_min = 2**16, 1.25, -40
         dt = np.where(np.arange(n) % 2, 2.0**-8, 0.75 * 2.0**-8)
-        _, lam = semistable_atom_range(1.0, c, 2.0**-8, k_min, n_samples=n)
+        _, lam = semistable_atom_range(c, 2.0**-8, k_min, n_samples=n)
         rng = CountingGenerator(derive_rng(4, "test/semi/rows/runs"))
         a = sample_semistable_increment(1.0, c, dt, rng, k_min=k_min, size=n)
         assert rng.calls["poisson"] == 3 + np.count_nonzero(lam >= 1.0)
@@ -567,7 +567,7 @@ class TestSemistableSampler:
 def table_atoms(alpha, c, dt, k_min, n):
     """The frequent atoms of a draw of n at step dt, from the largest height
     down: (height, mean of each Poisson count), as the sampler sets them."""
-    ks, lam = semistable_atom_range(alpha, c, dt, k_min, n_samples=n)
+    ks, lam = semistable_atom_range(c, dt, k_min, n_samples=n)
     frequent = lam >= 1.0
     return list(zip(np.power(float(c), ks.astype(float) / alpha)[frequent], 0.5 * lam[frequent]))[::-1]
 
@@ -761,7 +761,7 @@ class TestGuideInversion:
 
     @pytest.mark.parametrize("c, dt", [(2.0, 2.0**-16), (2.0, 1.0), (1.25, 2.0**-8), (10.0, 0.5)])
     def test_equals_searchsorted_on_rare_intensities(self, c, dt):
-        _, lam = semistable_atom_range(1.0, c, dt, DEFAULT_K_MIN, n_samples=2**16)
+        _, lam = semistable_atom_range(c, dt, DEFAULT_K_MIN, n_samples=2**16)
         cum = np.cumsum(lam[lam < 1.0][::-1])
         u = probes(cum)
         assert np.array_equal(_invert(cum, u, _guide(cum)), np.searchsorted(cum[:-1], u, side="right"))

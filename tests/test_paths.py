@@ -300,11 +300,12 @@ class TestReusedBuffers:
                 store.fill(0xFF)
 
 
-def grid_budget(monkeypatch, n, d):
-    """Bytes that check_grid budgets for a grid of depth n in d dimensions."""
+def grid_budget(monkeypatch, n, d, laws=()):
+    """Bytes that check_grid budgets for a grid of depth n in d dimensions
+    and a path drawn by ``laws``."""
     budget = []
     monkeypatch.setattr(sd.paths, "check_memory", lambda floats, what: budget.append(8 * floats))
-    sd.paths.check_grid(n, d)
+    sd.paths.check_grid(n, d, laws)
     monkeypatch.undo()
     return budget[0]
 
@@ -351,6 +352,24 @@ class TestGridBudget:
         budget = grid_budget(monkeypatch, n, JORDAN[0].d)
         buffers = PathBuffers()
         assert traced_peak(lambda: sd.simulate_path(*JORDAN, n, seed=1, _buffers=buffers)) <= budget
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_a_semistable_path_fits_the_preflight(self, monkeypatch, restricted):
+        # the semistable draw holds its uniforms, rare jumps and Poisson
+        # counts beside the slot 0, a value or more a row, and check_grid
+        # counts them for a semistable law: the stpetersburg-interval law on
+        # a path of four ROW_CHUNKs, with one grid step or a step per row
+        n = 18
+        budget = grid_budget(monkeypatch, n, SEMI.d, SEMI_LAWS)
+        mask = np.ones(2**n + 1, dtype=bool)
+        mask[1] = not restricted
+        buffers = PathBuffers()
+
+        def call():
+            path = sd.simulate_path(SEMI, SEMI_LAWS, n, seed=1, mask=mask, _buffers=buffers)
+            sd.box_count_graph(path, mask, sd.dyadic_scales(1, 10), _buffers=buffers)
+
+        assert traced_peak(call) <= budget
 
     def test_a_box_path_holds_its_rows_and_a_chunk_allowance(self):
         # simulating, box counting and the energy estimate of one
