@@ -14,18 +14,22 @@ per-side count bit for bit).  :func:`box_count_graph` makes one pass over
 chunks of a path's masked rows per group: it quantises the time and space
 columns once, drops each row whose cells equal the row's before with one
 compare a row, and keys the kept rows straight from their cells, one key
-for the graph and one for the range.  It takes the mask of B on the path's
-grid, which the caller computes once with :meth:`BorelSetSpec.mask`, and
-reads it at the rows the path holds (a path simulated on the mask holds
-just its rows).  The keys, a value a row, live on the slot 0 of a reused
-:class:`~semidim.laws.PathBuffers`, sorted in place and compacted in place
-a chunk at a time; the cells of a chunk live on its slot 1, and what
-else the kernel makes is a chunk or a byte a row.  The energy
-estimator tests the path's own times with :meth:`BorelSetSpec.contains`, a
-chunk of rows at a time, and finds the near pairs of its truncated energies
-in numpy alone: a path's rows come in time order, so each point's
-candidate partners are the next few rows, tested a chunk of lags at a time
-(:func:`_near_pair_energies`).
+for the graph and one for the range.  A path holds no times: the time
+column is a :class:`~semidim.paths.RowTimes`, whose chunks are formed from
+the row indices, and :func:`_chunk` reads it and a value column alike.  It
+takes the mask of B on the path's grid, which the caller computes once
+with :meth:`BorelSetSpec.mask`, and reads it at the rows the path holds (a
+path simulated on the mask holds just its rows).  The keys, a value a row,
+live on the slot 0 of a reused :class:`~semidim.laws.PathBuffers`, sorted
+in place and compacted in place a chunk at a time; the cells of a chunk
+live on its slot 1, and what else the kernel makes is a chunk or a byte a
+row.  The energy estimator tests the times of the path's rows with
+:meth:`BorelSetSpec.contains`, a chunk of rows at a time, takes the times
+of its subsample from the rows chosen, and finds the near pairs of its
+truncated energies in numpy alone: a path's rows come in time order, so
+each point's candidate partners are the next few rows, tested a chunk of
+lags at a time (:func:`_near_pair_energies`).  Its mask, subsample and
+scratch live on the slots 0 and 1 that the box count has left free.
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -58,16 +62,17 @@ from .errors import (
 )
 from .fitting import ScalingFit, fit_loglog
 from .laws import PathBuffers
-from .paths import ROW_CHUNK, LevyPath, check_memory, sample_marginal
+from .paths import ROW_CHUNK, LevyPath, RowTimes, check_memory, sample_marginal
 from .seeds import derive_rng
 from .spectral import ExponentSpec
 
 BOX_FIT_DROP = 2  # scales dropped at each end of the fit window
 MIN_FIT_SCALES = 6
 _ENERGY_CANDIDATES = 2**16  # candidate pairs per near-pair chunk; bounds the kernel's scratch
-# Rows per chunk of the box kernel's pass over a path, whose scratch is
-# about 1 MiB: the cells of the chunk and of its kept rows, D int64 a row each.
-_BOX_ROWS = ROW_CHUNK // 4
+# Rows per chunk of the estimators' passes over a path: the box kernel's,
+# whose scratch is about 1 MiB (the cells of the chunk and of its kept rows,
+# D int64 a row each), and the energy candidates'.
+_PASS_ROWS = ROW_CHUNK // 4
 # Largest growth of the truncated log-energy, from the small to the large
 # subsample, at which the energy still counts as finite.
 ENERGY_THRESHOLD = 0.1
@@ -90,7 +95,7 @@ def geometric_scales(base: float, k_min: int, k_max: int) -> np.ndarray:
 
 def _drop_repeats(keys: np.ndarray) -> int:
     """Move each of the sorted ``keys`` that differs from the key before it
-    (and the first) to the front, in order, ``_BOX_ROWS`` keys at a time;
+    (and the first) to the front, in order, ``_PASS_ROWS`` keys at a time;
     returns how many moved.
 
     A key moves to its own place or before it, so the key before a chunk is
@@ -98,9 +103,9 @@ def _drop_repeats(keys: np.ndarray) -> int:
     every key before it stayed in place."""
     total = keys.size
     size = 0
-    fresh = np.empty(min(total, _BOX_ROWS), dtype=bool)
-    for start in range(0, total, _BOX_ROWS):
-        stop = min(start + _BOX_ROWS, total)
+    fresh = np.empty(min(total, _PASS_ROWS), dtype=bool)
+    for start in range(0, total, _PASS_ROWS):
+        stop = min(start + _PASS_ROWS, total)
         lo = max(start, 1)
         part = fresh[: stop - start]
         part[0] = start == 0
@@ -111,19 +116,43 @@ def _drop_repeats(keys: np.ndarray) -> int:
     return size
 
 
+def _chunk(column, start: int, stop: int) -> tuple:
+    """Rows start .. stop - 1 of a column and the unit of its entries: a
+    view of an array (unit 1), or the grid rows k of a
+    :class:`~semidim.paths.RowTimes`, whose times are k times its step."""
+    if isinstance(column, RowTimes):
+        return column.indices(start, stop), column.step
+    return column[start:stop], 1.0
+
+
+def _extremes(column, keep) -> tuple:
+    """The least and the greatest entry of ``column`` at the rows ``keep``
+    marks (all when None; at least one).  A time column ascends, so its
+    extremes are the times of the first and the last row counted."""
+    if isinstance(column, RowTimes):
+        first = 0 if keep is None else int(np.argmax(keep))
+        last = column.size - 1 if keep is None else keep.size - 1 - int(np.argmax(keep[::-1]))
+        return column.chunk(first, first + 1)[0], column.chunk(last, last + 1)[0]
+    where = True if keep is None else keep
+    return column.min(where=where, initial=np.inf), column.max(where=where, initial=-np.inf)
+
+
 def _kept_cells(columns: list, b: float, keep, buffers: PathBuffers):
     """Yield, one chunk of rows at a time, the int64 cells floor(c / b) of
-    the rows of ``columns`` that ``keep`` marks (all when None), less each
-    row whose cells all equal those of the kept row before it: a (D, k)
-    array, valid until the next chunk.
+    the rows of ``columns`` (arrays, or a :class:`~semidim.paths.RowTimes`)
+    that ``keep`` marks (all when None), less each row whose cells all equal
+    those of the kept row before it: a (D, k) array, valid until the next
+    chunk.
 
     Each column is quantised once, and a row is compared with the row
     before it once, in one pass over all D columns of the chunk.  The cells
-    are formed as floats on the slot 1 of ``buffers``, ``_BOX_ROWS`` rows
+    are formed as floats on the slot 1 of ``buffers``, ``_PASS_ROWS`` rows
     of D values, after a column 0 that carries the last row of the chunk
-    before; the kept rows are then cast to int64 in place."""
+    before; the kept rows are then cast to int64 in place.  A time column
+    divides its row indices k by b 2^n: k 2^-n and b 2^n are exact, so the
+    quotient is that of (k 2^-n) / b bit for bit, and no time is formed."""
     dim, total = len(columns), columns[0].size
-    rows = min(_BOX_ROWS, total)
+    rows = min(_PASS_ROWS, total)
     cells = buffers.take(1, (dim, rows + 1))
     differs = np.empty((dim, rows), dtype=bool)
     fresh = np.empty(rows, dtype=bool)
@@ -136,8 +165,8 @@ def _kept_cells(columns: list, b: float, keep, buffers: PathBuffers):
             continue
         # floor(c / b) as a float, cast to int64 only on the rows kept
         for j, c in enumerate(columns):
-            part = c[start:stop]
-            np.divide(part if where is None else part[where], b, out=cells[j, 1 : k + 1])
+            part, unit = _chunk(c, start, stop)
+            np.divide(part if where is None else part[where], b / unit, out=cells[j, 1 : k + 1])
         np.floor(cells[:, 1 : k + 1], out=cells[:, 1 : k + 1])
         np.not_equal(cells[:, 1 : k + 1], cells[:, :k], out=differs[:, :k])
         np.logical_or.reduce(differs[:, :k], axis=0, out=fresh[:k])
@@ -272,7 +301,7 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
     size = columns[0].size
     store = buffers.take(0, (len(targets), size)).view(np.int64)
     tables = [_spread_tables(m, cols) for cols in targets]
-    scratch = np.empty((2, min(size, _BOX_ROWS)), dtype=np.int64) if m else None
+    scratch = np.empty((2, min(size, _PASS_ROWS)), dtype=np.int64) if m else None
     filled = 0
     for cells in _kept_cells(columns, b, keep, buffers):
         k = cells.shape[1]
@@ -305,9 +334,7 @@ def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers
     # Cell indices are int64; beyond 2^62 cubes (or at inf/NaN) the cast
     # would return garbage cells instead of failing.
     reach = 2.0**62 * sides.min()
-    where = True if keep is None else keep
-    lows = [c.min(where=where, initial=np.inf) for c in columns]
-    highs = [c.max(where=where, initial=-np.inf) for c in columns]
+    lows, highs = zip(*(_extremes(c, keep) for c in columns))
     if not all(lo > -reach and hi < reach for lo, hi in zip(lows, highs)):
         raise DegenerateSample(f"points beyond 2^62 cubes of side {sides.min():g} from the origin")
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
@@ -385,7 +412,7 @@ def box_count_graph(path: LevyPath, mask: np.ndarray, sides, _buffers: PathBuffe
     if not np.any(keep):
         raise EmptyRestriction("no grid point falls inside the time set")
     sides = np.sort(np.asarray(sides, dtype=float))[::-1]
-    columns = [path.times, *(path.values[:, j] for j in range(path.d))]
+    columns = [path.row_times, *(path.values[:, j] for j in range(path.d))]
     targets = [list(range(len(columns))), list(range(1, len(columns)))]
     buffers = PathBuffers() if _buffers is None else _buffers
     graph, range_ = _cube_counts(columns, sides, targets, buffers, None if keep.all() else keep)
@@ -601,20 +628,25 @@ def _near_pair_energies(
     the columns in order on scratch that one chunk of
     ``_ENERGY_CANDIDATES`` pairs bounds, and d^2 <= r_cut^2 is the one
     radius test.  The near pairs of a chunk are summed for several gammas at
-    once on that same scratch.  The padded columns are on the slot 1 of
-    ``buffers`` and the scratch on its slot 0 (fresh arrays when None).
+    once on that same scratch.  The scratch and then the padded columns are
+    on the slot 0 of ``buffers`` (fresh arrays when None), which leaves its
+    slot 1 to hold ``points``.
     """
     n, dim = points.shape
     times = points[:, 0]
     reach = r_cut * (1.0 + 1e-9)  # the time window only picks candidates
-    lags = int(np.max(np.searchsorted(times, times + reach, side="right") - np.arange(1, n + 1)))
+    ends = np.searchsorted(times, times + reach, side="right")
+    ends -= np.arange(1, n + 1)
+    lags = int(ends.max())
+    del ends
     buffers = PathBuffers() if buffers is None else buffers
-    cols = buffers.take(1, (dim, n + lags))
-    cols[:, n:] = np.inf
-    cols[:, :n] = points.T
     rows = min(n, _ENERGY_CANDIDATES)
     width = _ENERGY_CANDIDATES // rows
-    d2_buf, diff_buf = buffers.take(0, (2, width * rows))
+    store = buffers.take(0, (2 * width * rows + dim * (n + lags),))
+    d2_buf, diff_buf = store[: 2 * width * rows].reshape(2, width * rows)
+    cols = store[2 * width * rows :].reshape(dim, n + lags)
+    cols[:, n:] = np.inf
+    cols[:, :n] = points.T
     near_buf = np.empty(width * rows, dtype=bool)
     r2 = r_cut * r_cut
     sums = np.zeros(gammas.size)
@@ -660,11 +692,12 @@ def energy_cover_level(borel: BorelSetSpec, n_needed: int) -> int | None:
 
 
 def _energy_candidates(
-    path: LevyPath, borel: BorelSetSpec, cover_level, n_needed: int
+    path: LevyPath, borel: BorelSetSpec, cover_level, n_needed: int, buffers: PathBuffers | None = None
 ) -> np.ndarray:
     """Which of the path's rows carry the natural measure of B, one per
-    structural cell: a boolean mask of its rows, tested ``ROW_CHUNK`` rows
-    at a time.
+    structural cell: a boolean mask of its rows on the slot 0 of
+    ``buffers`` (fresh arrays when None), tested ``_PASS_ROWS`` rows at a
+    time, each chunk's times formed from its row indices on the slot 1.
 
     On intervals every covered grid point qualifies.  On a self-similar set
     the candidates are thinned to one grid point per piece at the shallowest
@@ -679,11 +712,15 @@ def _energy_candidates(
             f"grid too coarse to thin {n_needed} samples to level-{level} pieces; "
             "raise the grid depth or lower subsample * ratio"
         )
-    qualifies = np.empty(path.times.size, dtype=bool)
+    buffers = PathBuffers() if buffers is None else buffers
+    size = path.values.shape[0]
+    qualifies = buffers.take(0, (size // 8 + 1,)).view(bool)[:size]
+    scratch = buffers.take(1, (min(size, _PASS_ROWS),))
     last = -1  # the piece of the last candidate so far; times are >= 0
-    for start in range(0, qualifies.size, ROW_CHUNK):
-        times = path.times[start : start + ROW_CHUNK]
-        part = qualifies[start : start + ROW_CHUNK]
+    for start in range(0, size, _PASS_ROWS):
+        stop = min(start + _PASS_ROWS, size)
+        times = path.row_times.chunk(start, stop, out=scratch[: stop - start])
+        part = qualifies[start:stop]
         part[:] = borel.contains(times, path.n, cover_level if level is None else level)
         if level is None or not part.any():
             continue
@@ -698,15 +735,17 @@ def _energy_candidates(
 
 def _rows_of_ranks(qualifies: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """The rows of the True entries of ``qualifies`` numbered ``ranks``
-    (ascending, from 0), found ``ROW_CHUNK`` rows at a time."""
+    (ascending, from 0), found ``_PASS_ROWS`` rows at a time."""
     rows = np.empty(ranks.size, dtype=np.int64)
     seen = done = 0
-    for start in range(0, qualifies.size, ROW_CHUNK):
-        part = qualifies[start : start + ROW_CHUNK]
+    for start in range(0, qualifies.size, _PASS_ROWS):
+        part = qualifies[start : start + _PASS_ROWS]
         count = int(np.count_nonzero(part))
         upto = int(np.searchsorted(ranks, seen + count))
         if upto > done:
-            rows[done:upto] = start + np.flatnonzero(part)[ranks[done:upto] - seen]
+            found = np.flatnonzero(part)
+            found += start
+            np.take(found, ranks[done:upto] - seen, out=rows[done:upto])
         seen += count
         done = upto
     return rows
@@ -746,12 +785,16 @@ def energy_dimension(
     measure at sizes ``subsample`` and ``ratio * subsample`` by even
     decimation, computes near-pair energies over a gamma grid, and returns
     the largest gamma at which the energy is stable from below between the
-    two resolutions.  The near-pair scratch is on the scratch slots 0 and 1
-    of ``_buffers`` (fresh arrays when None), never on the path's own.
+    two resolutions.  The candidates' mask, the radii's steps and the
+    near-pair kernel's padded columns and scratch are on the slot 0 of
+    ``_buffers`` (fresh arrays when None), and the candidates' times and
+    then the subsample's columns on its slot 1, never on the path's own;
+    the subsample's times are formed from the rows chosen.
     """
     check_energy(gammas, subsample, ratio, path.n)
     gammas = np.sort(np.asarray(gammas, dtype=float))
-    qualifies = _energy_candidates(path, borel, cover_level, ratio * subsample)
+    buffers = PathBuffers() if _buffers is None else _buffers
+    qualifies = _energy_candidates(path, borel, cover_level, ratio * subsample, buffers)
     candidates = int(np.count_nonzero(qualifies))
     n_blocks = min(ratio, candidates // subsample)
     if n_blocks < 2:
@@ -770,32 +813,51 @@ def energy_dimension(
     slack = candidates - 1 - stride * (n_large - 1)
     offset = int(rng.integers(0, slack + 1)) if slack > 0 else 0
     chosen = _rows_of_ranks(qualifies, offset + stride * np.arange(n_large))
-    # the graph points (t, X(t)) of the large selection; block b is every
-    # n_blocks-th of them from b
-    graph = np.column_stack([path.times[chosen], path.values[chosen]])
-    del qualifies, chosen  # a byte a path row, and an index a point: not read again
+    # a view of the slot 0, which the kernels below take and may grow: held,
+    # it would keep the old storage beside the new
+    del qualifies
+    # the graph points (t, X(t)) of the large selection, one column a row of
+    # ``columns`` on the slot 1; block b is every n_blocks-th of them from b
+    columns = buffers.take(1, (1 + path.d, n_large))
+    path.row_times.take(chosen, out=columns[0])
+    for j in range(path.d):
+        np.take(path.values[:, j], chosen, out=columns[1 + j])
+    del chosen
+    graph = columns.T
 
     # Truncation radii scale with each selection's own resolution: a fixed
     # multiple of the median consecutive-point distance.  Using the same
     # multiple at both resolutions makes the lattice-discreteness corrections
-    # of the truncated sums cancel between the two sizes.
+    # of the truncated sums cancel between the two sizes.  The distances sum
+    # the squared steps column by column, in the order of a row norm, on the
+    # slot 0.
     def _radius(points: np.ndarray) -> float:
-        steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
-        if np.any(steps == 0.0):
+        steps, diff = buffers.take(0, (2, points.shape[0] - 1))
+        for j in range(points.shape[1]):
+            np.subtract(points[1:, j], points[:-1, j], out=diff)
+            if j == 0:
+                np.multiply(diff, diff, out=steps)
+            else:
+                diff *= diff
+                steps += diff
+        np.sqrt(steps, out=steps)
+        if not steps.all():
             raise DegenerateSample("duplicate points in the energy subsample")
         return RADIUS_FACTOR * float(np.quantile(steps, RADIUS_QUANTILE))
 
     r_small = _radius(graph[0::n_blocks])
     r_large = _radius(graph)
 
+    # the large selection first: it most often needs the most of the slot 0,
+    # which then grows at most once
+    e_large = _near_pair_energies(graph, gammas, r_large, buffers)
     block_energies = np.array(
         [
-            _near_pair_energies(graph[b::n_blocks], gammas, r_small, _buffers)
+            _near_pair_energies(graph[b::n_blocks], gammas, r_small, buffers)
             for b in range(n_blocks)
         ]
     )
     e_small = np.median(block_energies, axis=0)
-    e_large = _near_pair_energies(graph, gammas, r_large, _buffers)
     if np.any(e_small <= 0.0) or np.any(e_large <= 0.0):
         raise DegenerateSample("no pairs below the truncation radius")
     log_small = np.log(e_small)

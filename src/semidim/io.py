@@ -86,7 +86,6 @@ def read_path_dump(out_prefix: Path) -> LevyPath:
     if not np.array_equal(data[:, 0], grid_times(n)):
         raise InvalidInputs(f"path dump times are not the grid k 2^-{n}")
     return LevyPath(
-        times=data[:, 0].copy(),
         values=data[:, 1:].copy(),
         seed=int(meta["seed"]),
         n=n,

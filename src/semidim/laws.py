@@ -86,20 +86,22 @@ class PathBuffers:
 
     :meth:`take` returns an uninitialised array on a slot's storage, grown
     when too small; it stays valid until the slot is taken again.  A path
-    and its box count hold the slots "times", "values" and 0 (and "steps")
-    at a value or more a row, and chunk scratch beside them:
+    and its box count hold the slots "values" and 0 (and "steps") at a
+    value or more a row, and chunk scratch beside them; a path holds no
+    times, which each pass forms from the row indices a chunk at a time:
 
-    * "times" (1) and "values" (d) hold the path;
+    * "values" (d) holds the path;
     * 0 holds a block's increments (a sampler's variates, the normals of
       the isotropic sampler, 2 a row; a Gaussian-operator block's, d a
       row), which the embedding sums a chunk at a time, then the box
       kernel's int64 Z-order keys of the graph and of the range (2 a row),
-      sorted and compacted in place, then the near-pair energy kernel's
-      chunk scratch;
+      sorted and compacted in place, then the energy stage's mask of its
+      candidates (a byte a row), the steps of its radii and the near-pair
+      kernel's chunk scratch and padded columns;
     * 1 holds chunk scratch of about ``paths.ROW_CHUNK`` values at most:
       the CMS kernel's, the embedding's products, a Gaussian-operator
-      block's normals and the box kernel's cells; then the near-pair energy
-      kernel's padded columns of its subsample;
+      block's normals, the box kernel's cells and time column and the
+      energy candidates' times; then the columns of the energy subsample;
     * "steps" (1) holds the steps of a path restricted to a time set.
 
     The semistable sampler takes the slot 1 for its uniforms, Gaussians and
@@ -196,7 +198,24 @@ def _cms_scratch(buffers: PathBuffers, size: int) -> np.ndarray:
     return buffers.take(1, (4, min(size, _CMS_CHUNK)))
 
 
-def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator, size=None, _buffers=None):
+def _flat_scale(scale, shape: tuple):
+    """``scale``, one value or one per variate of a draw of ``shape``, as one
+    value or one per variate of the flat draw."""
+    return np.broadcast_to(scale, shape).reshape(-1) if np.ndim(scale) else scale
+
+
+def _chunk_scale(scale, steps, alpha: float, start: int, stop: int):
+    """The scales of the variates start .. stop - 1 of a flat draw: ``scale``,
+    one value or one per variate, or, with one step per variate in
+    ``steps``, scale * step^(1/alpha), formed for these variates alone."""
+    if steps is None:
+        return scale[start:stop] if np.ndim(scale) else scale
+    factor = steps[start:stop] ** (1.0 / alpha)
+    factor *= scale
+    return factor
+
+
+def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator, size=None, _buffers=None, _steps=None):
     """Symmetric alpha-stable variates by the CMS construction; ``scale`` is
     one value, or one per variate.
 
@@ -204,16 +223,19 @@ def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator
     reduces to tan(U) at alpha = 1 and to 2 sin(U) sqrt(W) (exactly Gaussian,
     variance 2) at alpha = 2.  It is evaluated in place on the slot 0 of
     ``_buffers`` (a :class:`PathBuffers`; fresh arrays when None), a chunk
-    at a time, with its chunk scratch on the slot 1.
+    at a time, with its chunk scratch on the slot 1, and each chunk is
+    scaled as it is formed.  Given ``_steps``, one time step per variate,
+    variate i takes the scale ``scale * _steps[i] ** (1 / alpha)``, formed a
+    chunk at a time (see :func:`_chunk_scale`).
     """
     _check_alpha(alpha)
     if np.any(scale <= 0):
         raise ValueError(f"scale must be positive, got {scale}")
     buffers = PathBuffers() if _buffers is None else _buffers
     x = buffers.take(0, _shape(size))
-    for _ in _cms(rng, x.size, alpha, 0.0, _cms_scratch(buffers, x.size), out=x.reshape(-1)):
-        pass
-    x *= scale
+    scale = _flat_scale(scale, x.shape)
+    for start, chunk in _cms(rng, x.size, alpha, 0.0, _cms_scratch(buffers, x.size), out=x.reshape(-1)):
+        chunk *= _chunk_scale(scale, _steps, alpha, start, start + chunk.size)
     return x if size is not None else x[()]
 
 
@@ -230,15 +252,17 @@ def sample_one_sided_stable(gamma: float, rng: np.random.Generator, size=None, _
     return a if size is not None else a[()]
 
 
-def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Generator, size=None, _buffers=None):
+def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Generator, size=None, _buffers=None, _steps=None):
     """Isotropic alpha-stable vectors in R^2, shape (..., 2).
 
     E exp(i <theta, X>) = exp(-(scale * |theta|)**alpha); rotation invariant
-    by construction.  ``scale`` is one value, or one per vector.  The
-    vectors sqrt(2) scale sqrt(A) G are formed in place on the slot 0 of
+    by construction.  ``scale`` is one value, or one per vector, and
+    ``_steps`` as in :func:`sample_stable_increment`.  The vectors
+    sqrt(2) scale sqrt(A) G are formed in place on the slot 0 of
     ``_buffers`` (fresh arrays when None): the normals G first, then, a
     chunk at a time, the one-sided (alpha/2)-stable A of :func:`_cms` on
-    its scratch on the slot 1, which scales the chunk's rows.
+    its scratch on the slot 1, which scales the chunk's rows by the chunk's
+    factor sqrt(2) scale.
     """
     _check_alpha(alpha)
     if np.any(scale <= 0):
@@ -246,16 +270,20 @@ def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Genera
     buffers = PathBuffers() if _buffers is None else _buffers
     shape = _shape(size)
     g = rng.standard_normal(out=buffers.take(0, shape + (2,)))
-    factor = math.sqrt(2.0) * np.asarray(scale)
-    if alpha == 2.0:
-        g *= factor[..., None]
-        return g
     rows = g.reshape(-1, 2)
-    if factor.ndim:  # one per vector, flat
-        factor = np.broadcast_to(factor, shape).reshape(-1)
+    scale = _flat_scale(scale, shape)
+
+    def factor(start: int, stop: int):
+        return math.sqrt(2.0) * _chunk_scale(scale, _steps, alpha, start, stop)
+
+    if alpha == 2.0:
+        for start in range(0, rows.shape[0], _CMS_CHUNK):
+            part = rows[start : start + _CMS_CHUNK]
+            part *= np.reshape(factor(start, start + part.shape[0]), (-1, 1))
+        return g
     for start, a in _cms(rng, rows.shape[0], alpha / 2.0, math.pi / 2, _cms_scratch(buffers, rows.shape[0])):
         np.sqrt(a, out=a)
-        a *= factor[start : start + a.size] if factor.ndim else factor
+        a *= factor(start, start + a.size)
         part = rows[start : start + a.size]
         for column in (part[:, 0], part[:, 1]):  # faster than part *= a[:, None], the same products
             column *= a
@@ -577,6 +605,7 @@ def sample_semistable_increment(
             both = rng.poisson(mu * ratio, (2, n))
             both[0] -= both[1]
             out += np.multiply(both[0], height, out=buffers.take(1, (n,)))
+            del both  # before the next group draws its own
     gauss = rng.standard_normal(out=buffers.take(1, (n,)))
     gauss *= plan.sigma * np.sqrt(ratio)
     out += gauss
@@ -625,10 +654,10 @@ class BlockLaw(Record):
             x = sample_semistable_increment(self.alpha, self.c, dt, rng, k_min=self.k_min, size=n, _buffers=_buffers)
             x *= self.scale
             return x
-        scale = self.scale * dt ** (1.0 / self.alpha)
-        if self.kind is LawKind.STABLE_SYMMETRIC:
-            return sample_stable_increment(self.alpha, scale, rng, size=n, _buffers=_buffers)
-        return sample_isotropic_stable_2d(self.alpha, scale, rng, size=n, _buffers=_buffers)
+        # with a step per increment, the sampler forms the scales a chunk at a time
+        scale, steps = (self.scale, dt) if np.ndim(dt) else (self.scale * dt ** (1.0 / self.alpha), None)
+        sampler = sample_stable_increment if self.kind is LawKind.STABLE_SYMMETRIC else sample_isotropic_stable_2d
+        return sampler(self.alpha, scale, rng, size=n, _buffers=_buffers, _steps=steps)
 
     def as_dict(self) -> dict:
         """Only the semistable law writes its scaling constant and truncation."""

@@ -27,7 +27,10 @@ one step 2^-n, and on a time set B one per kept step and per gap of B's mask,
 and one over [0, t] for a first kept time t > 0.  A marginal X(t) is the
 increment over [0, t].  A path sums and embeds a block's increments one
 ``ROW_CHUNK`` of rows at a time, carrying the sum from chunk to chunk, so
-that beside its times, values and increments it holds chunk scratch alone.
+that beside its values and increments it holds chunk scratch alone.  It
+holds no times: row k of the grid lies at k 2^-n, and whoever needs the
+times of a path's rows forms them from the row indices a chunk at a time
+(:class:`RowTimes`).
 """
 
 from __future__ import annotations
@@ -71,11 +74,42 @@ SEMISTABLE_DRAW = 12
 
 
 @dataclass(frozen=True)
+class RowTimes:
+    """The times k 2^-n of ``size`` rows of the dyadic grid of depth ``n``,
+    formed from their row indices a chunk at a time instead of held: entry
+    i is row ``rows[i]``, or row i when ``rows`` is None.
+
+    An int64 row index k < 2^53 converts to float64 exactly, and the product
+    by 2^-n is exact, so the times of a chunk equal those of the same rows of
+    :func:`grid_times` bit for bit, wherever the rows are cut."""
+
+    n: int
+    size: int
+    rows: np.ndarray | None = None
+
+    @property
+    def step(self) -> float:
+        return 2.0 ** (-self.n)
+
+    def indices(self, start: int, stop: int) -> np.ndarray:
+        """The grid rows k of entries start .. stop - 1."""
+        return np.arange(start, stop) if self.rows is None else self.rows[start:stop]
+
+    def chunk(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The times of entries start .. stop - 1, on ``out`` when given."""
+        return np.multiply(self.indices(start, stop), self.step, out=out)
+
+    def take(self, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The times of the entries ``index``, on ``out`` when given."""
+        return np.multiply(index if self.rows is None else self.rows[index], self.step, out=out)
+
+
+@dataclass(frozen=True)
 class LevyPath:
     """A trajectory on rows of the dyadic grid t_k = k * 2^-n, starting at 0
-    at t = 0."""
+    at t = 0: the values at the rows held, and which rows those are.  The
+    times are not held; :attr:`row_times` forms them a chunk at a time."""
 
-    times: np.ndarray  # (N,) the grid times of the rows held
     values: np.ndarray  # (N, d)
     seed: int
     n: int
@@ -90,6 +124,16 @@ class LevyPath:
     @property
     def grid_step(self) -> float:
         return 2.0 ** (-self.n)
+
+    @property
+    def row_times(self) -> RowTimes:
+        """The time column of the rows held, formed a chunk at a time."""
+        return RowTimes(self.n, self.values.shape[0], self.rows)
+
+    @property
+    def times(self) -> np.ndarray:
+        """(N,) the grid times of the rows held, formed afresh on each access."""
+        return self.row_times.chunk(0, self.values.shape[0])
 
     def graph_points(self) -> np.ndarray:
         """Z(t_k) = (t_k, X(t_k)) as an (N+1, d+1) array."""
@@ -211,27 +255,31 @@ def _block_increments(
     buffers: PathBuffers,
 ) -> np.ndarray:
     """``size`` independent draws of X_j(t_i) - X_j(t_i - step_i), one row per
-    time, shape (size, block.d), on the slot 0 of ``buffers``; ``times`` and
-    ``steps`` are each one value or one per row, with 0 < step_i <= t_i.  A
-    Levy block draws X(step_i) on the slots of ``buffers``; the
-    Gaussian-operator block draws N(0, C(t_i) - C(t_i - step_i)), C(0) = 0,
-    with one Cholesky factor for one time and step.  Its factors, and its
-    normals on the slot 1, are formed a chunk of rows at a time, in the
-    order of one (size, d) draw of the normals; each (rows, d, d) temporary
-    of a chunk holds ``ROW_CHUNK / 8`` values, so that the chunk's
-    temporaries stay within ``CHUNK_SCRATCH``.
+    time, shape (size, block.d), on the slot 0 of ``buffers``, with
+    0 < step_i <= t_i.  ``times`` is one value, with one value of ``steps``,
+    or a function of (start, stop) that forms the times of rows start ..
+    stop - 1; ``steps`` is one value or one per row.  A Levy block draws
+    X(step_i) on the slots of ``buffers``; the Gaussian-operator block draws
+    N(0, C(t_i) - C(t_i - step_i)), C(0) = 0, with one Cholesky factor for
+    one time and step.  Its times, its factors, and its normals on the slot
+    1, are formed a chunk of rows at a time, in the order of one (size, d)
+    draw of the normals; each (rows, d, d) temporary of a chunk holds
+    ``ROW_CHUNK / 8`` values, so that the chunk's temporaries stay within
+    ``CHUNK_SCRATCH``.
     """
     if not gaussian:
         inc = law.sample_increments(steps, size, rng, _buffers=buffers)
         return inc[:, None] if inc.ndim == 1 else inc
     d = block.d
-    t, step = np.broadcast_arrays(np.atleast_1d(times), np.atleast_1d(steps))
     out = buffers.take(0, (size, d))
     rows = max(ROW_CHUNK // (8 * d * d), 1)
     for start in range(0, size, rows):
         stop = min(start + rows, size)
-        if t.size > 1 or start == 0:
-            chol = _gaussian_factors(block, law, t[start:stop], step[start:stop])
+        if callable(times):
+            step = steps[start:stop] if np.ndim(steps) else steps
+            chol = _gaussian_factors(block, law, times(start, stop), step)
+        elif start == 0:
+            chol = _gaussian_factors(block, law, np.atleast_1d(times), steps)
         normals = rng.standard_normal(out=buffers.take(1, (stop - start, d)))
         np.einsum("kij,kj->ki", np.broadcast_to(chol, (stop - start, d, d)), normals, out=out[start:stop])
     return out
@@ -255,12 +303,12 @@ def check_memory(floats: int, what: str) -> None:
 def check_grid(n: int, d: int, laws=()) -> None:
     """Reject a negative depth or a grid of depth n in d dimensions that would
     not fit in physical memory: what a path drawn by ``laws`` and its box
-    count hold, in values a row: times (1), values (d), the steps of a
-    restricted path (1), the slot 0 of its :class:`PathBuffers`, which
-    holds a block's increments (at most d) and then the box kernel's keys
-    of the graph and the range (2), and ``SEMISTABLE_DRAW`` beside it when
-    a law is semistable; and ``CHUNK_SCRATCH`` values beside them, the most
-    that the chunked passes over a path hold at once."""
+    count hold, in values a row: values (d), the rows and the steps of a
+    restricted path (1 each), the slot 0 of its :class:`PathBuffers`,
+    which holds a block's increments (at most d) and then the box kernel's
+    keys of the graph and the range (2), and ``SEMISTABLE_DRAW`` beside it
+    when a law is semistable; and ``CHUNK_SCRATCH`` values beside them, the
+    most that the chunked passes over a path hold at once."""
     if n < 0:
         raise ValueError("grid depth must be nonnegative")
     draw = SEMISTABLE_DRAW if any(law.kind is LawKind.SEMISTABLE_DISCRETE for law in laws) else 0
@@ -316,8 +364,9 @@ def simulate_path(
     fit in physical memory.
 
     The path is drawn, summed and embedded on the slots of ``_buffers`` (see
-    :class:`PathBuffers`), and its times and values are the slots "times"
-    and "values": valid until the next path drawn on the same buffers.
+    :class:`PathBuffers`), and its values are the slot "values": valid
+    until the next path drawn on the same buffers.  It holds no times; a
+    Gaussian-operator block forms those of its rows a chunk at a time.
     Each block's increments, on the slot 0, are summed in place and added
     into the values through the block's basis one ``ROW_CHUNK`` of rows at
     a time: a chunk's first row adds the last sum before it, which gives
@@ -335,31 +384,32 @@ def simulate_path(
     # ``first`` rows, 1 when row 0 (where every path is 0) is held, come
     # before the first step
     if mask is None or mask.all():
-        rows, first = None, 1
-        times = buffers.take("times", (2**n + 1,))
-        for start in range(0, times.size, ROW_CHUNK):
-            stop = min(start + ROW_CHUNK, times.size)
-            np.multiply(np.arange(start, stop), dt, out=times[start:stop])
+        rows, first, held = None, 1, 2**n + 1
         steps = dt
     else:
         rows = np.flatnonzero(mask)
         if rows.size == 0:
             raise EmptyRestriction("no grid point falls inside the time set")
-        times, first = np.multiply(rows, dt, out=buffers.take("times", rows.shape)), int(rows[0] == 0)
+        first, held = int(rows[0] == 0), rows.size
         # the gaps between held rows, and row k itself before a first row k > 0
         steps = buffers.take("steps", (rows.size - first,))
         np.subtract(rows[1:], rows[:-1], out=steps[1 - first :])
         steps[:1 - first] = rows[:1 - first]
         steps *= dt
-    size = times.size - first
-    values = buffers.take("values", (spec.d, times.size)).T
+    size = held - first
+    row_times = RowTimes(n, held, rows)
+
+    def times(start: int, stop: int) -> np.ndarray:  # increment i ends at held row first + i
+        return row_times.chunk(first + start, first + stop)
+
+    values = buffers.take("values", (spec.d, held)).T
     values.fill(0.0)
     # Near alpha = 0 the increments can overflow float64; such a path is
     # rejected as a whole below instead of warning sample by sample.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j, (block, law, gaussian) in enumerate(blocks):
             rng = derive_rng(seed, f"{name}/block/{j}")
-            inc = _block_increments(block, law, gaussian, times[first:], steps, size, rng, buffers)
+            inc = _block_increments(block, law, gaussian, times, steps, size, rng, buffers)
             # values[first:] += cumsum(inc) @ basis.T, a chunk of rows at a
             # time, the chunk's sum carried on from the last row before it
             # (the bits of one whole cumsum); row 0, when held, is X(0) = 0
@@ -374,7 +424,7 @@ def simulate_path(
         finite = np.isfinite(values.min()) and np.isfinite(values.max())
     if not finite:
         raise DegenerateSample(f"path {name!r} leaves the float64 range")
-    return LevyPath(times=times, values=values, seed=seed, n=n, spec=spec, laws=laws, rows=rows)
+    return LevyPath(values=values, seed=seed, n=n, spec=spec, laws=laws, rows=rows)
 
 
 def sample_marginal(
@@ -395,11 +445,13 @@ def sample_marginal(
     _, blocks = _block_laws(spec, laws)
     out = np.zeros((size, spec.d))
     buffers = PathBuffers()
+    per_row = np.asarray(t, dtype=float)
+    times = (lambda start, stop: per_row[start:stop]) if per_row.ndim else t
     # as in simulate_path: an overflowing sample rejects the whole draw
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j, (block, law, gaussian) in enumerate(blocks):
             rng = derive_rng(seed, f"{name}/block/{j}")
-            inc = _block_increments(block, law, gaussian, t, t, size, rng, buffers)
+            inc = _block_increments(block, law, gaussian, times, t, size, rng, buffers)
             _embed(out, inc, block.basis, buffers.take(1, (min(size, ROW_CHUNK),)))
     if not np.isfinite(out).all():
         raise DegenerateSample(f"marginal {name!r} leaves the float64 range")

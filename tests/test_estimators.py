@@ -38,10 +38,8 @@ BM_LAWS = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),)
 
 
 def line_path(n: int = 16) -> LevyPath:
-    times = np.arange(2**n + 1) / 2**n
     return LevyPath(
-        times=times,
-        values=np.zeros((times.size, 1)),
+        values=np.zeros((2**n + 1, 1)),
         seed=0,
         n=n,
         spec=BROWNIAN,

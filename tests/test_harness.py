@@ -24,7 +24,7 @@ from semidim.harness import (
     verdict,
 )
 from semidim.laws import BlockLaw, LawKind
-from semidim.paths import ROW_CHUNK, simulate_path
+from semidim.paths import ROW_CHUNK, LevyPath, simulate_path
 from semidim.spectral import validate_exponent
 
 
@@ -289,6 +289,24 @@ class TestRunScenario:
         monkeypatch.setattr(harness, "box_count_graph", checked)
         run_scenario(sc, 5)
         assert counted == [int(box.sum())] * sc.n_seeds
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(borel=cantor(4, 0.2), n=17, cover_level=7, energy_ratio=2, expected={})],
+        ids=["whole-grid", "restricted"],
+    )
+    def test_a_run_forms_its_times_from_row_indices(self, monkeypatch, overrides):
+        # no stage reads a path's times column: the box kernel, the energy
+        # candidates and the energy subsample form their times from the row
+        # indices a chunk at a time, and give the same report
+        def unread(path):
+            raise AssertionError("a stage read LevyPath.times")
+
+        sc = mini_scenario(**overrides)
+        want = run_scenario(sc, 5)
+        monkeypatch.setattr(LevyPath, "times", property(unread))
+        got = run_scenario(sc, 5)
+        assert got.stages == want.stages and got.verdict == want.verdict
 
     def test_per_seed_follows_the_seed_names(self):
         sc = mini_scenario(n_seeds=2)

@@ -328,10 +328,10 @@ class TestGridBudget:
     @pytest.mark.parametrize("restricted", [False, True])
     def test_slots_of_a_path_and_its_box_count_fit_the_preflight(self, monkeypatch, spec, laws, restricted):
         # check_grid budgets the PathBuffers slots that one path and its box
-        # count hold: the path's times and values, a block's increments and
-        # then the keys on slot 0, the steps of a path restricted to all but
-        # one row, and the chunk scratch on slot 1, which a path of four
-        # ROW_CHUNKs does not fill
+        # count hold: the path's values (it holds no times), a block's
+        # increments and then the keys on slot 0, the steps of a path
+        # restricted to all but one row, and the chunk scratch on slot 1,
+        # which a path of four ROW_CHUNKs does not fill
         n = 18
         budget = grid_budget(monkeypatch, n, spec.d)
         mask = np.ones(2**n + 1, dtype=bool)
@@ -340,7 +340,7 @@ class TestGridBudget:
         path = sd.simulate_path(spec, laws, n, seed=1, mask=mask, _buffers=buffers)
         sd.box_count_graph(path, mask, sd.dyadic_scales(1, 10), _buffers=buffers)
         slots = buffers._slots
-        assert set(slots) == {"times", "values", 0, 1} | ({"steps"} if restricted else set())
+        assert set(slots) == {"values", 0, 1} | ({"steps"} if restricted else set())
         # a chunk, less than a value a row, and the grain a slot grows by
         assert slots[1].size <= sd.paths.ROW_CHUNK + _CMS_CHUNK
         assert sum(store.nbytes for store in slots.values()) <= budget
@@ -352,6 +352,44 @@ class TestGridBudget:
         budget = grid_budget(monkeypatch, n, JORDAN[0].d)
         buffers = PathBuffers()
         assert traced_peak(lambda: sd.simulate_path(*JORDAN, n, seed=1, _buffers=buffers)) <= budget
+
+    @pytest.mark.parametrize("spec, laws", [(BROWNIAN, BM_LAWS), ISOTROPIC12], ids=["d=1", "d=2"])
+    def test_a_restricted_stable_path_fits_the_preflight(self, monkeypatch, spec, laws):
+        # a stable law's draw with a step per row forms each increment's
+        # scale a chunk at a time, so that a path restricted to all grid rows
+        # but one and its box count stay in budget, as on the whole grid
+        n = 18
+        budget = grid_budget(monkeypatch, n, spec.d)
+        mask = np.ones(2**n + 1, dtype=bool)
+        mask[1] = False
+        buffers = PathBuffers()
+
+        def call():
+            path = sd.simulate_path(spec, laws, n, seed=1, mask=mask, _buffers=buffers)
+            sd.box_count_graph(path, mask, sd.dyadic_scales(1, 10), _buffers=buffers)
+
+        assert traced_peak(call) <= budget
+
+    def test_a_restricted_semistable_draw_holds_one_group_of_counts(self):
+        # each frequent atom's two Poisson count vectors are released before
+        # the next atom draws its own: the draw with a step per row (on a
+        # path restricted to all grid rows but one) peaks at most 4.5 values
+        # a row above the whole-grid draw, which takes its atoms from
+        # tables; each draw's plan is built, and counted, inside its trace
+        n = 18
+        peaks = []
+        for restricted in (False, True):
+            mask = np.ones(2**n + 1, dtype=bool)
+            mask[1] = not restricted
+            buffers = PathBuffers()
+            sd.laws._step_plan.cache_clear()
+
+            def call():
+                path = sd.simulate_path(SEMI, SEMI_LAWS, n, seed=1, mask=mask, _buffers=buffers)
+                sd.box_count_graph(path, mask, sd.dyadic_scales(1, 10), _buffers=buffers)
+
+            peaks.append(traced_peak(call))
+        assert peaks[1] - peaks[0] <= 4.5 * 8 * 2**n, (peaks[1] - peaks[0]) / (8 * 2**n)
 
     @pytest.mark.parametrize("restricted", [False, True])
     def test_a_semistable_path_fits_the_preflight(self, monkeypatch, restricted):
@@ -373,10 +411,11 @@ class TestGridBudget:
 
     def test_a_box_path_holds_its_rows_and_a_chunk_allowance(self):
         # simulating, box counting and the energy estimate of one
-        # isotropic-12-interval path hold the times, the values and the
-        # increments' slot, plus the chunk scratch that check_grid allows
-        # beside them; cell columns or keys of a value a row would pass it.
-        # At n = 18 a path spans four ROW_CHUNKs, so that they can be told apart.
+        # isotropic-12-interval path hold the values and the increments'
+        # slot, plus the chunk scratch that check_grid allows beside them; a
+        # times column, or cell columns or keys of a value a row, would pass
+        # it.  At n = 18 a path spans four ROW_CHUNKs, so that they can be
+        # told apart.
         sc = sd.get_scenario("isotropic-12-interval")
         n = 18
         mask = sc.borel.mask(n)
@@ -388,8 +427,24 @@ class TestGridBudget:
             sd.energy_dimension(path, sc.borel, sc.energy_gammas, sc.energy_subsample, 1, ratio=sc.energy_ratio, _buffers=buffers)
 
         peak = traced_peak(call)
-        held = sum(buffers._slots[slot].nbytes for slot in ("times", "values", 0))
+        held = sum(buffers._slots[slot].nbytes for slot in ("values", 0))
         assert peak <= held + 8 * sd.paths.CHUNK_SCRATCH
+
+    def test_the_energy_estimate_peaks_no_higher_than_the_box_count(self):
+        # on warm buffers, the energy estimate of an isotropic-12-interval
+        # path keeps its candidates' mask, its chunks' times and its radii's
+        # steps on the slots the box count left free, so that the path's
+        # peak is its box count's
+        sc = sd.get_scenario("isotropic-12-interval")
+        n = 18
+        mask = sc.borel.mask(n)
+        buffers = PathBuffers()
+        path = sd.simulate_path(sc.spec, sc.laws, n, seed=1, _buffers=buffers)
+        box = traced_peak(lambda: sd.box_count_graph(path, mask, sc.box_sides, _buffers=buffers))
+        energy = traced_peak(
+            lambda: sd.energy_dimension(path, sc.borel, sc.energy_gammas, sc.energy_subsample, 1, ratio=sc.energy_ratio, _buffers=buffers)
+        )
+        assert energy <= box
 
 
 def reference_embed(out, block_values, basis):
