@@ -9,10 +9,7 @@ cover interval still holds a few grid points.
 Every path lies on the same grid t_k = k 2^-n, so the restriction of a path
 to B depends only on (B, n, L): :meth:`BorelSetSpec.mask` computes it once
 per grid, and the estimators take the mask.  :meth:`BorelSetSpec.contains`
-is the same test on given times, such as the rows a path holds.  It tests
-each time on its own, so the mask runs it on the grid one fixed chunk of
-times at a time: its scratch is bounded by the chunk, not by the grid, and
-its answer is the same bits as one call on the whole grid.
+is the same test on given times, such as the rows a path holds.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import numpy as np
 
 from .codec import Record
 from .errors import InvalidInputs, ResolutionTooCoarse
-from .paths import ROW_CHUNK
+from .laws import chunks
 
 # Grid points each piece of an automatic prefractal cover must hold.
 COVER_MIN_POINTS = 2
@@ -86,16 +83,14 @@ class BorelSetSpec(Record):
 
     def mask(self, n: int, level: int | None = None) -> np.ndarray:
         """Boolean mask of the grid times k 2^-n, k = 0 .. 2^n, lying in B:
-        :meth:`contains` on the grid of depth n, taken one chunk of
-        ``paths.ROW_CHUNK`` grid times at a time.
-
-        The chunks give the mask of the whole grid bit for bit: k 2^-n is
-        exact, so a chunk's times are those of ``grid_times(n)``, and
+        :meth:`contains` on the grid of depth n, a chunk of grid times at a
+        time (its temporaries take about 4 values a time), so that its
+        scratch is bounded by the chunk, not by the grid.  The chunks give
+        the mask of the whole grid bit for bit: k 2^-n is exact, and
         :meth:`contains` tests each time on its own.
         """
         out = np.empty(2**n + 1, dtype=bool)
-        for start in range(0, out.size, ROW_CHUNK):
-            stop = min(start + ROW_CHUNK, out.size)
+        for start, stop in chunks(out.size, 4):
             out[start:stop] = self.contains(np.arange(start, stop) * 2.0**-n, n, level)
         return out
 

@@ -4,32 +4,20 @@ Box counting works on axis-aligned cube grids anchored at the origin.  Side
 lengths should form a nested geometric family (each side an integer multiple
 of the next) so occupied counts are provably monotone; the helpers
 :func:`dyadic_scales` and :func:`geometric_scales` produce such grids.
-:func:`count_occupied_cubes` counts a whole ladder at once.  Sides with the
-same floating-point mantissa are power-of-two multiples of each other; each
-such group (a dyadic ladder is one, a base-3 or sqrt-3 ladder one per side)
-is quantised once, at its smallest side, into one Z-order (Morton) key per
-row and sorted once, and each coarser side of the group is a right shift of
-the sorted keys (dividing by a power of two is exact, so the counts match a
-per-side count bit for bit).  :func:`box_count_graph` makes one pass over
-chunks of a path's masked rows per group: it quantises the time and space
-columns once, drops each row whose cells equal the row's before with one
-compare a row, and keys the kept rows straight from their cells, one key
-for the graph and one for the range.  A path holds no times: the time
-column is a :class:`~semidim.paths.RowTimes`, whose chunks are formed from
-the row indices, and :func:`_chunk` reads it and a value column alike.  It
-takes the mask of B on the path's grid, which the caller computes once
-with :meth:`BorelSetSpec.mask`, and reads it at the rows the path holds (a
-path simulated on the mask holds just its rows).  The keys, a value a row,
-live on the slot 0 of a reused :class:`~semidim.laws.PathBuffers`, sorted
-in place and compacted in place a chunk at a time; the cells of a chunk
-live on its slot 1, and what else the kernel makes is a chunk or a byte a
-row.  The energy estimator tests the times of the path's rows with
-:meth:`BorelSetSpec.contains`, a chunk of rows at a time, takes the times
-of its subsample from the rows chosen, and finds the near pairs of its
-truncated energies in numpy alone: a path's rows come in time order, so
-each point's candidate partners are the next few rows, tested a chunk of
-lags at a time (:func:`_near_pair_energies`).  Its mask, subsample and
-scratch live on the slots 0 and 1 that the box count has left free.
+:func:`count_occupied_cubes` counts a whole ladder at once.  Sides that are
+power-of-two multiples of each other (a dyadic ladder, or each side of a
+base-3 or sqrt-3 ladder) form a group, quantised once at its smallest side
+into one Z-order (Morton) key per row and sorted once; each coarser side of
+the group is a right shift of the sorted keys (dividing by a power of two is
+exact, so the counts match a per-side count bit for bit).
+:func:`box_count_graph` keys the rows of a path that the mask of B keeps,
+less each row whose cells equal the row's before, a chunk of rows at a
+time; a path holds no times, so the time column is a
+:class:`~semidim.paths.RowTimes`, read from the row indices.  The energy
+estimator finds the near pairs of its truncated energies in numpy alone: a
+path's rows come in time order, so each point's candidate partners are the
+next few rows (:func:`_near_pair_energies`).  Both work on the slots of a
+reused :class:`~semidim.laws.PathBuffers`, never on the path's own.
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -61,18 +49,19 @@ from .errors import (
     ScheduleMismatch,
 )
 from .fitting import ScalingFit, fit_loglog
-from .laws import PathBuffers
-from .paths import ROW_CHUNK, LevyPath, RowTimes, check_memory, sample_marginal
+from . import laws as _laws
+from .laws import PathBuffers, chunks
+from .paths import LevyPath, RowTimes, check_memory, sample_marginal
 from .seeds import derive_rng
 from .spectral import ExponentSpec
 
 BOX_FIT_DROP = 2  # scales dropped at each end of the fit window
 MIN_FIT_SCALES = 6
-_ENERGY_CANDIDATES = 2**16  # candidate pairs per near-pair chunk; bounds the kernel's scratch
-# Rows per chunk of the estimators' passes over a path: the box kernel's,
-# whose scratch is about 1 MiB (the cells of the chunk and of its kept rows,
-# D int64 a row each), and the energy candidates'.
-_PASS_ROWS = ROW_CHUNK // 4
+# Candidate pairs per chunk of the near-pair kernel.  Not laws.CHUNK: the
+# chunks fix the order in which the energy sums add, so a change moves the
+# log-energies' bits; test_near_pair_kernel_matches_dense in
+# tests/test_estimators.py varies it against a dense reference.
+_ENERGY_CANDIDATES = 2**16
 # Largest growth of the truncated log-energy, from the small to the large
 # subsample, at which the energy still counts as finite.
 ENERGY_THRESHOLD = 0.1
@@ -95,17 +84,15 @@ def geometric_scales(base: float, k_min: int, k_max: int) -> np.ndarray:
 
 def _drop_repeats(keys: np.ndarray) -> int:
     """Move each of the sorted ``keys`` that differs from the key before it
-    (and the first) to the front, in order, ``_PASS_ROWS`` keys at a time;
-    returns how many moved.
+    (and the first) to the front, in order, a chunk at a time; returns how
+    many moved.
 
     A key moves to its own place or before it, so the key before a chunk is
     still its own when the chunk reads it: either no key moved onto it, or
     every key before it stayed in place."""
-    total = keys.size
     size = 0
-    fresh = np.empty(min(total, _PASS_ROWS), dtype=bool)
-    for start in range(0, total, _PASS_ROWS):
-        stop = min(start + _PASS_ROWS, total)
+    fresh = np.empty(min(keys.size, _laws.CHUNK // 4), dtype=bool)
+    for start, stop in chunks(keys.size, 4):
         lo = max(start, 1)
         part = fresh[: stop - start]
         part[0] = start == 0
@@ -144,21 +131,18 @@ def _kept_cells(columns: list, b: float, keep, buffers: PathBuffers):
     those of the kept row before it: a (D, k) array, valid until the next
     chunk.
 
-    Each column is quantised once, and a row is compared with the row
-    before it once, in one pass over all D columns of the chunk.  The cells
-    are formed as floats on the slot 1 of ``buffers``, ``_PASS_ROWS`` rows
-    of D values, after a column 0 that carries the last row of the chunk
-    before; the kept rows are then cast to int64 in place.  A time column
-    divides its row indices k by b 2^n: k 2^-n and b 2^n are exact, so the
-    quotient is that of (k 2^-n) / b bit for bit, and no time is formed."""
+    The cells are formed as floats on the slot 1 of ``buffers``, after a
+    column 0 that carries the last row of the chunk before, and the kept
+    rows are cast to int64 in place.  A time column divides its row indices
+    k by b 2^n: k 2^-n and b 2^n are exact, so the quotient is that of
+    (k 2^-n) / b bit for bit, and no time is formed."""
     dim, total = len(columns), columns[0].size
-    rows = min(_PASS_ROWS, total)
+    rows = min(total, _laws.CHUNK // 4)
     cells = buffers.take(1, (dim, rows + 1))
     differs = np.empty((dim, rows), dtype=bool)
     fresh = np.empty(rows, dtype=bool)
     seen = False
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
+    for start, stop in chunks(total, 4):
         where = None if keep is None else keep[start:stop]
         k = stop - start if where is None else int(np.count_nonzero(where))
         if k == 0:
@@ -262,21 +246,18 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
     """:func:`_cube_counts` on a group of sides that are power-of-two
     multiples of each other.
 
-    Each column is quantised once, at the smallest side b; dividing by a
-    power of two is exact in floating point, so floor(floor(p / b) / 2^s)
-    equals floor(p / (2^s b)) bit for bit.  One pass over chunks of rows
-    quantises the columns, drops each row whose cells all equal the row's
-    before it with one compare a row (:func:`_kept_cells`; a time-ordered
-    path often stays in one cube from row to row), and keys the kept rows
-    for every target straight from their cells (:func:`_zorder_keys`).  The
+    One pass over chunks of rows quantises the columns at the smallest side
+    b, drops each row whose cells all equal the row's before it
+    (:func:`_kept_cells`; a time-ordered path often stays in one cube from
+    row to row), and keys the kept rows for every target straight from
+    their cells (:func:`_zorder_keys`).  The
     keys of a target are sorted once; a right shift is monotone, so they
     stay sorted at every coarser side, where the count is the number of
     adjacent keys that differ.  A group whose key does not fit in 63 bits is
     counted as a finer and a coarser half of its octaves; a single side, by
     comparing whole rows.
 
-    The keys of target t are row t of the slot 0 of ``buffers``, sorted and
-    compacted in place; the chunk's cells are on its slot 1.  ``keep``
+    The keys of target t are row t of the slot 0 of ``buffers``.  ``keep``
     (None for all) marks the rows counted, and ``lows`` and ``highs`` are
     the columns' extremes over them.
     """
@@ -301,7 +282,7 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
     size = columns[0].size
     store = buffers.take(0, (len(targets), size)).view(np.int64)
     tables = [_spread_tables(m, cols) for cols in targets]
-    scratch = np.empty((2, min(size, _PASS_ROWS)), dtype=np.int64) if m else None
+    scratch = np.empty((2, min(size, _laws.CHUNK // 4)), dtype=np.int64) if m else None
     filled = 0
     for cells in _kept_cells(columns, b, keep, buffers):
         k = cells.shape[1]
@@ -326,10 +307,8 @@ def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers
     coordinates ``columns[j]``, j in ``cols``, at the rows ``keep`` marks
     (None for all): one row of counts per list ``cols`` in ``targets``, one
     count per side b in ``sides``.  The sides are grouped by their
-    floating-point mantissa, so the sides of a group are power-of-two
-    multiples of each other, and each group is counted by
-    :func:`_octave_counts`: a dyadic ladder is one group, a base-3 or sqrt-3
-    ladder one group per side.
+    floating-point mantissa, and each group is counted by
+    :func:`_octave_counts`.
     """
     # Cell indices are int64; beyond 2^62 cubes (or at inf/NaN) the cast
     # would return garbage cells instead of failing.
@@ -403,9 +382,8 @@ def box_count_graph(path: LevyPath, mask: np.ndarray, sides, _buffers: PathBuffe
     holds, and a path that holds just the rows in the set is counted as it
     is.  The cubes of the range X(t) are those of the graph (t, X(t))
     projected, so one ladder walk counts both.  The grid must resolve the
-    smallest cube: 2^-n <= min(side)/4.  The keys are on the slot 0
-    and the cells of a chunk on the slot 1 of ``_buffers`` (fresh
-    arrays when None), never on the path's own.
+    smallest cube: 2^-n <= min(side)/4.  It works on the slots of
+    ``_buffers`` (fresh arrays when None).
     """
     check_box_sides(sides, path.n)
     keep = mask if path.rows is None else mask[path.rows]
@@ -628,9 +606,8 @@ def _near_pair_energies(
     the columns in order on scratch that one chunk of
     ``_ENERGY_CANDIDATES`` pairs bounds, and d^2 <= r_cut^2 is the one
     radius test.  The near pairs of a chunk are summed for several gammas at
-    once on that same scratch.  The scratch and then the padded columns are
-    on the slot 0 of ``buffers`` (fresh arrays when None), which leaves its
-    slot 1 to hold ``points``.
+    once on that same scratch, on the slot 0 of ``buffers`` (fresh arrays
+    when None) with the padded columns.
     """
     n, dim = points.shape
     times = points[:, 0]
@@ -696,8 +673,7 @@ def _energy_candidates(
 ) -> np.ndarray:
     """Which of the path's rows carry the natural measure of B, one per
     structural cell: a boolean mask of its rows on the slot 0 of
-    ``buffers`` (fresh arrays when None), tested ``_PASS_ROWS`` rows at a
-    time, each chunk's times formed from its row indices on the slot 1.
+    ``buffers`` (fresh arrays when None), tested a chunk of rows at a time.
 
     On intervals every covered grid point qualifies.  On a self-similar set
     the candidates are thinned to one grid point per piece at the shallowest
@@ -715,11 +691,9 @@ def _energy_candidates(
     buffers = PathBuffers() if buffers is None else buffers
     size = path.values.shape[0]
     qualifies = buffers.take(0, (size // 8 + 1,)).view(bool)[:size]
-    scratch = buffers.take(1, (min(size, _PASS_ROWS),))
     last = -1  # the piece of the last candidate so far; times are >= 0
-    for start in range(0, size, _PASS_ROWS):
-        stop = min(start + _PASS_ROWS, size)
-        times = path.row_times.chunk(start, stop, out=scratch[: stop - start])
+    for start, stop in chunks(size, 4):
+        times = path.row_times.chunk(start, stop, out=buffers.take(1, (stop - start,)))
         part = qualifies[start:stop]
         part[:] = borel.contains(times, path.n, cover_level if level is None else level)
         if level is None or not part.any():
@@ -735,11 +709,11 @@ def _energy_candidates(
 
 def _rows_of_ranks(qualifies: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """The rows of the True entries of ``qualifies`` numbered ``ranks``
-    (ascending, from 0), found ``_PASS_ROWS`` rows at a time."""
+    (ascending, from 0), found a chunk of rows at a time."""
     rows = np.empty(ranks.size, dtype=np.int64)
     seen = done = 0
-    for start in range(0, qualifies.size, _PASS_ROWS):
-        part = qualifies[start : start + _PASS_ROWS]
+    for start, stop in chunks(qualifies.size, 4):
+        part = qualifies[start:stop]
         count = int(np.count_nonzero(part))
         upto = int(np.searchsorted(ranks, seen + count))
         if upto > done:
@@ -785,11 +759,8 @@ def energy_dimension(
     measure at sizes ``subsample`` and ``ratio * subsample`` by even
     decimation, computes near-pair energies over a gamma grid, and returns
     the largest gamma at which the energy is stable from below between the
-    two resolutions.  The candidates' mask, the radii's steps and the
-    near-pair kernel's padded columns and scratch are on the slot 0 of
-    ``_buffers`` (fresh arrays when None), and the candidates' times and
-    then the subsample's columns on its slot 1, never on the path's own;
-    the subsample's times are formed from the rows chosen.
+    two resolutions.  It works on the slots of ``_buffers`` (fresh arrays
+    when None) that the box count has left free.
     """
     check_energy(gammas, subsample, ratio, path.n)
     gammas = np.sort(np.asarray(gammas, dtype=float))
@@ -813,9 +784,7 @@ def energy_dimension(
     slack = candidates - 1 - stride * (n_large - 1)
     offset = int(rng.integers(0, slack + 1)) if slack > 0 else 0
     chosen = _rows_of_ranks(qualifies, offset + stride * np.arange(n_large))
-    # a view of the slot 0, which the kernels below take and may grow: held,
-    # it would keep the old storage beside the new
-    del qualifies
+    del qualifies  # a view of the slot 0, which the kernels below may grow
     # the graph points (t, X(t)) of the large selection, one column a row of
     # ``columns`` on the slot 1; block b is every n_blocks-th of them from b
     columns = buffers.take(1, (1 + path.d, n_large))
@@ -829,8 +798,7 @@ def energy_dimension(
     # multiple of the median consecutive-point distance.  Using the same
     # multiple at both resolutions makes the lattice-discreteness corrections
     # of the truncated sums cancel between the two sizes.  The distances sum
-    # the squared steps column by column, in the order of a row norm, on the
-    # slot 0.
+    # the squared steps column by column, in the order of a row norm.
     def _radius(points: np.ndarray) -> float:
         steps, diff = buffers.take(0, (2, points.shape[0] - 1))
         for j in range(points.shape[1]):

@@ -11,15 +11,8 @@ Three families are supported, one per admissible spectral block shape:
   1996); both draw through one CMS kernel, :func:`_cms`, of tangents only;
 * a discrete semistable family with Levy-measure atoms at +-c^(k/alpha)
   of mass c^(-k), k in Z, simulated as compound Poisson above a truncation
-  level k_min with Gaussian compensation of the removed small jumps: the
-  rare atoms (fewer than one jump a sample on average) in one merged draw,
-  and the net jump count of each frequent atom by guide-table inversion of
-  its CDF where the table is small beside the draw, else as two Poisson
-  counts.  Where c^(1/alpha) is an integer the heights lie on a lattice, and
-  a run of table atoms is one group, whose net jump sum is one inversion.
-  One draw takes one time step for all samples or one per sample, atom k
-  firing dt_i c^(-k) times on average at sample i; the tables of a draw are
-  built once per law, longest step and sample count, and shared.
+  level k_min with Gaussian compensation of the removed small jumps
+  (:func:`sample_semistable_increment`).
 
 The discrete family scales only along the geometric sequence c^k, which is
 what distinguishes semistable from stable paths: X(c*dt) matches
@@ -57,8 +50,10 @@ _GROUP_BUDGET = 32
 # Relative slack of a guide-table bucket's ends, far above the few ulps by
 # which u / w can round across one (see _invert).
 _GUIDE_SLACK = 1e-12
-# Values per pass of the in-place CMS kernel, whose scratch is two such chunks.
-_CMS_CHUNK = 2**13
+# Scratch values that one chunked pass over a path's rows holds at once: a
+# pass whose scratch takes ``width`` values a row takes max(CHUNK // width, 1)
+# rows a chunk (:func:`chunks`).  Every pass reads it here, at call time.
+CHUNK = 2**16
 # Largest Poisson mean numpy draws: the int64 maximum less ten of its square roots.
 _LOG_POISSON_MAX = math.log(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
@@ -81,37 +76,17 @@ def _check_steps(dt, n: int) -> None:
 
 class PathBuffers:
     """Float64 arrays that one worker reuses from path to path, one per
-    named slot, so that the draws, sums and keys of a path land in memory
-    that is already paged in; int64 and bool scratch are views.
+    named slot, so that a path's draws, sums and keys land in memory that
+    is already paged in.  :meth:`take` returns an uninitialised array on a
+    slot's storage (int64 and bool scratch are views), grown when too
+    small; it stays valid until the slot is taken again.
 
-    :meth:`take` returns an uninitialised array on a slot's storage, grown
-    when too small; it stays valid until the slot is taken again.  A path
-    and its box count hold the slots "values" and 0 (and "steps") at a
-    value or more a row, and chunk scratch beside them; a path holds no
-    times, which each pass forms from the row indices a chunk at a time:
-
-    * "values" (d) holds the path;
-    * 0 holds a block's increments (a sampler's variates, the normals of
-      the isotropic sampler, 2 a row; a Gaussian-operator block's, d a
-      row), which the embedding sums a chunk at a time, then the box
-      kernel's int64 Z-order keys of the graph and of the range (2 a row),
-      sorted and compacted in place, then the energy stage's mask of its
-      candidates (a byte a row), the steps of its radii and the near-pair
-      kernel's chunk scratch and padded columns;
-    * 1 holds chunk scratch of about ``paths.ROW_CHUNK`` values at most:
-      the CMS kernel's, the embedding's products, a Gaussian-operator
-      block's normals, the box kernel's cells and time column and the
-      energy candidates' times; then the columns of the energy subsample;
-    * "steps" (1) holds the steps of a path restricted to a time set.
-
-    The semistable sampler takes the slot 1 for its uniforms, Gaussians and
-    rare jumps, a value or more a row, and holds temporaries of a value or
-    more a row beside it.  :func:`semidim.paths.check_grid` budgets these
-    slots, and ``paths.SEMISTABLE_DRAW`` values a row beside the slot 0 for
-    a semistable law, before a path is drawn.
-
-    A fresh set is a set of fresh arrays, which is how the public calls
-    allocate.
+    "values" holds the path, "steps" a restricted path's steps, the slot 0
+    a value or more a row in turn (increments, box keys, energy scratch),
+    and the slot 1 each pass's chunk scratch, then the energy subsample's
+    columns.  Chunks are sized in values, not rows, because the slot 1 must
+    hold every pass's chunk and then those columns within ``CHUNK`` and a
+    grain.  :func:`semidim.paths.check_grid` budgets the slots.
     """
 
     def __init__(self):
@@ -122,44 +97,51 @@ class PathBuffers:
         store = self._slots.get(slot)
         if store is None or store.size < size:
             # the old storage goes before the new is made, so that growing a
-            # slot never holds both; it grows to the next multiple of
-            # _CMS_CHUNK above the size, so that a path's N - 1 rows of
-            # increments and then N rows of box keys take it once
+            # slot never holds both; it grows to the next multiple of the
+            # grain CHUNK // 8, so that a path's N - 1 rows of increments and
+            # then N rows of box keys take it once
+            grain = max(CHUNK // 8, 1)
             store = self._slots[slot] = None
-            store = self._slots[slot] = np.empty((size // _CMS_CHUNK + 1) * _CMS_CHUNK)
+            store = self._slots[slot] = np.empty((size // grain + 1) * grain)
         return store[:size].reshape(shape)
+
+
+def chunks(size: int, width: int = 1):
+    """Yield (start, stop) over ``size`` rows, max(CHUNK // width, 1) rows at
+    a time: the chunks of a pass whose scratch takes ``width`` values a row."""
+    rows = max(CHUNK // width, 1)
+    for start in range(0, size, rows):
+        yield start, min(start + rows, size)
 
 
 def _shape(size) -> tuple:
     return () if size is None else (size if isinstance(size, tuple) else (size,))
 
 
-def _cms(rng, size: int, alpha: float, shift: float, scratch: np.ndarray, out: np.ndarray | None = None):
-    """Yield (start, x) for the ``size`` CMS variates, ``_CMS_CHUNK`` at a
-    time: x = sin(alpha (u + shift)) / cos(u)^(1/alpha)
+def _cms(rng, size: int, alpha: float, shift: float, buffers: PathBuffers, out: np.ndarray | None = None):
+    """Yield (start, x) for the ``size`` CMS variates, a chunk at a time:
+    x = sin(alpha (u + shift)) / cos(u)^(1/alpha)
     * (cos((1 - alpha) u - alpha shift) / w)^((1 - alpha)/alpha) for
     u ~ U(-pi/2, pi/2) and w ~ Exp(1), every sine and cosine taken from
     ``np.tan`` (SIMD where numpy's float64 sin and cos are scalar) by
     identities that hold at shifts 0 and pi/2.
 
     The stream is that of ``rng.uniform`` for all the draws, then
-    ``rng.exponential``, so the uniforms and the exponentials of a chunk lie
-    at two positions in it.  A first pass draws the uniforms a chunk at a
-    time: onto the flat ``out``, where x is then formed in place, or, when
-    ``out`` is None, onto ``scratch`` and dropped, to be drawn again chunk
-    by chunk from a copy of ``rng`` taken before them.  Each chunk then
-    draws its exponentials from ``rng``, which ends where one whole draw
-    leaves it.  ``scratch`` is a (4, min(size, _CMS_CHUNK)) float array; x
-    is a chunk of ``out``, or a row of ``scratch`` valid until the next chunk.
+    ``rng.exponential``.  A first pass draws the uniforms: onto the flat
+    ``out``, where x is then formed in place, or, when ``out`` is None, onto
+    the scratch and dropped, to be drawn again chunk by chunk from a copy of
+    ``rng`` taken before them.  Each chunk then draws its exponentials from
+    ``rng``.  The scratch is four rows of a chunk on the slot 1 of
+    ``buffers``; x is a chunk of ``out``, or a row of the scratch valid
+    until the next chunk.
     """
     uniforms = None if out is not None else copy.deepcopy(rng)
-    u_buf, v_buf, t_buf, s_buf = scratch
-    for start in range(0, size, _CMS_CHUNK):
-        stop = min(start + _CMS_CHUNK, size)
+    u_buf, v_buf, t_buf, s_buf = buffers.take(1, (4, min(size, CHUNK // 4)))
+    for start, stop in chunks(size, 4):
         rng.random(out=u_buf[: stop - start] if out is None else out[start:stop])
-    for start in range(0, size, _CMS_CHUNK):
-        k = min(_CMS_CHUNK, size - start)
-        u, v, t, s = u_buf[:k] if out is None else out[start : start + k], v_buf[:k], t_buf[:k], s_buf[:k]
+    for start, stop in chunks(size, 4):
+        k = stop - start
+        u, v, t, s = u_buf[:k] if out is None else out[start:stop], v_buf[:k], t_buf[:k], s_buf[:k]
         if uniforms is not None:
             uniforms.random(out=u)
         u *= math.pi
@@ -193,11 +175,6 @@ def _cms(rng, size: int, alpha: float, shift: float, scratch: np.ndarray, out: n
         yield start, u
 
 
-def _cms_scratch(buffers: PathBuffers, size: int) -> np.ndarray:
-    """The scratch of :func:`_cms`, on the slot 1 of ``buffers``."""
-    return buffers.take(1, (4, min(size, _CMS_CHUNK)))
-
-
 def _flat_scale(scale, shape: tuple):
     """``scale``, one value or one per variate of a draw of ``shape``, as one
     value or one per variate of the flat draw."""
@@ -223,10 +200,8 @@ def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator
     reduces to tan(U) at alpha = 1 and to 2 sin(U) sqrt(W) (exactly Gaussian,
     variance 2) at alpha = 2.  It is evaluated in place on the slot 0 of
     ``_buffers`` (a :class:`PathBuffers`; fresh arrays when None), a chunk
-    at a time, with its chunk scratch on the slot 1, and each chunk is
-    scaled as it is formed.  Given ``_steps``, one time step per variate,
-    variate i takes the scale ``scale * _steps[i] ** (1 / alpha)``, formed a
-    chunk at a time (see :func:`_chunk_scale`).
+    at a time.  Given ``_steps``, one time step per variate, variate i takes
+    the scale ``scale * _steps[i] ** (1 / alpha)``.
     """
     _check_alpha(alpha)
     if np.any(scale <= 0):
@@ -234,7 +209,7 @@ def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator
     buffers = PathBuffers() if _buffers is None else _buffers
     x = buffers.take(0, _shape(size))
     scale = _flat_scale(scale, x.shape)
-    for start, chunk in _cms(rng, x.size, alpha, 0.0, _cms_scratch(buffers, x.size), out=x.reshape(-1)):
+    for start, chunk in _cms(rng, x.size, alpha, 0.0, buffers, out=x.reshape(-1)):
         chunk *= _chunk_scale(scale, _steps, alpha, start, start + chunk.size)
     return x if size is not None else x[()]
 
@@ -242,12 +217,12 @@ def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator
 def sample_one_sided_stable(gamma: float, rng: np.random.Generator, size=None, _buffers=None):
     """Positive gamma-stable variates with E exp(-lam*A) = exp(-lam**gamma):
     :func:`_cms` at shift pi/2, in place on the slot 0 of ``_buffers``
-    (fresh arrays when None), with its chunk scratch on the slot 1."""
+    (fresh arrays when None)."""
     if not 0.0 < gamma < 1.0:
         raise AlphaOutOfRange(f"one-sided index must be in (0, 1), got {gamma}")
     buffers = PathBuffers() if _buffers is None else _buffers
     a = buffers.take(0, _shape(size))
-    for _ in _cms(rng, a.size, gamma, math.pi / 2, _cms_scratch(buffers, a.size), out=a.reshape(-1)):
+    for _ in _cms(rng, a.size, gamma, math.pi / 2, buffers, out=a.reshape(-1)):
         pass
     return a if size is not None else a[()]
 
@@ -260,9 +235,8 @@ def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Genera
     ``_steps`` as in :func:`sample_stable_increment`.  The vectors
     sqrt(2) scale sqrt(A) G are formed in place on the slot 0 of
     ``_buffers`` (fresh arrays when None): the normals G first, then, a
-    chunk at a time, the one-sided (alpha/2)-stable A of :func:`_cms` on
-    its scratch on the slot 1, which scales the chunk's rows by the chunk's
-    factor sqrt(2) scale.
+    chunk at a time, their product by the one-sided (alpha/2)-stable A of
+    :func:`_cms`.
     """
     _check_alpha(alpha)
     if np.any(scale <= 0):
@@ -277,11 +251,10 @@ def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Genera
         return math.sqrt(2.0) * _chunk_scale(scale, _steps, alpha, start, stop)
 
     if alpha == 2.0:
-        for start in range(0, rows.shape[0], _CMS_CHUNK):
-            part = rows[start : start + _CMS_CHUNK]
-            part *= np.reshape(factor(start, start + part.shape[0]), (-1, 1))
+        for start, stop in chunks(rows.shape[0], 4):
+            rows[start:stop] *= np.reshape(factor(start, stop), (-1, 1))
         return g
-    for start, a in _cms(rng, rows.shape[0], alpha / 2.0, math.pi / 2, _cms_scratch(buffers, rows.shape[0])):
+    for start, a in _cms(rng, rows.shape[0], alpha / 2.0, math.pi / 2, buffers):
         np.sqrt(a, out=a)
         a *= factor(start, start + a.size)
         part = rows[start : start + a.size]
@@ -558,24 +531,21 @@ def sample_semistable_increment(
       mean dt_i c^-k / 2 (Poisson thinning).  With one step for all samples
       and a CDF table (of :func:`_net_count_pmf`) of size**2 <= 4n, so that
       building it costs at most 4 multiply-adds a sample, the net count is
-      one uniform per sample, drawn on the slot 1, inverted on the table
-      (:func:`_invert`); otherwise it is two Poisson vectors.  Where
+      one uniform per sample inverted on the table (:func:`_invert`);
+      otherwise it is two Poisson vectors.  Where
       c^(1/alpha) is an integer, a run of table atoms is one group: one
       uniform a sample, inverted on the CDF of the group's net jump sum,
       draws all of them (see :func:`_step_plan`).
 
     The atom order does not depend on k_min, so two truncation depths share
     the draws of their common atoms (of their common groups, on a lattice).
-    A Gaussian of std :func:`compensation_std`, whose variance is linear in
-    dt, replaces the jumps below k_min.
+    A Gaussian of std :func:`compensation_std` replaces the jumps below k_min.
 
-    ValueError fires for a step that is not positive and finite, or not one
-    per sample; TruncationTooCoarse when the compensation Gaussian would
-    rival the increment's own scale dt^(1/alpha) at the shortest step, i.e.
-    when k_min is too shallow (:func:`check_truncation`); BudgetExceeded when
-    the walk would take more than ``_MAX_ATOMS`` atoms or k_min is too deep
-    for numpy's Poisson sampler at the longest step
-    (:func:`check_poisson_mean`); and DegenerateSample when an atom height
+    Raises ValueError for a step that is not positive and finite, or not one
+    per sample; TruncationTooCoarse when k_min is too shallow at the
+    shortest step (:func:`check_truncation`); BudgetExceeded for more than
+    ``_MAX_ATOMS`` atoms, or a k_min too deep for numpy's Poisson sampler
+    (:func:`check_poisson_mean`); DegenerateSample when an atom height
     leaves the float64 range.
     """
     _check_alpha(alpha, upper_inclusive=False)

@@ -19,18 +19,12 @@ Block dispatch:
   trades stationarity for the correct marginals.
 
 Paths and marginals share one draw per block, :func:`_block_increments`:
-independent draws of X_j(t_i) - X_j(t_i - step_i), one row per time.  A Levy
-block draws X(step_i), by stationary independent increments; the
-Gaussian-operator block draws N(0, C(t_i) - C(t_i - step_i)), C(0) = 0.  A
-path passes the steps between the grid rows it holds: on the whole grid the
-one step 2^-n, and on a time set B one per kept step and per gap of B's mask,
-and one over [0, t] for a first kept time t > 0.  A marginal X(t) is the
-increment over [0, t].  A path sums and embeds a block's increments one
-``ROW_CHUNK`` of rows at a time, carrying the sum from chunk to chunk, so
-that beside its values and increments it holds chunk scratch alone.  It
-holds no times: row k of the grid lies at k 2^-n, and whoever needs the
-times of a path's rows forms them from the row indices a chunk at a time
-(:class:`RowTimes`).
+independent draws of X_j(t_i) - X_j(t_i - step_i), one row per time.  A path
+passes the steps between the grid rows it holds (on a time set B, one per
+kept step and per gap of B's mask), and a marginal X(t) is the increment
+over [0, t].  A path holds its values and no times: row k of the grid lies
+at k 2^-n, and whoever needs the times of a path's rows forms them from the
+row indices a chunk at a time (:class:`RowTimes`).
 """
 
 from __future__ import annotations
@@ -43,7 +37,8 @@ import numpy as np
 
 from .codec import Record
 from .errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EmptyRestriction, EnsembleTooSmall
-from .laws import BlockLaw, LawKind, PathBuffers
+from . import laws as _laws
+from .laws import BlockLaw, LawKind, PathBuffers, chunks
 from .seeds import derive_rng
 from .spectral import ExponentSpec, SpectralBlock, scaling_operator
 
@@ -57,19 +52,9 @@ FULLNESS_TOL = 1e-3
 # Slack on the 5% two-sample KS critical value, absorbing small-jump
 # truncation bias in the semi-selfsimilarity test.
 KS_THRESHOLD_SLACK = 1.5
-# Rows per chunk of a pass over the grid or over a path's rows; bounds the
-# scratch of such a pass, whatever the depth.
-ROW_CHUNK = 2**16
-# Values that the chunked passes over a path (the samplers, the embedding,
-# the box kernel and the near-pair energy kernel) hold at once beside its
-# full-length slots, at most.
-CHUNK_SCRATCH = 8 * ROW_CHUNK
 # Values a row that a semistable block's draw holds beside the slot 0, at
-# most: the jumps of a rare run, up to 3 a row, take about 3 values each
-# (their uniforms on the slot 1, then two index arrays, or the jumps' slots
-# and signs), and a step per row adds the steps' ratios to the longest,
-# their running sum and a sum of the jumps; a group's Poisson counts take
-# fewer.
+# most: a rare run's jumps (up to 3 a row, about 3 values each) and, with a
+# step per row, the steps' ratios, their running sum and a sum of the jumps.
 SEMISTABLE_DRAW = 12
 
 
@@ -77,11 +62,8 @@ SEMISTABLE_DRAW = 12
 class RowTimes:
     """The times k 2^-n of ``size`` rows of the dyadic grid of depth ``n``,
     formed from their row indices a chunk at a time instead of held: entry
-    i is row ``rows[i]``, or row i when ``rows`` is None.
-
-    An int64 row index k < 2^53 converts to float64 exactly, and the product
-    by 2^-n is exact, so the times of a chunk equal those of the same rows of
-    :func:`grid_times` bit for bit, wherever the rows are cut."""
+    i is row ``rows[i]``, or row i when ``rows`` is None.  k 2^-n is exact
+    for k < 2^53, so a chunk's times are those of :func:`grid_times`."""
 
     n: int
     size: int
@@ -259,22 +241,17 @@ def _block_increments(
     0 < step_i <= t_i.  ``times`` is one value, with one value of ``steps``,
     or a function of (start, stop) that forms the times of rows start ..
     stop - 1; ``steps`` is one value or one per row.  A Levy block draws
-    X(step_i) on the slots of ``buffers``; the Gaussian-operator block draws
-    N(0, C(t_i) - C(t_i - step_i)), C(0) = 0, with one Cholesky factor for
-    one time and step.  Its times, its factors, and its normals on the slot
-    1, are formed a chunk of rows at a time, in the order of one (size, d)
-    draw of the normals; each (rows, d, d) temporary of a chunk holds
-    ``ROW_CHUNK / 8`` values, so that the chunk's temporaries stay within
-    ``CHUNK_SCRATCH``.
+    X(step_i), by stationary independent increments; the Gaussian-operator
+    block draws N(0, C(t_i) - C(t_i - step_i)), C(0) = 0, a chunk of rows at
+    a time (8 d^2 values a row), in the order of one (size, d) draw of the
+    normals.
     """
     if not gaussian:
         inc = law.sample_increments(steps, size, rng, _buffers=buffers)
         return inc[:, None] if inc.ndim == 1 else inc
     d = block.d
     out = buffers.take(0, (size, d))
-    rows = max(ROW_CHUNK // (8 * d * d), 1)
-    for start in range(0, size, rows):
-        stop = min(start + rows, size)
+    for start, stop in chunks(size, 8 * d * d):
         if callable(times):
             step = steps[start:stop] if np.ndim(steps) else steps
             chol = _gaussian_factors(block, law, times(start, stop), step)
@@ -307,31 +284,28 @@ def check_grid(n: int, d: int, laws=()) -> None:
     restricted path (1 each), the slot 0 of its :class:`PathBuffers`,
     which holds a block's increments (at most d) and then the box kernel's
     keys of the graph and the range (2), and ``SEMISTABLE_DRAW`` beside it
-    when a law is semistable; and ``CHUNK_SCRATCH`` values beside them, the
+    when a law is semistable; and 8 ``laws.CHUNK`` values beside them, the
     most that the chunked passes over a path hold at once."""
     if n < 0:
         raise ValueError("grid depth must be nonnegative")
     draw = SEMISTABLE_DRAW if any(law.kind is LawKind.SEMISTABLE_DISCRETE for law in laws) else 0
     # beyond 2^64 points no memory suffices, so 2^n is never formed for a huge n
-    check_memory((2 ** min(n, 64) + 1) * (2 + d + max(d, 2) + draw) + CHUNK_SCRATCH, f"a grid of depth n={n} in d={d}")
+    check_memory((2 ** min(n, 64) + 1) * (2 + d + max(d, 2) + draw) + 8 * _laws.CHUNK, f"a grid of depth n={n} in d={d}")
 
 
-def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray, scratch: np.ndarray) -> None:
-    """out += block_values @ basis.T, one column multiply-add at a time,
-    ``scratch.size`` rows at a time, each product formed in ``scratch``.
-
-    A block has a few columns and 2^n rows; elementwise multiply-adds keep
-    such a thin product off BLAS, whose threads cost more than they save.
+def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray, buffers: PathBuffers) -> None:
+    """out += block_values @ basis.T, one column multiply-add at a time (off
+    BLAS, whose threads cost more than they save on so thin a product), a
+    chunk of rows at a time, each product on the slot 1 of ``buffers``.
     An entry of 1 adds its column as it is, and an entry of 0 adds nothing:
     ``out`` starts at +0 and, in round-to-nearest, no sum of the products
     makes it -0, so a +-0 addend changes no value.  Where such a skipped
     product would be NaN, its row holds a non-finite value in another column,
     as every block column has a nonzero entry, so the path is still rejected.
     """
-    for start in range(0, out.shape[0], max(scratch.size, 1)):
-        rows = out[start : start + scratch.size]
-        values = block_values[start : start + scratch.size]
-        product = scratch[: rows.shape[0]]
+    for start, stop in chunks(out.shape[0]):
+        rows, values = out[start:stop], block_values[start:stop]
+        product = buffers.take(1, (stop - start,))
         for i in range(basis.shape[0]):
             for k in range(basis.shape[1]):
                 if basis[i, k] == 1.0:
@@ -360,18 +334,12 @@ def simulate_path(
     rows, and one over [0, t] for a first kept time t > 0, all in one
     :func:`_block_increments` call.  A mask that keeps every row draws
     exactly the path of ``mask=None``, whose steps are the one grid step.
-    Raises BudgetExceeded, before allocating, when the grid alone would not
-    fit in physical memory.
+    Raises BudgetExceeded, before allocating, when the grid would not fit
+    in physical memory.
 
-    The path is drawn, summed and embedded on the slots of ``_buffers`` (see
+    The path is drawn on the slots of ``_buffers`` (see
     :class:`PathBuffers`), and its values are the slot "values": valid
-    until the next path drawn on the same buffers.  It holds no times; a
-    Gaussian-operator block forms those of its rows a chunk at a time.
-    Each block's increments, on the slot 0, are summed in place and added
-    into the values through the block's basis one ``ROW_CHUNK`` of rows at
-    a time: a chunk's first row adds the last sum before it, which gives
-    the bits of one whole cumulative sum, and the products of the
-    embedding take a chunk of scratch on the slot 1.  Without ``_buffers``
+    until the next path drawn on the same buffers.  Without ``_buffers``
     every array is fresh, and the path is the caller's.
     """
     laws, blocks = _block_laws(spec, laws)
@@ -413,13 +381,12 @@ def simulate_path(
             # values[first:] += cumsum(inc) @ basis.T, a chunk of rows at a
             # time, the chunk's sum carried on from the last row before it
             # (the bits of one whole cumsum); row 0, when held, is X(0) = 0
-            scratch = buffers.take(1, (min(size, ROW_CHUNK),))
-            for start in range(0, size, ROW_CHUNK):
-                part = inc[start : start + ROW_CHUNK]
+            for start, stop in chunks(size):
+                part = inc[start:stop]
                 if start:
                     part[0] += inc[start - 1]
                 np.cumsum(part, axis=0, out=part)
-                _embed(values[first + start : first + start + part.shape[0]], part, block.basis, scratch)
+                _embed(values[first + start : first + stop], part, block.basis, buffers)
         # a NaN or an infinity makes the minimum or the maximum one
         finite = np.isfinite(values.min()) and np.isfinite(values.max())
     if not finite:
@@ -452,7 +419,7 @@ def sample_marginal(
         for j, (block, law, gaussian) in enumerate(blocks):
             rng = derive_rng(seed, f"{name}/block/{j}")
             inc = _block_increments(block, law, gaussian, times, t, size, rng, buffers)
-            _embed(out, inc, block.basis, buffers.take(1, (min(size, ROW_CHUNK),)))
+            _embed(out, inc, block.basis, buffers)
     if not np.isfinite(out).all():
         raise DegenerateSample(f"marginal {name!r} leaves the float64 range")
     return out
@@ -492,6 +459,18 @@ class KSReport(Record):
     ensemble: int
 
 
+def _ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic max |F_x - F_y| over the
+    pooled sample, F_x and F_y the empirical CDFs: the counts of each sorted
+    sample at or below each pooled value are two ``searchsorted`` calls, and
+    their difference, in units of 1 / (len(x) len(y)), is exact in int64,
+    so the statistic is one correctly rounded division."""
+    x, y = np.sort(x), np.sort(y)
+    pooled = np.concatenate([x, y])
+    gap = np.searchsorted(x, pooled, side="right") * y.size - np.searchsorted(y, pooled, side="right") * x.size
+    return float(np.abs(gap).max() / (x.size * y.size))
+
+
 def semiselfsimilarity_test(
     spec: ExponentSpec,
     laws,
@@ -511,8 +490,6 @@ def semiselfsimilarity_test(
     threshold.  Raises BudgetExceeded, before sampling, when the two
     ensembles would not fit in physical memory.
     """
-    import scipy.stats  # here alone: loading it takes longer than loading semidim
-
     if ensemble < 10**4:
         raise EnsembleTooSmall(f"semi-selfsimilarity test needs >= 1e4 samples, got {ensemble}")
     check_memory(2 * ensemble * spec.d, f"two ensembles of {ensemble} points in d={spec.d}")
@@ -525,10 +502,7 @@ def semiselfsimilarity_test(
     if perturb_a1:
         operator = operator + perturb_a1 * spec.decomposition.projector(0)
     mapped = x_t @ scaling_operator(operator, c).T
-    stats = tuple(
-        float(scipy.stats.ks_2samp(x_ct[:, i], mapped[:, i]).statistic)
-        for i in range(spec.d)
-    )
+    stats = tuple(_ks_statistic(x_ct[:, i], mapped[:, i]) for i in range(spec.d))
     threshold = 1.36 * math.sqrt(2.0 / ensemble) * KS_THRESHOLD_SLACK
     return KSReport(
         statistics=stats,

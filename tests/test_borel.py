@@ -7,8 +7,8 @@ import pytest
 from semidim import BorelSetSpec, cantor, interval, simulate_path, time_set, union, validate_exponent
 from semidim.borel import SetKind, check_cover_level
 from semidim.errors import InvalidInputs, ResolutionTooCoarse
-from semidim.laws import BlockLaw, LawKind
-from semidim.paths import ROW_CHUNK, grid_times
+from semidim.laws import CHUNK, BlockLaw, LawKind
+from semidim.paths import grid_times
 
 BM_LAWS = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),)
 
@@ -128,16 +128,18 @@ class TestMask:
         kept = np.flatnonzero(mask)
         assert spec.contains(kept * 2.0**-n, n, level).all()
 
-    CHUNK_BITS = ROW_CHUNK.bit_length() - 1
+    # the mask's chunks: its temporaries take 4 values a grid time
+    CHUNK_BITS = (CHUNK // 4).bit_length() - 1
 
-    @pytest.mark.parametrize("n", [CHUNK_BITS - 1, CHUNK_BITS, CHUNK_BITS + 1])
+    @pytest.mark.parametrize("n", range(CHUNK_BITS - 1, CHUNK_BITS + 4))
     @pytest.mark.parametrize(
         "spec, level",
         [(cantor(), 8), (cantor(3, 0.2), 5), (union(interval(0.0, 0.2), cantor()), 6), (interval(0.3, 0.6), None)],
     )
     def test_chunked_mask_is_contains_on_the_whole_grid(self, spec, level, n):
-        # grids of less than one chunk, one chunk and a row, two chunks and a row
-        assert ROW_CHUNK == 2**self.CHUNK_BITS
+        # grids of less than one chunk, one chunk and a row, two, four and
+        # eight chunks and a row
+        assert CHUNK // 4 == 2**self.CHUNK_BITS
         assert np.array_equal(spec.mask(n, level), spec.contains(grid_times(n), n, level))
 
     def test_mask_scratch_is_bounded_by_the_chunk(self):

@@ -179,7 +179,7 @@ class TestCubeKernel:
         # more than two chunks of rows: the consecutive-row and sorted-key
         # dedups carry each chunk's last row into the next
         rng = np.random.default_rng(20 + dim)
-        points = walk_cloud(rng, 2 * estimators.ROW_CHUNK, dim)
+        points = walk_cloud(rng, 2 * sd.laws.CHUNK, dim)
         sides = sd.dyadic_scales(6, 12)
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 

@@ -23,8 +23,8 @@ from semidim.harness import (
     _sojourn_stage,
     verdict,
 )
-from semidim.laws import BlockLaw, LawKind
-from semidim.paths import ROW_CHUNK, LevyPath, simulate_path
+from semidim.laws import CHUNK, BlockLaw, LawKind
+from semidim.paths import LevyPath, simulate_path
 from semidim.spectral import validate_exponent
 
 
@@ -219,7 +219,7 @@ class TestRunScenario:
         # brownian-cantor on a 2^18 grid: one pass of membership tests over
         # the full grid, the box stage's mask, shared by every path and
         # target; the energy stage's thinning level is tested once on the
-        # times path 0 holds; each pass runs a chunk of ROW_CHUNK times a call
+        # times path 0 holds; each pass runs a chunk of CHUNK // 4 times a call
         from semidim import harness
 
         obj = builtin_scenarios()["brownian-cantor"].as_dict()
@@ -245,7 +245,7 @@ class TestRunScenario:
         energy = [size for size, n, level in calls if (n, level) == (18, 11)]
         assert calls == [(size, 18, 8) for size in box] + [(size, 18, 11) for size in energy]
         assert sum(box) == 2**18 + 1 and sum(energy) == kept
-        assert max(box + energy) <= ROW_CHUNK
+        assert max(box + energy) <= CHUNK // 4
         # the box paths hold just the rows of the box stage's mask
         assert held == [kept] * sc.n_seeds
 

@@ -22,7 +22,7 @@ from semidim import (
 )
 from semidim.errors import AlphaOutOfRange, BudgetExceeded, DegenerateSample, TruncationTooCoarse
 from semidim.laws import (
-    _CMS_CHUNK,
+    CHUNK,
     DEFAULT_K_MIN,
     PathBuffers,
     _guide,
@@ -94,8 +94,12 @@ def reference_isotropic_stable_2d(alpha, scale, rng, size):
     return math.sqrt(2.0) * scale * np.sqrt(a)[..., None] * g
 
 
-# a few draws, a chunk of the in-place chains and one more, and several chunks
-IN_PLACE_SIZES = [1, 5, _CMS_CHUNK + 1, 3 * _CMS_CHUNK - 7]
+# rows of a chunk of the CMS kernel, whose scratch takes 4 values a row; a
+# slot grows by half as many values, CHUNK // 8
+CMS_ROWS = CHUNK // 4
+# a few draws, a slot grain and one more, a chunk of the in-place chains and
+# one more, and several grains and chunks
+IN_PLACE_SIZES = [1, 5, CMS_ROWS // 2 + 1, CMS_ROWS + 1, 3 * CMS_ROWS // 2 - 7, 3 * CMS_ROWS - 7]
 
 
 def per_row_scale(size):
@@ -118,7 +122,7 @@ class TestInPlaceSamplers:
     @pytest.mark.parametrize("size", IN_PLACE_SIZES)
     def test_stable_increment(self, alpha, size):
         buffers = PathBuffers()
-        sample_stable_increment(0.7, 1.0, derive_rng(1, "dirty"), size=4 * _CMS_CHUNK, _buffers=buffers)
+        sample_stable_increment(0.7, 1.0, derive_rng(1, "dirty"), size=4 * CMS_ROWS, _buffers=buffers)
         for scale in (1.7, per_row_scale(size)):
             want = reference_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size)
             fresh = sample_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size=size)
@@ -130,7 +134,7 @@ class TestInPlaceSamplers:
     @pytest.mark.parametrize("size", IN_PLACE_SIZES)
     def test_one_sided_stable(self, gamma, size):
         buffers = PathBuffers()
-        sample_one_sided_stable(0.5, derive_rng(1, "dirty"), size=4 * _CMS_CHUNK, _buffers=buffers)
+        sample_one_sided_stable(0.5, derive_rng(1, "dirty"), size=4 * CMS_ROWS, _buffers=buffers)
         want = reference_one_sided_stable(gamma, derive_rng(2, f"one-sided/{gamma}"), size)
         fresh = sample_one_sided_stable(gamma, derive_rng(2, f"one-sided/{gamma}"), size=size)
         np.testing.assert_allclose(fresh, want, rtol=CMS_RTOL, atol=0.0)
@@ -141,7 +145,7 @@ class TestInPlaceSamplers:
     @pytest.mark.parametrize("size", IN_PLACE_SIZES)
     def test_isotropic_stable_2d(self, alpha, size):
         buffers = PathBuffers()
-        sample_isotropic_stable_2d(0.7, 1.0, derive_rng(1, "dirty"), size=4 * _CMS_CHUNK, _buffers=buffers)
+        sample_isotropic_stable_2d(0.7, 1.0, derive_rng(1, "dirty"), size=4 * CMS_ROWS, _buffers=buffers)
         for scale in (1.7, per_row_scale(size)):
             want = reference_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size)
             fresh = sample_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size=size)
@@ -150,7 +154,9 @@ class TestInPlaceSamplers:
             assert lent.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64])
-    @pytest.mark.parametrize("size", [_CMS_CHUNK - 1, _CMS_CHUNK, _CMS_CHUNK + 1, 2 * _CMS_CHUNK + 3])
+    @pytest.mark.parametrize(
+        "size", [CMS_ROWS // 2 - 1, CMS_ROWS // 2, CMS_ROWS // 2 + 1, CMS_ROWS - 1, CMS_ROWS, CMS_ROWS + 1, CMS_ROWS + 3, 2 * CMS_ROWS + 3]
+    )
     @pytest.mark.parametrize(
         "sampler, reference",
         [

@@ -12,7 +12,7 @@ import scipy.stats
 import semidim as sd
 from semidim.borel import cantor, interval
 from semidim.errors import BlockLawMismatch, BudgetExceeded, DegenerateSample, EmptyRestriction, EnsembleTooSmall
-from semidim.laws import _CMS_CHUNK, BlockLaw, LawKind, PathBuffers
+from semidim.laws import CHUNK, BlockLaw, LawKind, PathBuffers
 from semidim.paths import KS_THRESHOLD_SLACK, sample_marginal
 
 BROWNIAN = sd.validate_exponent(np.array([[0.5]]), 2.0)
@@ -331,7 +331,7 @@ class TestGridBudget:
         # count hold: the path's values (it holds no times), a block's
         # increments and then the keys on slot 0, the steps of a path
         # restricted to all but one row, and the chunk scratch on slot 1,
-        # which a path of four ROW_CHUNKs does not fill
+        # which a path of four CHUNKs of rows does not fill
         n = 18
         budget = grid_budget(monkeypatch, n, spec.d)
         mask = np.ones(2**n + 1, dtype=bool)
@@ -342,7 +342,7 @@ class TestGridBudget:
         slots = buffers._slots
         assert set(slots) == {"values", 0, 1} | ({"steps"} if restricted else set())
         # a chunk, less than a value a row, and the grain a slot grows by
-        assert slots[1].size <= sd.paths.ROW_CHUNK + _CMS_CHUNK
+        assert slots[1].size <= CHUNK + CHUNK // 8
         assert sum(store.nbytes for store in slots.values()) <= budget
 
     def test_a_gaussian_operator_path_fits_the_preflight(self, monkeypatch):
@@ -396,7 +396,7 @@ class TestGridBudget:
         # the semistable draw holds its uniforms, rare jumps and Poisson
         # counts beside the slot 0, a value or more a row, and check_grid
         # counts them for a semistable law: the stpetersburg-interval law on
-        # a path of four ROW_CHUNKs, with one grid step or a step per row
+        # a path of four CHUNKs of rows, with one grid step or a step per row
         n = 18
         budget = grid_budget(monkeypatch, n, SEMI.d, SEMI_LAWS)
         mask = np.ones(2**n + 1, dtype=bool)
@@ -414,7 +414,7 @@ class TestGridBudget:
         # isotropic-12-interval path hold the values and the increments'
         # slot, plus the chunk scratch that check_grid allows beside them; a
         # times column, or cell columns or keys of a value a row, would pass
-        # it.  At n = 18 a path spans four ROW_CHUNKs, so that they can be
+        # it.  At n = 18 a path spans four CHUNKs of rows, so that they can be
         # told apart.
         sc = sd.get_scenario("isotropic-12-interval")
         n = 18
@@ -428,7 +428,7 @@ class TestGridBudget:
 
         peak = traced_peak(call)
         held = sum(buffers._slots[slot].nbytes for slot in ("values", 0))
-        assert peak <= held + 8 * sd.paths.CHUNK_SCRATCH
+        assert peak <= held + 8 * 8 * CHUNK
 
     def test_the_energy_estimate_peaks_no_higher_than_the_box_count(self):
         # on warm buffers, the energy estimate of an isotropic-12-interval
@@ -486,7 +486,7 @@ class TestEmbed:
         got, want = np.zeros((64, 2)), np.zeros((64, 2))
         with np.errstate(over="ignore"):
             for values, basis in self.blocks(self.BASES[case]):
-                _embed(got, values, basis, np.empty(64))
+                _embed(got, values, basis, PathBuffers())
                 reference_embed(want, values, basis)
         assert got.tobytes() == want.tobytes()
 
@@ -500,7 +500,7 @@ class TestEmbed:
         got, want = np.zeros((64, 2)), np.zeros((64, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             for values, basis in self.blocks(self.BASES[case], poison):
-                _embed(got, values, basis, np.empty(64))
+                _embed(got, values, basis, PathBuffers())
                 reference_embed(want, values, basis)
         finite = np.isfinite(want).all(axis=1)
         assert np.array_equal(np.isfinite(got).all(axis=1), finite) and not finite.all()
@@ -554,8 +554,15 @@ class TestEmpiricalFullness:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # only the semi-selfsimilarity test needs scipy.stats, and it loads it
-    code = "import sys, semidim; print('scipy.stats' in sys.modules)"
+    # no call needs scipy.stats: the semi-selfsimilarity test forms its KS
+    # statistic in numpy
+    code = (
+        "import sys, numpy, semidim\n"
+        "spec = semidim.validate_exponent(numpy.array([[0.5]]), 2.0)\n"
+        "law = semidim.BlockLaw(semidim.LawKind.STABLE_SYMMETRIC, alpha=2.0)\n"
+        "semidim.semiselfsimilarity_test(spec, (law,), t=0.25, ensemble=10**4, seed=13)\n"
+        "print('scipy.stats' in sys.modules)"
+    )
     env = os.environ | {"PYTHONPATH": str(Path(sd.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
@@ -575,6 +582,28 @@ class TestSemiselfsimilarity:
             SEMI, SEMI_LAWS, t=0.25, ensemble=3 * 10**4, seed=15, perturb_a1=0.3
         )
         assert not rep.passed
+
+    def test_ks_statistic_is_scipys(self, monkeypatch):
+        # on the ensembles of the two tests above, and on samples with ties,
+        # the statistic equals scipy's bit for bit: at up to 10^4 points
+        # scipy rounds its statistic to the nearest multiple of
+        # 1 / lcm(n1, n2), which is the exact count difference over n1 n2
+        pairs = []
+        ks = sd.paths._ks_statistic
+
+        def recorded(x, y):
+            pairs.append((x, y))
+            return ks(x, y)
+
+        monkeypatch.setattr(sd.paths, "_ks_statistic", recorded)
+        sd.semiselfsimilarity_test(BROWNIAN, BM_LAWS, t=0.25, ensemble=10**4, seed=13)
+        sd.semiselfsimilarity_test(SEMI, SEMI_LAWS, t=0.25, ensemble=10**4, seed=14)
+        assert len(pairs) == 2
+        rng = np.random.default_rng(1)
+        ties = rng.integers(0, 40, 700).astype(float), rng.integers(5, 45, 500).astype(float)
+        for x, y in [*pairs, ties, (ties[0], np.repeat(ties[1][:350], 2))]:
+            got = ks(x, y)
+            assert got > 0.0 and got == scipy.stats.ks_2samp(x, y).statistic
 
     def test_ensemble_too_small(self):
         with pytest.raises(EnsembleTooSmall):
