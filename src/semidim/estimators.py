@@ -9,11 +9,11 @@ power-of-two multiples of each other (a dyadic ladder, or each side of a
 base-3 or sqrt-3 ladder) form a group, quantised once at its smallest side
 into one Z-order (Morton) key per row and sorted once; each coarser side of
 the group is a right shift of the sorted keys (dividing by a power of two is
-exact, so the counts match a per-side count bit for bit).
-:func:`box_count_graph` keys the rows of a path that the mask of B keeps,
-less each row whose cells equal the row's before, a chunk of rows at a
-time; a path holds no times, so the time column is a
-:class:`~semidim.paths.RowTimes`, read from the row indices.  The energy
+exact, so the counts match a per-side count bit for bit).  The kernel
+counts every row it is given, less each row whose cells equal the row's
+before, a chunk of rows at a time; :func:`box_count_graph` copies the rows
+that the mask of B keeps only when the mask drops some.  A path holds no
+times: its time column is a :class:`~semidim.paths.RowTimes`.  The energy
 estimator finds the near pairs of its truncated energies in numpy alone: a
 path's rows come in time order, so each point's candidate partners are the
 next few rows (:func:`_near_pair_energies`).  Both work on the slots of a
@@ -112,50 +112,41 @@ def _chunk(column, start: int, stop: int) -> tuple:
     return column[start:stop], 1.0
 
 
-def _extremes(column, keep) -> tuple:
-    """The least and the greatest entry of ``column`` at the rows ``keep``
-    marks (all when None; at least one).  A time column ascends, so its
-    extremes are the times of the first and the last row counted."""
+def _extremes(column) -> tuple:
+    """The least and the greatest entry of ``column`` (at least one).  A
+    time column ascends, so its extremes are the times of its first and its
+    last row."""
     if isinstance(column, RowTimes):
-        first = 0 if keep is None else int(np.argmax(keep))
-        last = column.size - 1 if keep is None else keep.size - 1 - int(np.argmax(keep[::-1]))
-        return column.chunk(first, first + 1)[0], column.chunk(last, last + 1)[0]
-    where = True if keep is None else keep
-    return column.min(where=where, initial=np.inf), column.max(where=where, initial=-np.inf)
+        return column.chunk(0, 1)[0], column.chunk(column.size - 1, column.size)[0]
+    return column.min(), column.max()
 
 
-def _kept_cells(columns: list, b: float, keep, buffers: PathBuffers):
+def _kept_cells(columns: list, b: float, buffers: PathBuffers):
     """Yield, one chunk of rows at a time, the int64 cells floor(c / b) of
-    the rows of ``columns`` (arrays, or a :class:`~semidim.paths.RowTimes`)
-    that ``keep`` marks (all when None), less each row whose cells all equal
-    those of the kept row before it: a (D, k) array, valid until the next
-    chunk.
+    the rows of ``columns`` (arrays, or a :class:`~semidim.paths.RowTimes`),
+    less each row whose cells all equal those of the row before it: a
+    (D, k) array, valid until the next chunk.
 
-    The cells are formed as floats on the slot 1 of ``buffers``, after a
-    column 0 that carries the last row of the chunk before, and the kept
-    rows are cast to int64 in place.  A time column divides its row indices
-    k by b 2^n: k 2^-n and b 2^n are exact, so the quotient is that of
-    (k 2^-n) / b bit for bit, and no time is formed."""
+    The cells are formed as floats on the slot 1 of ``buffers``, D values a
+    row after a column 0 that carries the last row of the chunk before, and
+    the rows kept are cast to int64 in place.  A time column divides its row
+    indices k by b 2^n: k 2^-n and b 2^n are exact, so the quotient is that
+    of (k 2^-n) / b bit for bit, and no time is formed."""
     dim, total = len(columns), columns[0].size
-    rows = min(total, _laws.CHUNK // 4)
+    rows = min(total, _laws.CHUNK // dim)
     cells = buffers.take(1, (dim, rows + 1))
     differs = np.empty((dim, rows), dtype=bool)
     fresh = np.empty(rows, dtype=bool)
-    seen = False
-    for start, stop in chunks(total, 4):
-        where = None if keep is None else keep[start:stop]
-        k = stop - start if where is None else int(np.count_nonzero(where))
-        if k == 0:
-            continue
+    for start, stop in chunks(total, dim):
+        k = stop - start
         # floor(c / b) as a float, cast to int64 only on the rows kept
         for j, c in enumerate(columns):
             part, unit = _chunk(c, start, stop)
-            np.divide(part if where is None else part[where], b / unit, out=cells[j, 1 : k + 1])
+            np.divide(part, b / unit, out=cells[j, 1 : k + 1])
         np.floor(cells[:, 1 : k + 1], out=cells[:, 1 : k + 1])
         np.not_equal(cells[:, 1 : k + 1], cells[:, :k], out=differs[:, :k])
         np.logical_or.reduce(differs[:, :k], axis=0, out=fresh[:k])
-        fresh[0] |= not seen
-        seen = True
+        fresh[0] |= start == 0
         index = np.flatnonzero(fresh[:k])
         kept = cells.view(np.int64)[:, 1 : index.size + 1]
         cells[:, 0] = cells[:, k]
@@ -164,7 +155,7 @@ def _kept_cells(columns: list, b: float, keep, buffers: PathBuffers):
         yield kept
 
 
-def _high_parts(columns: list, b: float, keep, m: int, lows: list, highs: list, buffers: PathBuffers):
+def _high_parts(columns: list, b: float, m: int, lows: list, highs: list, buffers: PathBuffers):
     """The high parts cell >> m of each column as offsets from their minimum
     or, while the columns do not fit in a 63-bit key beside the
     ``len(columns) * m`` interleaved bits, as ranks among the column's
@@ -173,8 +164,8 @@ def _high_parts(columns: list, b: float, keep, m: int, lows: list, highs: list, 
     first.  Returns the radices of the high parts and, per column, its
     smallest high part (an offset) or its sorted distinct high parts
     (ranks); None when even the ranks do not fit.  ``lows`` and ``highs``
-    are the columns' extremes over the rows counted: floor is monotone, so
-    floor(min c / b) is the smallest cell."""
+    are the columns' extremes: floor is monotone, so floor(min c / b) is the
+    smallest cell."""
     room = 63 - len(columns) * m
     if room < 0:
         return None
@@ -187,7 +178,7 @@ def _high_parts(columns: list, b: float, keep, m: int, lows: list, highs: list, 
             return None
         j = max(fits, key=lambda i: radices[i])
         # floor(floor(c / b) / 2^m) = floor(c / (2^m b)): dividing by 2^m is exact
-        heads = [cells[0].copy() for cells in _kept_cells([columns[j]], np.ldexp(b, m), keep, buffers)]
+        heads = [cells[0].copy() for cells in _kept_cells([columns[j]], np.ldexp(b, m), buffers)]
         offsets[j] = np.unique(np.concatenate(heads))
         radices[j] = offsets[j].size
     return radices, offsets
@@ -242,7 +233,7 @@ def _zorder_keys(cells: np.ndarray, cols, radices: list, offsets: list, m: int, 
         key |= np.take(table, bits, out=scratch[1], mode="clip")
 
 
-def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, keep, lows: list, highs: list) -> np.ndarray:
+def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, lows: list, highs: list) -> np.ndarray:
     """:func:`_cube_counts` on a group of sides that are power-of-two
     multiples of each other.
 
@@ -257,34 +248,33 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
     counted as a finer and a coarser half of its octaves; a single side, by
     comparing whole rows.
 
-    The keys of target t are row t of the slot 0 of ``buffers``.  ``keep``
-    (None for all) marks the rows counted, and ``lows`` and ``highs`` are
-    the columns' extremes over them.
+    The keys of target t are row t of the slot 0 of ``buffers``, and
+    ``lows`` and ``highs`` are the columns' extremes.
     """
     octave = np.frexp(sides)[1]
     shifts = octave - octave.min()
     m = int(shifts.max())
     b = sides.min()
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
-    plan = _high_parts(columns, b, keep, m, lows, highs, buffers)
+    plan = _high_parts(columns, b, m, lows, highs, buffers)
     if plan is None:
         if m == 0:
-            cells = np.concatenate([c.copy() for c in _kept_cells(columns, b, keep, buffers)], axis=1)
+            cells = np.concatenate([c.copy() for c in _kept_cells(columns, b, buffers)], axis=1)
             for t, cols in enumerate(targets):
                 counts[t] = np.unique(cells[cols].T, axis=0).shape[0]
         else:
             octaves = np.unique(shifts)
             finer = shifts <= octaves[(octaves.size - 1) // 2]
             for half in (finer, ~finer):
-                counts[:, half] = _octave_counts(columns, sides[half], targets, buffers, keep, lows, highs)
+                counts[:, half] = _octave_counts(columns, sides[half], targets, buffers, lows, highs)
         return counts
     radices, offsets = plan
     size = columns[0].size
     store = buffers.take(0, (len(targets), size)).view(np.int64)
     tables = [_spread_tables(m, cols) for cols in targets]
-    scratch = np.empty((2, min(size, _laws.CHUNK // 4)), dtype=np.int64) if m else None
+    scratch = np.empty((2, min(size, _laws.CHUNK // len(columns))), dtype=np.int64) if m else None
     filled = 0
-    for cells in _kept_cells(columns, b, keep, buffers):
+    for cells in _kept_cells(columns, b, buffers):
         k = cells.shape[1]
         for t, cols in enumerate(targets):
             part = None if scratch is None else scratch[:, :k]
@@ -302,25 +292,24 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
     return counts
 
 
-def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, keep=None) -> np.ndarray:
+def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers) -> np.ndarray:
     """Occupied side-b cubes (grid anchored at 0) of the points with
-    coordinates ``columns[j]``, j in ``cols``, at the rows ``keep`` marks
-    (None for all): one row of counts per list ``cols`` in ``targets``, one
-    count per side b in ``sides``.  The sides are grouped by their
-    floating-point mantissa, and each group is counted by
-    :func:`_octave_counts`.
+    coordinates ``columns[j]``, j in ``cols``, every row counted: one row of
+    counts per list ``cols`` in ``targets``, one count per side b in
+    ``sides``.  The sides are grouped by their floating-point mantissa, and
+    each group is counted by :func:`_octave_counts`.
     """
     # Cell indices are int64; beyond 2^62 cubes (or at inf/NaN) the cast
     # would return garbage cells instead of failing.
     reach = 2.0**62 * sides.min()
-    lows, highs = zip(*(_extremes(c, keep) for c in columns))
+    lows, highs = zip(*(_extremes(c) for c in columns))
     if not all(lo > -reach and hi < reach for lo, hi in zip(lows, highs)):
         raise DegenerateSample(f"points beyond 2^62 cubes of side {sides.min():g} from the origin")
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
     mantissas = np.frexp(sides)[0]
     for mantissa in np.unique(mantissas):
         group = mantissas == mantissa
-        counts[:, group] = _octave_counts(columns, sides[group], targets, buffers, keep, lows, highs)
+        counts[:, group] = _octave_counts(columns, sides[group], targets, buffers, lows, highs)
     return counts
 
 
@@ -379,21 +368,26 @@ def box_count_graph(path: LevyPath, mask: np.ndarray, sides, _buffers: PathBuffe
 
     ``mask`` marks the grid points in the set, as :meth:`BorelSetSpec.mask`
     returns it for the path's depth; it is read at the grid rows the path
-    holds, and a path that holds just the rows in the set is counted as it
-    is.  The cubes of the range X(t) are those of the graph (t, X(t))
-    projected, so one ladder walk counts both.  The grid must resolve the
-    smallest cube: 2^-n <= min(side)/4.  It works on the slots of
-    ``_buffers`` (fresh arrays when None).
+    holds.  The cube kernel counts every row it is given, so a path that
+    holds just the rows in the set (as a run draws it) is counted as it is,
+    and of any other path a copy of those rows.  The cubes of the range X(t)
+    are those of the graph (t, X(t)) projected, so one ladder walk counts
+    both.  The grid must resolve the smallest cube: 2^-n <= min(side)/4.  It
+    works on the slots of ``_buffers`` (fresh arrays when None).
     """
     check_box_sides(sides, path.n)
     keep = mask if path.rows is None else mask[path.rows]
     if not np.any(keep):
         raise EmptyRestriction("no grid point falls inside the time set")
     sides = np.sort(np.asarray(sides, dtype=float))[::-1]
-    columns = [path.row_times, *(path.values[:, j] for j in range(path.d))]
+    times, values = path.row_times, path.values
+    if not keep.all():
+        rows = times.indices(0, keep.size)[keep]
+        times, values = RowTimes(path.n, rows.size, rows), values[keep]
+    columns = [times, *(values[:, j] for j in range(path.d))]
     targets = [list(range(len(columns))), list(range(1, len(columns)))]
     buffers = PathBuffers() if _buffers is None else _buffers
-    graph, range_ = _cube_counts(columns, sides, targets, buffers, None if keep.all() else keep)
+    graph, range_ = _cube_counts(columns, sides, targets, buffers)
     return _fit_counts(sides, graph, _fit_counts(sides, range_))
 
 

@@ -328,6 +328,12 @@ def _net_count_pmf(mu: float, lo: int, hi: int) -> np.ndarray:
     return np.convolve(p, p[::-1])
 
 
+def _trim(pmf: np.ndarray) -> np.ndarray:
+    """``pmf`` less its ends, symmetric, whose CDF is below 1e-30."""
+    cut = int(np.searchsorted(np.cumsum(pmf), 1e-30))
+    return pmf[cut : pmf.size - cut]
+
+
 def _lattice_sum(g: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
     """pmf of q X + Y for independent X ~ ``g`` and Y ~ ``p``, each a pmf on
     consecutive integers from 0: entry l is the sum of g[x] p[y] over
@@ -404,11 +410,12 @@ def _step_plan(alpha: float, c: float, dt: float, k_min: int, n: int, tables: bo
     Where q = c^(1/alpha) is an integer, consecutive heights lie on the
     lattice of the smaller one, so the net jump sum of a run of table atoms
     is h l for the run's smallest height h and an integer l; its pmf is the
-    :func:`_lattice_sum` of the atoms' net-count pmfs, less the ends that
-    hold below 1e-30, and the run draws as one table.  Runs grow from the
-    largest heights down while the zero-stuffed convolutions that make them
-    stay within ``_GROUP_BUDGET`` multiply-adds a sample.  Any other atom is
-    a group of one, whose table is its own.
+    :func:`_lattice_sum` of the atoms' net-count pmfs, and the run draws as
+    one table.  Runs grow from the largest heights down while the
+    zero-stuffed convolutions that make them stay within ``_GROUP_BUDGET``
+    multiply-adds a sample.  Any other atom is a group of one.  Every table,
+    and a run after each join, drops the ends that no uniform reaches
+    (:func:`_trim`).
     """
     ks, lam = semistable_atom_range(c, dt, k_min, n_samples=n)
     with np.errstate(over="ignore"):
@@ -441,10 +448,8 @@ def _step_plan(alpha: float, c: float, dt: float, k_min: int, n: int, tables: bo
             if cost > _GROUP_BUDGET * n:
                 break
             i -= 1
-            pmf = _lattice_sum(pmf, _net_count_pmf(mu[i], int(lo[i]), int(hi[i])), int(q))
-            # drop the ends, symmetric, that hold below 1e-30 as an atom's table does
-            cut = int(np.searchsorted(np.cumsum(pmf), 1e-30))
-            pmf = pmf[cut : pmf.size - cut]
+            pmf = _trim(_lattice_sum(pmf, _net_count_pmf(mu[i], int(lo[i]), int(hi[i])), int(q)))
+        pmf = _trim(pmf)
         top = (pmf.size - 1) // 2  # the table holds the net sums -top .. top, in units of heights[i]
         groups.append(_frozen_table(heights[i] * np.arange(-top, top + 1), np.cumsum(pmf)))
         i -= 1

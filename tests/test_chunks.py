@@ -32,12 +32,15 @@ ISOTROPIC = {
 }
 SEMISTABLE = sd.validate_exponent(np.array([[1.0]]), 2.0), (BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0),)
 JORDAN = sd.validate_exponent(np.array([[0.5, 1.0], [0.0, 0.5]]), 2.0), (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),)
+# E = I / 2 with one alpha = 2 law: one Gaussian-operator block of d columns
+GAUSSIAN = {d: (sd.validate_exponent(0.5 * np.eye(d), 2.0), (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0),)) for d in (4, 6)}
 PATHS = {
     "stable": STABLE,
     "isotropic-1.2": ISOTROPIC[1.2],
     "isotropic-2": ISOTROPIC[2.0],
     "semistable": SEMISTABLE,
     "jordan": JORDAN,
+    "gaussian-4": GAUSSIAN[4],
 }
 
 
@@ -82,6 +85,19 @@ class TestChunkInvariance:
         first, second = at_each_size(lambda: sd.simulate_path(*PATHS[case], n, seed=3, mask=mask).values.tobytes())
         assert first == second
 
+    def test_box_counts(self):
+        # the box kernel's pass over the 5 columns of a d = 4 graph
+        n = 14
+        path = sd.simulate_path(*GAUSSIAN[4], n, seed=3)
+        mask = np.ones(2**n + 1, dtype=bool)
+
+        def counts():
+            est = sd.box_count_graph(path, mask, sd.dyadic_scales(1, 10))
+            return est.counts.tobytes() + est.range.counts.tobytes()
+
+        first, second = at_each_size(counts)
+        assert first == second
+
     @pytest.mark.parametrize("case", ["jordan", "stable"])
     def test_marginal_values(self, case):
         # one time per row: the Gaussian-operator block forms one factor a row
@@ -104,3 +120,14 @@ def test_every_pass_reads_the_one_chunk(spec, laws, restricted):
         path = sd.simulate_path(spec, laws, n, seed=1, mask=mask, _buffers=buffers)
         sd.box_count_graph(path, mask, sd.dyadic_scales(1, 10), _buffers=buffers)
         assert buffers._slots[1].size <= sd.laws.CHUNK + sd.laws.CHUNK // 8
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_a_box_pass_over_many_columns_holds_one_chunk(d):
+    # the box kernel's float cells take D = d + 1 values a row, so its
+    # chunks of CHUNK // D rows leave the slot 1 at a chunk and a grain
+    n = 16
+    buffers = PathBuffers()
+    path = sd.simulate_path(*GAUSSIAN[d], n, seed=1, _buffers=buffers)
+    sd.box_count_graph(path, np.ones(2**n + 1, dtype=bool), sd.dyadic_scales(1, 10), _buffers=buffers)
+    assert buffers._slots[1].size <= sd.laws.CHUNK + sd.laws.CHUNK // 8

@@ -214,17 +214,15 @@ class TestCubeKernel:
         assert offset_key_bits(points, sides) > 63
         # every high part, less its offset or as its rank among the
         # column's distinct high parts, lies below its radix, and the
-        # radices fit the key; so too over the rows a keep marks, here the
-        # walk's first 3000 rows, which hold fewer distinct high parts
-        columns = list(points.T)
-        keep = np.arange(points.shape[0]) < 3000
-        for where in (None, keep):
-            rows = slice(None) if where is None else where
-            lows, highs = [c[rows].min() for c in columns], [c[rows].max() for c in columns]
-            radices, offsets = _high_parts(columns, sides.min(), where, 10, lows, highs, PathBuffers())
+        # radices fit the key; so too over the walk's first 3000 rows, which
+        # hold fewer distinct high parts
+        for rows in (slice(None), slice(0, 3000)):
+            columns = list(points[rows].T)
+            lows, highs = [c.min() for c in columns], [c.max() for c in columns]
+            radices, offsets = _high_parts(columns, sides.min(), 10, lows, highs, PathBuffers())
             assert any(isinstance(o, np.ndarray) for o in offsets)
             for c, r, o in zip(columns, radices, offsets):
-                high = np.floor(c[rows] / sides.min()).astype(np.int64) >> 10
+                high = np.floor(c / sides.min()).astype(np.int64) >> 10
                 if isinstance(o, np.ndarray):
                     assert np.array_equal(o, np.unique(high))
                 else:
@@ -254,7 +252,7 @@ class TestCubeKernel:
         points = rng.uniform(-1e6, 1e6, size=(70000, 4))
         side = 3.0**-3
         columns = list(points.T)
-        assert _high_parts(columns, side, None, 0, [c.min() for c in columns], [c.max() for c in columns], PathBuffers()) is None
+        assert _high_parts(columns, side, 0, [c.min() for c in columns], [c.max() for c in columns], PathBuffers()) is None
         calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, [side]), reference_cube_counts(points, [side]))
         assert calls == [1]
