@@ -117,6 +117,11 @@ class Scenario(Record):
         # miss beyond 2*tol a confident FAIL
         if self.n_seeds < 2:
             raise InvalidInputs(f"scenario {self.name}: n_seeds must be >= 2, got {self.n_seeds}")
+        for key in ("box_tol", "sojourn_tol"):
+            tol = getattr(self, key)
+            # an infinite tolerance passes every estimate; NaN fails this test too
+            if not 0.0 < tol < math.inf:
+                raise InvalidInputs(f"scenario {self.name}: {key} must be finite and > 0, got {tol}")
         check_box_sides(self.box_sides, self.n)
         # checked here, as the time-set mask is built before any path
         check_grid(self.n, len(self.matrix), self.laws)

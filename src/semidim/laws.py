@@ -8,7 +8,8 @@ Three families are supported, one per admissible spectral block shape:
   E exp(i theta X) = exp(-(scale * |theta|)**alpha);
 * isotropic alpha-stable on R^2 via the sub-Gaussian representation
   sqrt(A) * N(0, 2 * scale**2 * I), A one-sided (alpha/2)-stable (Weron
-  1996); both draw through one CMS kernel, :func:`_cms`, of tangents only;
+  1996); both draw through one CMS kernel, :func:`_cms`, of tangents only,
+  in place on the sampler's own output, the isotropic A before its normals;
 * a discrete semistable family with Levy-measure atoms at +-c^(k/alpha)
   of mass c^(-k), k in Z, simulated as compound Poisson above a truncation
   level k_min with Gaussian compensation of the removed small jumps
@@ -21,7 +22,6 @@ c^(1/alpha) * X(dt) in distribution, while intermediate scale factors do not.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -118,32 +118,23 @@ def _shape(size) -> tuple:
     return () if size is None else (size if isinstance(size, tuple) else (size,))
 
 
-def _cms(rng, size: int, alpha: float, shift: float, buffers: PathBuffers, out: np.ndarray | None = None):
-    """Yield (start, x) for the ``size`` CMS variates, a chunk at a time:
+def _cms(rng, size: int, alpha: float, shift: float, buffers: PathBuffers, out: np.ndarray):
+    """Yield (start, x) for the ``size`` CMS variates, formed in place on
+    the flat ``out`` a chunk at a time:
     x = sin(alpha (u + shift)) / cos(u)^(1/alpha)
     * (cos((1 - alpha) u - alpha shift) / w)^((1 - alpha)/alpha) for
     u ~ U(-pi/2, pi/2) and w ~ Exp(1), every sine and cosine taken from
     ``np.tan`` (SIMD where numpy's float64 sin and cos are scalar) by
     identities that hold at shifts 0 and pi/2.
 
-    The stream is that of ``rng.uniform`` for all the draws, then
-    ``rng.exponential``.  A first pass draws the uniforms: onto the flat
-    ``out``, where x is then formed in place, or, when ``out`` is None, onto
-    the scratch and dropped, to be drawn again chunk by chunk from a copy of
-    ``rng`` taken before them.  Each chunk then draws its exponentials from
-    ``rng``.  The scratch is four rows of a chunk on the slot 1 of
-    ``buffers``; x is a chunk of ``out``, or a row of the scratch valid
-    until the next chunk.
+    The uniforms are all drawn onto ``out``, then the exponentials a chunk
+    at a time onto three scratch rows of the slot 1 of ``buffers``.
     """
-    uniforms = None if out is not None else copy.deepcopy(rng)
-    u_buf, v_buf, t_buf, s_buf = buffers.take(1, (4, min(size, CHUNK // 4)))
-    for start, stop in chunks(size, 4):
-        rng.random(out=u_buf[: stop - start] if out is None else out[start:stop])
+    v_buf, t_buf, s_buf = buffers.take(1, (3, min(size, CHUNK // 4)))
+    rng.random(out=out)
     for start, stop in chunks(size, 4):
         k = stop - start
-        u, v, t, s = u_buf[:k] if out is None else out[start:stop], v_buf[:k], t_buf[:k], s_buf[:k]
-        if uniforms is not None:
-            uniforms.random(out=u)
+        u, v, t, s = out[start:stop], v_buf[:k], t_buf[:k], s_buf[:k]
         u *= math.pi
         u += -math.pi / 2
         rng.standard_exponential(out=v)
@@ -232,32 +223,33 @@ def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Genera
 
     E exp(i <theta, X>) = exp(-(scale * |theta|)**alpha); rotation invariant
     by construction.  ``scale`` is one value, or one per vector, and
-    ``_steps`` as in :func:`sample_stable_increment`.  The vectors
+    ``_steps`` as in :func:`sample_stable_increment`.  The N vectors
     sqrt(2) scale sqrt(A) G are formed in place on the slot 0 of
-    ``_buffers`` (fresh arrays when None): the normals G first, then, a
-    chunk at a time, their product by the one-sided (alpha/2)-stable A of
-    :func:`_cms`.
+    ``_buffers`` (fresh arrays when None): first the one-sided
+    (alpha/2)-stable A of :func:`_cms` on its upper half (A = 1 at alpha = 2),
+    then, a chunk at a time, the normals G times sqrt(2 A) scale.  So the
+    stream is N uniforms and N exponentials (neither at alpha = 2), 2N normals.
     """
     _check_alpha(alpha)
     if np.any(scale <= 0):
         raise ValueError(f"scale must be positive, got {scale}")
     buffers = PathBuffers() if _buffers is None else _buffers
     shape = _shape(size)
-    g = rng.standard_normal(out=buffers.take(0, shape + (2,)))
-    rows = g.reshape(-1, 2)
+    g = buffers.take(0, shape + (2,))
+    flat = g.reshape(-1)
+    n = flat.size // 2
+    if alpha < 2.0:
+        for _ in _cms(rng, n, alpha / 2.0, math.pi / 2, buffers, out=flat[n:]):
+            pass
+    else:
+        flat[n:] = 1.0
     scale = _flat_scale(scale, shape)
-
-    def factor(start: int, stop: int):
-        return math.sqrt(2.0) * _chunk_scale(scale, _steps, alpha, start, stop)
-
-    if alpha == 2.0:
-        for start, stop in chunks(rows.shape[0], 4):
-            rows[start:stop] *= np.reshape(factor(start, stop), (-1, 1))
-        return g
-    for start, a in _cms(rng, rows.shape[0], alpha / 2.0, math.pi / 2, buffers):
-        np.sqrt(a, out=a)
-        a *= factor(start, start + a.size)
-        part = rows[start : start + a.size]
+    root = buffers.take(1, (min(n, CHUNK // 4),))
+    for start, stop in chunks(n, 4):
+        # the normals on [2 start, 2 stop) may cover this A, not a later one: 2 stop <= n + stop
+        a = np.sqrt(flat[n + start : n + stop], out=root[: stop - start])
+        a *= math.sqrt(2.0) * _chunk_scale(scale, _steps, alpha, start, stop)
+        part = rng.standard_normal(out=flat[2 * start : 2 * stop]).reshape(-1, 2)
         for column in (part[:, 0], part[:, 1]):  # faster than part *= a[:, None], the same products
             column *= a
     return g

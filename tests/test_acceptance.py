@@ -361,8 +361,8 @@ REPORT_DIGESTS = {
     "cauchy-cantor": "43998932e0b83f23",
     "diag-2-05-interval": "f43afc19e16dbf13",
     "diag-2-1-interval": "3e8b24fc5e049d66",
-    "isotropic-12-interval": "c8d00ccbb08f54ae",
-    "isotropic-08-interval": "7d39663282e75b96",
+    "isotropic-12-interval": "2a3786851a99f160",
+    "isotropic-08-interval": "86f33249a1bf3b02",
     "stpetersburg-interval": "a783033f51002c16",
 }
 

@@ -118,10 +118,11 @@ class TestBoxCounting:
         assert est.range.range is None
 
     def test_heavy_tailed_path(self):
-        # an alpha = 0.3 isotropic path whose graph needs a key over 63 bits
+        # an alpha = 0.3 isotropic path whose graph needs a key over 63 bits:
+        # seed 8 is the smallest whose key does (81.7 bits)
         alpha = 0.3
         spec = sd.validate_exponent(np.array([[1 / alpha, -1.0], [1.0, 1 / alpha]]), 2.0)
-        p = sd.simulate_path(spec, (BlockLaw(LawKind.STABLE_ISOTROPIC_2D, alpha=alpha),), 14, seed=28)
+        p = sd.simulate_path(spec, (BlockLaw(LawKind.STABLE_ISOTROPIC_2D, alpha=alpha),), 14, seed=8)
         sides = sd.dyadic_scales(-6, 12)
         mask = interval(0, 1).mask(p.n)
         assert offset_key_bits(p.graph_points(), sides) > 63

@@ -3,6 +3,7 @@ import hashlib
 import importlib.metadata
 import io
 import json
+import math
 import os
 import tempfile
 import tracemalloc
@@ -307,6 +308,8 @@ class TestCLI:
             ({"energy_ratio": 0}, "InvalidInputs"),
             ({"energy_ratio": -3}, "InvalidInputs"),
             ({"energy_subsample": 10**7}, "DegenerateSample"),
+            # an infinite tolerance would PASS every stage
+            *(({key: tol}, "InvalidInputs") for key in ("box_tol", "sojourn_tol") for tol in (math.inf, math.nan, 0.0, -1.0)),
         ],
     )
     def test_bad_scenario_rejected_before_any_path(self, tmp_path, capsys, monkeypatch, change, error):
@@ -335,6 +338,7 @@ class TestCLI:
         assert run_cli("verify", "--scenario", str(sc_file), "--out", str(tmp_path)) == 2
         assert error in capsys.readouterr().err
         assert calls == []
+        assert not list(tmp_path.glob("report-*"))
 
     def test_sojourn_depth_beyond_float_range_exit_code(self, tmp_path, capsys):
         # 2^(n/2) overflows float64 at n = -3000

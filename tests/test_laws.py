@@ -87,11 +87,10 @@ def reference_one_sided_stable(gamma, rng, size):
 
 def reference_isotropic_stable_2d(alpha, scale, rng, size):
     scale = np.asarray(scale)[..., None]
-    g = rng.standard_normal((size, 2))
     if alpha == 2.0:
-        return math.sqrt(2.0) * scale * g
+        return math.sqrt(2.0) * scale * rng.standard_normal((size, 2))
     a = reference_one_sided_stable(alpha / 2.0, rng, size)
-    return math.sqrt(2.0) * scale * np.sqrt(a)[..., None] * g
+    return math.sqrt(2.0) * scale * np.sqrt(a)[..., None] * rng.standard_normal((size, 2))
 
 
 # rows of a chunk of the CMS kernel, whose scratch takes 4 values a row; a
@@ -167,10 +166,10 @@ class TestInPlaceSamplers:
         ids=["stable", "one-sided", "isotropic"],
     )
     def test_chunked_draws_keep_the_stream(self, sampler, reference, size, bit_generator):
-        # a sampler reads its uniforms and exponentials a chunk at a time
-        # from two positions of one stream; its values and the generator's
-        # next draw are those of the textbook order (all uniforms, then all
-        # exponentials), whatever the bit generator
+        # a sampler draws its exponentials, and the isotropic one then its
+        # normals, a chunk at a time; its values and the generator's next
+        # draw are those of the textbook order (all uniforms, then all
+        # exponentials, then all normals), whatever the bit generator
         got_rng, want_rng = (np.random.Generator(bit_generator(12345)) for _ in range(2))
         got, want = sampler(got_rng, size), reference(want_rng, size)
         np.testing.assert_allclose(got, want, rtol=CMS_RTOL, atol=0.0)
@@ -196,8 +195,7 @@ class TestInPlaceSamplers:
 class ForcedDraws:
     """Stands in for a Generator in the CMS samplers: ``random`` hands out
     the uniforms r and ``standard_exponential`` the exponentials w, each in
-    successive slices, as a generator's stream would; a copy carries on
-    from where the original stands."""
+    successive slices, as a generator's stream would."""
 
     def __init__(self, r, w):
         self.r, self.w = r, w

@@ -121,7 +121,7 @@ FULL_MASK_PINS = {
     "isotropic-1.2": (
         [[1 / 1.2, -1.0], [1.0, 1 / 1.2]],
         BlockLaw(LawKind.STABLE_ISOTROPIC_2D, alpha=1.2),
-        "183c6697e28b9fec7230740e775b1bd3655f04388c3b5273bec6c9ac1397dd68",
+        "9bf25f5dff5b62682ef99462025da70662a8c954d8ed915658115f1143e91abf",
     ),
     "semistable": (
         [[1.0]],
