@@ -485,7 +485,8 @@ def check_sojourn(ensemble: int, radii, n: int, d: int) -> None:
     radii = np.asarray(radii, dtype=float)
     if ensemble < 200:
         raise EnsembleTooSmall(f"sojourn Monte Carlo needs >= 200 draws per time, got {ensemble}")
-    if np.unique(radii).size < 2:
+    # not np.unique, which loads numpy.ma; a NaN radius fails this test too
+    if radii.size < 2 or not radii.min() < radii.max():
         raise RadiiOutOfRange("the sojourn fit needs >= 2 distinct radii")
     # 2^(-n/2) <= min(radius), compared in log2 so that no depth overflows
     lo = radii.min()

@@ -19,7 +19,6 @@ fixture.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
 import math
@@ -45,7 +44,7 @@ from .estimators import (
     sojourn_mc,
 )
 from .laws import BlockLaw, LawKind, PathBuffers, check_truncation
-from .paths import check_grid, empirical_fullness, simulate_path
+from .paths import check_grid, check_memory, empirical_fullness, simulate_path
 from .spectral import ExponentSpec, validate_exponent
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
@@ -117,6 +116,7 @@ class Scenario(Record):
         # miss beyond 2*tol a confident FAIL
         if self.n_seeds < 2:
             raise InvalidInputs(f"scenario {self.name}: n_seeds must be >= 2, got {self.n_seeds}")
+        check_memory(2 * self.n_seeds, f"the graph and range estimates of {self.n_seeds} paths")
         for key in ("box_tol", "sojourn_tol"):
             tol = getattr(self, key)
             # an infinite tolerance passes every estimate; NaN fails this test too
@@ -165,6 +165,9 @@ class Scenario(Record):
                     raise InvalidInputs(
                         f"scenario {self.name}: stored {key}={stored} but theory gives {fresh}"
                     )
+            # a NaN would match any theory, as it fails the test below
+            elif not (isinstance(stored, (int, float)) and math.isfinite(stored)):
+                raise InvalidInputs(f"scenario {self.name}: stored {key}={stored} is neither a string nor a finite number")
             elif abs(float(stored) - float(fresh)) > 1e-12:
                 raise InvalidInputs(
                     f"scenario {self.name}: stored {key}={stored} differs from "
@@ -218,6 +221,8 @@ def _over_paths(spec, laws, n, mask, seed, prefix, count, measure, threads=1) ->
         return measure(i, path, worker.buffers)
 
     if threads > 1:
+        import concurrent.futures  # here alone: it loads logging, which no serial run needs
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, range(count)))
     return [one(i) for i in range(count)]
@@ -507,6 +512,10 @@ class SweepConfig(Record):
             raise InvalidInputs(f"sweep alphas must lie in (0, 2], got {bad}")
         if self.n_seeds < 1:
             raise InvalidInputs(f"sweep n_seeds must be >= 1, got {self.n_seeds}")
+        check_memory(self.n_seeds, f"the estimates of {self.n_seeds} paths a sweep cell")
+        # NaN fails this test too: a NaN budget would never trip
+        if self.budget_seconds is not None and not self.budget_seconds >= 0.0:
+            raise InvalidInputs(f"sweep budget_seconds must be null or >= 0, got {self.budget_seconds}")
         check_box_sides(SWEEP_SIDES, self.n)
         check_grid(self.n, 1)
         for b in self.time_sets:

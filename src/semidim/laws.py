@@ -18,6 +18,10 @@ Three families are supported, one per admissible spectral block shape:
 The discrete family scales only along the geometric sequence c^k, which is
 what distinguishes semistable from stable paths: X(c*dt) matches
 c^(1/alpha) * X(dt) in distribution, while intermediate scale factors do not.
+
+Every sampler draws a required int ``size`` of variates of one law, shape
+(size,) or (size, 2), at one finite positive scale, scaled one by one only
+through their time steps (the stable ``_steps``, the semistable ``dt``).
 """
 
 from __future__ import annotations
@@ -74,6 +78,12 @@ def _check_steps(dt, n: int) -> None:
         raise ValueError(f"time step must be positive and finite, got {dt}")
 
 
+def _check_scale(scale: float) -> None:
+    """Raise ValueError unless ``scale`` is positive and finite."""
+    if not 0.0 < scale < math.inf:  # a NaN fails too
+        raise ValueError(f"scale must be finite and positive, got {scale}")
+
+
 class PathBuffers:
     """Float64 arrays that one worker reuses from path to path, one per
     named slot, so that a path's draws, sums and keys land in memory that
@@ -114,14 +124,9 @@ def chunks(size: int, width: int = 1):
         yield start, min(start + rows, size)
 
 
-def _shape(size) -> tuple:
-    return () if size is None else (size if isinstance(size, tuple) else (size,))
-
-
-def _cms(rng, size: int, alpha: float, shift: float, buffers: PathBuffers, out: np.ndarray):
-    """Yield (start, x) for the ``size`` CMS variates, formed in place on
-    the flat ``out`` a chunk at a time:
-    x = sin(alpha (u + shift)) / cos(u)^(1/alpha)
+def _cms(rng, size: int, alpha: float, shift: float, buffers: PathBuffers, out: np.ndarray) -> None:
+    """Form the ``size`` CMS variates in place on the flat ``out``, a chunk
+    at a time: x = sin(alpha (u + shift)) / cos(u)^(1/alpha)
     * (cos((1 - alpha) u - alpha shift) / w)^((1 - alpha)/alpha) for
     u ~ U(-pi/2, pi/2) and w ~ Exp(1), every sine and cosine taken from
     ``np.tan`` (SIMD where numpy's float64 sin and cos are scalar) by
@@ -163,91 +168,77 @@ def _cms(rng, size: int, alpha: float, shift: float, buffers: PathBuffers, out: 
         u *= v
         u *= t
         u += u
-        yield start, u
 
 
-def _flat_scale(scale, shape: tuple):
-    """``scale``, one value or one per variate of a draw of ``shape``, as one
-    value or one per variate of the flat draw."""
-    return np.broadcast_to(scale, shape).reshape(-1) if np.ndim(scale) else scale
-
-
-def _chunk_scale(scale, steps, alpha: float, start: int, stop: int):
-    """The scales of the variates start .. stop - 1 of a flat draw: ``scale``,
-    one value or one per variate, or, with one step per variate in
-    ``steps``, scale * step^(1/alpha), formed for these variates alone."""
+def _chunk_scale(scale: float, steps, alpha: float, start: int, stop: int):
+    """The scale of the variates start .. stop - 1 of a draw: ``scale``, or,
+    with one step per variate in ``steps``, scale * step^(1/alpha), formed
+    for these variates alone."""
     if steps is None:
-        return scale[start:stop] if np.ndim(scale) else scale
+        return scale
     factor = steps[start:stop] ** (1.0 / alpha)
     factor *= scale
     return factor
 
 
-def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator, size=None, _buffers=None, _steps=None):
-    """Symmetric alpha-stable variates by the CMS construction; ``scale`` is
-    one value, or one per variate.
+def sample_stable_increment(alpha: float, scale: float, rng: np.random.Generator, size: int, _buffers=None, _steps=None):
+    """``size`` symmetric alpha-stable variates by the CMS construction, of
+    shape (size,), at the one finite positive ``scale``.
 
     The single formula, :func:`_cms` at shift 0, is continuous in alpha and
     reduces to tan(U) at alpha = 1 and to 2 sin(U) sqrt(W) (exactly Gaussian,
     variance 2) at alpha = 2.  It is evaluated in place on the slot 0 of
-    ``_buffers`` (a :class:`PathBuffers`; fresh arrays when None), a chunk
-    at a time.  Given ``_steps``, one time step per variate, variate i takes
-    the scale ``scale * _steps[i] ** (1 / alpha)``.
+    ``_buffers`` (a :class:`PathBuffers`; fresh arrays when None), then
+    scaled in a pass of its own: variate i by ``scale``, or, given
+    ``_steps``, one time step per variate, by ``scale * _steps[i] ** (1 / alpha)``.
     """
     _check_alpha(alpha)
-    if np.any(scale <= 0):
-        raise ValueError(f"scale must be positive, got {scale}")
+    _check_scale(scale)
     buffers = PathBuffers() if _buffers is None else _buffers
-    x = buffers.take(0, _shape(size))
-    scale = _flat_scale(scale, x.shape)
-    for start, chunk in _cms(rng, x.size, alpha, 0.0, buffers, out=x.reshape(-1)):
-        chunk *= _chunk_scale(scale, _steps, alpha, start, start + chunk.size)
-    return x if size is not None else x[()]
+    x = buffers.take(0, (size,))
+    _cms(rng, size, alpha, 0.0, buffers, x)
+    for start, stop in chunks(size, 4):
+        x[start:stop] *= _chunk_scale(scale, _steps, alpha, start, stop)
+    return x
 
 
-def sample_one_sided_stable(gamma: float, rng: np.random.Generator, size=None, _buffers=None):
-    """Positive gamma-stable variates with E exp(-lam*A) = exp(-lam**gamma):
-    :func:`_cms` at shift pi/2, in place on the slot 0 of ``_buffers``
-    (fresh arrays when None)."""
+def sample_one_sided_stable(gamma: float, rng: np.random.Generator, size: int, _buffers=None):
+    """``size`` positive gamma-stable variates, shape (size,), with
+    E exp(-lam*A) = exp(-lam**gamma): :func:`_cms` at shift pi/2, in place on
+    the slot 0 of ``_buffers`` (fresh arrays when None)."""
     if not 0.0 < gamma < 1.0:
         raise AlphaOutOfRange(f"one-sided index must be in (0, 1), got {gamma}")
     buffers = PathBuffers() if _buffers is None else _buffers
-    a = buffers.take(0, _shape(size))
-    for _ in _cms(rng, a.size, gamma, math.pi / 2, buffers, out=a.reshape(-1)):
-        pass
-    return a if size is not None else a[()]
+    a = buffers.take(0, (size,))
+    _cms(rng, size, gamma, math.pi / 2, buffers, a)
+    return a
 
 
-def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Generator, size=None, _buffers=None, _steps=None):
-    """Isotropic alpha-stable vectors in R^2, shape (..., 2).
+def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Generator, size: int, _buffers=None, _steps=None):
+    """``size`` isotropic alpha-stable vectors in R^2, of shape (size, 2), at
+    the one finite positive ``scale``.
 
     E exp(i <theta, X>) = exp(-(scale * |theta|)**alpha); rotation invariant
-    by construction.  ``scale`` is one value, or one per vector, and
-    ``_steps`` as in :func:`sample_stable_increment`.  The N vectors
-    sqrt(2) scale sqrt(A) G are formed in place on the slot 0 of
-    ``_buffers`` (fresh arrays when None): first the one-sided
+    by construction.  ``_steps`` is as in :func:`sample_stable_increment`.
+    The N vectors sqrt(2) scale sqrt(A) G are formed in place on the slot 0
+    of ``_buffers`` (fresh arrays when None): first the one-sided
     (alpha/2)-stable A of :func:`_cms` on its upper half (A = 1 at alpha = 2),
     then, a chunk at a time, the normals G times sqrt(2 A) scale.  So the
     stream is N uniforms and N exponentials (neither at alpha = 2), 2N normals.
     """
     _check_alpha(alpha)
-    if np.any(scale <= 0):
-        raise ValueError(f"scale must be positive, got {scale}")
+    _check_scale(scale)
     buffers = PathBuffers() if _buffers is None else _buffers
-    shape = _shape(size)
-    g = buffers.take(0, shape + (2,))
+    g = buffers.take(0, (size, 2))
     flat = g.reshape(-1)
-    n = flat.size // 2
     if alpha < 2.0:
-        for _ in _cms(rng, n, alpha / 2.0, math.pi / 2, buffers, out=flat[n:]):
-            pass
+        _cms(rng, size, alpha / 2.0, math.pi / 2, buffers, flat[size:])
     else:
-        flat[n:] = 1.0
-    scale = _flat_scale(scale, shape)
-    root = buffers.take(1, (min(n, CHUNK // 4),))
-    for start, stop in chunks(n, 4):
-        # the normals on [2 start, 2 stop) may cover this A, not a later one: 2 stop <= n + stop
-        a = np.sqrt(flat[n + start : n + stop], out=root[: stop - start])
+        flat[size:] = 1.0
+    root = buffers.take(1, (min(size, CHUNK // 4),))
+    for start, stop in chunks(size, 4):
+        # the normals on [2 start, 2 stop) may cover this A, not a later one: 2 stop <= size + stop
+        a = np.sqrt(flat[size + start : size + stop], out=root[: stop - start])
         a *= math.sqrt(2.0) * _chunk_scale(scale, _steps, alpha, start, stop)
         part = rng.standard_normal(out=flat[2 * start : 2 * stop]).reshape(-1, 2)
         for column in (part[:, 0], part[:, 1]):  # faster than part *= a[:, None], the same products
@@ -503,12 +494,13 @@ def sample_semistable_increment(
     dt,
     rng: np.random.Generator,
     k_min: int = DEFAULT_K_MIN,
-    size=None,
+    *,
+    size: int,
     _buffers=None,
 ):
-    """Increments of the discrete semistable law over a time step dt, one
-    step for all samples or one per sample (dt of the samples' count), summed
-    on the slot 0 of ``_buffers`` (fresh arrays when None).
+    """``size`` = n increments of the discrete semistable law over a time step
+    dt, one for all samples or one per sample (the only per-sample scaling),
+    shape (n,), summed on the slot 0 of ``_buffers`` (fresh arrays when None).
 
     Atom k fires as a Poisson(dt_i * c^-k) count at sample i, each jump of
     height +-c^(k/alpha) with a fair sign.  Memory is O(n).  The atom range,
@@ -526,7 +518,7 @@ def sample_semistable_increment(
     * Each frequent atom, from the largest down, adds c^(k/alpha) times its
       net count N+ - N-, the difference of two independent Poisson counts of
       mean dt_i c^-k / 2 (Poisson thinning).  With one step for all samples
-      and a CDF table (of :func:`_net_count_pmf`) of size**2 <= 4n, so that
+      and a CDF table (of :func:`_net_count_pmf`) of s entries, s**2 <= 4n, so
       building it costs at most 4 multiply-adds a sample, the net count is
       one uniform per sample inverted on the table (:func:`_invert`);
       otherwise it is two Poisson vectors.  Where
@@ -548,7 +540,7 @@ def sample_semistable_increment(
     _check_alpha(alpha, upper_inclusive=False)
     if c <= 1.0:
         raise ValueError(f"semistable scaling constant must be > 1, got {c}")
-    n = 1 if size is None else int(np.prod(size))
+    n = size
     _check_steps(dt, n)
     longest = float(np.max(dt))
     check_truncation(alpha, c, float(np.min(dt)), k_min)
@@ -576,9 +568,7 @@ def sample_semistable_increment(
     gauss = rng.standard_normal(out=buffers.take(1, (n,)))
     gauss *= plan.sigma * np.sqrt(ratio)
     out += gauss
-    if size is None:
-        return float(out[0])
-    return out.reshape(size)
+    return out
 
 
 class LawKind(Enum):
@@ -606,8 +596,7 @@ class BlockLaw(Record):
             check_poisson_mean(self.c, 1.0, self.k_min)  # every step a run takes is <= 1
         else:
             _check_alpha(self.alpha)
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError(f"scale must be finite and positive, got {self.scale}")
+        _check_scale(self.scale)
 
     def sample_increments(self, dt, n: int, rng: np.random.Generator, _buffers=None) -> np.ndarray:
         """n independent increments over one time step dt or over one step each

@@ -403,10 +403,12 @@ def test_near_pair_kernel_matches_dense(dim, n, cantor_times, cut, chunk, seed):
 def test_a_run_loads_no_scipy():
     # set-up, decompositions included, and a whole run through the energy
     # stage are numpy-only; scaling operators and the semi-selfsimilarity
-    # test load scipy themselves
+    # test load scipy themselves.  Set-up loads neither numpy.ma nor
+    # concurrent.futures, which it never uses
     code = (
         "import dataclasses, sys, semidim\n"
         "for sc in semidim.builtin_scenarios().values(): sc.validate_expected(); sc.spec.decomposition\n"
+        "print(sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules))\n"
         "sc = dataclasses.replace(semidim.get_scenario('brownian-interval'), n=12, n_seeds=2,\n"
         "    box_sides=tuple(2.0 ** -k for k in range(1, 11)), sojourn_n=10, sojourn_ensemble=200,\n"
         "    sojourn_radii=tuple(2.0 ** -k for k in range(2, 6)), energy_ratio=4)\n"
@@ -415,7 +417,7 @@ def test_a_run_loads_no_scipy():
     )
     env = os.environ | {"PYTHONPATH": str(Path(sd.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestCoveringCount:

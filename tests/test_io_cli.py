@@ -268,13 +268,28 @@ class TestCLI:
         assert "InvalidInputs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "config", [{"alphas": [0.0]}, {"alphas": [2.5]}, {"alphas": [-1.0]}, {"n_seeds": 0}]
+        "config",
+        # a NaN budget would never trip, and a negative one trips only after the first path
+        [{"alphas": [0.0]}, {"alphas": [2.5]}, {"alphas": [-1.0]}, {"n_seeds": 0}, {"budget_seconds": math.nan}, {"budget_seconds": -1.0}],
     )
     def test_sweep_config_out_of_range(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path)) == 2
         assert "InvalidInputs" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_seeds_beyond_memory_rejected_before_any_path(self, tmp_path, capsys, monkeypatch):
+        from semidim import harness
+
+        def refused(*args, **kwargs):
+            raise RuntimeError("a path was drawn before the sweep was refused")
+
+        monkeypatch.setattr(harness, "simulate_path", refused)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": [2.0], "n_seeds": 10**30}))
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert "BudgetExceeded" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_verify_zero_seeds_exit_code(self, tmp_path, capsys):
@@ -310,6 +325,10 @@ class TestCLI:
             ({"energy_subsample": 10**7}, "DegenerateSample"),
             # an infinite tolerance would PASS every stage
             *(({key: tol}, "InvalidInputs") for key in ("box_tol", "sojourn_tol") for tol in (math.inf, math.nan, 0.0, -1.0)),
+            # a NaN would match any theory
+            ({"expected": {"graph_dim": math.nan}}, "InvalidInputs"),
+            ({"expected": {"graph_dim": None}}, "InvalidInputs"),
+            ({"n_seeds": 10**30}, "BudgetExceeded"),
         ],
     )
     def test_bad_scenario_rejected_before_any_path(self, tmp_path, capsys, monkeypatch, change, error):
@@ -321,7 +340,8 @@ class TestCLI:
         def counted(original):
             def wrapper(*args, **kwargs):
                 calls.append(kwargs.get("name"))
-                return original(*args, **kwargs)
+                # stop at the first draw, so that a run of 10^30 paths ends
+                raise RuntimeError(f"{original.__name__} called before the scenario was refused")
 
             return wrapper
 

@@ -101,8 +101,14 @@ CMS_ROWS = CHUNK // 4
 IN_PLACE_SIZES = [1, 5, CMS_ROWS // 2 + 1, CMS_ROWS + 1, 3 * CMS_ROWS // 2 - 7, 3 * CMS_ROWS - 7]
 
 
-def per_row_scale(size):
-    return 0.1 + derive_rng(7, f"test/in-place/scale/{size}").random(size)
+def per_row_steps(size):
+    return 0.1 + derive_rng(7, f"test/in-place/steps/{size}").random(size)
+
+
+def step_scales(scale, alpha, steps):
+    """The scale of each variate of a draw at ``scale`` with one time step
+    per variate in ``steps``, or ``scale`` itself when ``steps`` is None."""
+    return scale if steps is None else scale * steps ** (1 / alpha)
 
 
 # The kernel takes its sines and cosines from tangents, so a draw matches the
@@ -122,11 +128,11 @@ class TestInPlaceSamplers:
     def test_stable_increment(self, alpha, size):
         buffers = PathBuffers()
         sample_stable_increment(0.7, 1.0, derive_rng(1, "dirty"), size=4 * CMS_ROWS, _buffers=buffers)
-        for scale in (1.7, per_row_scale(size)):
-            want = reference_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size)
-            fresh = sample_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size=size)
+        for steps in (None, per_row_steps(size)):
+            want = reference_stable_increment(alpha, step_scales(1.7, alpha, steps), derive_rng(1, f"cms/{alpha}"), size)
+            fresh = sample_stable_increment(alpha, 1.7, derive_rng(1, f"cms/{alpha}"), size=size, _steps=steps)
             np.testing.assert_allclose(fresh, want, rtol=CMS_RTOL, atol=0.0)
-            lent = sample_stable_increment(alpha, scale, derive_rng(1, f"cms/{alpha}"), size=size, _buffers=buffers)
+            lent = sample_stable_increment(alpha, 1.7, derive_rng(1, f"cms/{alpha}"), size=size, _buffers=buffers, _steps=steps)
             assert lent.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("gamma", [0.25, 0.6, 0.95])
@@ -145,11 +151,11 @@ class TestInPlaceSamplers:
     def test_isotropic_stable_2d(self, alpha, size):
         buffers = PathBuffers()
         sample_isotropic_stable_2d(0.7, 1.0, derive_rng(1, "dirty"), size=4 * CMS_ROWS, _buffers=buffers)
-        for scale in (1.7, per_row_scale(size)):
-            want = reference_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size)
-            fresh = sample_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size=size)
+        for steps in (None, per_row_steps(size)):
+            want = reference_isotropic_stable_2d(alpha, step_scales(1.7, alpha, steps), derive_rng(3, f"iso/{alpha}"), size)
+            fresh = sample_isotropic_stable_2d(alpha, 1.7, derive_rng(3, f"iso/{alpha}"), size=size, _steps=steps)
             np.testing.assert_allclose(fresh, want, rtol=CMS_RTOL, atol=0.0)
-            lent = sample_isotropic_stable_2d(alpha, scale, derive_rng(3, f"iso/{alpha}"), size=size, _buffers=buffers)
+            lent = sample_isotropic_stable_2d(alpha, 1.7, derive_rng(3, f"iso/{alpha}"), size=size, _buffers=buffers, _steps=steps)
             assert lent.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64])
@@ -174,16 +180,6 @@ class TestInPlaceSamplers:
         got, want = sampler(got_rng, size), reference(want_rng, size)
         np.testing.assert_allclose(got, want, rtol=CMS_RTOL, atol=0.0)
         assert got_rng.random() == want_rng.random()
-
-    def test_one_draw_without_a_size_is_a_scalar(self):
-        # a draw without a size is the first value of a draw of one, bit for bit
-        rng, ref = derive_rng(4, "scalar"), derive_rng(4, "scalar")
-        x = sample_stable_increment(1.2, 1.0, rng)
-        assert isinstance(x, np.float64) and x == sample_stable_increment(1.2, 1.0, ref, size=1)[0]
-        a = sample_one_sided_stable(0.6, rng)
-        assert isinstance(a, np.float64) and a == sample_one_sided_stable(0.6, ref, size=1)[0]
-        v = sample_isotropic_stable_2d(1.2, 1.0, rng)
-        assert v.shape == (2,)
 
     def test_public_draws_are_the_callers(self):
         first = sample_stable_increment(1.2, 1.0, derive_rng(5, "own"), size=100)
@@ -331,9 +327,24 @@ class TestStableSampler:
     def test_alpha_range(self):
         rng = derive_rng(1, "x")
         with pytest.raises(AlphaOutOfRange):
-            sample_stable_increment(2.5, 1.0, rng)
+            sample_stable_increment(2.5, 1.0, rng, size=1)
         with pytest.raises(AlphaOutOfRange):
-            sample_stable_increment(0.0, 1.0, rng)
+            sample_stable_increment(0.0, 1.0, rng, size=1)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda scale, rng: sample_stable_increment(1.5, scale, rng, size=3),
+            lambda scale, rng: sample_isotropic_stable_2d(1.5, scale, rng, size=3),
+        ],
+        ids=["stable", "isotropic"],
+    )
+    def test_scale_must_be_finite_and_positive(self, draw, scale):
+        # a NaN or infinite scale would make NaN or infinite variates; the
+        # one-sided sampler takes no scale, and BlockLaw's check is the same
+        with pytest.raises(ValueError):
+            draw(scale, derive_rng(1, "x"))
 
 
 class TestOneSidedStable:
@@ -503,7 +514,7 @@ class TestSemistableSampler:
     def test_rejects_zero_dt(self):
         rng = derive_rng(4, "x")
         with pytest.raises(ValueError):
-            sample_semistable_increment(1.0, 2.0, 0.0, rng)
+            sample_semistable_increment(1.0, 2.0, 0.0, rng, size=1)
 
     @pytest.mark.parametrize("dt", [-1.0, float("nan"), float("inf"), np.array([0.5, np.nan])])
     def test_rejects_bad_dt(self, dt):
@@ -565,7 +576,7 @@ class TestSemistableSampler:
     def test_alpha_strictly_below_two(self):
         rng = derive_rng(4, "x")
         with pytest.raises(AlphaOutOfRange):
-            sample_semistable_increment(2.0, 2.0, 1.0, rng)
+            sample_semistable_increment(2.0, 2.0, 1.0, rng, size=1)
 
 
 def table_atoms(alpha, c, dt, k_min, n):
