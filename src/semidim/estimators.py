@@ -666,9 +666,9 @@ def energy_cover_level(borel: BorelSetSpec, n_needed: int) -> int | None:
 def _energy_candidates(
     path: LevyPath, borel: BorelSetSpec, cover_level, n_needed: int, buffers: PathBuffers | None = None
 ) -> np.ndarray:
-    """Which of the path's rows carry the natural measure of B, one per
-    structural cell: a boolean mask of its rows on the slot 0 of
-    ``buffers`` (fresh arrays when None), tested a chunk of rows at a time.
+    """The ascending int64 positions of the path's rows that carry the
+    natural measure of B, one per structural cell, as a view of the slot 0
+    of ``buffers`` (fresh arrays when None), found a chunk of rows at a time.
 
     On intervals every covered grid point qualifies.  On a self-similar set
     the candidates are thinned to one grid point per piece at the shallowest
@@ -685,39 +685,23 @@ def _energy_candidates(
         )
     buffers = PathBuffers() if buffers is None else buffers
     size = path.values.shape[0]
-    qualifies = buffers.take(0, (size // 8 + 1,)).view(bool)[:size]
+    rows = buffers.take(0, (size,)).view(np.int64)
+    found = 0
     last = -1  # the piece of the last candidate so far; times are >= 0
     for start, stop in chunks(size, 4):
         times = path.row_times.chunk(start, stop, out=buffers.take(1, (stop - start,)))
-        part = qualifies[start:stop]
-        part[:] = borel.contains(times, path.n, cover_level if level is None else level)
-        if level is None or not part.any():
-            continue
-        # the times ascend, so each piece's first row is where the piece changes
-        piece = np.floor(times[part] / borel.r**level).astype(np.int64)
-        part[part] = np.diff(piece, prepend=last) != 0
-        last = piece[-1]
-    if not qualifies.any():
+        part = borel.contains(times, path.n, cover_level if level is None else level)
+        if level is not None and part.any():
+            # the times ascend, so each piece's first row is where the piece changes
+            piece = np.floor(times[part] / borel.r**level).astype(np.int64)
+            part[part] = np.diff(piece, prepend=last) != 0
+            last = piece[-1]
+        hits = np.flatnonzero(part)
+        np.add(hits, start, out=rows[found : found + hits.size])
+        found += hits.size
+    if found == 0:
         raise EmptyRestriction("no grid point falls inside the time set")
-    return qualifies
-
-
-def _rows_of_ranks(qualifies: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """The rows of the True entries of ``qualifies`` numbered ``ranks``
-    (ascending, from 0), found a chunk of rows at a time."""
-    rows = np.empty(ranks.size, dtype=np.int64)
-    seen = done = 0
-    for start, stop in chunks(qualifies.size, 4):
-        part = qualifies[start:stop]
-        count = int(np.count_nonzero(part))
-        upto = int(np.searchsorted(ranks, seen + count))
-        if upto > done:
-            found = np.flatnonzero(part)
-            found += start
-            np.take(found, ranks[done:upto] - seen, out=rows[done:upto])
-        seen += count
-        done = upto
-    return rows
+    return rows[:found]
 
 
 def check_energy(gammas, subsample: int, ratio: int, n: int) -> None:
@@ -760,8 +744,8 @@ def energy_dimension(
     check_energy(gammas, subsample, ratio, path.n)
     gammas = np.sort(np.asarray(gammas, dtype=float))
     buffers = PathBuffers() if _buffers is None else _buffers
-    qualifies = _energy_candidates(path, borel, cover_level, ratio * subsample, buffers)
-    candidates = int(np.count_nonzero(qualifies))
+    rows = _energy_candidates(path, borel, cover_level, ratio * subsample, buffers)
+    candidates = rows.size
     n_blocks = min(ratio, candidates // subsample)
     if n_blocks < 2:
         raise DegenerateSample(
@@ -777,9 +761,8 @@ def energy_dimension(
     stride = candidates // n_large
     rng = derive_rng(seed, "energy/subsample")
     slack = candidates - 1 - stride * (n_large - 1)
-    offset = int(rng.integers(0, slack + 1)) if slack > 0 else 0
-    chosen = _rows_of_ranks(qualifies, offset + stride * np.arange(n_large))
-    del qualifies  # a view of the slot 0, which the kernels below may grow
+    chosen = rows[int(rng.integers(0, slack + 1)) + stride * np.arange(n_large)]
+    del rows  # a view of the slot 0, which the kernels below may grow
     # the graph points (t, X(t)) of the large selection, one column a row of
     # ``columns`` on the slot 1; block b is every n_blocks-th of them from b
     columns = buffers.take(1, (1 + path.d, n_large))

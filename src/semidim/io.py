@@ -73,12 +73,16 @@ def write_path_dump(out_prefix: Path, path: LevyPath, config: dict | None = None
 
 def read_path_dump(out_prefix: Path) -> LevyPath:
     """A dumped path; its rows must be the grid k 2^-n, k = 0 .. 2^n, of the
-    sidecar's depth n, since time-set masks and the resolution check rely on it."""
+    sidecar's depth n, since time-set masks and the resolution check rely on it,
+    and its columns the time and the d coordinates of the sidecar's exponent."""
     out_prefix = Path(out_prefix)
     meta = json.loads(out_prefix.with_suffix(".json").read_text())
     rows, cols, n = (meta[key] for key in ("rows", "columns", "n"))
     if not all(type(v) is int for v in (rows, cols, n)):
         raise InvalidInputs("path dump sidecar: rows, columns and n must be integers")
+    spec = ExponentSpec.from_dict(meta["exponent"])
+    if cols != spec.d + 1:
+        raise InvalidInputs(f"path dump has {cols} columns, not the {spec.d + 1} of a path in d={spec.d}")
     # rows - 1 must be the power of two 2^n, tested without forming 2^n
     if rows < 2 or (rows - 1) & (rows - 2) or (rows - 1).bit_length() != n + 1:
         raise InvalidInputs(f"path dump has {rows} rows, not the 2^n + 1 of depth n={n}")
@@ -89,7 +93,7 @@ def read_path_dump(out_prefix: Path) -> LevyPath:
         values=data[:, 1:].copy(),
         seed=int(meta["seed"]),
         n=n,
-        spec=ExponentSpec.from_dict(meta["exponent"]),
+        spec=spec,
         laws=tuple(BlockLaw.from_dict(l) for l in meta["laws"]),
     )
 

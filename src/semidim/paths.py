@@ -123,8 +123,7 @@ class LevyPath:
 
 
 def _is_rotation_form(m: np.ndarray) -> bool:
-    if m.shape != (2, 2):
-        return False
+    """Whether ``m``, which must be 2x2, is a*I + b*J (a rotation-scaling)."""
     return abs(m[0, 0] - m[1, 1]) <= _BLOCK_FORM_TOL and abs(m[0, 1] + m[1, 0]) <= _BLOCK_FORM_TOL
 
 

@@ -432,6 +432,22 @@ class TestCoveringCount:
         assert all(b < a for a, b in zip(sums, sums[1:]))
         assert sums[-1] < 0.01 * sums[0]
 
+    @pytest.mark.parametrize("alpha_2", [1.0, 1.5])
+    def test_schedule_a2_sides_and_counts(self, alpha_2):
+        # diag-2-1-interval's exponent diag(1/2, 1/alpha_2) with alpha_2 = 1,
+        # and alpha_2 = 1.5, at which the A2 side |I|^(1/alpha_2) is neither
+        # the A1 side |I|^(1/2) nor the ID side |I|
+        spec = sd.validate_exponent(np.diag([0.5, 1.0 / alpha_2]), 2.0)
+        laws = (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=2.0), BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=alpha_2))
+        p = sd.simulate_path(spec, laws, 12, seed=5)
+        intervals = dyadic_intervals(2) + [(0.1, 0.35)]
+        cc = covering_count(p, intervals, Schedule.A2, 1.0, (2.0, alpha_2))
+        for i, (lo, hi) in enumerate(intervals):
+            side = (hi - lo) ** (1.0 / alpha_2)
+            inside = (p.times >= lo) & (p.times <= hi)
+            assert cc.sides[i] == side
+            assert cc.counts[i] == count_occupied_cubes(p.graph_points()[inside], side)[0]
+
     def test_schedule_mismatch(self):
         p = sd.simulate_path(BROWNIAN, BM_LAWS, 10, seed=8)
         with pytest.raises(ScheduleMismatch):
@@ -557,16 +573,15 @@ class TestEnergyDimension:
         [(interval(0.1, 0.9), None, 8000), (cantor(), 8, 2048), (cantor(3, 0.2), None, 2000), (sd.union(interval(0.0, 0.1), cantor()), 7, 8000)],
     )
     def test_candidates_match_the_whole_path_index(self, borel, cover_level, n_needed):
-        # the candidates, tested a chunk of rows at a time, and the rows of
-        # chosen ranks equal the former index of every qualifying row, thinned
-        # to each piece's first row on a self-similar set
+        # the candidates, found a chunk of rows at a time, equal the former
+        # index of every qualifying row, thinned to each piece's first row on
+        # a self-similar set, as ascending int64 rows
         path = line_path(18)
         level = estimators.energy_cover_level(borel, n_needed)
         want = np.flatnonzero(borel.contains(path.times, path.n, cover_level if level is None else level))
         if level is not None:
             cell = np.floor(path.times[want] / borel.r**level).astype(np.int64)
             want = want[np.unique(cell, return_index=True)[1]]
-        qualifies = estimators._energy_candidates(path, borel, cover_level, n_needed)
-        assert np.array_equal(np.flatnonzero(qualifies), want)
-        ranks = np.unique(np.random.default_rng(1).integers(0, want.size, 3000))
-        assert np.array_equal(estimators._rows_of_ranks(qualifies, ranks), want[ranks])
+        rows = estimators._energy_candidates(path, borel, cover_level, n_needed)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, want)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import importlib.metadata
 import io
@@ -76,6 +77,80 @@ class TestIO:
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+class Drawn(BaseException):
+    """Raised in place of the first path: not an Exception, so that
+    ``cli.main`` cannot turn it into exit 4."""
+
+
+# every malformed value a numeric field is tried at
+BAD_VALUES = {
+    "inf": math.inf, "-inf": -math.inf, "nan": math.nan, "0": 0, "-1": -1, "1e308": 1e308,
+    "1e30": 10**30, "null": None, "string": "x", "empty-list": [],
+}
+# the values of a (document, field) that pass the preflight and may reach the
+# first path: finite values in range, however large, and each field's default
+MAY_RUN = {
+    **{("mini", field): {"1e308", "1e30"} for field in ("c", "box_tol", "sojourn_tol", "box_sides.0", "energy_gammas.0")},
+    ("mini", "energy_ratio"): {"1e30"},
+    ("mini", "cover_level"): {"1e30", "null"},
+    ("mini", "laws.0.scale"): {"1e30"},
+    ("mini", "borel.a"): {"0"},
+    ("mini", "borel.b"): {"0"},
+    ("sweep", "cover_level"): {"1e30", "null"},
+    ("sweep", "budget_seconds"): {"inf", "0", "1e308", "1e30", "null"},
+}
+# every numeric field, keys and list indices joined by dots
+NUMERIC_FIELDS = [
+    *(("mini", field) for field in (
+        "c", "n", "n_seeds", "box_tol", "sojourn_n", "sojourn_ensemble", "sojourn_tol", "energy_subsample",
+        "energy_ratio", "cover_level", "matrix.0.0", "box_sides.0", "sojourn_radii.0", "energy_gammas.0",
+        "laws.0.alpha", "laws.0.scale", "borel.a", "borel.b",
+    )),
+    ("semistable", "laws.0.c"), ("semistable", "laws.0.k_min"), ("cantor", "borel.m"), ("cantor", "borel.r"),
+    *(("sweep", field) for field in ("alphas.0", "n", "n_seeds", "cover_level", "budget_seconds")),
+]
+
+
+def preflight_documents() -> dict:
+    """The scenarios and the sweep config whose fields the table sets; no
+    stored expectation, so that the preflight alone refuses a case."""
+    from test_harness import mini_scenario
+
+    mini = mini_scenario(expected={}).as_dict()
+    semistable = BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0)
+    return {
+        "mini": mini,
+        "semistable": mini_scenario(matrix=((1.0,),), laws=(semistable,), expected={}).as_dict(),
+        "cantor": mini | {"borel": CANTOR},
+        "sweep": {"alphas": [2.0]},
+    }
+
+
+def with_field(document: dict, field: str, value) -> dict:
+    """A copy of ``document`` with ``field`` set to ``value``."""
+    changed = copy.deepcopy(document)
+    *parents, key = (int(part) if part.isdigit() else part for part in field.split("."))
+    place = changed
+    for part in parents:
+        place = place[part]
+    place[key] = value
+    return changed
+
+
+def exit_or_path(monkeypatch, *argv):
+    """The CLI's exit code on ``argv``, or "path" where it reached the first path."""
+    from semidim import harness
+
+    def drawn(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(harness, "simulate_path", drawn)
+    try:
+        return run_cli(*argv)
+    except Drawn:
+        return "path"
 
 
 class TestCLI:
@@ -208,6 +283,19 @@ class TestCLI:
         data.tofile(prefix.with_suffix(".bin"))
         assert run_cli(*estimate) == 2
         assert capsys.readouterr().err.count("InvalidInputs") == 3
+        # a copied value column, or the time column alone, disagrees with the
+        # 1x1 exponent, though the sidecar counts the columns of the .bin; the
+        # whole dump at n = 14 would be estimated
+        assert run_cli("simulate", "--n", "14", "--seed", "2", "--out", str(tmp_path)) == 0
+        prefix = tmp_path / "path-n14-seed2"
+        meta = json.loads(prefix.with_suffix(".json").read_text())
+        data = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8").reshape(-1, 2)
+        for columns in (data[:, [0, 1, 1]], data[:, :1]):
+            np.ascontiguousarray(columns).tofile(prefix.with_suffix(".bin"))
+            prefix.with_suffix(".json").write_text(json.dumps(meta | {"columns": columns.shape[1]}))
+            assert run_cli("estimate", "--path", str(prefix), "--out", str(tmp_path / "est")) == 2
+            err = capsys.readouterr().err
+            assert f"InvalidInputs: path dump has {columns.shape[1]} columns, not the 2 of a path in d=1" in err
 
     @pytest.mark.parametrize("level, error", [("-1", "InvalidInputs"), ("1000000000", "ResolutionTooCoarse")])
     def test_estimate_cover_level_exit_code(self, tmp_path, capsys, level, error):
@@ -360,6 +448,20 @@ class TestCLI:
         assert calls == []
         assert not list(tmp_path.glob("report-*"))
 
+    @pytest.mark.parametrize("document, field", [pytest.param(*case, id=":".join(case)) for case in NUMERIC_FIELDS])
+    def test_every_numeric_field_is_refused_or_reaches_the_first_path(self, tmp_path, capsys, monkeypatch, document, field):
+        # each malformed value exits 2 with no path drawn, or is a listed
+        # case that passes the preflight; none exits 4
+        argv = ("sweep", "--config") if document == "sweep" else ("verify", "--scenario")
+        doc = tmp_path / "doc.json"
+        got = {}
+        for name, value in BAD_VALUES.items():
+            doc.write_text(json.dumps(with_field(preflight_documents()[document], field, value)))
+            got[name] = exit_or_path(monkeypatch, *argv, str(doc), "--out", str(tmp_path))
+        assert all(code in (2, "path") for code in got.values()), got
+        assert {name for name, code in got.items() if code == "path"} <= MAY_RUN.get((document, field), set())
+        assert not list(tmp_path.glob("report-*")) and not (tmp_path / "sweep.csv").exists()
+
     def test_sojourn_depth_beyond_float_range_exit_code(self, tmp_path, capsys):
         # 2^(n/2) overflows float64 at n = -3000
         assert run_cli("sojourn", "--n", "-3000", "--out", str(tmp_path)) == 2
@@ -434,9 +536,10 @@ class TestCLI:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[1]) for row in rows] == [1.0, np.log(2) / np.log(3), 1.0]
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
-        code = run_cli("verify", "--scenario", "brownian-interval", "--threads", threads, "--out", str(tmp_path))
+    @pytest.mark.parametrize("threads", ["0", "-1", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, monkeypatch, threads):
+        # checked before any path, so that no pool is started to test a count
+        code = exit_or_path(monkeypatch, "verify", "--scenario", "brownian-interval", "--threads", threads, "--out", str(tmp_path))
         assert code == 2
         assert "InvalidInputs" in capsys.readouterr().err
 
