@@ -166,6 +166,13 @@ def time_set(arg: str | BorelSetSpec | None) -> BorelSetSpec:
     return BorelSetSpec.from_json(Path(arg).read_text() if os.path.exists(arg) else arg)
 
 
+def check_time_set(borel: BorelSetSpec) -> None:
+    """Reject a time set of Hausdorff dimension 0, an interval with b = a or
+    a union of such intervals: its graph has no dimension to estimate."""
+    if borel.hausdorff_dim == 0.0:
+        raise InvalidInputs(f"time set {borel.to_json()} has Hausdorff dimension 0; an interval needs b > a")
+
+
 def check_cover_level(borel: BorelSetSpec, level: int | None, n: int) -> None:
     """Reject a cover level below 1, or one whose pieces r^level are shorter,
     for some Cantor member of B, than the step 2^-n of the grid of depth n.

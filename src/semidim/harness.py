@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .borel import BorelSetSpec, cantor, check_cover_level, interval, time_set
+from .borel import BorelSetSpec, cantor, check_cover_level, check_time_set, interval, time_set
 from .codec import Record
 from .dimension import classify_sojourn_case, dimensions_from_spectrum
 from .errors import BudgetExceeded, InvalidInputs
@@ -44,7 +44,7 @@ from .estimators import (
     sojourn_mc,
 )
 from .laws import BlockLaw, LawKind, PathBuffers, check_truncation
-from .paths import check_grid, check_memory, empirical_fullness, simulate_path
+from .paths import _kept_rows, check_grid, check_memory, empirical_fullness, simulate_path
 from .spectral import ExponentSpec, validate_exponent
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
@@ -125,6 +125,7 @@ class Scenario(Record):
         check_box_sides(self.box_sides, self.n)
         # checked here, as the time-set mask is built before any path
         check_grid(self.n, len(self.matrix), self.laws)
+        check_time_set(self.borel)
         check_cover_level(self.borel, self.cover_level, self.n)
         check_sojourn(self.sojourn_ensemble, self.sojourn_radii, self.sojourn_n, len(self.matrix))
         check_energy(self.energy_gammas, self.energy_subsample, self.energy_ratio, self.n)
@@ -211,13 +212,15 @@ def _over_paths(spec, laws, n, mask, seed, prefix, count, measure, threads=1) ->
     on the grid rows ``mask`` keeps, in order; each path has its own named
     stream, so ``threads`` cannot change a result.  Each worker draws its
     paths on one :class:`PathBuffers`, reused from path to path, which
-    ``measure`` may use for its scratch; a path lives until the worker's next."""
+    ``measure`` may use for its scratch; a path lives until the worker's next.
+    The kept rows and their steps are formed once, and every path reads them."""
     worker = threading.local()
+    kept = _kept_rows(n, mask, PathBuffers())
 
     def one(i: int):
         if not hasattr(worker, "buffers"):
             worker.buffers = PathBuffers()
-        path = simulate_path(spec, laws, n, seed, name=f"{prefix}/path/{i}", mask=mask, _buffers=worker.buffers)
+        path = simulate_path(spec, laws, n, seed, name=f"{prefix}/path/{i}", mask=mask, _buffers=worker.buffers, _kept=kept)
         return measure(i, path, worker.buffers)
 
     if threads > 1:
@@ -518,8 +521,9 @@ class SweepConfig(Record):
             raise InvalidInputs(f"sweep budget_seconds must be null or >= 0, got {self.budget_seconds}")
         check_box_sides(SWEEP_SIDES, self.n)
         check_grid(self.n, 1)
-        for b in self.time_sets:
-            check_cover_level(time_set(b), self.cover_level, self.n)
+        for borel in map(time_set, self.time_sets):
+            check_time_set(borel)
+            check_cover_level(borel, self.cover_level, self.n)
 
 
 def sweep(cfg: SweepConfig, master_seed: int) -> list[dict]:

@@ -48,9 +48,10 @@ _MAX_ATOMS = 10**5
 # intensity passes a multiple of this, so that one draw holds about 2n jumps;
 # with c >= 2 the rare intensities sum to less than 2 and make one run.
 _RARE_RUN = 2.0
-# Build budget of a group of frequent atoms drawn as one table, in
-# multiply-adds a sample (see _step_plan).
-_GROUP_BUDGET = 32
+# Most entries that the table of a group of frequent atoms holds, and no more
+# than the draw size n (see _step_plan): about 48 bytes an entry for its
+# values, CDF and guide, so at most 1.5 MiB a group.
+_GROUP_ENTRIES = 2**15
 # Relative slack of a guide-table bucket's ends, far above the few ulps by
 # which u / w can round across one (see _invert).
 _GUIDE_SLACK = 1e-12
@@ -394,9 +395,10 @@ def _step_plan(alpha: float, c: float, dt: float, k_min: int, n: int, tables: bo
     lattice of the smaller one, so the net jump sum of a run of table atoms
     is h l for the run's smallest height h and an integer l; its pmf is the
     :func:`_lattice_sum` of the atoms' net-count pmfs, and the run draws as
-    one table.  Runs grow from the largest heights down while the
-    zero-stuffed convolutions that make them stay within ``_GROUP_BUDGET``
-    multiply-adds a sample.  Any other atom is a group of one.  Every table,
+    one table.  Runs grow from the largest heights down while the joined
+    table, before its trim, holds at most min(n, ``_GROUP_ENTRIES``)
+    entries: the plan is built once and shared, so its build is not charged
+    to a draw.  Any other atom is a group of one.  Every table,
     and a run after each join, drops the ends that no uniform reaches
     (:func:`_trim`).
     """
@@ -418,18 +420,15 @@ def _step_plan(alpha: float, c: float, dt: float, k_min: int, n: int, tables: bo
     reach = 12.0 * np.sqrt(mu) + 30.0
     lo, hi = np.maximum(np.floor(mu - reach), 0.0), np.ceil(mu + reach)
     table = ((hi - lo + 1.0) ** 2 <= 4.0 * n) & tables
-    groups, i = [], frequent - 1
+    groups, i, cap = [], frequent - 1, min(n, _GROUP_ENTRIES)
     while i >= 0:
         if not table[i]:
             groups.append((heights[i], mu[i]))
             i -= 1
             continue
-        pmf, cost = _net_count_pmf(mu[i], int(lo[i]), int(hi[i])), 0.0
-        while q.is_integer() and i > 0 and table[i - 1]:
-            width = 2.0 * (hi[i - 1] - lo[i - 1]) + 1.0
-            cost += (q * (pmf.size - 1) + width) * width
-            if cost > _GROUP_BUDGET * n:
-                break
+        pmf = _net_count_pmf(mu[i], int(lo[i]), int(hi[i]))
+        # joined with the next atom, before its trim, the table holds q (pmf.size - 1) + 2 (hi - lo) + 1 entries
+        while q.is_integer() and i > 0 and table[i - 1] and q * (pmf.size - 1) + 2.0 * (hi[i - 1] - lo[i - 1]) + 1.0 <= cap:
             i -= 1
             pmf = _trim(_lattice_sum(pmf, _net_count_pmf(mu[i], int(lo[i]), int(hi[i])), int(q)))
         pmf = _trim(pmf)

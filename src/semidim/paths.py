@@ -313,6 +313,29 @@ def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray, buffers
                     rows[:, i] += np.multiply(values[:, k], basis[i, k], out=product)
 
 
+def _kept_rows(n: int, mask: np.ndarray | None, buffers: PathBuffers) -> tuple:
+    """(rows, steps) of a path on the grid rows of depth n that ``mask``
+    keeps: the rows ascending and the steps between them, on the slot
+    "steps" of ``buffers``, or (None, 2^-n) when ``mask`` is None or keeps
+    every row.  Neither is written by a draw, so the paths of one mask can
+    share them."""
+    dt = 2.0 ** (-n)
+    if mask is not None and mask.shape != (2**n + 1,):
+        raise ValueError(f"mask must hold 2^n + 1 = {2**n + 1} rows, got shape {mask.shape}")
+    if mask is None or mask.all():
+        return None, dt
+    rows = np.flatnonzero(mask)
+    if rows.size == 0:
+        raise EmptyRestriction("no grid point falls inside the time set")
+    first = int(rows[0] == 0)
+    # the gaps between held rows, and row k itself before a first row k > 0
+    steps = buffers.take("steps", (rows.size - first,))
+    np.subtract(rows[1:], rows[:-1], out=steps[1 - first :])
+    steps[:1 - first] = rows[:1 - first]
+    steps *= dt
+    return rows, steps
+
+
 def simulate_path(
     spec: ExponentSpec,
     laws,
@@ -321,6 +344,7 @@ def simulate_path(
     name: str = "path",
     mask: np.ndarray | None = None,
     _buffers: PathBuffers | None = None,
+    _kept: tuple | None = None,
 ) -> LevyPath:
     """Simulate a path on the dyadic grid of depth n over [0, 1].
 
@@ -339,30 +363,17 @@ def simulate_path(
     The path is drawn on the slots of ``_buffers`` (see
     :class:`PathBuffers`), and its values are the slot "values": valid
     until the next path drawn on the same buffers.  Without ``_buffers``
-    every array is fresh, and the path is the caller's.
+    every array is fresh, and the path is the caller's.  ``_kept``, the
+    :func:`_kept_rows` of ``mask``, spares the paths of one mask forming
+    them each.
     """
     laws, blocks = _block_laws(spec, laws)
     check_grid(n, spec.d, laws)
     buffers = PathBuffers() if _buffers is None else _buffers
-
-    dt = 2.0 ** (-n)
-    if mask is not None and mask.shape != (2**n + 1,):
-        raise ValueError(f"mask must hold 2^n + 1 = {2**n + 1} rows, got shape {mask.shape}")
+    rows, steps = _kept_rows(n, mask, buffers) if _kept is None else _kept
     # ``first`` rows, 1 when row 0 (where every path is 0) is held, come
     # before the first step
-    if mask is None or mask.all():
-        rows, first, held = None, 1, 2**n + 1
-        steps = dt
-    else:
-        rows = np.flatnonzero(mask)
-        if rows.size == 0:
-            raise EmptyRestriction("no grid point falls inside the time set")
-        first, held = int(rows[0] == 0), rows.size
-        # the gaps between held rows, and row k itself before a first row k > 0
-        steps = buffers.take("steps", (rows.size - first,))
-        np.subtract(rows[1:], rows[:-1], out=steps[1 - first :])
-        steps[:1 - first] = rows[:1 - first]
-        steps *= dt
+    first, held = (1, 2**n + 1) if rows is None else (int(rows[0] == 0), rows.size)
     size = held - first
     row_times = RowTimes(n, held, rows)
 

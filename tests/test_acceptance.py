@@ -363,7 +363,7 @@ REPORT_DIGESTS = {
     "diag-2-1-interval": "3e8b24fc5e049d66",
     "isotropic-12-interval": "2a3786851a99f160",
     "isotropic-08-interval": "86f33249a1bf3b02",
-    "stpetersburg-interval": "a783033f51002c16",
+    "stpetersburg-interval": "0b1fe0eff2c9972f",
 }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from semidim import builtin_scenarios, get_scenario, harness, run_scenario, sweep
-from semidim.borel import BorelSetSpec, cantor, interval
+from semidim.borel import BorelSetSpec, cantor, interval, union
 from semidim.errors import BudgetExceeded, InvalidInputs, TruncationTooCoarse
 from semidim.estimators import box_count_graph, count_occupied_cubes, dyadic_scales
 from semidim.harness import (
@@ -180,6 +180,22 @@ class TestScenario:
         with pytest.raises(InvalidInputs):
             mini_scenario(n_seeds=n_seeds)
 
+    @pytest.mark.parametrize(
+        "borel",
+        [interval(0.5, 0.5), interval(0.0, 0.0), union(interval(0.2, 0.2), interval(0.7, 0.7))],
+        ids=["point", "origin", "union-of-points"],
+    )
+    def test_time_set_of_dimension_zero_rejected(self, borel):
+        # the spec stays valid, so that its dimension can be computed; a
+        # scenario or a sweep on it is refused before any mask or path
+        assert borel.hausdorff_dim == 0.0
+        with pytest.raises(InvalidInputs, match="Hausdorff dimension 0"):
+            mini_scenario(borel=borel, expected={})
+        with pytest.raises(InvalidInputs, match="Hausdorff dimension 0"):
+            SweepConfig(alphas=(2.0,), time_sets=(None, borel))
+        # a union with one member of positive dimension is a time set
+        mini_scenario(borel=union(borel, interval(0.25, 0.75)), expected={})
+
 
 class TestRunScenario:
     def test_mini_run_deterministic(self):
@@ -289,6 +305,26 @@ class TestRunScenario:
         monkeypatch.setattr(harness, "box_count_graph", checked)
         run_scenario(sc, 5)
         assert counted == [int(box.sum())] * sc.n_seeds
+
+    def test_kept_rows_formed_once_a_call(self, monkeypatch):
+        # every box path of a restricted run reads one set of kept rows and
+        # steps, and draws the bytes of a path given the mask alone
+        sc = mini_scenario(borel=cantor(4, 0.2), n=17, cover_level=7, energy_ratio=2, expected={})
+        held, kept = sc.borel.mask(17, 6), []
+
+        def simulated(*args, _kept=None, **kwargs):
+            path = simulate_path(*args, _kept=_kept, **kwargs)
+            fresh = simulate_path(*args, mask=kwargs["mask"], name=kwargs["name"])
+            assert path.values.tobytes() == fresh.values.tobytes() and np.array_equal(path.rows, fresh.rows)
+            kept.append(_kept)
+            return path
+
+        monkeypatch.setattr(harness, "simulate_path", simulated)
+        run_scenario(sc, 5)
+        assert len(kept) == sc.n_seeds and all(k is kept[0] for k in kept)
+        rows, steps = kept[0]
+        assert np.array_equal(rows, np.flatnonzero(held))
+        assert np.array_equal(steps, np.diff(rows) * 2.0**-17)
 
     @pytest.mark.parametrize(
         "overrides",

@@ -97,7 +97,6 @@ MAY_RUN = {
     ("mini", "cover_level"): {"1e30", "null"},
     ("mini", "laws.0.scale"): {"1e30"},
     ("mini", "borel.a"): {"0"},
-    ("mini", "borel.b"): {"0"},
     ("sweep", "cover_level"): {"1e30", "null"},
     ("sweep", "budget_seconds"): {"inf", "0", "1e308", "1e30", "null"},
 }
@@ -358,7 +357,10 @@ class TestCLI:
     @pytest.mark.parametrize(
         "config",
         # a NaN budget would never trip, and a negative one trips only after the first path
-        [{"alphas": [0.0]}, {"alphas": [2.5]}, {"alphas": [-1.0]}, {"n_seeds": 0}, {"budget_seconds": math.nan}, {"budget_seconds": -1.0}],
+        [
+            {"alphas": [0.0]}, {"alphas": [2.5]}, {"alphas": [-1.0]}, {"n_seeds": 0}, {"budget_seconds": math.nan}, {"budget_seconds": -1.0},
+            {"time_sets": [None, {"kind": "INTERVAL", "a": 0.5, "b": 0.5}]},
+        ],
     )
     def test_sweep_config_out_of_range(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -417,6 +419,8 @@ class TestCLI:
             ({"expected": {"graph_dim": math.nan}}, "InvalidInputs"),
             ({"expected": {"graph_dim": None}}, "InvalidInputs"),
             ({"n_seeds": 10**30}, "BudgetExceeded"),
+            # a time set of Hausdorff dimension 0 has no graph dimension to estimate
+            ({"borel": {"kind": "INTERVAL", "a": 0.5, "b": 0.5}}, "Hausdorff dimension 0"),
         ],
     )
     def test_bad_scenario_rejected_before_any_path(self, tmp_path, capsys, monkeypatch, change, error):

@@ -443,9 +443,10 @@ class TestSemistableSampler:
     @pytest.mark.parametrize("size", [2**16, 20])
     def test_generator_calls_scale_with_frequent_atoms(self, size):
         # one Poisson total for all rare atoms, then one uniform vector per
-        # group of table atoms (three groups on the lattice c^(1/alpha) = 2)
-        # or one Poisson vector of 2n (two counts) per frequent atom; a walk
-        # over the rare atoms one by one would make more calls than this
+        # group of table atoms (one group of all ten on the lattice
+        # c^(1/alpha) = 2) or one Poisson vector of 2n (two counts) per
+        # frequent atom; a walk over the rare atoms one by one would make
+        # more calls than this
         dt = 2.0**-16
         _, lam = semistable_atom_range(2.0, dt, DEFAULT_K_MIN, n_samples=size)
         frequent = int(np.count_nonzero(lam >= 1.0))
@@ -454,7 +455,7 @@ class TestSemistableSampler:
         table = size == 2**16
         assert frequent == 10 and lam.size - frequent > frequent + 4
         assert rng.calls["poisson"] == (1 if table else 1 + frequent)
-        assert rng.calls["random"] == (1 + 3 if table else 1)
+        assert rng.calls["random"] == (1 + 1 if table else 1)
         assert sum(rng.calls.values()) <= frequent + 4
 
     def test_per_row_steps_take_one_set_of_generator_calls(self):
@@ -619,10 +620,11 @@ NON_LATTICE_PINS = {
 
 
 class TestGroupedDraw:
-    @pytest.mark.parametrize("alpha, c, dt", [(1.0, 2.0, 2.0**-16)] + NON_LATTICE_LAWS)
-    def test_a_group_of_one_is_the_net_count_table(self, alpha, c, dt):
-        # at (1, 2, 2^-16) the atom of the smallest height is a group of one
-        n, singles = 2**16, 0
+    @pytest.mark.parametrize("alpha, c, dt, n", [(0.5, 2.0, 2.0**-10, 2**10)] + [(*law, 2**16) for law in NON_LATTICE_LAWS])
+    def test_a_group_of_one_is_the_net_count_table(self, alpha, c, dt, n):
+        # at (0.5, 2, 2^-10) a draw of 2^10 groups its four table atoms as
+        # three and one, and that one is a group of one
+        singles = 0
         for group, atoms in group_atoms(alpha, c, dt, -40, n):
             if isinstance(group, _Table) and len(atoms) == 1:
                 (height, mu), singles = atoms[0], singles + 1
@@ -663,6 +665,23 @@ class TestGroupedDraw:
             assert np.array_equal(group.values, atoms[-1][0] * np.arange(-top, top + 1))
             assert not any(array.flags.writeable for array in group)
         assert joined >= 1
+
+    @pytest.mark.parametrize("alpha, c", LATTICE_LAWS)
+    @pytest.mark.parametrize("dt", [2.0**-16, 2.0**-10])
+    @pytest.mark.parametrize("n", [2**10, 2**16, 2**20])
+    def test_group_tables_hold_at_most_the_entry_cap(self, alpha, c, dt, n):
+        # a group grows while its joined table, before its trim, holds at
+        # most min(n, 2^15) entries; a trim only shortens it
+        tables = [group for group in _step_plan(alpha, c, dt, DEFAULT_K_MIN, n, True).groups if isinstance(group, _Table)]
+        assert tables and all(table.cum.size <= min(n, 2**15) for table in tables)
+
+    def test_stpetersburg_plan_is_one_table(self):
+        # the builtin's draws of 2^16 at dt = 2^-16: its ten frequent atoms
+        # make one group
+        law = get_scenario("stpetersburg-interval").laws[0]
+        plan = _step_plan(law.alpha, law.c, 2.0**-16, law.k_min, 2**16, True)
+        assert len(plan.groups) == 1 and plan.groups[0].cum.size == 25057
+        assert len(group_atoms(law.alpha, law.c, 2.0**-16, law.k_min, 2**16)[0][1]) == 10
 
     @pytest.mark.parametrize("alpha, c, dt, k_min, n", sorted(NON_LATTICE_PINS))
     def test_non_lattice_draws_pinned(self, alpha, c, dt, k_min, n):

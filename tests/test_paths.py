@@ -126,7 +126,7 @@ FULL_MASK_PINS = {
     "semistable": (
         [[1.0]],
         BlockLaw(LawKind.SEMISTABLE_DISCRETE, alpha=1.0, c=2.0),
-        "0eabb25f9d14b6fb22defceabbe98d76ec1873597ea79dd8af1161074e2f8abd",
+        "c17ba9e92f1c74d2f75df0f769a2eb86002b755c3f9d94ddb39a54eac1fdfce2",
     ),
     "jordan": (
         [[0.5, 1.0], [0.0, 0.5]],
@@ -137,7 +137,7 @@ FULL_MASK_PINS = {
 # SHA-256 of the whole-grid semistable path at n = 16, seed 3, name "pin":
 # draws of 2^16 at dt = 2^-16, which invert the net jump sum of every group
 # of frequent atoms on its CDF table.
-SEMISTABLE_TABLE_PIN = "193a0de63ba886d27eeada2ad476469f0bb7c2424cba06f21f80d1846c4fef09"
+SEMISTABLE_TABLE_PIN = "a65163ffde3a4af11432fb58ef6f2e2ef49acd84783f3e93a4e0fa506f56031f"
 STABLE12 = (sd.validate_exponent(np.array([[1 / 1.2]]), 2.0), (BlockLaw(LawKind.STABLE_SYMMETRIC, alpha=1.2),))
 JORDAN = (sd.validate_exponent(np.array([[0.5, 1.0], [0.0, 0.5]]), 2.0), BM_LAWS)
 KS_PATHS = 1500
