@@ -722,6 +722,13 @@ def check_energy(gammas, subsample: int, ratio: int, n: int) -> None:
         )
 
 
+def check_energy_points(candidates: int, subsample: int) -> None:
+    """Reject a time set whose ``candidates`` usable grid points cannot fill
+    the energy stage's two blocks of ``subsample`` points."""
+    if candidates < 2 * subsample:
+        raise DegenerateSample(f"time set holds only {candidates} usable grid points; need >= {2 * subsample}")
+
+
 def energy_dimension(
     path: LevyPath,
     borel: BorelSetSpec,
@@ -746,12 +753,8 @@ def energy_dimension(
     buffers = PathBuffers() if _buffers is None else _buffers
     rows = _energy_candidates(path, borel, cover_level, ratio * subsample, buffers)
     candidates = rows.size
+    check_energy_points(candidates, subsample)
     n_blocks = min(ratio, candidates // subsample)
-    if n_blocks < 2:
-        raise DegenerateSample(
-            f"time set holds only {candidates} usable grid points; "
-            f"need >= {2 * subsample}"
-        )
     n_large = n_blocks * subsample
     # Evenly decimate the candidates so the large selection genuinely refines
     # the small ones: random subsets of one fixed grid share the same pair

@@ -36,6 +36,7 @@ from .estimators import (
     box_count_graph,
     check_box_sides,
     check_energy,
+    check_energy_points,
     check_sojourn,
     dyadic_scales,
     energy_cover_level,
@@ -247,19 +248,22 @@ def _median_stage(ests, theory: float, tol: float, **extra) -> dict:
     }
 
 
-def _box_stages(sc: Scenario, theory: dict, seed: int, threads: int):
-    """The box_graph and box_range stages, and the energy estimate of path 0.
-
-    The paths hold only the grid rows of the time set's cover.  The energy
-    stage tests a Cantor set at its own prefractal level; the covers of one
-    Cantor set nest, so where that level is the shallower one the paths hold
-    its cover, the union of the two.
-    """
+def _time_set_masks(sc: Scenario) -> tuple:
+    """(mask, held): the grid rows of the time set's cover, which the box
+    stages count, and those the paths hold.  The energy stage tests a Cantor
+    set at its own prefractal level; the covers of one Cantor set nest, so
+    where that level is the shallower one the paths hold its cover, the
+    union of the two."""
     mask = sc.borel.mask(sc.n, sc.cover_level)
-    held = mask
     level = energy_cover_level(sc.borel, sc.energy_ratio * sc.energy_subsample)
     if level is not None and level < (sc.cover_level or sc.borel.cover_level(sc.n)):
-        held = sc.borel.mask(sc.n, level)
+        return mask, sc.borel.mask(sc.n, level)
+    return mask, mask
+
+
+def _box_stages(sc: Scenario, theory: dict, seed: int, threads: int, mask, held):
+    """The box_graph and box_range stages, and the energy estimate of path 0,
+    on paths that hold the grid rows ``held`` (see :func:`_time_set_masks`)."""
 
     def measure(i: int, path, buffers):
         # Path 0 also feeds the energy stage, estimated here so that no path
@@ -327,10 +331,15 @@ def run_scenario(sc: Scenario, master_seed: int, threads: int = 1) -> Verificati
         raise InvalidInputs(f"threads must be >= 1, got {threads}")
     started = time.perf_counter()
     theory = sc.validate_expected()
+    # each worker holds its own path and buffers
+    check_grid(sc.n, len(sc.matrix), sc.laws, workers=min(threads, sc.n_seeds))
+    mask, held = _time_set_masks(sc)
+    # path 0's energy blocks take their points from the rows its path holds
+    check_energy_points(int(np.count_nonzero(held)), sc.energy_subsample)
     theory["empirically_full"], theory["fullness_ratio"] = empirical_fullness(
         sc.spec, sc.laws, seed=master_seed
     )
-    stages, energy = _box_stages(sc, theory, master_seed, threads)
+    stages, energy = _box_stages(sc, theory, master_seed, threads, mask, held)
     stages["sojourn"] = _sojourn_stage(sc, master_seed)
     stages["energy"] = _energy_stage(energy, stages["box_graph"]["estimate"], theory["graph_dim"])
     gating = [info["verdict"] for info in stages.values() if info.get("gating", True)]

@@ -8,8 +8,9 @@ Three families are supported, one per admissible spectral block shape:
   E exp(i theta X) = exp(-(scale * |theta|)**alpha);
 * isotropic alpha-stable on R^2 via the sub-Gaussian representation
   sqrt(A) * N(0, 2 * scale**2 * I), A one-sided (alpha/2)-stable (Weron
-  1996); both draw through one CMS kernel, :func:`_cms`, of tangents only,
-  in place on the sampler's own output, the isotropic A before its normals;
+  1996), the normal pair a tangent Box-Muller pair folded into sqrt(A);
+  both draw through one CMS kernel, :func:`_cms`, of tangents only, in place
+  on the sampler's own output, the isotropic A before its pairs;
 * a discrete semistable family with Levy-measure atoms at +-c^(k/alpha)
   of mass c^(-k), k in Z, simulated as compound Poisson above a truncation
   level k_min with Gaussian compensation of the removed small jumps
@@ -221,29 +222,51 @@ def sample_isotropic_stable_2d(alpha: float, scale: float, rng: np.random.Genera
 
     E exp(i <theta, X>) = exp(-(scale * |theta|)**alpha); rotation invariant
     by construction.  ``_steps`` is as in :func:`sample_stable_increment`.
-    The N vectors sqrt(2) scale sqrt(A) G are formed in place on the slot 0
-    of ``_buffers`` (fresh arrays when None): first the one-sided
-    (alpha/2)-stable A of :func:`_cms` on its upper half (A = 1 at alpha = 2),
-    then, a chunk at a time, the normals G times sqrt(2 A) scale.  So the
-    stream is N uniforms and N exponentials (neither at alpha = 2), 2N normals.
+    X = sqrt(A) N(0, 2 scale^2 I), its normal pair a tangent Box-Muller pair
+    (Box and Muller, Ann. Math. Statist. 29, 1958): X = r (1 - tau^2, 2 tau)
+    / (1 + tau^2) with r = 2 scale sqrt(A W') and tau = tan(pi (U' - 1/2)).
+    The N vectors are formed in place on the slot 0 of ``_buffers`` (fresh
+    arrays when None): first the one-sided (alpha/2)-stable A of :func:`_cms`
+    on its upper half (A = 1 at alpha = 2), then, a chunk at a time, the
+    exponentials W' folded into A to form r there, and last, a chunk at a
+    time, the uniforms U' on three scratch rows of the slot 1 and their
+    pairs.  So the stream is N uniforms and N exponentials for A (neither at
+    alpha = 2), then N exponentials W' and N uniforms U'.
     """
     _check_alpha(alpha)
     _check_scale(scale)
     buffers = PathBuffers() if _buffers is None else _buffers
     g = buffers.take(0, (size, 2))
     flat = g.reshape(-1)
+    r = flat[size:]
     if alpha < 2.0:
-        _cms(rng, size, alpha / 2.0, math.pi / 2, buffers, flat[size:])
-    else:
-        flat[size:] = 1.0
-    root = buffers.take(1, (min(size, CHUNK // 4),))
+        _cms(rng, size, alpha / 2.0, math.pi / 2, buffers, r)
     for start, stop in chunks(size, 4):
-        # the normals on [2 start, 2 stop) may cover this A, not a later one: 2 stop <= size + stop
-        a = np.sqrt(flat[size + start : size + stop], out=root[: stop - start])
-        a *= math.sqrt(2.0) * _chunk_scale(scale, _steps, alpha, start, stop)
-        part = rng.standard_normal(out=flat[2 * start : 2 * stop]).reshape(-1, 2)
-        for column in (part[:, 0], part[:, 1]):  # faster than part *= a[:, None], the same products
-            column *= a
+        part = r[start:stop]
+        if alpha < 2.0:
+            part *= rng.standard_exponential(out=flat[start:stop])
+        else:
+            rng.standard_exponential(out=part)
+        np.sqrt(part, out=part)
+        part *= _chunk_scale(scale, _steps, alpha, start, stop)
+        part += part
+    t_buf, s_buf, q_buf = buffers.take(1, (3, min(size, CHUNK // 4)))
+    for start, stop in chunks(size, 4):
+        k = stop - start
+        t, s, q = t_buf[:k], s_buf[:k], q_buf[:k]
+        rng.random(out=t)
+        t -= 0.5
+        t *= math.pi
+        np.tan(t, out=t)
+        np.multiply(t, t, out=s)
+        np.add(s, 1.0, out=q)
+        # the pairs on [2 start, 2 stop) may cover this r, not a later one: 2 stop <= size + stop
+        np.divide(r[start:stop], q, out=q)
+        np.subtract(1.0, s, out=s)
+        t += t
+        pair = flat[2 * start : 2 * stop].reshape(-1, 2)
+        np.multiply(s, q, out=pair[:, 0])
+        np.multiply(t, q, out=pair[:, 1])
     return g
 
 

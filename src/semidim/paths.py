@@ -276,7 +276,7 @@ def check_memory(floats: int, what: str) -> None:
         )
 
 
-def check_grid(n: int, d: int, laws=()) -> None:
+def check_grid(n: int, d: int, laws=(), workers: int = 1) -> None:
     """Reject a negative depth or a grid of depth n in d dimensions that would
     not fit in physical memory: what a path drawn by ``laws`` and its box
     count hold, in values a row: values (d), the rows and the steps of a
@@ -284,12 +284,15 @@ def check_grid(n: int, d: int, laws=()) -> None:
     which holds a block's increments (at most d) and then the box kernel's
     keys of the graph and the range (2), and ``SEMISTABLE_DRAW`` beside it
     when a law is semistable; and 8 ``laws.CHUNK`` values beside them, the
-    most that the chunked passes over a path hold at once."""
+    most that the chunked passes over a path hold at once.  ``workers``
+    paths, each with its own buffers, are held at once."""
     if n < 0:
         raise ValueError("grid depth must be nonnegative")
     draw = SEMISTABLE_DRAW if any(law.kind is LawKind.SEMISTABLE_DISCRETE for law in laws) else 0
     # beyond 2^64 points no memory suffices, so 2^n is never formed for a huge n
-    check_memory((2 ** min(n, 64) + 1) * (2 + d + max(d, 2) + draw) + 8 * _laws.CHUNK, f"a grid of depth n={n} in d={d}")
+    one = (2 ** min(n, 64) + 1) * (2 + d + max(d, 2) + draw) + 8 * _laws.CHUNK
+    what = f"a grid of depth n={n} in d={d}" if workers == 1 else f"{workers} workers' paths on a grid of depth n={n} in d={d}"
+    check_memory(workers * one, what)
 
 
 def _embed(out: np.ndarray, block_values: np.ndarray, basis: np.ndarray, buffers: PathBuffers) -> None:

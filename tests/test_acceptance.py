@@ -361,8 +361,8 @@ REPORT_DIGESTS = {
     "cauchy-cantor": "43998932e0b83f23",
     "diag-2-05-interval": "f43afc19e16dbf13",
     "diag-2-1-interval": "3e8b24fc5e049d66",
-    "isotropic-12-interval": "2a3786851a99f160",
-    "isotropic-08-interval": "86f33249a1bf3b02",
+    "isotropic-12-interval": "6fa5a4d3019d7645",
+    "isotropic-08-interval": "7209d24c733dcf31",
     "stpetersburg-interval": "0b1fe0eff2c9972f",
 }
 

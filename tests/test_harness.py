@@ -217,6 +217,25 @@ class TestRunScenario:
         rep2 = run_scenario(sc, 5, threads=3)
         assert rep1.stages["box_graph"]["per_seed"] == rep2.stages["box_graph"]["per_seed"]
 
+    def test_workers_paths_beyond_memory_rejected_before_any_draw(self, monkeypatch):
+        # physical memory for one path of mini_scenario and its buffers, not
+        # for the two that threads=2 holds at once; no pool is started
+        from semidim import estimators, paths
+
+        def refused(*args, **kwargs):
+            raise RuntimeError("drawn")
+
+        for module, fn in [(harness, "simulate_path"), (paths, "sample_marginal"), (estimators, "sample_marginal")]:
+            monkeypatch.setattr(module, fn, refused)
+        sc = mini_scenario()
+        one = 8 * ((2**sc.n + 1) * 5 + 8 * CHUNK)
+        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * one // 2}
+        monkeypatch.setattr(paths.os, "sysconf", memory.__getitem__)
+        with pytest.raises(BudgetExceeded, match="2 workers"):
+            run_scenario(sc, 5, threads=2)
+        with pytest.raises(RuntimeError, match="drawn"):
+            run_scenario(sc, 5, threads=1)
+
     def test_one_decomposition_per_run(self, monkeypatch):
         from semidim import spectral
 

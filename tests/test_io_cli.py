@@ -421,6 +421,8 @@ class TestCLI:
             ({"n_seeds": 10**30}, "BudgetExceeded"),
             # a time set of Hausdorff dimension 0 has no graph dimension to estimate
             ({"borel": {"kind": "INTERVAL", "a": 0.5, "b": 0.5}}, "Hausdorff dimension 0"),
+            # 17 grid rows, fewer than the energy stage's two blocks of 1000
+            ({"borel": {"kind": "INTERVAL", "a": 0.5, "b": 0.5 + 2.0**-10}}, "DegenerateSample"),
         ],
     )
     def test_bad_scenario_rejected_before_any_path(self, tmp_path, capsys, monkeypatch, change, error):

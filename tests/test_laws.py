@@ -85,12 +85,20 @@ def reference_one_sided_stable(gamma, rng, size):
     return textbook_cms(u, w, gamma, math.pi / 2)
 
 
+def tangent_pair(r, u):
+    """r (1 - tau^2, 2 tau) / (1 + tau^2), tau = tan(pi (u - 1/2)), shape
+    (size, 2): the tangent Box-Muller pair of radius r, one temporary per
+    operation."""
+    tau = np.tan(math.pi * (u - 0.5))
+    q = r / (1.0 + tau * tau)
+    return np.stack([(1.0 - tau * tau) * q, 2.0 * tau * q], axis=-1)
+
+
 def reference_isotropic_stable_2d(alpha, scale, rng, size):
-    scale = np.asarray(scale)[..., None]
-    if alpha == 2.0:
-        return math.sqrt(2.0) * scale * rng.standard_normal((size, 2))
-    a = reference_one_sided_stable(alpha / 2.0, rng, size)
-    return math.sqrt(2.0) * scale * np.sqrt(a)[..., None] * rng.standard_normal((size, 2))
+    a = 1.0 if alpha == 2.0 else reference_one_sided_stable(alpha / 2.0, rng, size)
+    w = rng.exponential(1.0, size=size)
+    r = 2.0 * scale * np.sqrt(a * w)
+    return tangent_pair(r, rng.random(size))
 
 
 # rows of a chunk of the CMS kernel, whose scratch takes 4 values a row; a
@@ -173,9 +181,10 @@ class TestInPlaceSamplers:
     )
     def test_chunked_draws_keep_the_stream(self, sampler, reference, size, bit_generator):
         # a sampler draws its exponentials, and the isotropic one then its
-        # normals, a chunk at a time; its values and the generator's next
-        # draw are those of the textbook order (all uniforms, then all
-        # exponentials, then all normals), whatever the bit generator
+        # pairs' exponentials and uniforms, a chunk at a time; its values and
+        # the generator's next draw are those of the textbook order (all
+        # uniforms, then all exponentials, then all the pairs' exponentials,
+        # then all their uniforms), whatever the bit generator
         got_rng, want_rng = (np.random.Generator(bit_generator(12345)) for _ in range(2))
         got, want = sampler(got_rng, size), reference(want_rng, size)
         np.testing.assert_allclose(got, want, rtol=CMS_RTOL, atol=0.0)
@@ -189,9 +198,10 @@ class TestInPlaceSamplers:
 
 
 class ForcedDraws:
-    """Stands in for a Generator in the CMS samplers: ``random`` hands out
-    the uniforms r and ``standard_exponential`` the exponentials w, each in
-    successive slices, as a generator's stream would."""
+    """Stands in for a Generator in the CMS samplers and the isotropic
+    sampler's pairs: ``random`` hands out the uniforms r and
+    ``standard_exponential`` the exponentials w, each in successive slices,
+    as a generator's stream would."""
 
     def __init__(self, r, w):
         self.r, self.w = r, w
@@ -251,6 +261,22 @@ def test_cms_accuracy_against_the_longdouble_textbook(alpha, shift):
     bulk = inside & (np.arange(r.size) >= r.size - 4096)
     assert worst(got, inside) <= 3.0 * worst(textbook, inside)
     assert worst(got, bulk) <= 3.0 * worst(textbook, bulk)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant, reason="longdouble is float64 here")
+def test_tangent_pairs_against_the_longdouble_cosine_and_sine():
+    # at alpha = 2 (A = 1) the sampler's vectors are 2 sqrt(W') (cos theta,
+    # sin theta), theta = pi (2 U' - 1); against that form evaluated in 80-bit
+    # long double on the same float64 draws, each row misses by at most
+    # 1e-14 |X|.  A bound per component cannot hold: near a zero component the
+    # rounding of theta is a large share of it
+    r, w = forced_draws()
+    got = sample_isotropic_stable_2d(2.0, 1.0, ForcedDraws(r, w), size=r.size)
+    pi = 4 * np.arctan(np.longdouble(1))
+    theta = pi * (2 * r.astype(np.longdouble) - 1)
+    exact = 2 * np.sqrt(w.astype(np.longdouble))[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    miss = np.hypot(*(got - exact).T.astype(np.float64))
+    assert np.all(miss <= 1e-14 * np.hypot(*exact.T.astype(np.float64)))
 
 
 def test_float64_tan_within_4_ulps_of_math_tan():
@@ -381,6 +407,20 @@ class TestIsotropicSampler:
         v = sample_isotropic_stable_2d(2.0, 1.0, rng, size=10**5)
         assert abs(v[:, 0].var() - 2.0) < 0.05
         assert abs(v[:, 1].var() - 2.0) < 0.05
+
+    def test_alpha_two_pairs_are_exponential_radii_at_uniform_angles(self):
+        # oracle for the pair kernel: at alpha = 2, X = 2 scale sqrt(W') (cos, sin)
+        # of an angle uniform on (-pi, pi), so |X|^2 / (4 scale^2) ~ Exp(1), and
+        # the two components are uncorrelated
+        n, scale = 10**5, 1.7
+        v = sample_isotropic_stable_2d(2.0, scale, derive_rng(3, "test/iso/pairs"), size=n)
+        # the KS statistics' critical value at level 0.001, 1.95 / sqrt(n)
+        radius = np.sum(v * v, axis=1) / (4.0 * scale**2)
+        assert scipy.stats.kstest(radius, "expon").statistic < 1.95 / math.sqrt(n)
+        angle = np.arctan2(v[:, 1], v[:, 0])
+        assert scipy.stats.kstest(angle, "uniform", args=(-math.pi, 2.0 * math.pi)).statistic < 1.95 / math.sqrt(n)
+        # the standard error of a sample correlation of independent components is 1 / sqrt(n)
+        assert abs(np.corrcoef(v[:, 0], v[:, 1])[0, 1]) < 4.0 / math.sqrt(n)
 
 
 class TestSemistableSampler:

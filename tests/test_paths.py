@@ -121,7 +121,7 @@ FULL_MASK_PINS = {
     "isotropic-1.2": (
         [[1 / 1.2, -1.0], [1.0, 1 / 1.2]],
         BlockLaw(LawKind.STABLE_ISOTROPIC_2D, alpha=1.2),
-        "9bf25f5dff5b62682ef99462025da70662a8c954d8ed915658115f1143e91abf",
+        "b40a1baac2f7ee4d42b213c8f077803fd4ca93ca64738a098baacd0e3d350237",
     ),
     "semistable": (
         [[1.0]],
