@@ -9,7 +9,13 @@ power-of-two multiples of each other (a dyadic ladder, or each side of a
 base-3 or sqrt-3 ladder) form a group, quantised once at its smallest side
 into one Z-order (Morton) key per row and sorted once; each coarser side of
 the group is a right shift of the sorted keys (dividing by a power of two is
-exact, so the counts match a per-side count bit for bit).  The kernel
+exact, so the counts match a per-side count bit for bit).  The sides alone
+in their group link into chains of integer multiples (a base-3 ladder is
+one, a sqrt-3 ladder two), each quantised once at its smallest side; each
+coarser side of a chain divides the distinct cells of the side before it,
+and the rows whose quotient lies within rounding of an integer are counted
+apart, so the counts again match a per-side count bit for bit
+(:func:`_chain_counts`).  The kernel
 counts every row it is given, less each row whose cells equal the row's
 before, a chunk of rows at a time; :func:`box_count_graph` copies the rows
 that the mask of B keeps only when the mask drops some.  A path holds no
@@ -57,6 +63,11 @@ from .spectral import ExponentSpec
 
 BOX_FIT_DROP = 2  # scales dropped at each end of the fit window
 MIN_FIT_SCALES = 6
+# How near an integer a ratio of two sides must be for them to nest.
+RATIO_TOL = 1e-9
+# A chain of sides is counted nested while its band of quotients near an
+# integer, which it counts apart, stays this narrow (see _chain_counts).
+_CHAIN_BAND = 2.0**-10
 # Candidate pairs per chunk of the near-pair kernel.  Not laws.CHUNK: the
 # chunks fix the order in which the energy sums add, so a change moves the
 # log-energies' bits; test_near_pair_kernel_matches_dense in
@@ -121,7 +132,7 @@ def _extremes(column) -> tuple:
     return column.min(), column.max()
 
 
-def _kept_cells(columns: list, b: float, buffers: PathBuffers):
+def _kept_cells(columns: list, b: float, buffers: PathBuffers, near: list | None = None, tau: float = 0.0):
     """Yield, one chunk of rows at a time, the int64 cells floor(c / b) of
     the rows of ``columns`` (arrays, or a :class:`~semidim.paths.RowTimes`),
     less each row whose cells all equal those of the row before it: a
@@ -131,28 +142,58 @@ def _kept_cells(columns: list, b: float, buffers: PathBuffers):
     row after a column 0 that carries the last row of the chunk before, and
     the rows kept are cast to int64 in place.  A time column divides its row
     indices k by b 2^n: k 2^-n and b 2^n are exact, so the quotient is that
-    of (k 2^-n) / b bit for bit, and no time is formed."""
+    of (k 2^-n) / b bit for bit, and no time is formed.
+
+    With a list ``near``, a row with a quotient c / b within ``tau`` of an
+    integer in some column is left out, and an array of such rows is
+    appended to ``near`` for each chunk; the row after one is kept, as the
+    row it would equal is not.  The distances to the nearest integer take
+    D more values a row on the slot 1, so the chunks are half as long."""
     dim, total = len(columns), columns[0].size
-    rows = min(total, _laws.CHUNK // dim)
-    cells = buffers.take(1, (dim, rows + 1))
+    width = dim if near is None else 2 * dim
+    rows = min(total, _laws.CHUNK // width)
+    scratch = buffers.take(1, (width, rows + 1))
+    cells, gap = scratch[:dim], scratch[dim:, 1:]
     differs = np.empty((dim, rows), dtype=bool)
     fresh = np.empty(rows, dtype=bool)
-    for start, stop in chunks(total, dim):
+    if near is not None:
+        flagged = np.zeros(rows + 1, dtype=bool)  # entry 0: the last row of the chunk before
+    for start, stop in chunks(total, width):
         k = stop - start
         # floor(c / b) as a float, cast to int64 only on the rows kept
         for j, c in enumerate(columns):
             part, unit = _chunk(c, start, stop)
             np.divide(part, b / unit, out=cells[j, 1 : k + 1])
+        if near is not None:
+            # |q - rint(q)|, exact for every float q
+            np.rint(cells[:, 1 : k + 1], out=gap[:, :k])
+            np.subtract(cells[:, 1 : k + 1], gap[:, :k], out=gap[:, :k])
+            np.abs(gap[:, :k], out=gap[:, :k])
+            np.less_equal(gap[:, :k], tau, out=differs[:, :k])
+            np.logical_or.reduce(differs[:, :k], axis=0, out=flagged[1 : k + 1])
         np.floor(cells[:, 1 : k + 1], out=cells[:, 1 : k + 1])
         np.not_equal(cells[:, 1 : k + 1], cells[:, :k], out=differs[:, :k])
         np.logical_or.reduce(differs[:, :k], axis=0, out=fresh[:k])
         fresh[0] |= start == 0
+        if near is not None:
+            fresh[:k] |= flagged[:k]
+            fresh[:k] &= ~flagged[1 : k + 1]
+            near.append(np.flatnonzero(flagged[1 : k + 1]) + start)
+            flagged[0] = flagged[k]
         index = np.flatnonzero(fresh[:k])
         kept = cells.view(np.int64)[:, 1 : index.size + 1]
         cells[:, 0] = cells[:, k]
         for j in range(dim):
             kept[j] = cells[j, 1 : k + 1].take(index)
         yield kept
+
+
+def _cell_range(lows: list, highs: list, b: float, m: int = 0) -> tuple:
+    """The radices and the smallest values of the cells floor(c / b) >> m of
+    columns whose extremes are ``lows`` and ``highs``: floor is monotone, so
+    floor(min c / b) is the smallest cell."""
+    shifts = [(int(np.floor(lo / b)) >> m, int(np.floor(hi / b)) >> m) for lo, hi in zip(lows, highs)]
+    return [hi - lo + 1 for lo, hi in shifts], [lo for lo, _ in shifts]
 
 
 def _high_parts(columns: list, b: float, m: int, lows: list, highs: list, buffers: PathBuffers):
@@ -164,14 +205,11 @@ def _high_parts(columns: list, b: float, m: int, lows: list, highs: list, buffer
     first.  Returns the radices of the high parts and, per column, its
     smallest high part (an offset) or its sorted distinct high parts
     (ranks); None when even the ranks do not fit.  ``lows`` and ``highs``
-    are the columns' extremes: floor is monotone, so floor(min c / b) is the
-    smallest cell."""
+    are the columns' extremes (:func:`_cell_range`)."""
     room = 63 - len(columns) * m
     if room < 0:
         return None
-    shifts = [(int(np.floor(lo / b)) >> m, int(np.floor(hi / b)) >> m) for lo, hi in zip(lows, highs)]
-    radices = [hi - lo + 1 for lo, hi in shifts]
-    offsets = [lo for lo, _ in shifts]
+    radices, offsets = _cell_range(lows, highs, b, m)
     while math.prod(radices) > 2**room:
         fits = [j for j, o in enumerate(offsets) if not isinstance(o, np.ndarray)]
         if not fits:
@@ -233,6 +271,28 @@ def _zorder_keys(cells: np.ndarray, cols, radices: list, offsets: list, m: int, 
         key |= np.take(table, bits, out=scratch[1], mode="clip")
 
 
+def _sorted_keys(columns: list, b: float, m: int, plan: tuple, targets, buffers: PathBuffers, near: list | None = None, tau: float = 0.0) -> list:
+    """The keys (:func:`_zorder_keys`, by the radices and offsets of
+    ``plan``) of the rows that :func:`_kept_cells` keeps at the side ``b``,
+    sorted, one array per target: row t of the slot 0 of ``buffers``.
+    ``near`` and ``tau`` go to :func:`_kept_cells`."""
+    radices, offsets = plan
+    size = columns[0].size
+    store = buffers.take(0, (len(targets), size)).view(np.int64)
+    tables = [_spread_tables(m, cols) for cols in targets]
+    scratch = np.empty((2, min(size, _laws.CHUNK // len(columns))), dtype=np.int64) if m else None
+    filled = 0
+    for cells in _kept_cells(columns, b, buffers, near, tau):
+        k = cells.shape[1]
+        for t, cols in enumerate(targets):
+            part = None if scratch is None else scratch[:, :k]
+            _zorder_keys(cells, cols, radices, offsets, m, tables[t], store[t, filled : filled + k], part)
+        filled += k
+    for keys in store[:, :filled]:
+        keys.sort()
+    return list(store[:, :filled])
+
+
 def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, lows: list, highs: list) -> np.ndarray:
     """:func:`_cube_counts` on a group of sides that are power-of-two
     multiples of each other.
@@ -241,15 +301,12 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
     b, drops each row whose cells all equal the row's before it
     (:func:`_kept_cells`; a time-ordered path often stays in one cube from
     row to row), and keys the kept rows for every target straight from
-    their cells (:func:`_zorder_keys`).  The
+    their cells (:func:`_sorted_keys`).  The
     keys of a target are sorted once; a right shift is monotone, so they
     stay sorted at every coarser side, where the count is the number of
     adjacent keys that differ.  A group whose key does not fit in 63 bits is
     counted as a finer and a coarser half of its octaves; a single side, by
-    comparing whole rows.
-
-    The keys of target t are row t of the slot 0 of ``buffers``, and
-    ``lows`` and ``highs`` are the columns' extremes.
+    comparing whole rows.  ``lows`` and ``highs`` are the columns' extremes.
     """
     octave = np.frexp(sides)[1]
     shifts = octave - octave.min()
@@ -268,28 +325,105 @@ def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
             for half in (finer, ~finer):
                 counts[:, half] = _octave_counts(columns, sides[half], targets, buffers, lows, highs)
         return counts
-    radices, offsets = plan
-    size = columns[0].size
-    store = buffers.take(0, (len(targets), size)).view(np.int64)
-    tables = [_spread_tables(m, cols) for cols in targets]
-    scratch = np.empty((2, min(size, _laws.CHUNK // len(columns))), dtype=np.int64) if m else None
-    filled = 0
-    for cells in _kept_cells(columns, b, buffers):
-        k = cells.shape[1]
-        for t, cols in enumerate(targets):
-            part = None if scratch is None else scratch[:, :k]
-            _zorder_keys(cells, cols, radices, offsets, m, tables[t], store[t, filled : filled + k], part)
-        filled += k
-    for t, cols in enumerate(targets):
-        keys = store[t, :filled]
-        keys.sort()
+    for t, keys in enumerate(_sorted_keys(columns, b, m, plan, targets, buffers)):
         done = 0
         for k in np.argsort(shifts, kind="stable"):
-            keys >>= len(cols) * int(shifts[k] - done)
+            keys >>= len(targets[t]) * int(shifts[k] - done)
             done = shifts[k]
             keys = keys[: _drop_repeats(keys)]
             counts[t, k] = keys.size
     return counts
+
+
+def _decode(keys: np.ndarray, cols, radices: list, offsets: list, out: np.ndarray) -> None:
+    """The cells of the columns ``cols`` whose offset keys (:func:`_zorder_keys`
+    at m = 0) are ``keys``, written on the rows ``cols`` of ``out``; ``keys``
+    is overwritten."""
+    for j in reversed(cols[1:]):
+        np.divmod(keys, radices[j], out=(keys, out[j]))
+    out[cols[0]] = keys
+    for j in cols:
+        out[j] += offsets[j]
+
+
+def _chain_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, lows: list, highs: list) -> np.ndarray:
+    """:func:`_cube_counts` on a chain of ``sides``, descending, each an
+    integer multiple of the next (:func:`_chains`), with the per-side float
+    counts.
+
+    One pass (:func:`_sorted_keys`) keys the cells floor(y), y = fl(c / b),
+    of the rows at the smallest side b, and each coarser side s = Q b then
+    takes the distinct cells of the side before it, decoded from their keys
+    (:func:`_decode`), divides them by its ratio to that side, and re-keys
+    and sorts them.  That cell is floor(y) // Q = floor(y / Q).  As
+    fl(c / s) = (y / Q)(1 + e) with |e| <= eta, eta = max |Q b / s - 1|
+    plus a few ulps (the standard model of Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 2; below the normal range, plus up to Q 2^-1074
+    absolute), it is the per-side cell floor(fl(c / s)) unless y lies within
+    |y| eta of an integer.  The rows that do (within ``tau`` of one, tau
+    bounding |y| eta + Q 2^-1074 over the rows) are left out of the nested
+    cells, and each side counts the union of those with their own
+    floor(fl(c / s)).  A chain whose keys do not fit in 62 bits at some
+    side, or whose band ``tau`` is not narrow, is counted side by side.
+    """
+    steps = [_multiple(s / t) for s, t in zip(sides[:-1], sides[1:])]
+    multiples = [math.prod(steps[i:]) for i in range(sides.size)]
+    b = sides[-1]
+    eta = max(abs(q * b / s - 1.0) for q, s in zip(multiples, sides)) + 8 * 2.0**-53
+    # |y| eta at the largest |y|, and the rounding of a quotient near 0
+    tau = eta * max(max(-lo, hi) for lo, hi in zip(lows, highs)) / b + multiples[0] * 2.0**-1074
+    plans = [_cell_range(lows, highs, s) for s in sides]
+    if not tau < _CHAIN_BAND or max(math.prod(radices) for radices, _ in plans) > 2**62:
+        return np.hstack([_octave_counts(columns, sides[i : i + 1], targets, buffers, lows, highs) for i in range(sides.size)])
+    near = []
+    nested = _sorted_keys(columns, b, 0, plans[-1], targets, buffers, near, tau)
+    near = np.concatenate(near)
+    # the near rows' own cells floor(fl(c / s)) at every side, and the radices
+    # and offsets of every side, for their keys
+    values = np.array([c.take(near) if isinstance(c, RowTimes) else c[near] for c in columns])
+    near_cells = np.floor(values / sides[:, None, None]).astype(np.int64)
+    radices, offsets = (np.array(part, dtype=np.int64)[:, :, None] for part in zip(*plans))
+    counts = np.zeros((len(targets), sides.size), dtype=np.int64)
+    for t, cols in enumerate(targets):
+        near_keys = np.zeros((sides.size, near.size), dtype=np.int64)
+        for j in cols:
+            near_keys *= radices[:, j]
+            near_keys += near_cells[:, j] - offsets[:, j]
+        near_keys.sort(axis=1)
+        first = np.ones(near_keys.shape, dtype=bool)
+        np.not_equal(near_keys[:, 1:], near_keys[:, :-1], out=first[:, 1:])
+        keys = nested[t]
+        keys = keys[: _drop_repeats(keys)]
+        for i in range(sides.size - 1, -1, -1):
+            if i < sides.size - 1:
+                cells = np.empty((len(columns), keys.size), dtype=np.int64)
+                _decode(keys, cols, *plans[i + 1], cells)
+                for j in cols:
+                    cells[j] //= steps[i]
+                keys = np.empty(cells.shape[1], dtype=np.int64)
+                _zorder_keys(cells, cols, *plans[i], 0, [], keys, None)
+                keys.sort()
+                keys = keys[: _drop_repeats(keys)]
+            # the union: the nested cells and each near row's own cell once
+            at = np.minimum(np.searchsorted(keys, near_keys[i]), keys.size - 1)
+            new = first[i] & (keys[at] != near_keys[i]) if keys.size else first[i]
+            counts[t, i] = keys.size + np.count_nonzero(new)
+    return counts
+
+
+def _chains(sides: np.ndarray, index: np.ndarray) -> list:
+    """The sides ``sides[index]`` linked into chains, as lists of indices:
+    taken in descending order, a side joins the first chain whose smallest
+    side is an integer multiple >= 2 of it (:func:`_multiple`), or starts
+    one."""
+    chains = []
+    for i in index[np.argsort(-sides[index], kind="stable")]:
+        home = next((chain for chain in chains if _multiple(sides[chain[-1]] / sides[i]) >= 2), None)
+        if home is None:
+            chains.append([i])
+        else:
+            home.append(i)
+    return chains
 
 
 def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers) -> np.ndarray:
@@ -297,7 +431,10 @@ def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers
     coordinates ``columns[j]``, j in ``cols``, every row counted: one row of
     counts per list ``cols`` in ``targets``, one count per side b in
     ``sides``.  The sides are grouped by their floating-point mantissa, and
-    each group is counted by :func:`_octave_counts`.
+    each group of several is counted by :func:`_octave_counts`.  The sides
+    alone in their group are linked into chains (:func:`_chains`); a chain
+    of several is counted by :func:`_chain_counts`, one of one by
+    :func:`_octave_counts`.
     """
     # Cell indices are int64; beyond 2^62 cubes (or at inf/NaN) the cast
     # would return garbage cells instead of failing.
@@ -307,9 +444,14 @@ def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers
         raise DegenerateSample(f"points beyond 2^62 cubes of side {sides.min():g} from the origin")
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
     mantissas = np.frexp(sides)[0]
-    for mantissa in np.unique(mantissas):
+    values, sizes = np.unique(mantissas, return_counts=True)
+    for mantissa in values[sizes > 1]:
         group = mantissas == mantissa
         counts[:, group] = _octave_counts(columns, sides[group], targets, buffers, lows, highs)
+    alone = np.flatnonzero(sizes[np.searchsorted(values, mantissas)] == 1)
+    for chain in _chains(sides, alone):
+        count = _chain_counts if len(chain) > 1 else _octave_counts
+        counts[:, chain] = count(columns, sides[chain], targets, buffers, lows, highs)
     return counts
 
 
@@ -321,10 +463,17 @@ def count_occupied_cubes(points: np.ndarray, sides) -> np.ndarray:
     return _cube_counts(list(points.T), sides, [list(range(points.shape[1]))], PathBuffers())[0]
 
 
+def _multiple(ratio: float) -> int:
+    """The integer q within ``RATIO_TOL`` of ``ratio``, or 0 when there is
+    none or q >= 2^53, where every float is an integer: a side q times
+    another is a union of the other's cubes."""
+    q = np.rint(ratio)
+    return int(q) if abs(ratio - q) < RATIO_TOL and q < 2**53 else 0
+
+
 def _nested_ratios(sides: np.ndarray) -> bool:
     s = np.sort(sides)[::-1]
-    ratios = s[:-1] / s[1:]
-    return bool(np.all(np.abs(ratios - np.round(ratios)) < 1e-9))
+    return all(_multiple(a / b) for a, b in zip(s[:-1], s[1:]))
 
 
 @dataclass(frozen=True)
@@ -663,6 +812,19 @@ def energy_cover_level(borel: BorelSetSpec, n_needed: int) -> int | None:
     return math.ceil(math.log(n_needed) / math.log(borel.m))
 
 
+def check_energy_level(borel: BorelSetSpec, n_needed: int, n: int) -> int | None:
+    """:func:`energy_cover_level`, after rejecting a level whose pieces are
+    shorter than the step 2^-n of the grid, which cannot hold one grid point
+    in each."""
+    level = energy_cover_level(borel, n_needed)
+    if level is not None and borel.r**level < 2.0**-n:
+        raise DegenerateSample(
+            f"grid too coarse to thin {n_needed} samples to level-{level} pieces; "
+            "raise the grid depth or lower subsample * ratio"
+        )
+    return level
+
+
 def _energy_candidates(
     path: LevyPath, borel: BorelSetSpec, cover_level, n_needed: int, buffers: PathBuffers | None = None
 ) -> np.ndarray:
@@ -677,12 +839,7 @@ def _energy_candidates(
     instead of probing the interval-like remnant below the cover resolution.
     The path must hold every grid row of that cover.
     """
-    level = energy_cover_level(borel, n_needed)
-    if level is not None and borel.r**level < path.grid_step:
-        raise DegenerateSample(
-            f"grid too coarse to thin {n_needed} samples to level-{level} pieces; "
-            "raise the grid depth or lower subsample * ratio"
-        )
+    level = check_energy_level(borel, n_needed, path.n)
     buffers = PathBuffers() if buffers is None else buffers
     size = path.values.shape[0]
     rows = buffers.take(0, (size,)).view(np.int64)
@@ -704,10 +861,13 @@ def _energy_candidates(
     return rows[:found]
 
 
-def check_energy(gammas, subsample: int, ratio: int, n: int) -> None:
+def check_energy(gammas, subsample: int, ratio: int, n: int, borel: BorelSetSpec | None = None) -> None:
     """Reject energy inputs before any path: gammas that are empty, not
-    finite or not > 0, a ratio below 2, a subsample below 1000, or one whose
-    two blocks (2 * subsample points) exceed the 2^n + 1 points of the grid."""
+    finite or not > 0, a ratio below 2, a subsample below 1000, one whose
+    two blocks (2 * subsample points) exceed the 2^n + 1 points of the grid
+    or, given the time set ``borel``, a Cantor set that the grid is too
+    coarse to thin to ``ratio * subsample`` pieces
+    (:func:`check_energy_level`)."""
     gammas = np.asarray(gammas, dtype=float)
     if gammas.size == 0 or not np.all(np.isfinite(gammas)) or np.any(gammas <= 0.0):
         raise InvalidInputs(f"energy gammas must be finite and > 0, at least one, got {gammas.tolist()}")
@@ -720,6 +880,8 @@ def check_energy(gammas, subsample: int, ratio: int, n: int) -> None:
         raise DegenerateSample(
             f"a grid of depth n={n} holds fewer than 2 * {subsample} points for the energy blocks"
         )
+    if borel is not None:
+        check_energy_level(borel, ratio * subsample, n)
 
 
 def check_energy_points(candidates: int, subsample: int) -> None:

@@ -129,7 +129,7 @@ class Scenario(Record):
         check_time_set(self.borel)
         check_cover_level(self.borel, self.cover_level, self.n)
         check_sojourn(self.sojourn_ensemble, self.sojourn_radii, self.sojourn_n, len(self.matrix))
-        check_energy(self.energy_gammas, self.energy_subsample, self.energy_ratio, self.n)
+        check_energy(self.energy_gammas, self.energy_subsample, self.energy_ratio, self.n, self.borel)
         # A semistable law's truncation must hold at the smallest step a run
         # takes: the grid's, or the bottom sojourn stratum's midpoint.
         dt = min(2.0**-self.n, 2.0 ** -(self.sojourn_n + 1))

@@ -130,6 +130,22 @@ class TestBoxCounting:
         assert np.array_equal(est.counts, reference_cube_counts(p.graph_points()[mask], sides))
         assert np.array_equal(est.range.counts, reference_cube_counts(p.values[mask], sides))
 
+    @pytest.mark.parametrize("ladder", ["sqrt3", "base3"])
+    @pytest.mark.parametrize("drawn", [False, True], ids=["whole-grid", "cantor-rows"])
+    def test_cantor_rows_through_t1(self, ladder, drawn):
+        # the time column t / b at t = 1 lies within ulps of the integer
+        # 3^j, where a nested count of the chain 3^-j would floor one cell
+        # higher than the float 1 / fl(3^-j) (242.99... at j = 5); such rows
+        # count by their own floor at every side
+        sides = {"sqrt3": 3.0 ** (-np.arange(1, 13) / 2.0), "base3": sd.geometric_scales(3.0, -2, 7)}[ladder]
+        mask = cantor(2, 1 / 3).mask(14, 8)
+        p = sd.simulate_path(BROWNIAN, BM_LAWS, 14, seed=9, mask=mask if drawn else None)
+        assert mask[-1] and (p.rows is not None) == drawn
+        est = sd.box_count_graph(p, mask, sides)
+        points = p.graph_points() if drawn else p.graph_points()[mask]
+        assert np.array_equal(est.counts, reference_cube_counts(points, sides))
+        assert np.array_equal(est.range.counts, reference_cube_counts(points[:, 1:], sides))
+
     def test_refinement_stability(self):
         # refining n -> n+2 never drops the estimate by more than 0.05
         scales = sd.dyadic_scales(2, 11)
@@ -193,16 +209,16 @@ class TestCubeKernel:
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
     @staticmethod
-    def group_calls(monkeypatch):
-        """The sides of each :func:`_octave_counts` call, splits included."""
+    def group_calls(monkeypatch, kernel="_octave_counts"):
+        """The sides of each call of ``kernel``, splits included."""
         calls = []
-        octave_counts = sd.estimators._octave_counts
+        counts = getattr(sd.estimators, kernel)
 
         def spy(columns, sides, *rest):
             calls.append(sides.size)
-            return octave_counts(columns, sides, *rest)
+            return counts(columns, sides, *rest)
 
-        monkeypatch.setattr(sd.estimators, "_octave_counts", spy)
+        monkeypatch.setattr(sd.estimators, kernel, spy)
         return calls
 
     def test_jump_beyond_a_63_bit_key(self, monkeypatch):
@@ -261,13 +277,61 @@ class TestCubeKernel:
     @pytest.mark.parametrize("dim", [1, 3])
     def test_mixed_ladder(self, monkeypatch, dim):
         # dyadic and sqrt-3 sides shuffled together (1.0 sits in both): one
-        # group for the powers of two, one for each other side
+        # group for the powers of two; the other sides, each alone in its
+        # group, link into the chains 3^-1/2 .. 3^-11/2 and 3^-1 .. 3^-5
         rng = np.random.default_rng(17 + dim)
         points = walk_cloud(rng, 4000, dim)
         sides = rng.permutation(np.concatenate([sd.dyadic_scales(0, 10), self.LADDERS["sqrt3"]]))
-        calls = self.group_calls(monkeypatch)
+        groups = self.group_calls(monkeypatch)
+        chains = self.group_calls(monkeypatch, "_chain_counts")
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
-        assert sorted(calls) == [1] * 11 + [11 + 1]
+        assert groups == [11 + 1] and sorted(chains) == [5, 6]
+
+    def test_chain_beyond_a_62_bit_key(self, monkeypatch):
+        # 4 columns of ~1.6e8 cells each at side 3^-4: the chain's keys do
+        # not fit, so each side is counted alone
+        rng = np.random.default_rng(16)
+        points = rng.uniform(-1e6, 1e6, size=(5000, 4))
+        sides = np.array([3.0**-3, 3.0**-4])
+        groups = self.group_calls(monkeypatch)
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+        assert groups == [1, 1]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e7])
+    def test_chain_of_a_near_integer_ratio(self, monkeypatch, scale):
+        # sides 3.0000000003 apart still nest; the band of quotients within
+        # |y| (3e-10 + ulps) of an integer, counted apart, is narrow at
+        # coordinates near 1 and not at 1e7 (about 0.02), where each side
+        # is counted alone
+        rng = np.random.default_rng(18)
+        points = walk_cloud(rng, 4000, 2) * scale
+        sides = np.array([1.0 / 3.0, 1.0 / 9.0 / (1.0 + 1e-10)])
+        groups = self.group_calls(monkeypatch)
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+        assert groups == ([] if scale == 1.0 else [1, 1])
+
+    @pytest.mark.parametrize("chunk", [7, sd.laws.CHUNK])
+    def test_chain_keeps_the_row_after_a_left_out_row(self, chunk):
+        # x an ulp below 5N where x / fl(3^-6) rounds up to 3645 N, the
+        # cell of x + b / 3 too; but floor(x) = 5N - 1 at side 1, where
+        # x + b / 3 lies in 5N; so that row is kept, though its cells equal
+        # the row's before it, within a chunk and across its edges
+        b = 3.0**-6
+        multiples = 5.0 * np.arange(1.0, 301.0)
+        x = np.nextafter(multiples, -np.inf)
+        x = x[np.floor(x / b) == multiples / 5.0 * 3645.0]
+        assert x.size > 50
+        points = np.column_stack([x, x + b / 3.0]).reshape(-1, 1)
+        sides = sd.geometric_scales(3.0, 0, 6)
+        with mock.patch.object(sd.laws, "CHUNK", chunk):
+            assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+
+    def test_chain_at_an_underflowing_quotient(self):
+        # -2^-1074 / 3 rounds to -0.0: its float cell is -1 at side 1 and 0
+        # at sides 3 and 9, so a chain counts that row apart
+        points = np.array([[-(2.0**-1074)], [2.0**-1074], [0.7]])
+        sides = np.array([9.0, 3.0, 1.0])
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
     def test_wide_key_range(self):
         # cell indices spanning ~2^31 per column overflow a packed int64 key
@@ -293,6 +357,13 @@ class TestCubeKernel:
 
 # group bases with distinct float mantissas: 1, 3^-1/2, 3^-1, 0.1, 0.7
 GROUP_BASES = (1.0, 3.0**-0.5, 1.0 / 3.0, 0.1, 0.7)
+# ladders of sides that are integer, not power-of-two, multiples of each
+# other: base 3, base 5, and 1/6 with 1/12 (one power-of-two group) and 1/36
+CHAINS = (
+    tuple(3.0**-k for k in range(-2, 8)),
+    tuple(5.0**-k for k in range(-1, 6)),
+    (1.0 / 6.0, 1.0 / 12.0, 1.0 / 36.0),
+)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -305,16 +376,27 @@ GROUP_BASES = (1.0, 3.0**-0.5, 1.0 / 3.0, 0.1, 0.7)
     ),
     dim=st.integers(1, 5),
     rows=st.integers(1, 600),
+    chain=st.sampled_from(CHAINS).flatmap(lambda sides: st.lists(st.sampled_from(sides), unique=True, max_size=7)),
     jump=st.sampled_from([0.0, 1.0, 1e3, 1e5]),
+    snap=st.sampled_from([None, -1, 0, 1]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_cube_kernel_matches_per_side_unique(ladder, dim, rows, jump, seed):
-    # sides from 1-3 mantissa groups, each a few octaves with gaps, in any
-    # order; a walk whose second half jumps far away
+def test_cube_kernel_matches_per_side_unique(ladder, dim, rows, chain, jump, snap, seed):
+    # sides from 1-3 mantissa groups, each a few octaves with gaps, and some
+    # sides of an integer chain, in any order; a walk whose second half
+    # jumps far away; with ``snap``, every third coordinate moved onto a
+    # multiple of a side, then, if not 0, ``snap`` ulps up or down.  Not at
+    # 0: a power-of-two group floors -2^-1074 / 2^k, which rounds to -0.0,
+    # as the cell -1, where the per-side float floor reads 0; a chain
+    # matches it there (test_chain_at_an_underflowing_quotient)
     rng = np.random.default_rng(seed)
-    sides = rng.permutation([base * 2.0**-k for base, octaves in ladder for k in octaves])
+    sides = rng.permutation([base * 2.0**-k for base, octaves in ladder for k in octaves] + chain)
     points = np.cumsum(rng.normal(scale=0.01, size=(rows, dim)), axis=0)
     points[rows // 2 :] += jump * rng.choice([-1.0, 1.0], size=dim)
+    if snap is not None:
+        side = rng.choice(sides, size=points[::3].shape)
+        snapped = np.rint(points[::3] / side) * side
+        points[::3] = np.where(snapped == 0.0, snapped, np.nextafter(snapped, np.inf * snap) if snap else snapped)
     assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
 

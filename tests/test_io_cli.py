@@ -423,6 +423,11 @@ class TestCLI:
             ({"borel": {"kind": "INTERVAL", "a": 0.5, "b": 0.5}}, "Hausdorff dimension 0"),
             # 17 grid rows, fewer than the energy stage's two blocks of 1000
             ({"borel": {"kind": "INTERVAL", "a": 0.5, "b": 0.5 + 2.0**-10}}, "DegenerateSample"),
+            # 1024 * 4 energy points thin to level-12 pieces, 3^-12 < 2^-18
+            (
+                {"borel": CANTOR, "n": 18, "energy_subsample": 1024, "energy_ratio": 4, "expected": {"graph_dim": 0.5 + math.log(2) / math.log(3)}},
+                "grid too coarse to thin 4096 samples to level-12 pieces",
+            ),
         ],
     )
     def test_bad_scenario_rejected_before_any_path(self, tmp_path, capsys, monkeypatch, change, error):
