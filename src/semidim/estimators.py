@@ -9,7 +9,11 @@ power-of-two multiples of each other (a dyadic ladder, or each side of a
 base-3 or sqrt-3 ladder) form a group, quantised once at its smallest side
 into one Z-order (Morton) key per row and sorted once; each coarser side of
 the group is a right shift of the sorted keys (dividing by a power of two is
-exact, so the counts match a per-side count bit for bit).  The sides alone
+exact, so the counts match a per-side count bit for bit, except where a
+quotient c/b falls below the normal range: -2^-1074 / 2 rounds to -0.0, the
+float cell 0, where the group shifts the cell -4 at side 0.25 to -1, so
+``count_occupied_cubes([[-2^-1074], [0.00745]], [0.25, 1, 0.5, 2])`` reads
+[2, 2, 2, 2] against the per-side [2, 2, 2, 1]).  The sides alone
 in their group link into chains of integer multiples (a base-3 ladder is
 one, a sqrt-3 ladder two), each quantised once at its smallest side; each
 coarser side of a chain divides the distinct cells of the side before it,
@@ -22,7 +26,9 @@ that the mask of B keeps only when the mask drops some.  A path holds no
 times: its time column is a :class:`~semidim.paths.RowTimes`.  The energy
 estimator finds the near pairs of its truncated energies in numpy alone: a
 path's rows come in time order, so each point's candidate partners are the
-next few rows (:func:`_near_pair_energies`).  Both work on the slots of a
+next few rows, and it sums the powers of the near pairs for every gamma
+with one ``exp`` for the first gamma and one for each distinct gamma gap
+(:func:`_near_pair_energies`).  Both work on the slots of a
 reused :class:`~semidim.laws.PathBuffers`, never on the path's own.
 
 The box-count slope is fitted after dropping the two largest and two
@@ -749,9 +755,14 @@ def _near_pair_energies(
     so a lag past the last row is never near.  The squared distance sums
     the columns in order on scratch that one chunk of
     ``_ENERGY_CANDIDATES`` pairs bounds, and d^2 <= r_cut^2 is the one
-    radius test.  The near pairs of a chunk are summed for several gammas at
-    once on that same scratch, on the slot 0 of ``buffers`` (fresh arrays
-    when None) with the padded columns.
+    radius test.  The near pairs of a chunk are summed for every gamma, in
+    the given order, on that same scratch: d^-gamma = exp(-gamma/2 log d^2)
+    for the first gamma by one ``exp``, then each next power by one
+    multiply with d^-(gamma gap), one ``exp`` a distinct gap (a builtin
+    grid, rounded to 10 digits, has 3), a piece of the near pairs at a time
+    where the scratch cannot hold 1 + gaps rows of them all.  All of it
+    lies on the slot 0 of ``buffers`` (fresh arrays when None), with the
+    padded columns.
     """
     n, dim = points.shape
     times = points[:, 0]
@@ -763,14 +774,19 @@ def _near_pair_energies(
     buffers = PathBuffers() if buffers is None else buffers
     rows = min(n, _ENERGY_CANDIDATES)
     width = _ENERGY_CANDIDATES // rows
-    store = buffers.take(0, (2 * width * rows + dim * (n + lags),))
-    d2_buf, diff_buf = store[: 2 * width * rows].reshape(2, width * rows)
-    cols = store[2 * width * rows :].reshape(dim, n + lags)
+    gaps, gap_of = np.unique(np.diff(gammas), return_inverse=True)
+    # a row of the scratch holds a chunk's squared distances, and then the
+    # powers of its near pairs: one row a gamma gap beside d^-gamma
+    span = max(width * rows, 1 + gaps.size)
+    store = buffers.take(0, (2 * span + dim * (n + lags),))
+    d2_buf, diff_buf = store[: 2 * span].reshape(2, span)
+    cols = store[2 * span :].reshape(dim, n + lags)
     cols[:, n:] = np.inf
     cols[:, :n] = points.T
     near_buf = np.empty(width * rows, dtype=bool)
     r2 = r_cut * r_cut
     sums = np.zeros(gammas.size)
+    piece = span // (1 + gaps.size)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         for k in range(1, lags + 1, width):
@@ -791,15 +807,20 @@ def _near_pair_energies(
             d[:] = d2_buf[:size][near]
             if not d.all():
                 raise DegenerateSample("duplicate points in the energy subsample")
-            np.sqrt(d, out=d)
-            log_d = np.log(d, out=d)
-            # as many gammas at once as the scratch holds copies of log_d
-            step = d2_buf.size // max(d.size, 1)
-            for g in range(0, gammas.size, step):
-                some = gammas[g : g + step]
-                power = d2_buf[: some.size * d.size].reshape(some.size, d.size)
-                np.multiply(-some[:, None], log_d, out=power)
-                sums[g : g + step] += np.exp(power, out=power).sum(axis=1)
+            log_d2 = np.log(d, out=d)
+            # d^-gamma for the first gamma and d^-gap for each distinct gap,
+            # then a multiply a gamma, a piece of the near pairs at a time
+            for lo in range(0, log_d2.size, piece):
+                part = log_d2[lo : lo + piece]
+                power = d2_buf[: (1 + gaps.size) * part.size].reshape(1 + gaps.size, part.size)
+                np.multiply(-0.5 * gammas[0], part, out=power[0])
+                np.multiply(-0.5 * gaps[:, None], part, out=power[1:])
+                np.exp(power, out=power)
+                p, ratios = power[0], power[1:]
+                sums[0] += p.sum()
+                for g in range(1, gammas.size):
+                    p *= ratios[gap_of[g - 1]]
+                    sums[g] += p.sum()
     return 2.0 * sums / n**2
 
 
@@ -833,10 +854,16 @@ def _energy_candidates(
     of ``buffers`` (fresh arrays when None), found a chunk of rows at a time.
 
     On intervals every covered grid point qualifies.  On a self-similar set
-    the candidates are thinned to one grid point per piece at the shallowest
-    level holding >= n_needed pieces (testing membership at that same level),
-    so subsample spacings stay inside the set's self-similar scaling window
-    instead of probing the interval-like remnant below the cover resolution.
+    the candidates are thinned at the shallowest level L holding >= n_needed
+    pieces (testing membership at that same level) to the first covered
+    grid point of each cell floor(t / r^L), so that subsample spacings stay
+    inside the set's self-similar scaling window instead of probing the
+    interval-like remnant below the cover resolution.  The cells are not
+    the pieces: a piece starts at a multiple of r^L only where the pitch is
+    an integer multiple of r, and elsewhere it can straddle two cells
+    (``cantor(2, 0.3)`` at n = 22 keeps 6 387 rows for its 4 096 level-12
+    pieces); and a grid point that ends a piece starts a cell of its own
+    (t = 1 does, so the middle-thirds set keeps 4 097 rows for 4 096).
     The path must hold every grid row of that cover.
     """
     level = check_energy_level(borel, n_needed, path.n)

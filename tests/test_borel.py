@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semidim import BorelSetSpec, cantor, interval, simulate_path, time_set, union, validate_exponent
 from semidim.borel import SetKind, check_cover_level
@@ -175,6 +177,57 @@ class TestMask:
         spec, n = cantor(10**12, 1e-13), 12
         want = [reference_contains(spec, t, n, 2) for t in grid_times(n).tolist()]
         assert spec.mask(n, 2).tolist() == want and want[-1]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(2, 6),
+        # r = share / m: touching pieces (m r = 1), common fractions, any ratio
+        share=st.one_of(st.just(1.0), st.sampled_from([0.5, 0.75, 2 / 3, 0.6]), st.floats(0.01, 1.0)),
+        n=st.integers(4, 18),
+        beyond=st.integers(0, 3),
+    )
+    @example(m=2, share=2 / 3, n=18, beyond=0)  # the middle-thirds set
+    @example(m=5, share=1.0, n=12, beyond=1)  # t = 1 ends the last piece in rounding
+    @example(m=4, share=0.4, n=16, beyond=0)
+    @example(m=2, share=0.02, n=10, beyond=3)  # pieces far shorter than a grid step
+    # r = 1/4 - 1e-13: grid points 1e-13 outside piece ends, inside the slack
+    @example(m=2, share=0.5 - 2e-13, n=12, beyond=0)
+    def test_built_from_pieces_is_contains_on_every_grid_point(self, m, share, n, beyond):
+        # every level up to the automatic cover, and up to ``beyond`` deeper
+        # ones, whose pieces may be shorter than a grid step, while the m^L
+        # pieces do not outnumber the grid's 2^n + 1 points: built from the
+        # pieces up to (2^n + 1) / 8 of them, and time by time beyond
+        spec = cantor(m, share / m)
+        times = grid_times(n)
+        for level in range(1, spec.cover_level(n) + beyond + 1):
+            if m**level > 2**n + 1:
+                break
+            assert np.array_equal(spec.mask(n, level), spec.contains(times, n, level)), level
+        assert np.array_equal(spec.mask(n), spec.contains(times, n))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(2, 6),
+        share=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        ends=st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 2**14).map(lambda k: k / 2**14)), min_size=2, max_size=6),
+        n=st.integers(4, 14),
+        level=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    def test_union_is_contains_on_every_grid_point(self, m, share, ends, n, level):
+        # a Cantor set with intervals, some of whose ends lie on the grid
+        ends = sorted(ends)
+        spec = union(cantor(m, share / m), *(interval(a, b) for a, b in zip(ends[::2], ends[1::2])))
+        assert np.array_equal(spec.mask(n, level), spec.contains(grid_times(n), n, level))
+
+    @pytest.mark.parametrize("level", [8, 9, 11, 12])
+    def test_builtin_covers_are_contains(self, level):
+        # the box and energy covers of the Cantor builtins on their 2^20 grid
+        assert np.array_equal(cantor().mask(20, level), cantor().contains(grid_times(20), 20, level))
+
+    def test_more_pieces_than_grid_points(self):
+        # 3^5 = 243 pieces on 2^6 + 1 = 65 points: the grid is tested time by time
+        want = [reference_contains(cantor(3, 0.2), t, 6, 5) for t in grid_times(6).tolist()]
+        assert cantor(3, 0.2).mask(6, 5).tolist() == want
 
     def test_mask_lies_on_the_path_grid(self):
         path = simulate_path(validate_exponent(np.array([[0.5]]), 2.0), BM_LAWS, 10, seed=1)
