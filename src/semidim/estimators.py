@@ -4,32 +4,35 @@ Box counting works on axis-aligned cube grids anchored at the origin.  Side
 lengths should form a nested geometric family (each side an integer multiple
 of the next) so occupied counts are provably monotone; the helpers
 :func:`dyadic_scales` and :func:`geometric_scales` produce such grids.
-:func:`count_occupied_cubes` counts a whole ladder at once.  Sides that are
-power-of-two multiples of each other (a dyadic ladder, or each side of a
-base-3 or sqrt-3 ladder) form a group, quantised once at its smallest side
-into one Z-order (Morton) key per row and sorted once; each coarser side of
-the group is a right shift of the sorted keys (dividing by a power of two is
-exact, so the counts match a per-side count bit for bit, except where a
-quotient c/b falls below the normal range: -2^-1074 / 2 rounds to -0.0, the
-float cell 0, where the group shifts the cell -4 at side 0.25 to -1, so
+:func:`count_occupied_cubes` counts a whole ladder with one linker and one
+kernel.  The linker (:func:`_link`) takes the sides in descending order, and
+each joins the first chain whose smallest side is an integer multiple of it:
+a dyadic ladder is one chain of steps 2, a sqrt-3 ladder two chains of steps
+3.  The kernel (:func:`_ladder_counts`) quantises a chain once, at its
+smallest side, and writes each row's cells as one Z-order key in the mixed
+radix of the chain's steps (Morton's key at steps of 2, the digit order of
+Peano's curve at steps of 3), sorted once; each coarser side is the finer key
+floor-divided by Q^D, a monotone map, so the keys stay sorted and a side
+costs one division (a right shift when Q is a power of two) and one pass
+over adjacent keys.  Where the sides are power-of-two multiples of the
+smallest, the division of the floats is exact, so the counts match a
+per-side count bit for bit, except where a quotient c/b falls below the
+normal range: -2^-1074 / 2 rounds to -0.0, the float cell 0, while the chain
+divides the cell -1 at side 0.25 by 8 to -1, so
 ``count_occupied_cubes([[-2^-1074], [0.00745]], [0.25, 1, 0.5, 2])`` reads
-[2, 2, 2, 2] against the per-side [2, 2, 2, 1]).  The sides alone
-in their group link into chains of integer multiples (a base-3 ladder is
-one, a sqrt-3 ladder two), each quantised once at its smallest side; each
-coarser side of a chain divides the distinct cells of the side before it,
-and the rows whose quotient lies within rounding of an integer are counted
-apart, so the counts again match a per-side count bit for bit
-(:func:`_chain_counts`).  The kernel
-counts every row it is given, less each row whose cells equal the row's
-before, a chunk of rows at a time; :func:`box_count_graph` copies the rows
-that the mask of B keeps only when the mask drops some.  A path holds no
-times: its time column is a :class:`~semidim.paths.RowTimes`.  The energy
-estimator finds the near pairs of its truncated energies in numpy alone: a
-path's rows come in time order, so each point's candidate partners are the
-next few rows, and it sums the powers of the near pairs for every gamma
-with one ``exp`` for the first gamma and one for each distinct gamma gap
-(:func:`_near_pair_energies`).  Both work on the slots of a
-reused :class:`~semidim.laws.PathBuffers`, never on the path's own.
+[2, 2, 2, 2] against the per-side [2, 2, 2, 1].  Along other chains the rows
+whose quotient lies within rounding of an integer are counted apart, by
+their own per-side cells, so the counts again match a per-side count bit
+for bit.  The kernel counts every row it is given, less each row whose cells
+equal the row's before, a chunk of rows at a time; :func:`box_count_graph`
+copies the rows that the mask of B keeps only when the mask drops some.  A
+path holds no times: its time column is a :class:`~semidim.paths.RowTimes`.
+The energy estimator finds the near pairs of its truncated energies in numpy
+alone: a path's rows come in time order, so each point's candidate partners
+are the next few rows, and it sums the powers of the near pairs for every
+gamma with one ``exp`` for the first gamma and one for each distinct gamma
+gap (:func:`_near_pair_energies`).  Both work on the slots of a reused
+:class:`~semidim.laws.PathBuffers`, never on the path's own.
 
 The box-count slope is fitted after dropping the two largest and two
 smallest scales, the standard guard against lattice and path-resolution
@@ -40,6 +43,7 @@ than below it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -72,7 +76,7 @@ MIN_FIT_SCALES = 6
 # How near an integer a ratio of two sides must be for them to nest.
 RATIO_TOL = 1e-9
 # A chain of sides is counted nested while its band of quotients near an
-# integer, which it counts apart, stays this narrow (see _chain_counts).
+# integer, which it counts apart, stays this narrow (see _ladder_counts).
 _CHAIN_BAND = 2.0**-10
 # Candidate pairs per chunk of the near-pair kernel.  Not laws.CHUNK: the
 # chunks fix the order in which the energy sums add, so a change moves the
@@ -138,6 +142,14 @@ def _extremes(column) -> tuple:
     return column.min(), column.max()
 
 
+def _floor_div(x: np.ndarray, q: int, out=None) -> np.ndarray:
+    """x // q of the int64 ``x`` for an int 1 <= q <= 2^63: a right shift
+    when q is a power of two."""
+    if q & (q - 1):
+        return np.floor_divide(x, q, out=out)
+    return np.right_shift(x, q.bit_length() - 1, out=out)
+
+
 def _kept_cells(columns: list, b: float, buffers: PathBuffers, near: list | None = None, tau: float = 0.0):
     """Yield, one chunk of rows at a time, the int64 cells floor(c / b) of
     the rows of ``columns`` (arrays, or a :class:`~semidim.paths.RowTimes`),
@@ -194,237 +206,204 @@ def _kept_cells(columns: list, b: float, buffers: PathBuffers, near: list | None
         yield kept
 
 
-def _cell_range(lows: list, highs: list, b: float, m: int = 0) -> tuple:
-    """The radices and the smallest values of the cells floor(c / b) >> m of
-    columns whose extremes are ``lows`` and ``highs``: floor is monotone, so
-    floor(min c / b) is the smallest cell."""
-    shifts = [(int(np.floor(lo / b)) >> m, int(np.floor(hi / b)) >> m) for lo, hi in zip(lows, highs)]
-    return [hi - lo + 1 for lo, hi in shifts], [lo for lo, _ in shifts]
-
-
-def _high_parts(columns: list, b: float, m: int, lows: list, highs: list, buffers: PathBuffers):
-    """The high parts cell >> m of each column as offsets from their minimum
-    or, while the columns do not fit in a 63-bit key beside the
-    ``len(columns) * m`` interleaved bits, as ranks among the column's
-    distinct values (the heads of its runs, which :func:`_kept_cells`
-    yields on the slot 1 of ``buffers``, made unique once), widest column
-    first.  Returns the radices of the high parts and, per column, its
-    smallest high part (an offset) or its sorted distinct high parts
+def _high_parts(columns: list, b: float, multiple: int, lows: list, highs: list, buffers: PathBuffers, pad: int = 0):
+    """The high parts floor(c / b) // ``multiple`` of each column, its cells
+    at the coarsest side of a chain, as offsets from their minimum or, while
+    the columns do not fit in a 63-bit key beside the multiple^D values of
+    the digits below them, as ranks among the column's distinct values (the
+    heads of its runs, which :func:`_kept_cells` yields on the slot 1 of
+    ``buffers``, made unique once), widest column first.  A column's range
+    takes ``pad`` more values at each end, and its ranks every value within
+    ``pad`` of one.  Returns the radices of the high parts and, per column,
+    its smallest high part (an offset) or its sorted distinct high parts
     (ranks); None when even the ranks do not fit.  ``lows`` and ``highs``
-    are the columns' extremes (:func:`_cell_range`)."""
-    room = 63 - len(columns) * m
-    if room < 0:
-        return None
-    radices, offsets = _cell_range(lows, highs, b, m)
-    while math.prod(radices) > 2**room:
-        fits = [j for j, o in enumerate(offsets) if not isinstance(o, np.ndarray)]
-        if not fits:
-            return None
-        j = max(fits, key=lambda i: radices[i])
-        # floor(floor(c / b) / 2^m) = floor(c / (2^m b)): dividing by 2^m is exact
-        heads = [cells[0].copy() for cells in _kept_cells([columns[j]], np.ldexp(b, m), buffers)]
-        offsets[j] = np.unique(np.concatenate(heads))
+    are the columns' extremes: floor is monotone, so floor(min c / b) is
+    the smallest cell."""
+    room = (2**63 - 1) // multiple ** len(columns)
+    ends = [(int(np.floor(lo / b)) // multiple - pad, int(np.floor(hi / b)) // multiple + pad) for lo, hi in zip(lows, highs)]
+    radices, offsets = [hi - lo + 1 for lo, hi in ends], [lo for lo, _ in ends]
+    for j in sorted(range(len(columns)), key=lambda i: -radices[i]):
+        if math.prod(radices) <= room:
+            break
+        heads = np.concatenate([_floor_div(cells[0], multiple) for cells in _kept_cells([columns[j]], b, buffers)])
+        offsets[j] = np.unique(heads + np.arange(-pad, pad + 1)[:, None])
         radices[j] = offsets[j].size
-    return radices, offsets
+    return (radices, offsets) if math.prod(radices) <= room else None
 
 
-def _spread_tables(m: int, cols) -> list:
-    """(column, bit, mask, table) for the interleave of :func:`_zorder_keys`:
-    the table spreads w of a column's low bits at once, bit i to bit i * D,
-    and is shifted to the place of the column's bits from b on, whose mask
-    keeps the w (or fewer, at the top) bits."""
-    dim, w = len(cols), min(m, 12)
-    if w == 0:
-        return []
-    chunk = np.arange(2**w, dtype=np.int64)
-    spread = np.zeros(2**w, dtype=np.int64)
-    for i in range(w):
-        spread |= ((chunk >> i) & 1) << (i * dim)
-    return [(j, b, (1 << min(w, m - b)) - 1, spread << (b * dim + pos)) for pos, j in enumerate(cols) for b in range(0, m, w)]
+@functools.lru_cache(maxsize=64)
+def _spread(steps: tuple, dim: int, pos: int) -> np.ndarray:
+    """The digits of r = cell % M of the pos-th of D columns, each at its
+    place in a key (:func:`_zorder_keys`), for every r: ``steps`` are a
+    chain's steps from the finest, M <= 2^12 their product.  The digit
+    (r // s) % q of a level of step q, s the product of the steps below it,
+    goes to the place q^pos s^D.  At steps of 2 that is bit k of r at bit
+    k D + pos, Morton's interleave."""
+    digits = np.arange(math.prod(steps))
+    table, below = np.zeros_like(digits), 1
+    for q in steps:
+        table += digits // below % q * (q**pos * below**dim)
+        below *= q
+    table.flags.writeable = False  # one array serves every caller
+    return table
 
 
-def _zorder_keys(cells: np.ndarray, cols, radices: list, offsets: list, m: int, tables: list, key: np.ndarray, scratch) -> None:
-    """One int64 key per row of ``cells``, of the columns ``cols``, written on
-    ``key``: bit i of the j-th column's low ``m`` bits at bit i * D + j (D
-    columns), the columns' high parts cell >> m above them in mixed radix,
-    each less its offset or replaced by its rank (see :func:`_high_parts`).
-    ``key >> (D * s)`` then identifies the row's cells coarsened s octaves,
-    floor(cell / 2^s) in every column.  ``scratch`` is two int64 arrays of
-    the rows' length, or None when m = 0.
+def _column_coders(steps: list, plan: tuple, multiple: int, cols, rows: int) -> list:
+    """The coder of each column j of ``cols`` for :func:`_zorder_keys`:
+    ``steps`` are a chain's steps from the finest, M = ``multiple`` is their
+    product, and ``plan`` holds the radices and the offsets or ranks of the
+    high parts (:func:`_high_parts`).
 
-    The offsets are subtracted at the end as one constant, sum_j
-    offset_j * radix_j, taken modulo 2^64: int64 arithmetic wraps, and the
-    key itself fits."""
-    constant = 0
+    The column, the pos-th of D, adds F(cell) to a row's key: its high part
+    cell // M, less its offset or replaced by its rank, times M^D and the
+    radices of the columns after it, plus its digits of cell % M, each at
+    its place (:func:`_spread`).  The coder is (j, M, place of the high
+    part, offset or ranks, spread digits) or, where the high parts are
+    offsets and the column's cells span at most min(2^13, ``rows``) values,
+    (j, lowest cell, F at each cell from it)."""
+    radices, codes = plan
+    coders = []
     for pos, j in enumerate(cols):
-        if pos:
-            key *= radices[j]
-        high = cells[j] if m == 0 else np.right_shift(cells[j], m, out=key if pos == 0 else scratch[0])
-        ranked = isinstance(offsets[j], np.ndarray)
-        if ranked:
-            high = np.searchsorted(offsets[j], high)
-        constant = constant * radices[j] + (0 if ranked else offsets[j])
-        if pos:
-            key += high
-        elif high is not key:
-            np.copyto(key, high)
-    key -= (constant + 2**63) % 2**64 - 2**63
-    if m:
-        key <<= len(cols) * m
-    for j, b, mask, table in tables:
-        bits = np.right_shift(cells[j], b, out=scratch[0])
-        bits &= mask
-        key |= np.take(table, bits, out=scratch[1], mode="clip")
+        place = math.prod(radices[i] for i in cols[pos + 1 :]) * multiple ** len(cols)
+        spread = _spread(tuple(steps), len(cols), pos)
+        if isinstance(codes[j], np.ndarray) or radices[j] * multiple > min(2**13, rows):
+            coders.append((j, multiple, place, codes[j], spread))
+        else:
+            coders.append((j, codes[j] * multiple, (np.arange(radices[j])[:, None] * place + spread).ravel()))
+    return coders
 
 
-def _sorted_keys(columns: list, b: float, m: int, plan: tuple, targets, buffers: PathBuffers, near: list | None = None, tau: float = 0.0) -> list:
-    """The keys (:func:`_zorder_keys`, by the radices and offsets of
-    ``plan``) of the rows that :func:`_kept_cells` keeps at the side ``b``,
-    sorted, one array per target: row t of the slot 0 of ``buffers``.
-    ``near`` and ``tau`` go to :func:`_kept_cells`."""
-    radices, offsets = plan
-    size = columns[0].size
-    store = buffers.take(0, (len(targets), size)).view(np.int64)
-    tables = [_spread_tables(m, cols) for cols in targets]
-    scratch = np.empty((2, min(size, _laws.CHUNK // len(columns))), dtype=np.int64) if m else None
-    filled = 0
-    for cells in _kept_cells(columns, b, buffers, near, tau):
-        k = cells.shape[1]
-        for t, cols in enumerate(targets):
-            part = None if scratch is None else scratch[:, :k]
-            _zorder_keys(cells, cols, radices, offsets, m, tables[t], store[t, filled : filled + k], part)
-        filled += k
-    for keys in store[:, :filled]:
-        keys.sort()
-    return list(store[:, :filled])
+def _add_column_keys(cells: np.ndarray, coder: tuple, key: np.ndarray, scratch: np.ndarray) -> None:
+    """Add F (:func:`_column_coders`) at each of the int64 ``cells`` of one
+    column to ``key``; ``scratch`` is two int64 arrays of their length."""
+    if len(coder) == 3:
+        key += np.take(coder[2], np.subtract(cells, coder[1], out=scratch[0]), out=scratch[1], mode="clip")
+        return
+    _, multiple, place, code, spread = coder
+    high = _floor_div(cells, multiple, out=scratch[0])
+    if isinstance(code, np.ndarray):
+        high = np.searchsorted(code, high)
+    else:
+        high -= code
+    high *= place
+    key += high
+    if multiple & (multiple - 1):
+        # cells % M, without np.remainder's division a row
+        np.subtract(cells, np.multiply(_floor_div(cells, multiple, out=scratch[1]), multiple, out=scratch[1]), out=scratch[0])
+    else:
+        np.bitwise_and(cells, multiple - 1, out=scratch[0])
+    key += np.take(spread, scratch[0], out=scratch[1], mode="clip")
 
 
-def _octave_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, lows: list, highs: list) -> np.ndarray:
-    """:func:`_cube_counts` on a group of sides that are power-of-two
-    multiples of each other.
+def _zorder_keys(cells: np.ndarray, coders: list, key: np.ndarray, scratch: np.ndarray) -> None:
+    """One int64 key per row of ``cells``, written on ``key``: the sum of
+    the parts of the columns that ``coders`` code (:func:`_column_coders`).
+    The high parts sit in mixed radix above the D columns' digits in the
+    mixed radix of the chain's steps, interleaved level by level, so
+    ``key // Q^D`` identifies the row's cells one level coarser,
+    floor(cell / Q) in every column, Q the level's step.  ``scratch`` is two
+    int64 arrays of the rows' length."""
+    key[:] = 0
+    for coder in coders:
+        _add_column_keys(cells[coder[0]], coder, key, scratch)
+
+
+def _ladder_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, lows: list, highs: list) -> np.ndarray:
+    """:func:`_cube_counts` on a chain of ``sides``, descending, each an
+    integer multiple Q of the next (:func:`_link`), with the per-side float
+    counts.  ``lows`` and ``highs`` are the columns' extremes.
 
     One pass over chunks of rows quantises the columns at the smallest side
-    b, drops each row whose cells all equal the row's before it
-    (:func:`_kept_cells`; a time-ordered path often stays in one cube from
-    row to row), and keys the kept rows for every target straight from
-    their cells (:func:`_sorted_keys`).  The
-    keys of a target are sorted once; a right shift is monotone, so they
-    stay sorted at every coarser side, where the count is the number of
-    adjacent keys that differ.  A group whose key does not fit in 63 bits is
-    counted as a finer and a coarser half of its octaves; a single side, by
-    comparing whole rows.  ``lows`` and ``highs`` are the columns' extremes.
-    """
-    octave = np.frexp(sides)[1]
-    shifts = octave - octave.min()
-    m = int(shifts.max())
-    b = sides.min()
-    counts = np.zeros((len(targets), sides.size), dtype=np.int64)
-    plan = _high_parts(columns, b, m, lows, highs, buffers)
+    b into the cells floor(y), y = fl(c / b), drops each row whose cells all
+    equal the row's before it (:func:`_kept_cells`; a time-ordered path
+    often stays in one cube from row to row), and keys the kept rows for
+    every target straight from their cells (:func:`_zorder_keys`) on the
+    slot 0 of ``buffers``.  The keys of a target are sorted once; floor
+    division is monotone, so they stay sorted at each coarser side, the
+    finer keys floor-divided by Q^D, where the count is the number of
+    adjacent keys that differ.
+
+    That nested cell is floor(y) // P = floor(y / P), P = s / b.  Where
+    every P is a power of two, fl(c / s) = y / P exactly, so it is the
+    per-side cell floor(fl(c / s)).  Elsewhere fl(c / s) = (y / P)(1 + e)
+    with |e| <= eta, eta = max |P b / s - 1| plus a few ulps (the standard
+    model of Higham, Accuracy and Stability of Numerical Algorithms, ch. 2;
+    below the normal range, plus up to P 2^-1074 absolute), and it is the
+    per-side cell unless y lies within |y| eta of an integer.  The rows that
+    do (within tau of one, tau bounding |y| eta + P 2^-1074 over the rows)
+    are left out of the nested cells.  At each side their own cells
+    floor(fl(c / s)), at most one off the nested, are keyed as the cells
+    z P at b, so the high parts span one more value at each end, and each
+    side counts the union.
+
+    A chain whose key does not fit in 63 bits even with ranks
+    (:func:`_high_parts`), whose band tau is not narrow or whose largest
+    side is more than 2^12 times its smallest (:func:`_spread`) is counted
+    as a finer and a coarser half; a single side that does not fit, by
+    comparing whole rows."""
+    steps = [_multiple(s / t) for s, t in zip(sides[:-1], sides[1:])]
+    multiples = [math.prod(steps[i:]) for i in range(sides.size)]
+    b, size, counts = sides[-1], columns[0].size, np.zeros((len(targets), sides.size), dtype=np.int64)
+    near, tau, plan = None, 0.0, None
+    if not all(q & (q - 1) == 0 and s == q * b for q, s in zip(multiples, sides)):
+        eta = max(abs(q * b / s - 1.0) for q, s in zip(multiples, sides)) + 8 * 2.0**-53
+        # |y| eta at the largest |y|, and the rounding of a quotient near 0
+        near, tau = [], eta * max(max(-lo, hi) for lo, hi in zip(lows, highs)) / b + multiples[0] * 2.0**-1074
+    if tau < _CHAIN_BAND and multiples[0] <= 2**12:
+        plan = _high_parts(columns, b, multiples[0], lows, highs, buffers, int(near is not None))
     if plan is None:
-        if m == 0:
+        if sides.size == 1:
             cells = np.concatenate([c.copy() for c in _kept_cells(columns, b, buffers)], axis=1)
             for t, cols in enumerate(targets):
                 counts[t] = np.unique(cells[cols].T, axis=0).shape[0]
         else:
-            octaves = np.unique(shifts)
-            finer = shifts <= octaves[(octaves.size - 1) // 2]
-            for half in (finer, ~finer):
-                counts[:, half] = _octave_counts(columns, sides[half], targets, buffers, lows, highs)
+            cut = sides.size // 2
+            counts[:, cut:] = _ladder_counts(columns, sides[cut:], targets, buffers, lows, highs)
+            counts[:, :cut] = _ladder_counts(columns, sides[:cut], targets, buffers, lows, highs)
         return counts
-    for t, keys in enumerate(_sorted_keys(columns, b, m, plan, targets, buffers)):
-        done = 0
-        for k in np.argsort(shifts, kind="stable"):
-            keys >>= len(targets[t]) * int(shifts[k] - done)
-            done = shifts[k]
-            keys = keys[: _drop_repeats(keys)]
-            counts[t, k] = keys.size
-    return counts
-
-
-def _decode(keys: np.ndarray, cols, radices: list, offsets: list, out: np.ndarray) -> None:
-    """The cells of the columns ``cols`` whose offset keys (:func:`_zorder_keys`
-    at m = 0) are ``keys``, written on the rows ``cols`` of ``out``; ``keys``
-    is overwritten."""
-    for j in reversed(cols[1:]):
-        np.divmod(keys, radices[j], out=(keys, out[j]))
-    out[cols[0]] = keys
-    for j in cols:
-        out[j] += offsets[j]
-
-
-def _chain_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers, lows: list, highs: list) -> np.ndarray:
-    """:func:`_cube_counts` on a chain of ``sides``, descending, each an
-    integer multiple of the next (:func:`_chains`), with the per-side float
-    counts.
-
-    One pass (:func:`_sorted_keys`) keys the cells floor(y), y = fl(c / b),
-    of the rows at the smallest side b, and each coarser side s = Q b then
-    takes the distinct cells of the side before it, decoded from their keys
-    (:func:`_decode`), divides them by its ratio to that side, and re-keys
-    and sorts them.  That cell is floor(y) // Q = floor(y / Q).  As
-    fl(c / s) = (y / Q)(1 + e) with |e| <= eta, eta = max |Q b / s - 1|
-    plus a few ulps (the standard model of Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 2; below the normal range, plus up to Q 2^-1074
-    absolute), it is the per-side cell floor(fl(c / s)) unless y lies within
-    |y| eta of an integer.  The rows that do (within ``tau`` of one, tau
-    bounding |y| eta + Q 2^-1074 over the rows) are left out of the nested
-    cells, and each side counts the union of those with their own
-    floor(fl(c / s)).  A chain whose keys do not fit in 62 bits at some
-    side, or whose band ``tau`` is not narrow, is counted side by side.
-    """
-    steps = [_multiple(s / t) for s, t in zip(sides[:-1], sides[1:])]
-    multiples = [math.prod(steps[i:]) for i in range(sides.size)]
-    b = sides[-1]
-    eta = max(abs(q * b / s - 1.0) for q, s in zip(multiples, sides)) + 8 * 2.0**-53
-    # |y| eta at the largest |y|, and the rounding of a quotient near 0
-    tau = eta * max(max(-lo, hi) for lo, hi in zip(lows, highs)) / b + multiples[0] * 2.0**-1074
-    plans = [_cell_range(lows, highs, s) for s in sides]
-    if not tau < _CHAIN_BAND or max(math.prod(radices) for radices, _ in plans) > 2**62:
-        return np.hstack([_octave_counts(columns, sides[i : i + 1], targets, buffers, lows, highs) for i in range(sides.size)])
-    near = []
-    nested = _sorted_keys(columns, b, 0, plans[-1], targets, buffers, near, tau)
-    near = np.concatenate(near)
-    # the near rows' own cells floor(fl(c / s)) at every side, and the radices
-    # and offsets of every side, for their keys
-    values = np.array([c.take(near) if isinstance(c, RowTimes) else c[near] for c in columns])
-    near_cells = np.floor(values / sides[:, None, None]).astype(np.int64)
-    radices, offsets = (np.array(part, dtype=np.int64)[:, :, None] for part in zip(*plans))
-    counts = np.zeros((len(targets), sides.size), dtype=np.int64)
-    for t, cols in enumerate(targets):
-        near_keys = np.zeros((sides.size, near.size), dtype=np.int64)
-        for j in cols:
-            near_keys *= radices[:, j]
-            near_keys += near_cells[:, j] - offsets[:, j]
-        near_keys.sort(axis=1)
-        first = np.ones(near_keys.shape, dtype=bool)
-        np.not_equal(near_keys[:, 1:], near_keys[:, :-1], out=first[:, 1:])
-        keys = nested[t]
-        keys = keys[: _drop_repeats(keys)]
+    coders = [_column_coders(steps[::-1], plan, multiples[0], cols, size) for cols in targets]
+    store = buffers.take(0, (len(targets), size)).view(np.int64)
+    scratch = np.empty((2, min(size, _laws.CHUNK // len(columns))), dtype=np.int64)
+    filled = 0
+    for cells in _kept_cells(columns, b, buffers, near, tau):
+        k = cells.shape[1]
+        for t, target in enumerate(coders):
+            _zorder_keys(cells, target, store[t, filled : filled + k], scratch[:, :k])
+        filled += k
+    if near is not None:
+        near = np.concatenate(near)
+        values = np.array([c.take(near) for c in columns])
+        # the near rows' own cells floor(fl(c / s)) at every side, as cells at b
+        own = np.hstack([np.floor(values / s).astype(np.int64) * q for s, q in zip(sides, multiples)])
+    for t, (cols, keys) in enumerate(zip(targets, store[:, :filled])):
+        keys.sort()
+        if near is not None:
+            apart = np.empty(own.shape[1], dtype=np.int64)
+            _zorder_keys(own, coders[t], apart, np.empty((2, apart.size), dtype=np.int64))
+            # at each side, the keys of the near rows' own cells, sorted, and the first of each
+            apart = np.sort(apart.reshape(sides.size, -1) // np.array([q ** len(cols) for q in multiples])[:, None], axis=1)
+            first = np.ones(apart.shape, dtype=bool)
+            np.not_equal(apart[:, 1:], apart[:, :-1], out=first[:, 1:])
         for i in range(sides.size - 1, -1, -1):
             if i < sides.size - 1:
-                cells = np.empty((len(columns), keys.size), dtype=np.int64)
-                _decode(keys, cols, *plans[i + 1], cells)
-                for j in cols:
-                    cells[j] //= steps[i]
-                keys = np.empty(cells.shape[1], dtype=np.int64)
-                _zorder_keys(cells, cols, *plans[i], 0, [], keys, None)
-                keys.sort()
-                keys = keys[: _drop_repeats(keys)]
-            # the union: the nested cells and each near row's own cell once
-            at = np.minimum(np.searchsorted(keys, near_keys[i]), keys.size - 1)
-            new = first[i] & (keys[at] != near_keys[i]) if keys.size else first[i]
-            counts[t, i] = keys.size + np.count_nonzero(new)
+                _floor_div(keys, steps[i] ** len(cols), out=keys)
+            keys = keys[: _drop_repeats(keys)]
+            counts[t, i] = keys.size
+            if near is not None:
+                # the union: the nested cells and each near row's own cell once
+                at = np.minimum(np.searchsorted(keys, apart[i]), keys.size - 1)
+                counts[t, i] += np.count_nonzero(first[i] & (keys[at] != apart[i])) if keys.size else np.count_nonzero(first[i])
     return counts
 
 
-def _chains(sides: np.ndarray, index: np.ndarray) -> list:
-    """The sides ``sides[index]`` linked into chains, as lists of indices:
-    taken in descending order, a side joins the first chain whose smallest
-    side is an integer multiple >= 2 of it (:func:`_multiple`), or starts
-    one."""
+def _link(sides: np.ndarray) -> list:
+    """The sides linked into chains, as lists of indices: taken in
+    descending order, a side joins the first chain whose smallest side is an
+    integer multiple of it (:func:`_multiple`; a repeated side is one time
+    its twin), or starts one."""
     chains = []
-    for i in index[np.argsort(-sides[index], kind="stable")]:
-        home = next((chain for chain in chains if _multiple(sides[chain[-1]] / sides[i]) >= 2), None)
+    for i in np.argsort(-sides, kind="stable"):
+        home = next((chain for chain in chains if _multiple(sides[chain[-1]] / sides[i])), None)
         if home is None:
             chains.append([i])
         else:
@@ -436,11 +415,8 @@ def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers
     """Occupied side-b cubes (grid anchored at 0) of the points with
     coordinates ``columns[j]``, j in ``cols``, every row counted: one row of
     counts per list ``cols`` in ``targets``, one count per side b in
-    ``sides``.  The sides are grouped by their floating-point mantissa, and
-    each group of several is counted by :func:`_octave_counts`.  The sides
-    alone in their group are linked into chains (:func:`_chains`); a chain
-    of several is counted by :func:`_chain_counts`, one of one by
-    :func:`_octave_counts`.
+    ``sides``.  The sides are linked into chains (:func:`_link`), and each
+    chain is counted by :func:`_ladder_counts`.
     """
     # Cell indices are int64; beyond 2^62 cubes (or at inf/NaN) the cast
     # would return garbage cells instead of failing.
@@ -449,15 +425,8 @@ def _cube_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffers
     if not all(lo > -reach and hi < reach for lo, hi in zip(lows, highs)):
         raise DegenerateSample(f"points beyond 2^62 cubes of side {sides.min():g} from the origin")
     counts = np.zeros((len(targets), sides.size), dtype=np.int64)
-    mantissas = np.frexp(sides)[0]
-    values, sizes = np.unique(mantissas, return_counts=True)
-    for mantissa in values[sizes > 1]:
-        group = mantissas == mantissa
-        counts[:, group] = _octave_counts(columns, sides[group], targets, buffers, lows, highs)
-    alone = np.flatnonzero(sizes[np.searchsorted(values, mantissas)] == 1)
-    for chain in _chains(sides, alone):
-        count = _chain_counts if len(chain) > 1 else _octave_counts
-        counts[:, chain] = count(columns, sides[chain], targets, buffers, lows, highs)
+    for chain in _link(sides):
+        counts[:, chain] = _ladder_counts(columns, sides[chain], targets, buffers, lows, highs)
     return counts
 
 
@@ -475,11 +444,6 @@ def _multiple(ratio: float) -> int:
     another is a union of the other's cubes."""
     q = np.rint(ratio)
     return int(q) if abs(ratio - q) < RATIO_TOL and q < 2**53 else 0
-
-
-def _nested_ratios(sides: np.ndarray) -> bool:
-    s = np.sort(sides)[::-1]
-    return all(_multiple(a / b) for a, b in zip(s[:-1], s[1:]))
 
 
 @dataclass(frozen=True)
@@ -511,8 +475,10 @@ def check_box_sides(sides, n: int | None = None) -> None:
 
 
 def _fit_counts(sides: np.ndarray, counts: np.ndarray, range_=None) -> BoxCountEstimate:
-    """The windowed log-log fit of counts on descending sides."""
-    if _nested_ratios(sides) and np.any(np.diff(counts) < 0):
+    """The windowed log-log fit of counts on descending sides.  Counts that
+    rise as the side shrinks break an invariant where the ladder is one
+    chain (:func:`_link`), each side an integer multiple of the next."""
+    if np.any(np.diff(counts) < 0) and len(_link(sides)) == 1:
         raise NonMonotoneCounts("occupied-cube counts must be nonincreasing in the side")
     fit = fit_loglog(sides, counts, drop_low=BOX_FIT_DROP, drop_high=BOX_FIT_DROP)
     return BoxCountEstimate(sides=sides, counts=counts, fit=fit, estimate=float(-fit.slope), range=range_)

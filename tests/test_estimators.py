@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -24,8 +25,10 @@ from semidim.errors import (
 )
 from semidim.estimators import (
     Schedule,
+    _column_coders,
     _high_parts,
     _near_pair_energies,
+    _zorder_keys,
     classify_sojourn_case,
     count_occupied_cubes,
     covering_count,
@@ -67,6 +70,29 @@ class TestBoxCounting:
         monkeypatch.setattr(sd.estimators, "_cube_counts", shrinking)
         with pytest.raises(NonMonotoneCounts):
             sd.box_count_graph(line_path(), interval(0, 1).mask(16), sd.dyadic_scales(1, 10))
+
+    @pytest.mark.parametrize(
+        "sides",
+        [
+            sd.dyadic_scales(0, 10),
+            np.array([1.0, 1.0, 0.5, 0.25]),  # a repeated side
+            np.array([1.0, 1.0 - 1e-12, 0.5]),  # a side within RATIO_TOL of another
+            3.0 ** (-np.arange(0, 12) / 2.0),
+            np.array([1.0 / 6.0, 1.0 / 12.0, 1.0 / 36.0]),
+            np.array([1.0, 0.4, 0.2]),
+            np.array([0.5]),
+        ],
+    )
+    def test_one_chain_is_a_nested_ladder(self, sides):
+        # the linker makes one chain of a ladder exactly where each side is
+        # an integer multiple of the next, repeated sides included, and only
+        # there do counts that rise as the side shrinks raise
+        s = np.sort(sides)[::-1]
+        nested = all(estimators._multiple(a / b) for a, b in zip(s[:-1], s[1:]))
+        assert (len(estimators._link(sides)) == 1) == nested
+        if nested and s.size > 1:
+            with pytest.raises(NonMonotoneCounts):
+                estimators._fit_counts(s, np.arange(s.size, 0, -1))
 
     def test_restriction(self):
         p = sd.simulate_path(BROWNIAN, BM_LAWS, 16, seed=2)
@@ -210,7 +236,7 @@ class TestCubeKernel:
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
     @staticmethod
-    def group_calls(monkeypatch, kernel="_octave_counts"):
+    def group_calls(monkeypatch, kernel="_ladder_counts"):
         """The sides of each call of ``kernel``, splits included."""
         calls = []
         counts = getattr(sd.estimators, kernel)
@@ -237,7 +263,7 @@ class TestCubeKernel:
         for rows in (slice(None), slice(0, 3000)):
             columns = list(points[rows].T)
             lows, highs = [c.min() for c in columns], [c.max() for c in columns]
-            radices, offsets = _high_parts(columns, sides.min(), 10, lows, highs, PathBuffers())
+            radices, offsets = _high_parts(columns, sides.min(), 2**10, lows, highs, PathBuffers())
             assert any(isinstance(o, np.ndarray) for o in offsets)
             for c, r, o in zip(columns, radices, offsets):
                 high = np.floor(c / sides.min()).astype(np.int64) >> 10
@@ -270,46 +296,65 @@ class TestCubeKernel:
         points = rng.uniform(-1e6, 1e6, size=(70000, 4))
         side = 3.0**-3
         columns = list(points.T)
-        assert _high_parts(columns, side, 0, [c.min() for c in columns], [c.max() for c in columns], PathBuffers()) is None
+        assert _high_parts(columns, side, 1, [c.min() for c in columns], [c.max() for c in columns], PathBuffers()) is None
         calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, [side]), reference_cube_counts(points, [side]))
         assert calls == [1]
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_mixed_ladder(self, monkeypatch, dim):
-        # dyadic and sqrt-3 sides shuffled together (1.0 sits in both): one
-        # group for the powers of two; the other sides, each alone in its
-        # group, link into the chains 3^-1/2 .. 3^-11/2 and 3^-1 .. 3^-5
+        # dyadic and sqrt-3 sides shuffled together (1.0 sits in both): the
+        # powers of two link into one chain of steps 2, the repeated 1.0 in
+        # it as a step of 1; the other sides link into the chains
+        # 3^-1/2 .. 3^-11/2 and 3^-1 .. 3^-5 of steps 3
         rng = np.random.default_rng(17 + dim)
         points = walk_cloud(rng, 4000, dim)
         sides = rng.permutation(np.concatenate([sd.dyadic_scales(0, 10), self.LADDERS["sqrt3"]]))
-        groups = self.group_calls(monkeypatch)
-        chains = self.group_calls(monkeypatch, "_chain_counts")
+        calls = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
-        assert groups == [11 + 1] and sorted(chains) == [5, 6]
+        assert calls == [11 + 1, 6, 5]
 
     def test_chain_beyond_a_62_bit_key(self, monkeypatch):
-        # 4 columns of ~1.6e8 cells each at side 3^-4: the chain's keys do
-        # not fit, so each side is counted alone
+        # 4 columns of ~1.6e8 cells each at side 3^-4: the chain's offset
+        # keys do not fit, but its ranks do, so the chain is one call
         rng = np.random.default_rng(16)
         points = rng.uniform(-1e6, 1e6, size=(5000, 4))
         sides = np.array([3.0**-3, 3.0**-4])
         groups = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
-        assert groups == [1, 1]
+        assert groups == [2]
+
+    def test_ranked_chain_with_a_row_near_an_integer(self):
+        # the chain of test_chain_beyond_a_62_bit_key, its high parts ranked,
+        # and a row at c = 1008 * 3^-3, whose quotients lie within rounding
+        # of an integer: it is counted apart by its own cell at 3^-3,
+        # floor(fl(c / 3^-3)) = 1007, one high part below its cell at 3^-4
+        # divided by 3, 3024 // 3, where the row after it lies; so the ranks
+        # take in the high part 1007, which no row's cell at 3^-4 has
+        rng = np.random.default_rng(16)
+        points = rng.uniform(-1e6, 1e6, size=(5000, 4))
+        near = 1008 * 3.0**-3
+        points[:2] = [near, 0.5, 0.5, 0.5], [near + 0.01, 0.5, 0.5, 0.5]
+        sides = np.array([3.0**-3, 3.0**-4])
+        assert np.floor(near / sides[1]) // 3 == 1008 and np.floor(near / sides[0]) == 1007
+        columns = list(points.T)
+        lows, highs = [c.min() for c in columns], [c.max() for c in columns]
+        _, offsets = _high_parts(columns, sides[-1], 3, lows, highs, PathBuffers(), 1)
+        assert all(isinstance(o, np.ndarray) for o in offsets)
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
     @pytest.mark.parametrize("scale", [1.0, 1e7])
     def test_chain_of_a_near_integer_ratio(self, monkeypatch, scale):
         # sides 3.0000000003 apart still nest; the band of quotients within
         # |y| (3e-10 + ulps) of an integer, counted apart, is narrow at
-        # coordinates near 1 and not at 1e7 (about 0.02), where each side
-        # is counted alone
+        # coordinates near 1 and not at 1e7 (about 0.02), where the chain is
+        # split into its two sides
         rng = np.random.default_rng(18)
         points = walk_cloud(rng, 4000, 2) * scale
         sides = np.array([1.0 / 3.0, 1.0 / 9.0 / (1.0 + 1e-10)])
         groups = self.group_calls(monkeypatch)
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
-        assert groups == ([] if scale == 1.0 else [1, 1])
+        assert groups == ([2] if scale == 1.0 else [2, 1, 1])
 
     @pytest.mark.parametrize("chunk", [7, sd.laws.CHUNK])
     def test_chain_keeps_the_row_after_a_left_out_row(self, chunk):
@@ -327,9 +372,9 @@ class TestCubeKernel:
         with mock.patch.object(sd.laws, "CHUNK", chunk):
             assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
-    @pytest.mark.xfail(strict=True, reason="a power-of-two group shifts the cell -4 of -2^-1074 at side 0.25 to -1 at side 2, where the float floor of -2^-1074 / 2 = -0.0 is 0")
+    @pytest.mark.xfail(strict=True, reason="a chain of power-of-two steps divides the cell -1 of -2^-1074 at side 0.25 by 8 to -1 at side 2, where the float floor of -2^-1074 / 2 = -0.0 is 0")
     def test_octaves_at_an_underflowing_quotient(self):
-        # the per-side count reads [2, 2, 2, 1]; the one group of the four
+        # the per-side count reads [2, 2, 2, 1]; the one chain of the four
         # sides reads [2, 2, 2, 2] (the module docstring's exception)
         points = np.array([[-(2.0**-1074)], [0.00745]])
         sides = np.array([0.25, 1.0, 0.5, 2.0])
@@ -339,6 +384,13 @@ class TestCubeKernel:
         # -2^-1074 / 3 rounds to -0.0: its float cell is -1 at side 1 and 0
         # at sides 3 and 9, so a chain counts that row apart
         points = np.array([[-(2.0**-1074)], [2.0**-1074], [0.7]])
+        sides = np.array([9.0, 3.0, 1.0])
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+
+    def test_chain_of_rows_all_near_an_integer(self):
+        # every quotient an integer: no row keeps its nested cells, and each
+        # side counts the rows' own cells alone
+        points = np.array([[0.0, 1.0], [1.0, 3.0], [3.0, 3.0], [27.0, 2.0]])
         sides = np.array([9.0, 3.0, 1.0])
         assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
 
@@ -407,6 +459,51 @@ def test_cube_kernel_matches_per_side_unique(ladder, dim, rows, chain, jump, sna
         snapped = np.rint(points[::3] / side) * side
         points[::3] = np.where(snapped == 0.0, snapped, np.nextafter(snapped, np.inf * snap) if snap else snapped)
     assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    steps=st.one_of(
+        st.integers(1, 12).map(lambda k: (2,) * k),
+        st.integers(1, 7).map(lambda k: (3,) * k),
+        st.integers(1, 5).map(lambda k: (5,) * k),
+        # 2 then 3 from the largest side, listed from the finest
+        st.tuples(st.integers(1, 4), st.integers(1, 5)).map(lambda ab: (3,) * ab[0] + (2,) * ab[1]),
+    ),
+    dim=st.integers(1, 3),
+    ranked=st.lists(st.booleans(), min_size=3, max_size=3),
+    tables=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zorder_key_coarsens_by_integer_division(steps, dim, ranked, tables, seed):
+    # cells of either sign, with offset or ranked high parts, keyed through
+    # a table or not: at each level the key of the coarser cells
+    # floor(cell / P), P the product of the steps below it, is the key
+    # floor-divided by P^D, so sorted keys stay sorted as they coarsen, and
+    # two rows share a coarsened key exactly where they share those cells
+    rng = np.random.default_rng(seed)
+    multiple = math.prod(steps)
+    cells = rng.integers(-50 * multiple, 50 * multiple, size=(dim, 300))
+    high = np.floor_divide(cells, multiple)
+    offsets = [np.unique(h) if r else int(h.min()) for h, r in zip(high, ranked)]
+    radices = [o.size if r else int(h.max()) - o + 1 for h, o, r in zip(high, offsets, ranked)]
+
+    def keys(cells, steps):
+        coders = _column_coders(list(steps), (radices, offsets), math.prod(steps), list(range(dim)), 2**16 if tables else 0)
+        key = np.empty(cells.shape[1], dtype=np.int64)
+        _zorder_keys(cells, coders, key, np.empty((2, key.size), dtype=np.int64))
+        return key
+
+    key = keys(cells, steps)
+    assert key.min() >= 0
+    order = np.argsort(key)
+    for level in range(len(steps) + 1):
+        below = math.prod(steps[:level])
+        coarse = np.floor_divide(cells, below)
+        coarsened = key // below**dim
+        assert np.array_equal(coarsened, keys(coarse, steps[level:]))
+        assert np.all(np.diff(coarsened[order]) >= 0)
+        assert np.unique(coarsened).size == np.unique(coarse, axis=1).shape[1]
 
 
 def dense_near_pair_energies(points, gammas, r_cut):
