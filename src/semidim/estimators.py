@@ -220,6 +220,8 @@ def _high_parts(columns: list, b: float, multiple: int, lows: list, highs: list,
     are the columns' extremes: floor is monotone, so floor(min c / b) is
     the smallest cell."""
     room = (2**63 - 1) // multiple ** len(columns)
+    if room == 0:
+        return None
     ends = [(int(np.floor(lo / b)) // multiple - pad, int(np.floor(hi / b)) // multiple + pad) for lo, hi in zip(lows, highs)]
     radices, offsets = [hi - lo + 1 for lo, hi in ends], [lo for lo, _ in ends]
     for j in sorted(range(len(columns)), key=lambda i: -radices[i]):
@@ -232,20 +234,26 @@ def _high_parts(columns: list, b: float, multiple: int, lows: list, highs: list,
 
 
 @functools.lru_cache(maxsize=64)
-def _spread(steps: tuple, dim: int, pos: int) -> np.ndarray:
+def _spread(steps: tuple, dim: int, pos: int, below: int = 1) -> tuple:
     """The digits of r = cell % M of the pos-th of D columns, each at its
-    place in a key (:func:`_zorder_keys`), for every r: ``steps`` are a
-    chain's steps from the finest, M <= 2^12 their product.  The digit
+    place in a key (:func:`_zorder_keys`): ``steps`` are a chain's steps from
+    the finest, each at most 2^12, and M their product.  The digit
     (r // s) % q of a level of step q, s the product of the steps below it,
     goes to the place q^pos s^D.  At steps of 2 that is bit k of r at bit
-    k D + pos, Morton's interleave."""
-    digits = np.arange(math.prod(steps))
-    table, below = np.zeros_like(digits), 1
-    for q in steps:
-        table += digits // below % q * (q**pos * below**dim)
-        below *= q
+    k D + pos, Morton's interleave.  The levels come in runs whose steps
+    multiply to m <= 2^12, each a piece (S, m, table), S the product of the
+    steps below the run (``below`` for the first): r's digits are the sum
+    over the pieces of table[(r // S) % m], none when there are no steps."""
+    if not steps:
+        return ()
+    top = max(k for k in range(1, len(steps) + 1) if math.prod(steps[:k]) <= 2**12)
+    digits = np.arange(math.prod(steps[:top]))
+    table, part = np.zeros_like(digits), 1
+    for q in steps[:top]:
+        table += digits // part % q * (q**pos * (below * part) ** dim)
+        part *= q
     table.flags.writeable = False  # one array serves every caller
-    return table
+    return ((below, part, table),) + _spread(steps[top:], dim, pos, below * part)
 
 
 def _column_coders(steps: list, plan: tuple, multiple: int, cols, rows: int) -> list:
@@ -258,9 +266,9 @@ def _column_coders(steps: list, plan: tuple, multiple: int, cols, rows: int) -> 
     cell // M, less its offset or replaced by its rank, times M^D and the
     radices of the columns after it, plus its digits of cell % M, each at
     its place (:func:`_spread`).  The coder is (j, M, place of the high
-    part, offset or ranks, spread digits) or, where the high parts are
-    offsets and the column's cells span at most min(2^13, ``rows``) values,
-    (j, lowest cell, F at each cell from it)."""
+    part, offset or ranks, pieces of the spread digits) or, where the high
+    parts are offsets and the column's cells span at most min(2^13,
+    ``rows``) values, (j, lowest cell, F at each cell from it)."""
     radices, codes = plan
     coders = []
     for pos, j in enumerate(cols):
@@ -269,6 +277,7 @@ def _column_coders(steps: list, plan: tuple, multiple: int, cols, rows: int) -> 
         if isinstance(codes[j], np.ndarray) or radices[j] * multiple > min(2**13, rows):
             coders.append((j, multiple, place, codes[j], spread))
         else:
+            spread = sum(table[np.arange(multiple) // below % m] for below, m, table in spread)
             coders.append((j, codes[j] * multiple, (np.arange(radices[j])[:, None] * place + spread).ravel()))
     return coders
 
@@ -287,12 +296,14 @@ def _add_column_keys(cells: np.ndarray, coder: tuple, key: np.ndarray, scratch: 
         high -= code
     high *= place
     key += high
-    if multiple & (multiple - 1):
-        # cells % M, without np.remainder's division a row
-        np.subtract(cells, np.multiply(_floor_div(cells, multiple, out=scratch[1]), multiple, out=scratch[1]), out=scratch[0])
-    else:
-        np.bitwise_and(cells, multiple - 1, out=scratch[0])
-    key += np.take(spread, scratch[0], out=scratch[1], mode="clip")
+    for below, m, table in spread:
+        part = cells if below == 1 else _floor_div(cells, below, out=scratch[0])
+        if m & (m - 1):
+            # part % m, without np.remainder's division a row
+            np.subtract(part, np.multiply(_floor_div(part, m, out=scratch[1]), m, out=scratch[1]), out=scratch[0])
+        else:
+            np.bitwise_and(part, m - 1, out=scratch[0])
+        key += np.take(table, scratch[0], out=scratch[1], mode="clip")
 
 
 def _zorder_keys(cells: np.ndarray, coders: list, key: np.ndarray, scratch: np.ndarray) -> None:
@@ -337,10 +348,9 @@ def _ladder_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
     side counts the union.
 
     A chain whose key does not fit in 63 bits even with ranks
-    (:func:`_high_parts`), whose band tau is not narrow or whose largest
-    side is more than 2^12 times its smallest (:func:`_spread`) is counted
-    as a finer and a coarser half; a single side that does not fit, by
-    comparing whole rows."""
+    (:func:`_high_parts`), whose band tau is not narrow or with a step of
+    more than 2^12 (:func:`_spread`) is counted as a finer and a coarser
+    half; a single side that does not fit, by comparing whole rows."""
     steps = [_multiple(s / t) for s, t in zip(sides[:-1], sides[1:])]
     multiples = [math.prod(steps[i:]) for i in range(sides.size)]
     b, size, counts = sides[-1], columns[0].size, np.zeros((len(targets), sides.size), dtype=np.int64)
@@ -349,7 +359,7 @@ def _ladder_counts(columns: list, sides: np.ndarray, targets, buffers: PathBuffe
         eta = max(abs(q * b / s - 1.0) for q, s in zip(multiples, sides)) + 8 * 2.0**-53
         # |y| eta at the largest |y|, and the rounding of a quotient near 0
         near, tau = [], eta * max(max(-lo, hi) for lo, hi in zip(lows, highs)) / b + multiples[0] * 2.0**-1074
-    if tau < _CHAIN_BAND and multiples[0] <= 2**12:
+    if tau < _CHAIN_BAND and max(steps, default=1) <= 2**12:
         plan = _high_parts(columns, b, multiples[0], lows, highs, buffers, int(near is not None))
     if plan is None:
         if sides.size == 1:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import semidim as sd
@@ -248,6 +248,20 @@ class TestCubeKernel:
         monkeypatch.setattr(sd.estimators, kernel, spy)
         return calls
 
+    @pytest.mark.parametrize("octaves", [13, 17])
+    def test_ladder_wider_than_one_digit_table(self, monkeypatch, octaves):
+        # a graph over [0, 1) on sides 1 .. 2^-octaves: the digits of
+        # 13 and 17 octaves take two tables of at most 2^12 entries
+        # (_spread), and the time column's cells, all in the high part 0,
+        # one whole-column table at 2^13; the ladder is still one pass
+        calls = self.group_calls(monkeypatch)
+        rng = np.random.default_rng(octaves)
+        rows = 2**14
+        points = np.column_stack([np.arange(rows) / rows, np.cumsum(rng.normal(scale=0.01, size=rows)) - 0.3])
+        sides = sd.dyadic_scales(0, octaves)
+        assert np.array_equal(count_occupied_cubes(points, sides), reference_cube_counts(points, sides))
+        assert calls == [octaves + 1]
+
     def test_jump_beyond_a_63_bit_key(self, monkeypatch):
         # one jump of 1e5 widens the bounding-box key past 63 bits; ranking
         # the high parts still counts the ladder in one group pass, unsplit
@@ -464,8 +478,8 @@ def test_cube_kernel_matches_per_side_unique(ladder, dim, rows, chain, jump, sna
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     steps=st.one_of(
-        st.integers(1, 12).map(lambda k: (2,) * k),
-        st.integers(1, 7).map(lambda k: (3,) * k),
+        st.integers(1, 16).map(lambda k: (2,) * k),
+        st.integers(1, 9).map(lambda k: (3,) * k),
         st.integers(1, 5).map(lambda k: (5,) * k),
         # 2 then 3 from the largest side, listed from the finest
         st.tuples(st.integers(1, 4), st.integers(1, 5)).map(lambda ab: (3,) * ab[0] + (2,) * ab[1]),
@@ -477,7 +491,8 @@ def test_cube_kernel_matches_per_side_unique(ladder, dim, rows, chain, jump, sna
 )
 def test_zorder_key_coarsens_by_integer_division(steps, dim, ranked, tables, seed):
     # cells of either sign, with offset or ranked high parts, keyed through
-    # a table or not: at each level the key of the coarser cells
+    # a table or not, with digits in one piece or, past a product of 2^12,
+    # in two (_spread): at each level the key of the coarser cells
     # floor(cell / P), P the product of the steps below it, is the key
     # floor-divided by P^D, so sorted keys stay sorted as they coarsen, and
     # two rows share a coarsened key exactly where they share those cells
@@ -487,6 +502,7 @@ def test_zorder_key_coarsens_by_integer_division(steps, dim, ranked, tables, see
     high = np.floor_divide(cells, multiple)
     offsets = [np.unique(h) if r else int(h.min()) for h, r in zip(high, ranked)]
     radices = [o.size if r else int(h.max()) - o + 1 for h, o, r in zip(high, offsets, ranked)]
+    assume(multiple**dim * math.prod(radices) < 2**63)
 
     def keys(cells, steps):
         coders = _column_coders(list(steps), (radices, offsets), math.prod(steps), list(range(dim)), 2**16 if tables else 0)
